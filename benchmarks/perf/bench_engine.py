@@ -19,8 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.baselines import greedy_assignment
-from repro.core.wolt import solve_wolt
 from repro.net.engine import DeltaEvaluator, evaluate, evaluate_batch
 from repro.net.topology import enterprise_floor
 from repro.sim.checkpoint import atomic_write_text
@@ -119,24 +117,6 @@ def bench_delta_eval(scenario, rng) -> dict:
     }
 
 
-def bench_solve_wolt(scenario) -> dict:
-    scalar_s = _best_of(lambda: solve_wolt(scenario, vectorized=False),
-                        repeats=3)
-    vector_s = _best_of(lambda: solve_wolt(scenario, vectorized=True),
-                        repeats=3)
-    return {"scalar_s": scalar_s, "vectorized_s": vector_s,
-            "speedup": scalar_s / vector_s}
-
-
-def bench_greedy(scenario) -> dict:
-    scalar_s = _best_of(lambda: greedy_assignment(scenario, batched=False),
-                        repeats=3)
-    batch_s = _best_of(lambda: greedy_assignment(scenario, batched=True),
-                       repeats=3)
-    return {"scalar_s": scalar_s, "batched_s": batch_s,
-            "speedup": scalar_s / batch_s}
-
-
 def bench_run_trials() -> dict:
     """Serial vs chunked parallel dispatch, cold and warm pools.
 
@@ -180,8 +160,6 @@ def main() -> dict:
         },
         "evaluate_scalar_vs_batch": bench_evaluate(scenario, rng),
         "delta_eval_vs_full_rescore": bench_delta_eval(scenario, rng),
-        "solve_wolt_scalar_vs_vectorized": bench_solve_wolt(scenario),
-        "greedy_scalar_vs_batched": bench_greedy(scenario),
         "run_trials_serial_vs_parallel": bench_run_trials(),
     }
     atomic_write_text(OUTPUT, json.dumps(report, indent=2) + "\n")

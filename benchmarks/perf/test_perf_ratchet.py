@@ -48,8 +48,6 @@ TOLERANCE = 0.10
 RATCHET = {
     "evaluate_scalar_vs_batch": 35.0,
     "delta_eval_vs_full_rescore": 6.0,
-    "solve_wolt_scalar_vs_vectorized": 3.0,
-    "greedy_scalar_vs_batched": 5.5,
 }
 
 #: Absolute floor on delta-eval per-move speedup vs a full re-score.

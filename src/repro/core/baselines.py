@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..net.engine import evaluate, evaluate_batch
+from ..net.engine import evaluate_batch
 from .problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -77,16 +77,14 @@ def rssi_assignment(scenario: Scenario,
 def greedy_attach_user(scenario: Scenario,
                        assignment: Sequence[int],
                        user: int,
-                       plc_mode: str = "redistribute",
-                       batched: bool = True) -> int:
+                       plc_mode: str = "redistribute") -> int:
     """Best extender for one arriving user under the greedy policy.
 
     Evaluates the aggregate end-to-end throughput (under ``plc_mode``)
     for each reachable extender with free capacity (existing users
     fixed) and returns the argmax; ties break toward the stronger WiFi
-    link.  With ``batched`` (the default) all candidates are scored in a
-    single :func:`repro.net.engine.evaluate_batch` call; ``batched=False``
-    keeps the one-engine-call-per-candidate reference loop.
+    link.  All candidates are scored in a single
+    :func:`repro.net.engine.evaluate_batch` call.
 
     Raises:
         ValueError: if the user cannot be attached anywhere.
@@ -94,43 +92,23 @@ def greedy_attach_user(scenario: Scenario,
     assign = np.array(assignment, dtype=int)
     counts = np.bincount(assign[assign != UNASSIGNED],
                          minlength=scenario.n_extenders)
-    if batched:
-        candidates, batch = _candidate_batch(scenario, assign, user, counts)
-        if not candidates:
-            raise ValueError(f"user {user} cannot be attached anywhere")
-        aggregates = evaluate_batch(scenario, batch,
-                                    plc_mode=plc_mode).aggregates
-        best_k = 0
-        for k in range(1, len(candidates)):
-            if ((aggregates[k], scenario.wifi_rates[user, candidates[k]])
-                    > (aggregates[best_k],
-                       scenario.wifi_rates[user, candidates[best_k]])):
-                best_k = k
-        return candidates[best_k]
-    best_j, best_key = UNASSIGNED, None
-    for j in scenario.reachable(user):
-        j = int(j)
-        if counts[j] >= scenario.capacity_of(j):
-            continue
-        assign[user] = j
-        # Scalar reference oracle for the batched path above — kept
-        # deliberately un-vectorized so the differential tests can pit
-        # the two against each other.
-        # woltlint: disable=W003 — intentional scalar reference loop
-        agg = evaluate(scenario, assign, plc_mode=plc_mode).aggregate
-        key = (agg, scenario.wifi_rates[user, j])
-        if best_key is None or key > best_key:
-            best_key, best_j = key, j
-    assign[user] = UNASSIGNED
-    if best_j == UNASSIGNED:
+    candidates, batch = _candidate_batch(scenario, assign, user, counts)
+    if not candidates:
         raise ValueError(f"user {user} cannot be attached anywhere")
-    return best_j
+    aggregates = evaluate_batch(scenario, batch,
+                                plc_mode=plc_mode).aggregates
+    best_k = 0
+    for k in range(1, len(candidates)):
+        if ((aggregates[k], scenario.wifi_rates[user, candidates[k]])
+                > (aggregates[best_k],
+                   scenario.wifi_rates[user, candidates[best_k]])):
+            best_k = k
+    return candidates[best_k]
 
 
 def greedy_assignment(scenario: Scenario,
                       arrival_order: Optional[Sequence[int]] = None,
                       plc_mode: str = "redistribute",
-                      batched: bool = True,
                       guard: "Optional[DecisionGuard]" = None
                       ) -> np.ndarray:
     """Centralized online greedy association (§V-B baseline).
@@ -142,9 +120,6 @@ def greedy_assignment(scenario: Scenario,
         plc_mode: PLC sharing law the controller's measurements reflect
             (the default "redistribute" is what a real deployment would
             observe).
-        batched: score each arrival's candidate extenders with one
-            batched engine call (default) instead of one scalar call per
-            candidate.
         guard: optional :class:`repro.core.guard.DecisionGuard` — an
             unattachable arrival is left UNASSIGNED and reported
             instead of raising, and the result is validated
@@ -160,8 +135,7 @@ def greedy_assignment(scenario: Scenario,
         try:
             assignment[user] = greedy_attach_user(scenario, assignment,
                                                   int(user),
-                                                  plc_mode=plc_mode,
-                                                  batched=batched)
+                                                  plc_mode=plc_mode)
         except ValueError:
             if guard is None:
                 raise
@@ -208,7 +182,6 @@ def random_assignment(scenario: Scenario,
 def selfish_greedy_assignment(scenario: Scenario,
                               arrival_order: Optional[Sequence[int]] = None,
                               plc_mode: str = "redistribute",
-                              batched: bool = True,
                               guard: "Optional[DecisionGuard]" = None
                               ) -> np.ndarray:
     """Self-interested greedy association (the §III-B case study policy).
@@ -216,10 +189,10 @@ def selfish_greedy_assignment(scenario: Scenario,
     Each arriving user picks the extender that maximizes its *own*
     end-to-end throughput given the users already attached (Fig. 3c),
     rather than the network aggregate.  Kept as an extra baseline: it is
-    what uncoordinated rate-aware clients would do.  ``batched`` scores
-    each arrival's candidates with one batched engine call (default).
-    With a ``guard``, unattachable arrivals are left UNASSIGNED and
-    reported instead of raising.
+    what uncoordinated rate-aware clients would do.  Each arrival's
+    candidates are scored with one batched engine call.  With a
+    ``guard``, unattachable arrivals are left UNASSIGNED and reported
+    instead of raising.
     """
     if arrival_order is None:
         arrival_order = range(scenario.n_users)
@@ -227,42 +200,22 @@ def selfish_greedy_assignment(scenario: Scenario,
     counts = np.zeros(scenario.n_extenders, dtype=int)
     for user in arrival_order:
         user = int(user)
-        if batched:
-            candidates, batch = _candidate_batch(scenario, assignment,
-                                                 user, counts)
-            if not candidates:
-                if guard is None:
-                    raise ValueError(
-                        f"user {user} cannot be attached anywhere")
-                continue
-            report = evaluate_batch(scenario, batch, plc_mode=plc_mode)
-            own = report.user_throughputs[:, user]
-            best_k = 0
-            for k in range(1, len(candidates)):
-                if ((own[k], scenario.wifi_rates[user, candidates[k]])
-                        > (own[best_k],
-                           scenario.wifi_rates[user, candidates[best_k]])):
-                    best_k = k
-            best_j = candidates[best_k]
-        else:
-            best_j, best_key = UNASSIGNED, None
-            for j in scenario.reachable(user):
-                j = int(j)
-                if counts[j] >= scenario.capacity_of(j):
-                    continue
-                assignment[user] = j
-                # woltlint: disable=W003 — intentional scalar reference loop
-                report = evaluate(scenario, assignment, plc_mode=plc_mode)
-                key = (report.user_throughputs[user],
-                       scenario.wifi_rates[user, j])
-                if best_key is None or key > best_key:
-                    best_key, best_j = key, j
-            if best_j == UNASSIGNED:
-                if guard is None:
-                    raise ValueError(
-                        f"user {user} cannot be attached anywhere")
-                assignment[user] = UNASSIGNED
-                continue
+        candidates, batch = _candidate_batch(scenario, assignment,
+                                             user, counts)
+        if not candidates:
+            if guard is None:
+                raise ValueError(
+                    f"user {user} cannot be attached anywhere")
+            continue
+        report = evaluate_batch(scenario, batch, plc_mode=plc_mode)
+        own = report.user_throughputs[:, user]
+        best_k = 0
+        for k in range(1, len(candidates)):
+            if ((own[k], scenario.wifi_rates[user, candidates[k]])
+                    > (own[best_k],
+                       scenario.wifi_rates[user, candidates[best_k]])):
+                best_k = k
+        best_j = candidates[best_k]
         assignment[user] = best_j
         counts[best_j] += 1
     if guard is not None:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..net.engine import DeltaEvaluator, evaluate, evaluate_batch
+from ..net.engine import DeltaEvaluator, evaluate
 from .problem import UNASSIGNED, Scenario
 from .wolt import solve_wolt
 
@@ -64,20 +64,10 @@ class IncrementalWolt:
             aggregate by at least this much.
         max_moves: optional cap on moves per reconfiguration.
         plc_mode: PLC sharing law for evaluation and move scoring.
-        delta: score candidate moves with a
-            :class:`~repro.net.engine.DeltaEvaluator` (only the two
-            cells a move touches are recomputed; default) instead of
-            tiling the working assignment into a full
-            :func:`~repro.net.engine.evaluate_batch`.  The delta scores
-            are bit-identical to scalar :func:`~repro.net.engine.evaluate`
-            (the batch kernel agrees to 1e-9), and the differential
-            wall asserts the selected moves match on seeded churn
-            sequences.  ``False`` keeps the batched oracle path.
-        warm_start: seed every WOLT re-solve's Phase II with the
-            *current* association as starting basis (see
-            :func:`repro.core.wolt.solve_wolt`).  Off by default: the
-            warm-started target may differ from the cold solve at
-            local-search tie points, so it is an opt-in seam.
+            Candidate moves are scored with a
+            :class:`~repro.net.engine.DeltaEvaluator`: only the two cells
+            a move touches are recomputed, bit-identically to a scalar
+            :func:`~repro.net.engine.evaluate` of the moved assignment.
         guard: optional :class:`repro.core.guard.DecisionGuard` threaded
             into every WOLT re-solve (bit-identical on clean inputs).
     """
@@ -86,8 +76,6 @@ class IncrementalWolt:
                  min_gain_mbps: float = 0.0,
                  max_moves: Optional[int] = None,
                  plc_mode: str = "redistribute",
-                 delta: bool = True,
-                 warm_start: bool = False,
                  guard: "Optional[DecisionGuard]" = None) -> None:
         if min_gain_mbps < 0:
             raise ValueError("min_gain_mbps must be non-negative")
@@ -99,8 +87,6 @@ class IncrementalWolt:
         self.min_gain_mbps = min_gain_mbps
         self.max_moves = max_moves
         self.plc_mode = plc_mode
-        self.delta = delta
-        self.warm_start = warm_start
         self.guard = guard
         #: user id -> WiFi rate row (length n_extenders)
         self._rates: Dict[int, np.ndarray] = {}
@@ -173,44 +159,31 @@ class IncrementalWolt:
         before = evaluate(scenario, current, plc_mode=self.plc_mode,
                           require_complete=True).aggregate
         target = solve_wolt(scenario, plc_mode=self.plc_mode,
-                            warm_start=current if self.warm_start
-                            else None,
                             guard=self.guard)
         # A guarded solve may leave a genuinely unattachable user
         # UNASSIGNED; never "move" anyone to UNASSIGNED.
         pending = {idx for idx in range(len(ids))
                    if target.assignment[idx] != current[idx]
                    and target.assignment[idx] != UNASSIGNED}
+        if not pending:
+            return ReconfigureOutcome(moves=(), aggregate_before=before,
+                                      aggregate_after=before,
+                                      wolt_aggregate=target.
+                                      aggregate_throughput)
         applied: List[Tuple[int, int, int]] = []
         working = current.copy()
-        evaluator = (DeltaEvaluator(scenario, working,
-                                    plc_mode=self.plc_mode)
-                     if self.delta and pending else None)
+        evaluator = DeltaEvaluator(scenario, working, plc_mode=self.plc_mode)
         best = before
         while pending:
             if (self.max_moves is not None
                     and len(applied) >= self.max_moves):
                 break
             idxs = sorted(pending)
-            if evaluator is not None:
-                # Delta scoring: each candidate recomputes only the two
-                # cells its move touches (bit-identical to a scalar
-                # evaluate of the moved assignment).
-                aggregates: "Sequence[float]" = [
-                    evaluator.score_move(idx, int(target.assignment[idx]))
-                    for idx in idxs]
-            else:
-                # Score every pending move in one batched engine call
-                # (bit-identical to the scalar loop by the PR-1
-                # contract).
-                batch = np.tile(working, (len(idxs), 1))
-                batch[np.arange(len(idxs)), idxs] = \
-                    target.assignment[idxs]
-                aggregates = evaluate_batch(
-                    scenario, batch, plc_mode=self.plc_mode,
-                    require_complete=True).aggregates
-            gains = [(float(agg) - best, idx)
-                     for agg, idx in zip(aggregates, idxs)]
+            # Each candidate recomputes only the two cells its move
+            # touches (bit-identical to a scalar evaluate of the moved
+            # assignment).
+            gains = [(evaluator.score_move(idx, int(target.assignment[idx]))
+                      - best, idx) for idx in idxs]
             gain, idx = max(gains)
             # The hysteresis bar: at a positive threshold, stop as soon
             # as the best remaining move falls short.  At the zero
@@ -220,19 +193,15 @@ class IncrementalWolt:
             # the loop still terminates).
             if self.min_gain_mbps > 0 and gain < self.min_gain_mbps:
                 break
-            moved_agg = float(aggregates[idxs.index(idx)])
             applied.append((ids[idx], int(working[idx]),
                             int(target.assignment[idx])))
             working[idx] = target.assignment[idx]
-            if evaluator is not None:
-                evaluator.commit(idx, int(target.assignment[idx]))
-                # Re-sync from the evaluator's committed aggregate:
-                # ``best += gain`` would accumulate one rounding error
-                # per move and the greedy threshold would drift away
-                # from the true baseline over a long churn sequence.
-                best = evaluator.aggregate
-            else:
-                best = moved_agg
+            evaluator.commit(idx, int(target.assignment[idx]))
+            # Re-sync from the evaluator's committed aggregate:
+            # ``best += gain`` would accumulate one rounding error per
+            # move and the greedy threshold would drift away from the
+            # true baseline over a long churn sequence.
+            best = evaluator.aggregate
             pending.discard(idx)
         for user_id, _, new_j in applied:
             self.assignment[user_id] = new_j

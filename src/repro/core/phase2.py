@@ -92,15 +92,6 @@ class _CellState:
         busy = self.counts > 0
         return float((self.counts[busy] / self.inv_rate_sums[busy]).sum())
 
-    def gain_of_adding(self, user: int, j: int) -> float:
-        """Change in ``sum_j T_WiFi_j`` if ``user`` joins extender ``j``."""
-        _record(scalar=1)  # one candidate scored the scalar way
-        r = self.scenario.wifi_rates[user, j]
-        if r <= MIN_USABLE_RATE:
-            return -np.inf
-        new = (self.counts[j] + 1) / (self.inv_rate_sums[j] + 1.0 / r)
-        return new - self.throughput(j)
-
     def add(self, user: int, j: int) -> None:
         self.counts[j] += 1
         self.inv_rate_sums[j] += 1.0 / self.scenario.wifi_rates[user, j]
@@ -111,9 +102,6 @@ class _CellState:
         if self.counts[j] == 0:
             self.inv_rate_sums[j] = 0.0
 
-    def room(self, j: int) -> bool:
-        return self.counts[j] < self.scenario.capacity_of(j)
-
 
 class _BatchGains:
     """Vectorized marginal-gain evaluation against a :class:`_CellState`.
@@ -121,8 +109,9 @@ class _BatchGains:
     Precomputes the inverse-rate matrix and reachability mask once, then
     scores whole candidate batches (every pending user x every extender)
     with a couple of numpy sweeps.  The arithmetic is elementwise
-    identical to :meth:`_CellState.gain_of_adding`, so the vectorized
-    search makes bit-identical decisions to the scalar reference loop.
+    identical to the one-candidate-at-a-time reference in
+    ``tests/oracles.py``, so the search makes bit-identical decisions to
+    the scalar loop.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -160,55 +149,28 @@ class _BatchGains:
         return state.counts < self.caps
 
 
-def _greedy_insertion_batch(scenario: Scenario, state: _CellState,
-                            gains: _BatchGains, assignment: np.ndarray,
-                            remaining: "List[int]",
-                            drop_unplaceable: bool = False) -> None:
-    """Batched greedy insertion (vectorized candidate scoring).
+def _greedy_insertion(scenario: Scenario, state: _CellState,
+                      gains: _BatchGains, assignment: np.ndarray,
+                      remaining: "List[int]",
+                      drop_unplaceable: bool = False) -> None:
+    """Greedy insertion over an incrementally maintained gains matrix.
 
-    Each iteration scores every (pending user, extender) candidate in one
-    vectorized pass and applies the row-major argmax — the same pair the
-    scalar first-strictly-greater scan selects.  With
-    ``drop_unplaceable`` (the guarded mode) insertion stops when no
-    feasible pair remains, leaving the leftovers UNASSIGNED for the
-    guard to report, instead of raising.
-    """
-    while remaining:
-        rem = np.asarray(remaining, dtype=int)
-        batch = gains.gains(state, rem)
-        batch = np.where(gains.room(state)[np.newaxis, :], batch, -np.inf)
-        flat = int(np.argmax(batch))
-        if np.isneginf(batch.flat[flat]):
-            if drop_unplaceable:
-                break
-            raise ValueError(
-                f"users {remaining} cannot be attached to any extender")
-        user = int(rem[flat // scenario.n_extenders])
-        j = flat % scenario.n_extenders
-        state.add(user, j)
-        assignment[user] = j
-        remaining.remove(user)
-
-
-def _greedy_insertion_delta(scenario: Scenario, state: _CellState,
-                            gains: _BatchGains, assignment: np.ndarray,
-                            remaining: "List[int]",
-                            drop_unplaceable: bool = False) -> None:
-    """Delta-maintained greedy insertion (incremental gains matrix).
-
-    Placing a user on extender ``j`` only changes the membership of
-    cell ``j``, so only *column* ``j`` of the insertion-gains matrix
-    can change — every other candidate's marginal gain is untouched.
-    This variant pays the full ``(pending x extenders)`` sweep once,
-    then refreshes a single column per placement: ``O(U + U·E_argmax)``
-    per iteration instead of rebuilding the whole matrix.
+    Each step places the (pending user, extender) pair with the largest
+    marginal gain, taking the row-major argmax — the same pair a scalar
+    first-strictly-greater scan selects.  Placing a user on extender
+    ``j`` only changes the membership of cell ``j``, so only *column*
+    ``j`` of the insertion-gains matrix can change.  The full
+    ``(pending x extenders)`` sweep is paid once, then a single column
+    is refreshed per placement.
 
     The refreshed column uses elementwise-identical arithmetic to
-    :meth:`_BatchGains.gains`, and placed rows are masked to ``-inf``
-    (row-major argmax then selects the same pair the batched rebuild
-    would), so the decisions are bit-identical to
-    :func:`_greedy_insertion_batch` — the differential test wall
-    asserts this on random scenarios.
+    :meth:`_BatchGains.gains`, and placed rows are masked to ``-inf``,
+    so the decisions are bit-identical to rebuilding the whole matrix
+    per placement and to the scalar loop — the differential wall in
+    ``tests/test_delta_eval.py`` checks both against ``tests/oracles.py``.
+    With ``drop_unplaceable`` (the guarded mode) insertion stops when no
+    feasible pair remains, leaving the leftovers UNASSIGNED for the
+    guard to report, instead of raising.
     """
     if not remaining:
         return
@@ -246,38 +208,13 @@ def _greedy_insertion_delta(scenario: Scenario, state: _CellState,
             matrix[pending, j] = -np.inf
 
 
-def _greedy_insertion_scalar(scenario: Scenario, state: _CellState,
-                             assignment: np.ndarray,
-                             remaining: "List[int]",
-                             drop_unplaceable: bool = False) -> None:
-    """Reference scalar greedy insertion (one engine call per candidate)."""
-    while remaining:
-        best = None  # (gain, user, extender)
-        for user in remaining:
-            for j in scenario.reachable(user):
-                if not state.room(j):
-                    continue
-                gain = state.gain_of_adding(user, int(j))
-                if best is None or gain > best[0]:
-                    best = (gain, user, int(j))
-        if best is None:
-            if drop_unplaceable:
-                break
-            raise ValueError(
-                f"users {remaining} cannot be attached to any extender")
-        _, user, j = best
-        state.add(user, j)
-        assignment[user] = j
-        remaining.remove(user)
-
-
-def _relocate_batch(scenario: Scenario, state: _CellState,
-                    gains: _BatchGains, assignment: np.ndarray,
-                    user: int) -> int:
+def _relocate(state: _CellState, gains: _BatchGains,
+              assignment: np.ndarray, user: int) -> int:
     """Best relocation target for one user, gains scored in one batch.
 
-    Replicates the scalar hysteresis scan (ascending extenders, strict
-    ``> best + 1e-12`` improvement) over a vectorized gain vector.
+    Scans extenders in ascending order and moves only on a strict
+    ``> best + 1e-12`` improvement (hysteresis), over a gain vector
+    computed in one sweep.
     """
     cur = int(assignment[user])
     state.remove(user, cur)
@@ -294,30 +231,9 @@ def _relocate_batch(scenario: Scenario, state: _CellState,
     return best_j
 
 
-def _relocate_scalar(scenario: Scenario, state: _CellState,
-                     assignment: np.ndarray, user: int) -> int:
-    """Reference scalar relocation scan."""
-    cur = int(assignment[user])
-    state.remove(user, cur)
-    base_gain = state.gain_of_adding(user, cur)
-    best_j, best_gain = cur, base_gain
-    for j in scenario.reachable(user):
-        j = int(j)
-        if j == cur or not state.room(j):
-            continue
-        gain = state.gain_of_adding(user, j)
-        if gain > best_gain + 1e-12:
-            best_j, best_gain = j, gain
-    state.add(user, best_j)
-    return best_j
-
-
 def solve_phase2(scenario: Scenario,
                  phase1_assignment: Sequence[int],
                  max_rounds: int = 100,
-                 vectorized: bool = True,
-                 delta: bool = True,
-                 warm_start: Optional[Sequence[int]] = None,
                  guard: "Optional[DecisionGuard]" = None) -> Phase2Result:
     """Combinatorial Phase-II solver (greedy insertion + local search).
 
@@ -326,25 +242,6 @@ def solve_phase2(scenario: Scenario,
         phase1_assignment: per-user extender indices with the ``U1``
             anchors set and everyone else :data:`UNASSIGNED`.
         max_rounds: safety cap on local-search rounds.
-        vectorized: score candidate batches with numpy sweeps (the
-            default).  ``False`` selects the scalar reference loops; both
-            paths make bit-identical decisions (asserted by the
-            test-suite) — the scalar path exists only as the differential
-            oracle.
-        delta: maintain the insertion-gains matrix incrementally,
-            refreshing only the column a placement touches, instead of
-            rebuilding the whole ``(pending x extenders)`` matrix per
-            placement (default; requires ``vectorized``).  Decisions are
-            bit-identical to the full rebuild — the differential wall in
-            ``tests/test_delta_eval.py`` asserts it.  ``False`` selects
-            the full-rebuild batch path as the differential oracle.
-        warm_start: optional previous-epoch assignment used as the
-            starting basis: each pending (non-anchor) user whose
-            warm-start extender is still reachable and has room is
-            pre-placed there; only the leftovers go through greedy
-            insertion, and the local search then polishes from a
-            near-solution instead of from scratch.  ``None`` (default)
-            preserves today's cold-start behaviour exactly.
         guard: optional :class:`repro.core.guard.DecisionGuard`.  When
             set, invalid anchors are repaired instead of poisoning the
             search, unattachable users are left UNASSIGNED and reported
@@ -374,35 +271,12 @@ def solve_phase2(scenario: Scenario,
     anchors = assignment.copy()
     state = _CellState(scenario, assignment)
     remaining = list(np.flatnonzero(assignment == UNASSIGNED))
-    if warm_start is not None:
-        warm = np.asarray(warm_start, dtype=int)
-        if warm.shape[0] != scenario.n_users:
-            raise ValueError("warm_start length must equal n_users")
-        # Pre-place pending users on their previous-epoch extender when
-        # it is still viable; they stay movable for the local search.
-        for user in list(remaining):
-            j = int(warm[user])
-            if (j == UNASSIGNED or j < 0 or j >= scenario.n_extenders
-                    or scenario.wifi_rates[user, j] <= MIN_USABLE_RATE
-                    or not state.room(j)):
-                continue
-            state.add(int(user), j)
-            assignment[user] = j
-            remaining.remove(user)
-    gains = _BatchGains(scenario) if vectorized else None
+    gains = _BatchGains(scenario)
 
     # Greedy insertion: repeatedly place the (user, extender) pair with the
     # largest marginal gain in total WiFi throughput.
-    drop = guard is not None
-    if vectorized and delta:
-        _greedy_insertion_delta(scenario, state, gains, assignment,
-                                remaining, drop_unplaceable=drop)
-    elif vectorized:
-        _greedy_insertion_batch(scenario, state, gains, assignment,
-                                remaining, drop_unplaceable=drop)
-    else:
-        _greedy_insertion_scalar(scenario, state, assignment, remaining,
-                                 drop_unplaceable=drop)
+    _greedy_insertion(scenario, state, gains, assignment, remaining,
+                      drop_unplaceable=guard is not None)
 
     # Local search over single relocations and pairwise swaps of U2 users
     # (the Phase-I anchors stay put, as the paper fixes U1).  Relocations
@@ -418,12 +292,7 @@ def solve_phase2(scenario: Scenario,
         rounds += 1
         for user in movable:
             cur = assignment[user]
-            if vectorized:
-                best_j = _relocate_batch(scenario, state, gains,
-                                         assignment, int(user))
-            else:
-                best_j = _relocate_scalar(scenario, state, assignment,
-                                          int(user))
+            best_j = _relocate(state, gains, assignment, int(user))
             assignment[user] = best_j
             if best_j != cur:
                 improved = True

@@ -10,7 +10,7 @@ artifacts, and can be evaluated against the end-to-end throughput engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -56,8 +56,6 @@ def solve_wolt(scenario: Scenario,
                phase2_solver: str = "combinatorial",
                plc_mode: str = "redistribute",
                rng: Optional[np.random.Generator] = None,
-               vectorized: bool = True,
-               warm_start: Optional[Sequence[int]] = None,
                guard: "Optional[DecisionGuard]" = None) -> WoltResult:
     """Run the full WOLT association algorithm (Alg. 1 of the paper).
 
@@ -71,13 +69,6 @@ def solve_wolt(scenario: Scenario,
             algorithm itself is model-free; see
             :func:`repro.net.engine.evaluate`).
         rng: optional generator for the continuous solver's start point.
-        vectorized: score Phase-II candidate moves in batches (default);
-            ``False`` selects the scalar reference loops, which make
-            bit-identical decisions (see :func:`repro.core.phase2.solve_phase2`).
-        warm_start: optional previous-epoch assignment handed to the
-            combinatorial Phase-II solver as its starting basis (see
-            :func:`repro.core.phase2.solve_phase2`); ignored by the
-            continuous solver.  ``None`` (default) is the cold start.
         guard: optional :class:`repro.core.guard.DecisionGuard` threaded
             through both phases.  Guarded, WOLT repairs invariant
             violations instead of raising (genuinely unattachable users
@@ -92,8 +83,6 @@ def solve_wolt(scenario: Scenario,
     phase1 = solve_phase1(scenario, utilities, guard=guard)
     if phase2_solver == "combinatorial":
         phase2: Phase2Result = solve_phase2(scenario, phase1.assignment,
-                                            vectorized=vectorized,
-                                            warm_start=warm_start,
                                             guard=guard)
     elif phase2_solver == "continuous":
         phase2 = solve_phase2_continuous(scenario, phase1.assignment,

@@ -218,6 +218,20 @@ def _solve_shard(config: _ShardConfig, spec: WorkSpec) -> Any:
                        error_type="InjectedCrash", error=error)
 
 
+def _servable(scenario: Scenario, assignment: np.ndarray) -> np.ndarray:
+    """A copy of ``assignment`` with users on unusable extenders detached.
+
+    An extender is unusable for a user when this epoch's effective
+    ``scenario`` rates the link at or below :data:`MIN_USABLE_RATE`.
+    """
+    servable = assignment.copy()
+    attached = np.flatnonzero(servable != UNASSIGNED)
+    if attached.size:
+        rates = scenario.wifi_rates[attached, servable[attached]]
+        servable[attached[rates <= MIN_USABLE_RATE]] = UNASSIGNED
+    return servable
+
+
 class _BuildingState:
     """Mutable per-building service state (one per spec building)."""
 
@@ -644,14 +658,9 @@ class FleetService:
         guard still validates what is kept — a breaker protects the
         campus from a sick building's solve cost, not from invariants.
         """
-        old = bstate.assignment
-        new = old.copy()
-        attached = np.flatnonzero(new != UNASSIGNED)
-        if attached.size:
-            rates = scenario.wifi_rates[attached, new[attached]]
-            new[attached[rates <= MIN_USABLE_RATE]] = UNASSIGNED
         return self._compose_building_epoch(
-            bstate, scenario, quarantined, new, n_segments=0,
+            bstate, scenario, quarantined,
+            _servable(scenario, bstate.assignment), n_segments=0,
             shard_failures=0, shard_timeouts=0, apply=apply)
 
     def _compose_building_epoch(self, bstate: _BuildingState,
@@ -669,13 +678,7 @@ class FleetService:
         # Score against the previous association *as servable this
         # epoch* (users whose extender vanished contribute nothing to
         # the baseline).
-        reachable_old = old.copy()
-        attached = np.flatnonzero(reachable_old != UNASSIGNED)
-        if attached.size:
-            rates = scenario.wifi_rates[attached,
-                                        reachable_old[attached]]
-            reachable_old[attached[rates <= MIN_USABLE_RATE]] = \
-                UNASSIGNED
+        reachable_old = _servable(scenario, old)
         running = evaluate(scenario, reachable_old,
                            plc_mode=self.spec.plc_mode).aggregate
         baseline = running

@@ -56,6 +56,7 @@ import time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
@@ -170,6 +171,8 @@ class HealthSettings:
     breaker_probation_epochs: int = 2
 
     def __post_init__(self) -> None:
+        if not self.flap_band > 0:
+            raise ValueError("flap_band must be positive")
         if (self.shard_timeout_s is not None
                 and self.shard_timeout_s <= 0):
             raise ValueError("shard_timeout_s must be positive")
@@ -358,6 +361,11 @@ def _take_float(mapping: Mapping[str, Any], key: str, where: str,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where}.{key} must be a number, got "
                          f"{value!r}")
+    # YAML `.nan`/`.inf` are floats too, and slip past every range check
+    # downstream (a NaN flap band never fires; an infinite jitter serves
+    # 0 Mbps forever).
+    if not math.isfinite(value):
+        raise ValueError(f"{where}.{key} must be finite, got {value!r}")
     return float(value)
 
 

@@ -49,7 +49,7 @@ class EngineCallStats:
     Attributes:
         scalar_calls: scalar evaluations — :func:`evaluate` invocations
             plus per-candidate scalar scoring inside the Phase-II
-            reference loops.
+            reference loops of ``tests/oracles.py``.
         batch_calls: vectorized evaluations — :func:`evaluate_batch`
             invocations plus Phase-II batched gain sweeps.
         batch_rows: total candidates scored across all batched

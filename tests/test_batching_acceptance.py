@@ -1,9 +1,9 @@
 """Acceptance: batching changes the cost of the search, not its answer.
 
 On the paper's Fig. 6 floor (15 extenders, ~124 users) the batched
-solvers must return bit-identical assignments to their scalar reference
-paths while issuing at least 5x fewer scalar engine calls (measured via
-:func:`repro.net.engine.count_engine_calls`).
+solvers must return bit-identical assignments to their scalar references
+in ``tests/oracles.py`` while issuing at least 5x fewer scalar engine
+calls (measured via :func:`repro.net.engine.count_engine_calls`).
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from repro.core.wolt import solve_wolt
 from repro.net.engine import count_engine_calls
 from repro.net.topology import enterprise_floor
 
+from .oracles import (greedy_assignment_scalar,
+                      selfish_greedy_assignment_scalar, solve_wolt_scalar)
+
 
 @pytest.fixture(scope="module")
 def fig6_floor():
@@ -27,9 +30,9 @@ def fig6_floor():
 class TestSolveWoltBatched:
     def test_bit_identical_with_5x_fewer_scalar_calls(self, fig6_floor):
         with count_engine_calls() as scalar_stats:
-            ref = solve_wolt(fig6_floor, vectorized=False)
+            ref = solve_wolt_scalar(fig6_floor)
         with count_engine_calls() as batched_stats:
-            got = solve_wolt(fig6_floor, vectorized=True)
+            got = solve_wolt(fig6_floor)
 
         assert np.array_equal(got.assignment, ref.assignment)
         assert got.phase2.objective == ref.phase2.objective
@@ -43,8 +46,8 @@ class TestSolveWoltBatched:
         for seed in (0, 7, 99):
             floor = enterprise_floor(15, 124,
                                      np.random.default_rng(seed))
-            ref = solve_wolt(floor, vectorized=False)
-            got = solve_wolt(floor, vectorized=True)
+            ref = solve_wolt_scalar(floor)
+            got = solve_wolt(floor)
             assert np.array_equal(got.assignment, ref.assignment), seed
             assert got.report.aggregate == ref.report.aggregate
 
@@ -53,16 +56,16 @@ class TestBaselinesBatched:
     def test_greedy_bit_identical_with_5x_fewer_scalar_calls(
             self, fig6_floor):
         with count_engine_calls() as scalar_stats:
-            ref = greedy_assignment(fig6_floor, batched=False)
+            ref = greedy_assignment_scalar(fig6_floor)
         with count_engine_calls() as batched_stats:
-            got = greedy_assignment(fig6_floor, batched=True)
+            got = greedy_assignment(fig6_floor)
 
         assert np.array_equal(got, ref)
         assert batched_stats.scalar_calls * 5 <= scalar_stats.scalar_calls
 
     def test_selfish_greedy_bit_identical(self, fig6_floor):
-        ref = selfish_greedy_assignment(fig6_floor, batched=False)
-        got = selfish_greedy_assignment(fig6_floor, batched=True)
+        ref = selfish_greedy_assignment_scalar(fig6_floor)
+        got = selfish_greedy_assignment(fig6_floor)
         assert np.array_equal(got, ref)
 
 

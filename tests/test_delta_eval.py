@@ -7,11 +7,12 @@ same decisions as the full evaluation it replaces.
   recomputing only the two touched cells — the resulting aggregate must
   be **bit-identical** to a full scalar :func:`~repro.net.engine.evaluate`
   of the moved assignment, and within 1e-9 of the batched kernel.
-* ``solve_phase2(delta=True)`` maintains the insertion-gains matrix
-  incrementally — its final assignment must be bit-identical to the
-  full-rebuild batch path and to the scalar reference oracle.
-* ``IncrementalWolt(delta=True)`` must apply the exact same moves as
-  the batched scoring loop on seeded churn sequences.
+* ``solve_phase2`` maintains the insertion-gains matrix incrementally —
+  its final assignment must be bit-identical to the full-rebuild batch
+  reference and to the scalar reference (both in ``tests/oracles.py``).
+* ``IncrementalWolt`` scores moves with a ``DeltaEvaluator`` and must
+  apply the exact same moves as the batched scoring reference on seeded
+  churn sequences.
 
 All of it is parametrized over topology/demand seeds so the wall covers
 a spread of scenarios, not one lucky instance.
@@ -31,6 +32,8 @@ from repro.net.engine import (DeltaEvaluator, count_engine_calls,
                               evaluate, evaluate_batch)
 
 from .conftest import random_scenario
+from .oracles import (reconfigure_batch, solve_phase2_batch,
+                      solve_phase2_scalar)
 
 ATOL = 1e-9
 
@@ -150,9 +153,9 @@ class TestPhase2DeltaDifferential:
         scenario = random_scenario(rng, n_users, n_ext,
                                    reachable_prob=0.75)
         p1 = solve_phase1(scenario)
-        delta = solve_phase2(scenario, p1.assignment, delta=True)
-        batch = solve_phase2(scenario, p1.assignment, delta=False)
-        scalar = solve_phase2(scenario, p1.assignment, vectorized=False)
+        delta = solve_phase2(scenario, p1.assignment)
+        batch = solve_phase2_batch(scenario, p1.assignment)
+        scalar = solve_phase2_scalar(scenario, p1.assignment)
         assert np.array_equal(delta.assignment, batch.assignment)
         assert np.array_equal(delta.assignment, scalar.assignment)
         assert delta.objective == batch.objective
@@ -163,8 +166,8 @@ class TestPhase2DeltaDifferential:
         rng = np.random.default_rng(seed)
         scenario = random_scenario(rng, 18, 5, capacities=True)
         p1 = solve_phase1(scenario)
-        delta = solve_phase2(scenario, p1.assignment, delta=True)
-        batch = solve_phase2(scenario, p1.assignment, delta=False)
+        delta = solve_phase2(scenario, p1.assignment)
+        batch = solve_phase2_batch(scenario, p1.assignment)
         assert np.array_equal(delta.assignment, batch.assignment)
 
     @pytest.mark.parametrize("seed", TOPOLOGY_SEEDS[:3])
@@ -173,9 +176,9 @@ class TestPhase2DeltaDifferential:
         rng = np.random.default_rng(seed)
         scenario = random_scenario(rng, 20, 5, reachable_prob=0.8)
         got = solve_wolt(scenario)
-        # The oracle: batch insertion (the pre-PR-6 default path).
+        # The oracle: full-rebuild batch insertion.
         p1 = solve_phase1(scenario)
-        oracle = solve_phase2(scenario, p1.assignment, delta=False)
+        oracle = solve_phase2_batch(scenario, p1.assignment)
         assert np.array_equal(got.assignment, oracle.assignment)
 
     def test_unplaceable_user_still_raises(self, rng):
@@ -186,59 +189,7 @@ class TestPhase2DeltaDifferential:
         dead = Scenario(wifi_rates=wifi, plc_rates=scenario.plc_rates)
         start = np.full(6, UNASSIGNED)
         with pytest.raises(ValueError, match="cannot be attached"):
-            solve_phase2(dead, start, delta=True)
-
-
-class TestWarmStart:
-    @pytest.mark.parametrize("seed", TOPOLOGY_SEEDS[:3])
-    def test_warm_start_from_own_solution_is_fixed_point(self, seed):
-        """Re-solving warm from the cold optimum returns it unchanged."""
-        rng = np.random.default_rng(seed)
-        scenario = random_scenario(rng, 20, 5, reachable_prob=0.8)
-        p1 = solve_phase1(scenario)
-        cold = solve_phase2(scenario, p1.assignment)
-        warm = solve_phase2(scenario, p1.assignment,
-                            warm_start=cold.assignment)
-        assert np.array_equal(warm.assignment, cold.assignment)
-        # The incremental cell sums accumulate in a different order on
-        # the warm path, so the objective may differ in the last ulp.
-        assert warm.objective == pytest.approx(cold.objective, abs=ATOL)
-
-    @pytest.mark.parametrize("seed", TOPOLOGY_SEEDS)
-    def test_warm_start_is_complete_and_competitive(self, seed):
-        """Warm-started solve stays a valid, near-cold-quality solution."""
-        rng = np.random.default_rng(seed)
-        scenario = random_scenario(rng, 24, 6, reachable_prob=0.8)
-        p1 = solve_phase1(scenario)
-        cold = solve_phase2(scenario, p1.assignment)
-        # Perturb the cold solution to emulate the previous epoch.
-        prev = cold.assignment.copy()
-        for user in rng.choice(scenario.n_users, size=5, replace=False):
-            prev[user] = int(rng.choice(scenario.reachable(int(user))))
-        warm = solve_phase2(scenario, p1.assignment, warm_start=prev)
-        assert not np.any(warm.assignment == UNASSIGNED)
-        assert warm.objective >= cold.objective * 0.95
-
-    def test_warm_start_ignores_stale_extenders(self, rng):
-        scenario = random_scenario(rng, 10, 3, reachable_prob=0.7)
-        p1 = solve_phase1(scenario)
-        prev = np.full(10, 99)  # out-of-range extender ids
-        warm = solve_phase2(scenario, p1.assignment, warm_start=prev)
-        cold = solve_phase2(scenario, p1.assignment)
-        assert np.array_equal(warm.assignment, cold.assignment)
-
-    def test_warm_start_wrong_length_rejected(self, rng):
-        scenario = random_scenario(rng, 10, 3)
-        p1 = solve_phase1(scenario)
-        with pytest.raises(ValueError, match="warm_start"):
-            solve_phase2(scenario, p1.assignment,
-                         warm_start=np.zeros(3, dtype=int))
-
-    def test_solve_wolt_threads_warm_start(self, rng):
-        scenario = random_scenario(rng, 16, 4, reachable_prob=0.8)
-        cold = solve_wolt(scenario)
-        warm = solve_wolt(scenario, warm_start=cold.assignment)
-        assert not np.any(warm.assignment == UNASSIGNED)
+            solve_phase2(dead, start)
 
 
 class TestIncrementalWoltDelta:
@@ -254,10 +205,10 @@ class TestIncrementalWoltDelta:
     @pytest.mark.parametrize("seed", TOPOLOGY_SEEDS)
     def test_delta_reconfigure_matches_batched_oracle(self, seed):
         """Identical churn -> identical moves, delta vs batched scoring."""
-        a, rng_a = self._churned_controller(seed, delta=True)
-        b, rng_b = self._churned_controller(seed, delta=False)
+        a, rng_a = self._churned_controller(seed)
+        b, rng_b = self._churned_controller(seed)
         out_a = a.reconfigure()
-        out_b = b.reconfigure()
+        out_b = reconfigure_batch(b)
         assert out_a.moves == out_b.moves
         assert out_a.aggregate_after == pytest.approx(
             out_b.aggregate_after, abs=ATOL)
@@ -266,23 +217,14 @@ class TestIncrementalWoltDelta:
             ctl.remove_user(0)
             ctl.add_user(100, rng.uniform(6.5, 144.0,
                                           size=ctl.plc_rates.size))
-        assert a.reconfigure().moves == b.reconfigure().moves
+        assert a.reconfigure().moves == reconfigure_batch(b).moves
 
     @pytest.mark.parametrize("seed", TOPOLOGY_SEEDS[:3])
     def test_delta_respects_hysteresis_and_move_cap(self, seed):
-        a, _ = self._churned_controller(seed, delta=True,
-                                        min_gain_mbps=2.0, max_moves=2)
-        b, _ = self._churned_controller(seed, delta=False,
-                                        min_gain_mbps=2.0, max_moves=2)
-        out_a, out_b = a.reconfigure(), b.reconfigure()
+        a, _ = self._churned_controller(seed, min_gain_mbps=2.0,
+                                        max_moves=2)
+        b, _ = self._churned_controller(seed, min_gain_mbps=2.0,
+                                        max_moves=2)
+        out_a, out_b = a.reconfigure(), reconfigure_batch(b)
         assert out_a.moves == out_b.moves
         assert len(out_a.moves) <= 2
-
-    def test_warm_start_seam_reconfigures_validly(self):
-        ctl, rng = self._churned_controller(3, warm_start=True)
-        first = ctl.reconfigure()
-        assert first.aggregate_after >= first.aggregate_before - ATOL
-        ctl.add_user(200, rng.uniform(6.5, 144.0,
-                                      size=ctl.plc_rates.size))
-        second = ctl.reconfigure()
-        assert second.aggregate_after >= second.aggregate_before - ATOL

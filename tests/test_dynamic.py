@@ -11,6 +11,7 @@ from repro.core.wolt import solve_wolt
 from repro.net.engine import DeltaEvaluator
 
 from .conftest import random_scenario
+from .oracles import reconfigure_batch
 
 
 def _loaded_controller(rng, n_users=12, n_ext=4, **kwargs):
@@ -195,13 +196,12 @@ class TestBugfixRegressions:
         parked = np.array([1, 0])  # add_user parks on argmax WiFi
         assert not np.array_equal(target, parked), \
             "precondition: the tie point must separate target from parking"
-        for delta in (True, False):
-            ctrl = IncrementalWolt(scenario.plc_rates, min_gain_mbps=0.0,
-                                   delta=delta)
+        for reconfigure in (IncrementalWolt.reconfigure, reconfigure_batch):
+            ctrl = IncrementalWolt(scenario.plc_rates, min_gain_mbps=0.0)
             ctrl.add_user(0, scenario.wifi_rates[0])
             ctrl.add_user(1, scenario.wifi_rates[1])
             assert [ctrl.assignment[u] for u in (0, 1)] == [1, 0]
-            outcome = ctrl.reconfigure()
+            outcome = reconfigure(ctrl)
             assert len(outcome.moves) == 2
             assert [ctrl.assignment[u] for u in (0, 1)] == \
                 target.tolist()

@@ -140,6 +140,27 @@ class TestValidation:
                     "  - {name: x, extenders: 2, users: 3}\n"
                     + block + "\n")
 
+    @pytest.mark.parametrize("block", [
+        "health: {flap_band: .nan}",
+        "health: {shard_timeout_s: .nan}",
+        "telemetry: {wifi_jitter: .nan}",
+        "telemetry: {plc_jitter: .inf}",
+    ])
+    def test_non_finite_float_rejected(self, block):
+        # A NaN flap band never detects a flap and an infinite jitter
+        # serves 0 Mbps every epoch; both used to parse and run.
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_fleet_spec(
+                "buildings:\n"
+                "  - {name: x, extenders: 2, users: 3}\n"
+                + block + "\n")
+
+    def test_flap_band_must_be_positive(self):
+        with pytest.raises(ValueError, match="flap_band"):
+            HealthSettings(flap_band=0.0)
+        with pytest.raises(ValueError, match="flap_band"):
+            HealthSettings(flap_band=float("nan"))
+
     def test_non_numeric_float_rejected(self):
         with pytest.raises(ValueError, match="must be a number"):
             parse_fleet_spec(
