@@ -75,6 +75,27 @@ def _wolt(*extra: str, **kwargs):
     return _wolt_cmd(*SIM_ARGS, *extra, **kwargs)
 
 
+def _kill_group(victim: subprocess.Popen,
+                deadline_s: float = 10.0) -> None:
+    """SIGKILL a victim's whole process group, pool workers included.
+
+    Killing only the parent would orphan its worker pool under PID 1;
+    the victims are started in their own session, so their group id is
+    their pid.  Fails the check if any group member outlives the kill.
+    """
+    pgid = victim.pid
+    os.killpg(pgid, signal.SIGKILL)  # no handler, no flush, no goodbye
+    victim.wait(timeout=60)
+    start = time.monotonic()
+    while time.monotonic() - start < deadline_s:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.05)
+    _fail(f"process group {pgid} survived SIGKILL")
+
+
 def _wait_for_journal(path: Path, min_lines: int = MIN_LINES_BEFORE_KILL,
                       deadline_s: float = 120.0) -> None:
     start = time.monotonic()
@@ -102,12 +123,12 @@ def check_serve(extra: tuple = (), label: str = "serve") -> Path:
 
     # 1-2. Start the epoch loop and SIGKILL it mid-run.
     victim = _wolt_cmd(*base, "--epochs", str(SERVE_EPOCHS),
-                       "--journal", str(interrupted), "--workers", "2")
+                       "--journal", str(interrupted), "--workers", "2",
+                       start_new_session=True)
     try:
         _wait_for_journal(interrupted, min_lines=3)
     finally:
-        victim.kill()  # SIGKILL: no handler, no flush, no goodbye
-        victim.wait(timeout=60)
+        _kill_group(victim)
     journaled = interrupted.read_bytes().count(b'"kind":"record"')
     print(f"killed serve with {journaled} epochs journaled")
     if journaled >= SERVE_EPOCHS:
@@ -153,12 +174,12 @@ def check_sim() -> None:
     uninterrupted = workdir / "uninterrupted.jsonl"
 
     # 1-2. Start a checkpointed sweep and SIGKILL it mid-run.
-    victim = _wolt("--checkpoint", str(interrupted), "--workers", "2")
+    victim = _wolt("--checkpoint", str(interrupted), "--workers", "2",
+                   start_new_session=True)
     try:
         _wait_for_journal(interrupted)
     finally:
-        victim.kill()  # SIGKILL: no handler, no flush, no goodbye
-        victim.wait(timeout=60)
+        _kill_group(victim)
     n_before = interrupted.read_bytes().count(b"\n")
     print(f"killed sweep with {n_before} journal lines on disk")
 

@@ -344,12 +344,14 @@ def _serve(args: argparse.Namespace) -> Tuple[str, int]:
     fault_model = (FleetFaultModel.from_level(args.chaos)
                    if args.chaos is not None else None)
     spec = load_fleet_spec(args.spec)
-    if (args.chaos is not None and args.chaos > 0
+    effective_chaos = fault_model if fault_model is not None else spec.chaos
+    if (effective_chaos is not None and effective_chaos.hang_prob > 0
             and args.workers is not None and args.workers > 1
             and args.timeout_s is None
             and spec.health.shard_timeout_s is None):
-        return ("serve: --chaos with --workers needs --timeout-s "
-                "(hang faults require a deadline to reap)", 2)
+        return ("serve: chaos hang faults with --workers need "
+                "--timeout-s or health.shard_timeout_s (a hang needs a "
+                "deadline to reap)", 2)
     source = None
     if args.from_stream is not None:
         if spec.chaos is not None and not spec.chaos.trivial:
@@ -378,7 +380,6 @@ def _serve(args: argparse.Namespace) -> Tuple[str, int]:
             if args.dead_letter is not None:
                 note += f"; dead-letter: {args.dead_letter}"
             print(note)
-    effective_chaos = fault_model if fault_model is not None else spec.chaos
     if effective_chaos is not None and not effective_chaos.trivial:
         print(f"chaos: blackout {effective_chaos.blackout_prob:.4f}, "
               f"crash {effective_chaos.crash_prob:.4f} "

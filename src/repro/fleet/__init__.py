@@ -13,7 +13,7 @@ package scales it to an operator's whole building fleet:
   the epoch loop behind ``wolt serve``: per-building telemetry,
   :class:`~repro.core.health.HealthMonitor` quarantine,
   :class:`~repro.core.guard.DecisionGuard` validation, shard solves
-  dispatched through :func:`repro.sim.dispatch.run_chunked`, directive
+  dispatched through :func:`repro.sim.dispatch.dispatch_chunked`, directive
   previews (dry-run) and per-epoch JSONL journaling — plus per-shard
   deadlines, worker retry budgets and per-building circuit breakers
   (degraded, never stalled);

@@ -72,7 +72,7 @@ from ..net.engine import evaluate
 from ..sim.checkpoint import TrialStore, fingerprint
 from ..sim.dispatch import (TIMEOUT_ERROR_TYPE, InterruptState,
                             WorkFailure, WorkSpec, dispatch_chunked,
-                            timeout_failure)
+                            timeout_failure, uses_pool)
 from ..sim.faults import InjectedCrash
 from .chaos import FleetFaultModel, ShardFaultPlan
 from .ingest import StreamExhausted, SyntheticTelemetry, TelemetrySource
@@ -563,7 +563,9 @@ class FleetService:
         shard is reaped as a timeout :class:`WorkFailure` instead of
         stalling the epoch.  Chaos shard faults for the epoch are
         drawn parent-side (:meth:`FleetFaultModel.shard_plan`) and
-        shipped to workers as the batch config's fault hook.
+        shipped to workers as the batch config's fault hook; when the
+        batch runs in-process, planned hangs are recorded as reaped
+        here and only the other shards are dispatched.
         """
         results: Dict[int, Any] = {}
 
@@ -578,31 +580,22 @@ class FleetService:
             plc_mode=self.spec.plc_mode,
             retry_budget=self.retry_budget,
             fault_hook=None if plan is None else plan.schedule)
-        workers = self.workers
-        use_pool = (workers is not None and workers >= 1
-                    and (workers > 1 or self.timeout_s is not None))
-        if use_pool:
-            dispatch_chunked(specs, config, _solve_shard,
-                             workers=workers,
-                             chunk_size=self.chunk_size,
-                             retry_budget=self.retry_budget,
-                             timeout_s=self.timeout_s,
-                             record=record, state=state)
-        else:
+        if plan is not None and not uses_pool(self.workers,
+                                              self.timeout_s):
             # A planned hang cannot be reaped without a process
-            # boundary, so the serial path synthesizes its reaping —
-            # same index, same error_type, no sleeping — keeping
+            # boundary, so the in-process path synthesizes its reaping
+            # — same index, same error_type, no sleeping — keeping
             # serial and pooled chaos runs bit-identical.
-            hung = (frozenset(plan.hung) if plan is not None
-                    else frozenset())
-            for spec in specs:
-                if state is not None and state.interrupted:
-                    break
-                if spec.index in hung:
-                    record(spec.index, timeout_failure(spec.index,
-                                                       self.timeout_s))
-                    continue
-                record(spec.index, _solve_shard(config, spec))
+            for index in plan.hung:
+                record(index, timeout_failure(index, self.timeout_s))
+            hung = frozenset(plan.hung)
+            specs = [spec for spec in specs if spec.index not in hung]
+        dispatch_chunked(specs, config, _solve_shard,
+                         workers=self.workers,
+                         chunk_size=self.chunk_size,
+                         retry_budget=self.retry_budget,
+                         timeout_s=self.timeout_s,
+                         record=record, state=state)
         return results
 
     def _settle_building(self, bstate: _BuildingState,

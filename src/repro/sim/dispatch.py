@@ -21,6 +21,14 @@ parameter block, and ``spec`` is the per-item half.  Every spec must
 expose an integer ``index`` (its 0-based position in the batch) — use
 :class:`WorkSpec` when there is nothing more to say about an item.
 
+:func:`dispatch_chunked` is the one entry point, and it decides pool
+vs in-process itself (:func:`uses_pool`): a batch goes to a worker
+pool exactly when ``workers >= 1`` and either ``workers > 1`` or a
+deadline is set — a deadline needs a process boundary to reap across,
+so it promotes one worker to a supervised one-worker pool.  Otherwise
+the items run in-process, in spec order, through the same ``record``
+callback.
+
 ``repro.sim.runner`` remains the canonical client: it supplies trial
 specs, a trial-solving ``fn``, and a journaling ``record`` callback,
 and keeps the checkpoint/resume and result-codec layers for itself.
@@ -43,7 +51,7 @@ from typing import (Any, Callable, Deque, Dict, List, Optional,
                     Sequence, Tuple)
 
 __all__ = ["WorkSpec", "WorkFailure", "InterruptState", "SignalGuard",
-           "dispatch_chunked", "run_chunked", "shutdown_warm_pools",
+           "dispatch_chunked", "uses_pool", "shutdown_warm_pools",
            "timeout_failure", "TIMEOUT_ERROR_TYPE", "POOL_ERROR_TYPE"]
 
 #: Supervisor wake-up period: the upper bound on how stale the deadline
@@ -78,7 +86,8 @@ class WorkFailure:
     (:data:`TIMEOUT_ERROR_TYPE`) or whose worker process died
     repeatedly (:data:`POOL_ERROR_TYPE`); delivered through ``record``
     in place of a result.  Item-level exceptions are *not* wrapped —
-    an unguarded ``fn`` propagates them to the caller unchanged.
+    an ``fn`` that raises propagates its exception to the caller
+    unchanged.
 
     Attributes:
         index: 0-based position of the item in the batch.
@@ -229,11 +238,10 @@ class _PoolLease:
     broken one is killed.
     """
 
-    def __init__(self, workers: int, reuse: bool = True) -> None:
+    def __init__(self, workers: int) -> None:
         self.workers = workers
-        self.reuse = reuse
         self._dead = False
-        cached = _WARM_POOLS.pop(workers, None) if reuse else None
+        cached = _WARM_POOLS.pop(workers, None)
         if cached is not None:
             self.pool = cached
             self._fresh = False
@@ -262,9 +270,6 @@ class _PoolLease:
         """Return a cleanly drained executor to the warm cache."""
         if self._dead:
             return  # already killed by abandon()
-        if not self.reuse:
-            self.pool.shutdown(wait=True)
-            return
         if self.workers in _WARM_POOLS:  # nested/concurrent runs
             self.pool.shutdown(wait=True)
         else:
@@ -341,7 +346,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 def _run_supervised(pending: Sequence[Any], config: Any, token: str,
                     lease: _PoolLease, chunk_size: int,
-                    fn: Callable[[Any, Any], Any], guarded: bool,
+                    fn: Callable[[Any, Any], Any],
                     retry_budget: int, timeout_s: Optional[float],
                     record: Callable[[int, Any], None],
                     state: InterruptState) -> None:
@@ -481,8 +486,6 @@ def _run_supervised(pending: Sequence[Any], config: Any, token: str,
                     broken = True
                     inflight[future] = (specs, None)
                 except Exception:
-                    if guarded:
-                        raise  # guarded fns never raise these
                     lease.abandon()
                     raise
             if broken:
@@ -528,57 +531,71 @@ def _run_supervised(pending: Sequence[Any], config: Any, token: str,
 
 
 # ---------------------------------------------------------------------------
-# Public entry points.
+# The public entry point.
+
+
+def uses_pool(workers: Optional[int], timeout_s: Optional[float]) -> bool:
+    """Whether :func:`dispatch_chunked` runs a batch on a worker pool.
+
+    ``workers`` of ``None`` or below 1 runs in-process; one worker
+    runs in-process too unless a deadline is set, because reaping a
+    hung item needs a process boundary to kill across.
+    """
+    return (workers is not None and workers >= 1
+            and (workers > 1 or timeout_s is not None))
 
 
 def dispatch_chunked(specs: Sequence[Any], config: Any,
                      fn: Callable[[Any, Any], Any], *,
-                     workers: int,
+                     workers: Optional[int],
                      chunk_size: Optional[int] = None,
-                     guarded: bool = False,
                      retry_budget: int = 0,
                      timeout_s: Optional[float] = None,
                      record: Callable[[int, Any], None],
-                     state: Optional[InterruptState] = None,
-                     reuse_pool: bool = True) -> None:
-    """Supervise a batch of specs through a leased warm pool.
+                     state: Optional[InterruptState] = None) -> None:
+    """Run ``fn(config, spec)`` for every spec and ``record`` each result.
 
-    The callback-style entry point: ``record(index, result)`` fires
-    once per finished item (supervisor failures arrive as
-    :class:`WorkFailure`), in chunk completion order.  Callers that
-    just want an ordered result list use :func:`run_chunked`.
+    ``record(index, result)`` fires once per finished item; supervisor
+    failures arrive as :class:`WorkFailure`.  When :func:`uses_pool`
+    says so, the batch is supervised through a leased warm pool and
+    results are recorded in chunk completion order.  Otherwise each
+    item runs in-process, in spec order, and ``timeout_s``,
+    ``chunk_size`` and ``retry_budget`` are ignored: there is no
+    process boundary to reap across or to die.  Item exceptions
+    propagate to the caller on both paths.
 
     Args:
         specs: per-item work specs; each must expose ``index``.
         config: the batch-shared parameter block (any picklable value,
             ``None`` included); registered so fork-started workers
             inherit it instead of re-pickling it per chunk.
-        fn: module-level callable run as ``fn(config, spec)`` inside
-            the workers; must be picklable.
-        workers: worker process count (>= 1).
+        fn: module-level callable run as ``fn(config, spec)``; must be
+            picklable when a pool is used.
+        workers: worker process count; see :func:`uses_pool`.
         chunk_size: items per dispatched chunk; ``None`` sizes chunks
             automatically (≈ two waves per worker, capped at 16).
             ``timeout_s`` forces single-item chunks — the deadline
             contract is per item.
-        guarded: declare that ``fn`` never raises (it returns explicit
-            failure records instead); an exception out of a guarded
-            ``fn`` then propagates as an invariant violation without
-            tearing down the pool lease.
         retry_budget: pool-death retries per item before recording a
             :class:`WorkFailure` (at least one probe is always made).
         timeout_s: optional per-item wall-clock deadline.
         record: per-item completion callback.
         state: optional shared interrupt flag; when it trips, the
-            supervisor drains promptly and abandons queued work.
-        reuse_pool: lease from / release to the warm-pool cache.
+            in-process loop stops after the current item and the
+            supervisor drains promptly, abandoning queued work.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    state = state if state is not None else InterruptState()
+    if not uses_pool(workers, timeout_s):
+        for spec in specs:
+            if state.interrupted:
+                break
+            record(spec.index, fn(config, spec))
+        return
+    assert workers is not None  # uses_pool() guarantees it
     if chunk_size is not None and chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     if timeout_s is not None and timeout_s <= 0:
         raise ValueError("timeout_s must be positive")
-    state = state if state is not None else InterruptState()
     if timeout_s is not None:
         effective_chunk = 1  # the deadline is per item
     elif chunk_size is not None:
@@ -590,55 +607,8 @@ def dispatch_chunked(specs: Sequence[Any], config: Any,
     # registry entry and chunks can travel config-free.
     token = _register_config(config)
     try:
-        lease = _PoolLease(workers, reuse=reuse_pool)
+        lease = _PoolLease(workers)
         _run_supervised(specs, config, token, lease, effective_chunk,
-                        fn, guarded, retry_budget, timeout_s, record,
-                        state)
+                        fn, retry_budget, timeout_s, record, state)
     finally:
         _SHARED_CONFIGS.pop(token, None)
-
-
-def run_chunked(fn: Callable[[Any, Any], Any], items: Sequence[Any], *,
-                config: Any = None,
-                workers: Optional[int] = None,
-                chunk_size: Optional[int] = None,
-                guarded: bool = False,
-                retry_budget: int = 0,
-                timeout_s: Optional[float] = None,
-                state: Optional[InterruptState] = None) -> List[Any]:
-    """Run ``fn(config, spec)`` over every item; results in item order.
-
-    Each item is wrapped in a :class:`WorkSpec` carrying its 0-based
-    position.  ``workers`` of ``None``/0/1 runs serially in-process
-    (except that ``timeout_s`` requires a pool — a deadline needs a
-    process boundary to reap across).  Supervisor-level failures
-    (deadline reaps, repeated worker deaths) appear as
-    :class:`WorkFailure` entries in the returned list; item-level
-    exceptions propagate unless ``fn`` guards itself.
-    """
-    if timeout_s is not None and (workers is None or workers < 1):
-        raise ValueError(
-            "timeout_s requires workers >= 1: reaping a hung item "
-            "needs a worker process boundary to kill across")
-    specs = tuple(WorkSpec(index=i, item=item)
-                  for i, item in enumerate(items))
-    results: Dict[int, Any] = {}
-
-    def record(index: int, result: Any) -> None:
-        results[index] = result
-
-    use_pool = (workers is not None
-                and (workers > 1 or timeout_s is not None))
-    if use_pool:
-        dispatch_chunked(specs, config, fn,
-                         workers=max(int(workers or 1), 1),
-                         chunk_size=chunk_size, guarded=guarded,
-                         retry_budget=retry_budget, timeout_s=timeout_s,
-                         record=record, state=state)
-    else:
-        serial_state = state if state is not None else InterruptState()
-        for spec in specs:
-            if serial_state.interrupted:
-                break
-            record(spec.index, fn(config, spec))
-    return [results[i] for i in sorted(results)]

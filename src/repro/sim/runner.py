@@ -20,6 +20,7 @@ deadline reaping, broken-pool quarantine) lives in
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import (Any, Callable, Dict, List, Optional, Sequence,
@@ -209,7 +210,7 @@ class _RunConfig:
     makes chunked dispatch cheap: the config is pickled once per
     *chunk* (or not at all, when a fork-started pool inherited it
     through :data:`_SHARED_CONFIGS`) instead of once per trial, and the
-    per-trial payload shrinks to a trial index plus its SeedSequence
+    per-trial spec shrinks to a trial index plus its SeedSequence
     children.
     """
 
@@ -233,7 +234,7 @@ class _RunConfig:
 
 @dataclass(frozen=True)
 class _TrialSpec:
-    """The per-trial half of a payload: index plus seed material.
+    """The per-trial half of the work: index plus seed material.
 
     ``scenario_seq`` seeds the floor sampling; ``policy_seqs`` holds one
     pre-spawned SeedSequence child *per policy name* (keyed by identity,
@@ -255,67 +256,38 @@ class _TrialSpec:
     # woltlint: disable=W013 — derived from the fingerprinted seed.
     policy_seqs: Dict[str, np.random.SeedSequence]
 
-    def payload(self, config: _RunConfig) -> "_TrialPayload":
-        return _TrialPayload(
-            trial_index=self.index,
-            scenario_seq=self.scenario_seq,
-            policy_seqs=self.policy_seqs,
-            n_extenders=config.n_extenders, n_users=config.n_users,
-            policies=config.policies, width_m=config.width_m,
-            height_m=config.height_m, phy=config.phy,
-            plc_mode=config.plc_mode, fault_hook=config.fault_hook,
-            max_retries=config.max_retries)
+
+# ---------------------------------------------------------------------------
+# Dispatch work units: the ``fn(config, spec)`` callables the runner
+# ships through repro.sim.dispatch.  Module-level so a process pool can
+# pickle them.
 
 
-@dataclass(frozen=True)
-class _TrialPayload:
-    """Self-contained description of one trial (config + seeds).
-
-    The in-process unit of work: the serial path and the worker-side
-    chunk loop both execute these; only the (config, spec) split above
-    crosses the process boundary.
-    """
-
-    trial_index: int
-    scenario_seq: np.random.SeedSequence
-    policy_seqs: Dict[str, np.random.SeedSequence]
-    n_extenders: int
-    n_users: int
-    policies: Tuple[str, ...]
-    width_m: float
-    height_m: float
-    phy: Optional[WifiPhy]
-    plc_mode: str
-    fault_hook: Optional[FaultHook]
-    max_retries: int
-
-
-def _run_single_trial(payload: _TrialPayload,
+def _run_single_trial(config: _RunConfig, spec: _TrialSpec,
                       attempt: int = 0) -> TrialResult:
-    """Run one Monte-Carlo trial attempt from its payload.
+    """Run one Monte-Carlo trial attempt, letting errors propagate.
 
-    Module-level (rather than a closure) so :class:`ProcessPoolExecutor`
-    can pickle it; the payload carries the trial's own pre-spawned
+    The spec carries the trial's own pre-spawned
     :class:`numpy.random.SeedSequence` children, which make the result
     independent of which worker — or how many workers — execute it, and
     bit-identical across retry attempts.
     """
-    if payload.fault_hook is not None:
-        payload.fault_hook(payload.trial_index, attempt)
-    rng = np.random.default_rng(payload.scenario_seq)
-    scenario = enterprise_floor(payload.n_extenders, payload.n_users,
-                                rng, width_m=payload.width_m,
-                                height_m=payload.height_m,
-                                phy=payload.phy)
+    if config.fault_hook is not None:
+        config.fault_hook(spec.index, attempt)
+    rng = np.random.default_rng(spec.scenario_seq)
+    scenario = enterprise_floor(config.n_extenders, config.n_users,
+                                rng, width_m=config.width_m,
+                                height_m=config.height_m,
+                                phy=config.phy)
     outcomes = {}
-    for policy in payload.policies:
-        policy_rng = np.random.default_rng(payload.policy_seqs[policy])
+    for policy in config.policies:
+        policy_rng = np.random.default_rng(spec.policy_seqs[policy])
         outcomes[policy] = run_policy(scenario, policy, policy_rng,
-                                      plc_mode=payload.plc_mode)
+                                      plc_mode=config.plc_mode)
     return TrialResult(scenario=scenario, outcomes=outcomes)
 
 
-def _run_trial_guarded(payload: _TrialPayload
+def _run_trial_guarded(config: _RunConfig, spec: _TrialSpec
                        ) -> Union[TrialResult, TrialFailure]:
     """Run one trial with bounded retries; never raises on trial errors.
 
@@ -325,37 +297,15 @@ def _run_trial_guarded(payload: _TrialPayload
     :class:`TrialFailure` instead of destroying the whole run.
     """
     last_error: Optional[BaseException] = None
-    for attempt in range(payload.max_retries + 1):
+    for attempt in range(config.max_retries + 1):
         try:
-            return _run_single_trial(payload, attempt)
+            return _run_single_trial(config, spec, attempt)
         except Exception as exc:
             last_error = exc
-    return TrialFailure(trial_index=payload.trial_index,
-                        attempts=payload.max_retries + 1,
+    return TrialFailure(trial_index=spec.index,
+                        attempts=config.max_retries + 1,
                         error_type=type(last_error).__name__,
                         error=repr(last_error))
-
-
-# ---------------------------------------------------------------------------
-# Dispatch adapters: the trial-shaped work handed to repro.sim.dispatch.
-#
-# One future per *chunk* of trials amortizes the submit/result IPC that
-# made the old one-future-per-trial pool lose to serial execution
-# (BENCH_engine.json once recorded a 0.90x "speedup"); the generic
-# machinery lives in repro.sim.dispatch, and these two module-level
-# (picklable) functions are the ``fn(config, spec)`` work units the
-# runner ships through it.
-
-
-def _solve_trial(config: _RunConfig, spec: _TrialSpec) -> TrialResult:
-    """Dispatch work unit: run one trial, letting errors propagate."""
-    return _run_single_trial(spec.payload(config))
-
-
-def _solve_trial_guarded(config: _RunConfig, spec: _TrialSpec
-                         ) -> Union[TrialResult, TrialFailure]:
-    """Dispatch work unit: run one trial with bounded retries."""
-    return _run_trial_guarded(spec.payload(config))
 
 
 # ---------------------------------------------------------------------------
@@ -611,32 +561,14 @@ def run_trials(n_trials: int,
             store.append(index, _encode_record(result))
 
     state = InterruptState()
-    # timeout_s promotes workers=1 to a one-worker pool: a deadline is
-    # only enforceable across a process boundary.
-    use_pool = (workers is not None
-                and (workers > 1 or timeout_s is not None))
     try:
-        with SignalGuard(state) if store is not None else \
-                _NullContext():
-            if use_pool:
-                dispatch_chunked(
-                    pending, config,
-                    _solve_trial_guarded if guarded else _solve_trial,
-                    workers=max(int(workers or 1), 1),
-                    chunk_size=chunk_size, guarded=guarded,
-                    retry_budget=max_retries or 0, timeout_s=timeout_s,
-                    record=record, state=state)
-            else:
-                for spec in pending:
-                    if state.interrupted:
-                        break
-                    payload = spec.payload(config)
-                    if guarded:
-                        record(spec.index,
-                               _run_trial_guarded(payload))
-                    else:
-                        record(spec.index,
-                               _run_single_trial(payload))
+        with SignalGuard(state) if store is not None else nullcontext():
+            dispatch_chunked(
+                pending, config,
+                _run_trial_guarded if guarded else _run_single_trial,
+                workers=workers, chunk_size=chunk_size,
+                retry_budget=max_retries or 0, timeout_s=timeout_s,
+                record=record, state=state)
         if store is not None:
             if state.interrupted:
                 # Leave the raw journal in place (marker included) for
@@ -653,16 +585,6 @@ def run_trials(n_trials: int,
         [results[i] for i in sorted(results)],
         interrupted=state.signal_name, resumed=resumed,
         checkpoint=None if checkpoint is None else str(checkpoint))
-
-
-class _NullContext:
-    """``contextlib.nullcontext`` (named for the signal-guard branch)."""
-
-    def __enter__(self) -> "_NullContext":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        pass
 
 
 def run_online_comparison(n_epochs: int,

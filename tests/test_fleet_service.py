@@ -510,3 +510,17 @@ class TestServeChaosCli:
                      "--workers", "2"])
         assert code == 2
         assert "--timeout-s" in capsys.readouterr().err
+
+    def test_spec_declared_hangs_with_pool_need_a_deadline(
+            self, tmp_path, capsys):
+        # The storm comes from the spec's chaos block, not --chaos: the
+        # CLI must still refuse up front instead of crashing later.
+        spec = tmp_path / "storm.yaml"
+        spec.write_text(Path(self.SPEC).read_text()
+                        + "chaos:\n  level: 0.5\n")
+        code = main(["serve", "--spec", os.fspath(spec), "--workers",
+                     "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--timeout-s" in captured.err
+        assert captured.out == ""  # refused before the banner

@@ -128,7 +128,7 @@ class TestErrorPropagation:
                        workers=2)
 
     def test_serial_exception_propagates(self, monkeypatch):
-        def boom(payload):
+        def boom(config, spec):
             raise RuntimeError("trial exploded")
 
         monkeypatch.setattr(runner, "_run_single_trial", boom)

@@ -465,13 +465,6 @@ class TestW014UnboundedDispatch:
         """
         assert codes(src) == ["W014"]
 
-    def test_run_chunked_flagged_too(self):
-        src = """
-        from repro.sim import dispatch
-        dispatch.run_chunked(items, config, fn, workers=2)
-        """
-        assert codes(src) == ["W014"]
-
     def test_explicit_timeout_is_clean(self):
         src = """
         from repro.sim.dispatch import dispatch_chunked
@@ -484,8 +477,9 @@ class TestW014UnboundedDispatch:
         # timeout_s=None documents that unbounded waiting is
         # deliberate (e.g. no process boundary to reap across).
         src = """
-        from repro.sim.dispatch import run_chunked
-        run_chunked(items, config, fn, workers=2, timeout_s=None)
+        from repro.sim.dispatch import dispatch_chunked
+        dispatch_chunked(specs, config, fn, workers=2, timeout_s=None,
+                         record=record)
         """
         assert codes(src) == []
 
@@ -498,8 +492,8 @@ class TestW014UnboundedDispatch:
 
     def test_suppression_comment_is_honored(self):
         src = """
-        from repro.sim.dispatch import run_chunked
-        run_chunked(items, config, fn)  # woltlint: disable=W014
+        from repro.sim.dispatch import dispatch_chunked
+        dispatch_chunked(specs, config, fn)  # woltlint: disable=W014
         """
         assert codes(src) == []
 

@@ -713,8 +713,8 @@ class UnsanitizedTelemetryScenario(Rule):
 # W014 — unbounded dispatch
 
 
-#: The chunked-dispatch entry points that accept a per-item deadline.
-_DISPATCH_FNS = frozenset({"dispatch_chunked", "run_chunked"})
+#: The chunked-dispatch entry point, which accepts a per-item deadline.
+_DISPATCH_FNS = frozenset({"dispatch_chunked"})
 
 
 @register
@@ -723,8 +723,7 @@ class UnboundedDispatch(Rule):
 
     code = "W014"
     name = "unbounded-dispatch"
-    description = ("dispatch_chunked()/run_chunked() call without a "
-                   "timeout_s argument")
+    description = "dispatch_chunked() call without a timeout_s argument"
     rationale = ("A dispatch with no deadline waits on its slowest "
                  "item forever: one hung worker stalls the whole "
                  "batch (and, in the fleet service, the whole epoch). "
