@@ -11,9 +11,11 @@ Two solvers are provided:
 
 * :func:`solve_phase2` (default) — a deterministic combinatorial solver
   that operationalizes the shift argument in the proof of Theorem 3:
-  users are inserted by best marginal WiFi-throughput gain, then a
-  best-improvement local search relocates single users until no single
-  relocation raises the objective.  Every iterate is integral.
+  users are inserted by best marginal WiFi-throughput gain, then a local
+  search alternates single-user relocations with a first-improvement
+  pass of pairwise swaps until neither raises the objective.  The swap
+  pass scores all remaining pairs in one numpy sweep per accepted swap
+  (see :func:`_try_swaps`).  Every iterate is integral.
 * :func:`solve_phase2_continuous` — the paper's "numerical nonlinear
   program" route: the smooth fractional extension of Problem 2 is solved
   with SLSQP (an interior/SQP method, stopping when the objective
@@ -119,6 +121,9 @@ class _BatchGains:
         self.reach = rates > MIN_USABLE_RATE
         self.inv_rates = np.zeros_like(rates)
         self.inv_rates[self.reach] = 1.0 / rates[self.reach]
+        # NaN on unreachable links: any score built from one is NaN, and
+        # NaN fails every accept comparison.
+        self.link_inv = np.where(self.reach, self.inv_rates, np.nan)
         if scenario.capacities is None:
             self.caps = np.full(scenario.n_extenders, np.inf)
         else:
@@ -296,7 +301,7 @@ def solve_phase2(scenario: Scenario,
             assignment[user] = best_j
             if best_j != cur:
                 improved = True
-        if _try_swaps(scenario, state, assignment, movable):
+        if _try_swaps(state, gains, assignment, movable):
             improved = True
     objective = state.total()
     if guard is not None:
@@ -308,41 +313,55 @@ def solve_phase2(scenario: Scenario,
                         iterations=rounds, was_integral=True)
 
 
-def _try_swaps(scenario: Scenario, state: _CellState,
+def _try_swaps(state: _CellState, gains: _BatchGains,
                assignment: np.ndarray, movable: np.ndarray) -> bool:
     """One first-improvement pass of pairwise extender swaps.
 
     Swapping users on different extenders keeps per-cell counts (and hence
     capacities) intact while exploring moves a single relocation cannot
-    reach.  Returns True if any swap improved the objective.
+    reach.  The pairs ``(a, b)`` of ``movable`` positions ``p < q`` are
+    visited in row-major order.  One numpy sweep scores every pair from
+    the current position on, using elementwise the same float operations
+    as applying the swap to ``state`` (``remove`` resets a cell it
+    empties to ``0.0``); the first pair with ``after > before + 1e-12``
+    is applied with the same four ``remove``/``add`` calls, and the sweep
+    resumes at the next pair.  A rejected trial never touches ``state``,
+    so its ``inv_rate_sums`` change only on accepted swaps.  Returns True
+    if any swap improved the objective.
     """
+    n = movable.size
+    pos = np.arange(n)
+    later = pos[:, np.newaxis] < pos  # pairs (p, q) still to visit
+    rows = movable[:, np.newaxis]
+    counts, inv = state.counts, state.inv_rate_sums
     improved = False
-    for a_pos in range(movable.size):
-        a = int(movable[a_pos])
-        for b_pos in range(a_pos + 1, movable.size):
-            b = int(movable[b_pos])
-            ja, jb = int(assignment[a]), int(assignment[b])
-            if ja == jb:
-                continue
-            ra_jb = scenario.wifi_rates[a, jb]
-            rb_ja = scenario.wifi_rates[b, ja]
-            if ra_jb <= MIN_USABLE_RATE or rb_ja <= MIN_USABLE_RATE:
-                continue
-            before = state.throughput(ja) + state.throughput(jb)
-            state.remove(a, ja)
-            state.remove(b, jb)
-            state.add(a, jb)
-            state.add(b, ja)
-            after = state.throughput(ja) + state.throughput(jb)
-            if after > before + 1e-12:
-                assignment[a], assignment[b] = jb, ja
-                improved = True
-            else:
-                state.remove(a, jb)
-                state.remove(b, ja)
-                state.add(a, ja)
-                state.add(b, jb)
-    return improved
+    p0 = 0
+    while True:
+        j = assignment[movable]
+        c, s = counts[j], inv[j]
+        rm = np.where(c == 1, 0.0, s - gains.inv_rates[movable, j])
+        # f[p, q]: cell j[q]'s throughput once movable[q] leaves it and
+        # movable[p] joins, so a swap scores f[q, p] + f[p, q].
+        f = c / (rm + gains.link_inv[rows, j])
+        tput = c / s
+        after = f.T[p0:] + f[p0:]
+        before = tput[p0:, np.newaxis] + tput
+        hits = np.flatnonzero((after > before + 1e-12) & later[p0:]
+                              & (j[p0:, np.newaxis] != j))
+        if not hits.size:
+            return improved
+        p, q = divmod(int(hits[0]), n)
+        p += p0
+        a, b = int(movable[p]), int(movable[q])
+        ja, jb = int(j[p]), int(j[q])
+        state.remove(a, ja)
+        state.remove(b, jb)
+        state.add(a, jb)
+        state.add(b, ja)
+        assignment[a], assignment[b] = jb, ja
+        improved = True
+        later[p, :q + 1] = False
+        p0 = p
 
 
 def solve_phase2_continuous(scenario: Scenario,

@@ -37,7 +37,9 @@ __all__ = [
     "PLC_MODES",
 ]
 
-#: Tolerance used when comparing time fractions for saturation.
+#: Tolerance used when comparing time fractions for saturation.  A demand
+#: of at most ``_EPS`` is below the resolution of the time accounting: the
+#: extender counts as inactive and is granted zero time.
 _EPS = 1e-12
 
 
@@ -84,7 +86,8 @@ def max_min_time_shares(demand_fractions: Sequence[float]) -> np.ndarray:
     remaining time; extenders whose demand lies below the water level are
     capped at their demand and the surplus is re-distributed.
 
-    Extenders with zero demand are inactive and receive zero time.
+    Extenders whose demand is at most ``_EPS`` (1e-12) are inactive and
+    receive zero time, exactly as in :func:`max_min_time_shares_batch`.
 
     Args:
         demand_fractions: per-extender required time fraction (``>= 0``;
@@ -136,7 +139,8 @@ def max_min_time_shares_batch(demand_fractions: np.ndarray) -> np.ndarray:
 
     Returns:
         ``(B, n_extenders)`` array of granted time fractions; each row sums
-        to at most 1.
+        to at most 1.  Demands of at most ``_EPS`` are inactive and get
+        zero time, as in :func:`max_min_time_shares`.
     """
     demands = np.atleast_2d(np.asarray(demand_fractions, dtype=float))
     if np.any(demands < 0) or np.any(np.isnan(demands)):

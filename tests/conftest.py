@@ -2,10 +2,31 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.problem import Scenario
+
+# Hypothesis profiles.  ``tier1`` (the default) draws the same examples on
+# every run and ignores any local ``.hypothesis/`` example database, so a
+# property passes or fails the same way on every machine.  ``explore``
+# (``HYPOTHESIS_PROFILE=explore``) draws fresh random examples, and
+# :func:`max_examples` multiplies each test's budget by
+# ``EXPLORE_FACTOR``; every counterexample it finds is pinned with
+# ``@example`` so that tier-1 replays it.
+HYPOTHESIS_PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "tier1")
+EXPLORE_FACTOR = 20
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", database=None)
+settings.load_profile(HYPOTHESIS_PROFILE)
+
+
+def max_examples(n: int) -> int:
+    """A test's Hypothesis example budget under the active profile."""
+    return n * EXPLORE_FACTOR if HYPOTHESIS_PROFILE == "explore" else n
 
 
 def random_scenario(rng: np.random.Generator,

@@ -15,9 +15,12 @@ bit-identical decisions:
 * :func:`reconfigure_batch` is ``IncrementalWolt.reconfigure`` with the
   pending moves scored by one ``evaluate_batch`` call per step.
 
-The Phase-II references reuse :mod:`repro.core.phase2`'s cell state,
-batch gains and swap pass, so they differ from production only in the
-loop they stand in for.
+The Phase-II references share :func:`_local_search`, whose swap pass
+:func:`_try_swaps_scalar` tries one pair at a time on the cell state, so
+all three check production's matrix-scored swap pass rather than reuse
+it.  Otherwise they reuse :mod:`repro.core.phase2`'s cell state and
+batch gains, and differ from production only in the loop they stand
+in for.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from repro.core.dynamic import IncrementalWolt, ReconfigureOutcome
 from repro.core.phase1 import solve_phase1
 from repro.core.phase2 import (Phase2Result, _BatchGains, _CellState,
-                               _relocate, _try_swaps)
+                               _relocate)
 from repro.core.problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
 from repro.core.wolt import WoltResult, solve_wolt
 from repro.net.engine import _record, evaluate, evaluate_batch
@@ -108,6 +111,41 @@ def _insert_batch(scenario: Scenario, state: _CellState,
         remaining.remove(user)
 
 
+def _try_swaps_scalar(scenario: Scenario, state: _CellState,
+                      assignment: np.ndarray, movable: np.ndarray) -> bool:
+    """One first-improvement pass of pairwise swaps, one trial at a time.
+
+    Each eligible pair is tried by applying the swap to ``state``.  A
+    rejected trial restores the two touched ``inv_rate_sums`` entries
+    from saved copies, so rejections leave no float drift behind.
+    """
+    improved = False
+    for a_pos in range(movable.size):
+        a = int(movable[a_pos])
+        for b_pos in range(a_pos + 1, movable.size):
+            b = int(movable[b_pos])
+            ja, jb = int(assignment[a]), int(assignment[b])
+            if ja == jb:
+                continue
+            ra_jb = scenario.wifi_rates[a, jb]
+            rb_ja = scenario.wifi_rates[b, ja]
+            if ra_jb <= MIN_USABLE_RATE or rb_ja <= MIN_USABLE_RATE:
+                continue
+            saved = state.inv_rate_sums[ja], state.inv_rate_sums[jb]
+            before = state.throughput(ja) + state.throughput(jb)
+            state.remove(a, ja)
+            state.remove(b, jb)
+            state.add(a, jb)
+            state.add(b, ja)
+            after = state.throughput(ja) + state.throughput(jb)
+            if after > before + 1e-12:
+                assignment[a], assignment[b] = jb, ja
+                improved = True
+            else:
+                state.inv_rate_sums[ja], state.inv_rate_sums[jb] = saved
+    return improved
+
+
 def _local_search(scenario: Scenario, phase1_assignment: Sequence[int],
                   state: _CellState, assignment: np.ndarray,
                   relocate: Callable[[int], int],
@@ -124,7 +162,7 @@ def _local_search(scenario: Scenario, phase1_assignment: Sequence[int],
             assignment[user] = relocate(int(user))
             if assignment[user] != cur:
                 improved = True
-        if _try_swaps(scenario, state, assignment, movable):
+        if _try_swaps_scalar(scenario, state, assignment, movable):
             improved = True
     return Phase2Result(assignment=assignment, objective=state.total(),
                         iterations=rounds, was_integral=True)

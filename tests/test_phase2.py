@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.guard import DecisionGuard
 from repro.core.phase1 import solve_phase1
 from repro.core.phase2 import (solve_phase2, solve_phase2_continuous,
                                wifi_objective)
 from repro.core.problem import UNASSIGNED, Scenario
 
-from .conftest import random_scenario
+from .conftest import max_examples, random_scenario
+from .oracles import solve_phase2_scalar
 
 
 def _exhaustive_phase2_optimum(scenario, phase1_assignment):
@@ -80,7 +82,7 @@ class TestCombinatorialSolver:
             solve_phase2(fig3_scenario, [0])
 
     @given(st.integers(3, 7), st.integers(2, 3), st.integers(0, 2**31 - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=max_examples(60), deadline=None)
     def test_near_optimal_on_small_instances(self, n_users, n_ext, seed):
         """Local search stays close to the brute-force Problem-2 optimum.
 
@@ -111,7 +113,7 @@ class TestCombinatorialSolver:
         assert min(ratios) > 0.85
 
     @given(st.integers(4, 20), st.integers(2, 6), st.integers(0, 2**31 - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=max_examples(60), deadline=None)
     def test_local_search_cannot_improve(self, n_users, n_ext, seed):
         """Returned assignment is a single-relocation local optimum."""
         rng = np.random.default_rng(seed)
@@ -127,6 +129,68 @@ class TestCombinatorialSolver:
                 trial = res.assignment.copy()
                 trial[user] = j
                 assert wifi_objective(sc, trial) <= base + 1e-6
+
+
+def _assert_same_result(got, ref):
+    assert np.array_equal(got.assignment, ref.assignment)
+    assert got.objective == ref.objective
+    assert got.iterations == ref.iterations
+
+
+class TestSwapPassDifferential:
+    """The matrix-scored swap pass against the one-pair-at-a-time oracle."""
+
+    @given(st.integers(2, 60), st.integers(2, 12),
+           st.floats(0.3, 0.95), st.sampled_from(["none", "random", "full"]),
+           st.booleans(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=max_examples(100), deadline=None)
+    def test_matches_scalar_oracle(self, n_users, n_ext, reachable_prob,
+                                   capacities, guarded, seed):
+        """Same assignment, objective and iterations as the oracle.
+
+        ``full`` capacities leave no spare room once every user is placed
+        (each extender keeps room for its Phase-I anchor), so no
+        relocation fits and the swap pass does all the work.
+        """
+        rng = np.random.default_rng(seed)
+        sc = random_scenario(rng, n_users, n_ext,
+                             reachable_prob=reachable_prob,
+                             capacities=capacities == "random")
+        if capacities == "full":
+            caps = np.full(n_ext, n_users // n_ext)
+            caps[:n_users % n_ext] += 1
+            caps = np.maximum(caps, 1)
+            sc = Scenario(wifi_rates=sc.wifi_rates, plc_rates=sc.plc_rates,
+                          capacities=caps)
+        p1 = solve_phase1(sc).assignment
+        guard = DecisionGuard() if guarded else None
+        try:
+            ref = solve_phase2_scalar(sc, p1)
+        except ValueError:
+            # Capacities left some user nowhere to go.
+            if guard is None:
+                with pytest.raises(ValueError, match="cannot be attached"):
+                    solve_phase2(sc, p1)
+            return
+        _assert_same_result(solve_phase2(sc, p1, guard=guard), ref)
+        if guard is not None:
+            assert guard.violation_count == 0
+
+    def test_swap_between_single_user_cells(self):
+        """Both cells hold one user, so a trial empties and refills each.
+
+        Greedy insertion puts user 0 on extender 0 and user 1 on
+        extender 1 (110 Mbps), and no single relocation helps; only the
+        swap reaches 99 + 90 Mbps.
+        """
+        sc = Scenario(wifi_rates=np.array([[100.0, 99.0], [90.0, 10.0]]),
+                      plc_rates=np.array([50.0, 50.0]))
+        start = np.full(2, UNASSIGNED)
+        res = solve_phase2(sc, start)
+        assert res.assignment.tolist() == [1, 0]
+        assert res.objective == pytest.approx(189.0)
+        assert res.iterations == 2
+        _assert_same_result(res, solve_phase2_scalar(sc, start))
 
 
 class TestContinuousSolver:

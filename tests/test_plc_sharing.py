@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.plc.sharing import (allocate_backhaul, max_min_time_shares,
+from repro.plc.sharing import (_EPS, allocate_backhaul, max_min_time_shares,
+                               max_min_time_shares_batch,
                                time_fair_throughputs)
+
+from .conftest import max_examples
 
 
 class TestTimeFairThroughputs:
@@ -76,7 +79,7 @@ class TestMaxMinTimeShares:
 
     @given(st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1,
                     max_size=12))
-    @settings(max_examples=200)
+    @settings(max_examples=max_examples(200))
     def test_feasibility_and_demand_caps(self, demands):
         shares = max_min_time_shares(demands)
         assert shares.sum() <= 1.0 + 1e-9
@@ -85,19 +88,39 @@ class TestMaxMinTimeShares:
 
     @given(st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1,
                     max_size=12))
-    @settings(max_examples=200)
+    @example(demands=[1e-12, 1e-12])
+    @settings(max_examples=max_examples(200))
     def test_work_conserving(self, demands):
-        """Either all demand is served or the full medium time is used."""
-        shares = max_min_time_shares(demands)
-        total_demand = float(np.sum(demands))
+        """Either all active demand is served or the full time is used.
+
+        A demand of at most ``_EPS`` is inactive and gets exactly zero.
+        """
+        demands_arr = np.asarray(demands)
+        shares = max_min_time_shares(demands_arr)
+        inactive = demands_arr <= _EPS
+        assert np.all(shares[inactive] == 0.0)
+        total_demand = float(demands_arr[~inactive].sum())
         if total_demand <= 1.0:
-            assert shares.sum() == pytest.approx(min(total_demand, 1.0))
+            assert shares.sum() == pytest.approx(total_demand)
         else:
             assert shares.sum() == pytest.approx(1.0)
 
+    @given(st.lists(st.sampled_from([0.0, 1e-13, 1e-12, 2e-12, 0.3, 0.7,
+                                     5.0, np.inf]),
+                    min_size=1, max_size=8))
+    @example(demands=[1e-12, 1e-12])
+    @settings(max_examples=max_examples(200))
+    def test_batch_agrees_on_inactive_demands(self, demands):
+        """The batch kernel grants what the scalar one does, sub-_EPS too."""
+        shares = max_min_time_shares(demands)
+        batch = max_min_time_shares_batch(np.array([demands, demands]))
+        assert np.array_equal(batch[0], shares)
+        assert np.array_equal(batch[1], shares)
+        assert np.all(shares[np.asarray(demands) <= _EPS] == 0.0)
+
     @given(st.lists(st.floats(min_value=0.01, max_value=5.0), min_size=2,
                     max_size=10))
-    @settings(max_examples=200)
+    @settings(max_examples=max_examples(200))
     def test_max_min_property(self, demands):
         """No unsatisfied extender gets less than a satisfied-or-equal peer."""
         demands_arr = np.asarray(demands)
