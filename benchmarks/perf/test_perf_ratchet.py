@@ -2,9 +2,7 @@
 
 Reads the committed ``benchmarks/perf/BENCH_engine.json`` (regenerate
 with ``PYTHONPATH=src python -m benchmarks.perf.bench_engine``) and
-``benchmarks/perf/BENCH_fleet.json`` (``... -m
-benchmarks.perf.bench_fleet``) and asserts two kinds of bound on every
-``speedup`` field:
+asserts two kinds of bound on every ``speedup`` field:
 
 * **absolute floors** — the claims this repo makes in
   docs/PERFORMANCE.md must hold on the recorded numbers: delta-eval
@@ -36,7 +34,6 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parent / "BENCH_engine.json"
-BENCH_FLEET = Path(__file__).resolve().parent / "BENCH_fleet.json"
 
 #: Regression tolerance on ratcheted speedups: fail below
 #: ``(1 - TOLERANCE) * RATCHET[section]``.
@@ -57,13 +54,6 @@ DELTA_FLOOR = 5.0
 #: demanding first.  The recorded ``meta.cpus`` picks the row: 1.5x is
 #: only achievable (and only required) with >= 4 real cores.
 PARALLEL_FLOORS = ((4, 1.5), (2, 1.1), (1, 0.75))
-
-#: Same shape for the campus fleet epoch (BENCH_fleet.json): sharded
-#: 4-worker dispatch must reach 1.5x on a real 4-core machine; on one
-#: core the floor only catches pathological dispatch overhead (the
-#: per-shard solves are small, so the serial margin is thinner than
-#: run_trials').
-FLEET_PARALLEL_FLOORS = ((4, 1.5), (2, 1.05), (1, 0.6))
 
 
 @pytest.fixture(scope="module")
@@ -108,38 +98,6 @@ def test_parallel_dispatch_floor(bench: dict) -> None:
         f"parallel run_trials speedup {section['speedup']:.2f}x at "
         f"{section['workers']} workers is below the {floor:.2f}x floor "
         f"for a {cpus}-cpu machine")
-
-
-@pytest.fixture(scope="module")
-def fleet_bench() -> dict:
-    if not BENCH_FLEET.exists():
-        pytest.fail(f"{BENCH_FLEET} missing — run "
-                    f"PYTHONPATH=src python -m benchmarks.perf.bench_fleet")
-    return json.loads(BENCH_FLEET.read_text())
-
-
-def test_fleet_bench_covers_the_campus(fleet_bench: dict) -> None:
-    section = fleet_bench["fleet_epoch_serial_vs_sharded"]
-    assert section["n_buildings"] >= 1000
-    assert section["n_shards"] >= section["n_buildings"]
-    assert fleet_bench["meta"]["cpus"] >= 1
-
-
-def test_fleet_sharding_is_bit_identical(fleet_bench: dict) -> None:
-    """The speedup only counts if the answer is the same answer."""
-    section = fleet_bench["fleet_epoch_serial_vs_sharded"]
-    assert section["identical_to_serial"] is True
-
-
-def test_fleet_parallel_dispatch_floor(fleet_bench: dict) -> None:
-    section = fleet_bench["fleet_epoch_serial_vs_sharded"]
-    cpus = fleet_bench["meta"]["cpus"]
-    floor = next(f for min_cpus, f in FLEET_PARALLEL_FLOORS
-                 if cpus >= min_cpus)
-    assert section["speedup"] >= floor, (
-        f"sharded fleet epoch speedup {section['speedup']:.2f}x at "
-        f"{section['workers']} workers is below the {floor:.2f}x "
-        f"floor for a {cpus}-cpu machine")
 
 
 def test_warm_dispatch_beats_cold_start(bench: dict) -> None:

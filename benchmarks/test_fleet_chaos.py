@@ -1,6 +1,6 @@
 """Extension study — fleet chaos acceptance gate.
 
-Runs the full ``python -m repro.fleet.chaos`` storm against the gate
+Runs the full ``python -m scripts.gates.fleet_chaos`` storm against the gate
 fleet: composed blackout + crash + hang faults at level 0.6, epochs
 stay atomic (torn journal + resume is byte-identical), serial and
 pooled runs bit-identical (real hangs reaped by the per-shard
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fleet.chaos import acceptance_failures
+from scripts.gates.fleet_chaos import acceptance_failures
 
 from .conftest import emit
 

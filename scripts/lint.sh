@@ -5,7 +5,7 @@
 # .github/workflows/ci.yml.
 #
 # Usage:
-#   scripts/lint.sh              # full tree (src tests tools benchmarks)
+#   scripts/lint.sh              # full tree (src tests tools benchmarks scripts)
 #   scripts/lint.sh --changed    # only .py files changed vs origin/main
 #
 # --changed is a fast pre-push loop: it feeds woltlint/ruff just the
@@ -17,7 +17,7 @@ set -eu
 cd "$(dirname "$0")/.."
 status=0
 
-LINT_PATHS="src tests tools benchmarks"
+LINT_PATHS="src tests tools benchmarks scripts"
 CHANGED_MODE=0
 if [ "${1:-}" = "--changed" ]; then
     CHANGED_MODE=1

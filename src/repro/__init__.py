@@ -35,8 +35,7 @@ from .core.problem import (UNASSIGNED, Scenario, validate_assignment,
                            validate_assignment_batch)
 from .core.wolt import WoltResult, solve_wolt
 from .net.engine import (BatchThroughputReport, ThroughputReport,
-                         aggregate_throughput, count_engine_calls,
-                         evaluate, evaluate_batch)
+                         count_engine_calls, evaluate, evaluate_batch)
 from .net.metrics import compare_per_user, jain_fairness
 from .net.topology import FloorPlan, build_scenario, enterprise_floor
 from .plc.channel import PowerlineNetwork, random_building
@@ -61,7 +60,7 @@ __all__ = [
     "random_assignment", "brute_force_optimal", "CentralController",
     "IncrementalWolt", "solve_alpha_fair",
     # network model
-    "evaluate", "evaluate_batch", "aggregate_throughput",
+    "evaluate", "evaluate_batch",
     "ThroughputReport", "BatchThroughputReport", "count_engine_calls",
     "jain_fairness", "compare_per_user", "PLC_MODES", "allocate_backhaul",
     "FloorPlan", "build_scenario", "enterprise_floor",

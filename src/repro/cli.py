@@ -25,8 +25,8 @@ uninterrupted run, and ``wolt serve --from`` replaying a clean
 synthetic run of the same spec.  Exit codes: 0 success, 1 on
 checkpoint or telemetry-ingest errors (fingerprint mismatch,
 corruption, damaged stream header, ``--strict`` integrity failures),
-130/143 when a run was interrupted by SIGINT/SIGTERM after flushing
-its checkpoint.
+2 on a usage error (such as a count below its minimum), 130/143 when
+a run was interrupted by SIGINT/SIGTERM after flushing its checkpoint.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +49,17 @@ INTERRUPT_EXIT_CODES = {"SIGINT": 128 + signal.SIGINT,
 
 #: Exit code for checkpoint-layer failures (mismatch, corruption).
 CHECKPOINT_ERROR_EXIT = 1
+
+
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type=`` for an integer count of at least ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,17 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="master random seed (default 0)")
         if name in ("fig6", "all"):
-            p.add_argument("--trials", type=int, default=100,
+            p.add_argument("--trials", type=_at_least(1), default=100,
                            help="Fig 6a Monte-Carlo trials (default 100)")
             p.add_argument("--workers", type=int, default=None,
                            help="worker processes for the Monte-Carlo "
                                 "trials (default: serial; results are "
                                 "bit-identical for any worker count)")
         elif name == "chaos":
-            p.add_argument("--trials", type=int, default=10,
+            p.add_argument("--trials", type=_at_least(1), default=10,
                            help="floors per chaos level (default 10)")
         elif name == "faults":
-            p.add_argument("--trials", type=int, default=10,
+            p.add_argument("--trials", type=_at_least(1), default=10,
                            help="floors per fault level (default 10)")
             p.add_argument("--checkpoint", type=str, default=None,
                            help="journal per-trial partial results to "
@@ -104,10 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser(
         "sim",
         help="durable Monte-Carlo sweep (checkpoint/resume/timeouts)")
-    sim.add_argument("--trials", type=int, default=100,
+    sim.add_argument("--trials", type=_at_least(1), default=100,
                      help="Monte-Carlo trials (default 100)")
-    sim.add_argument("--extenders", type=int, default=15)
-    sim.add_argument("--users", type=int, default=36)
+    sim.add_argument("--extenders", type=_at_least(1), default=15)
+    sim.add_argument("--users", type=_at_least(0), default=36)
     sim.add_argument("--policies", type=str, default="wolt,greedy,rssi",
                      help="comma-separated policy list "
                           "(default wolt,greedy,rssi)")
@@ -145,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
              "dry-run previews, journal/resume)")
     serve.add_argument("--spec", type=str, required=True,
                        help="YAML fleet spec (see docs/FLEET.md)")
-    serve.add_argument("--epochs", type=int, default=1,
+    serve.add_argument("--epochs", type=_at_least(1), default=1,
                        help="epochs to run before exiting (default 1)")
     serve.add_argument("--dry-run", action="store_true",
                        help="preview every directive without applying "
@@ -209,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
              "checksummed JSONL stream for wolt serve --from")
     record.add_argument("--spec", type=str, required=True,
                         help="YAML fleet spec (see docs/FLEET.md)")
-    record.add_argument("--epochs", type=int, default=1,
+    record.add_argument("--epochs", type=_at_least(1), default=1,
                         help="epochs of telemetry to record "
                              "(default 1)")
     record.add_argument("--start-epoch", type=int, default=0,
@@ -220,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser(
         "solve", help="run WOLT on a random enterprise floor")
-    solve.add_argument("--extenders", type=int, default=15)
-    solve.add_argument("--users", type=int, default=36)
+    solve.add_argument("--extenders", type=_at_least(1), default=15)
+    solve.add_argument("--users", type=_at_least(0), default=36)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--plc-mode", choices=("redistribute", "active",
                                               "fixed"),
@@ -300,8 +311,6 @@ def _record(args: argparse.Namespace) -> Tuple[str, int]:
     from .fleet.ingest import write_stream
     from .fleet.spec import load_fleet_spec
 
-    if args.epochs < 1:
-        return "record: --epochs must be >= 1", 2
     if args.start_epoch < 0:
         return "record: --start-epoch must be >= 0", 2
     spec = load_fleet_spec(args.spec)
@@ -322,8 +331,6 @@ def _serve(args: argparse.Namespace) -> Tuple[str, int]:
 
     if args.resume and args.journal is None:
         return "serve: --resume requires --journal", 2
-    if args.epochs < 1:
-        return "serve: --epochs must be >= 1", 2
     if args.from_stream is None and args.strict:
         return "serve: --strict requires --from", 2
     if args.from_stream is None and args.dead_letter is not None:
@@ -424,7 +431,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     from .fleet.ingest import IngestError
     from .sim.checkpoint import CheckpointError
 
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 on a usage error, 0 on --help
+        return int(exc.code or 0)
     if args.command == "fig2":
         print(fig2.main(args.seed))
     elif args.command == "fig3":

@@ -3,7 +3,6 @@
 from .baselines import (greedy_assignment, random_assignment,
                         rssi_assignment, selfish_greedy_assignment)
 from .bnb import BnbResult, branch_and_bound_optimal
-from .bounds import GapCertificate, certify
 from .controller import CentralController, Transport
 from .dynamic import IncrementalWolt, ReconfigureOutcome
 from .fairness import AlphaFairResult, alpha_fair_utility, solve_alpha_fair
@@ -29,7 +28,6 @@ __all__ = [
     "Transport",
     "IncrementalWolt", "ReconfigureOutcome",
     "solve_alpha_fair", "alpha_fair_utility", "AlphaFairResult",
-    "certify", "GapCertificate",
     "partition_to_scenario", "solve_partition_by_association",
     "branch_and_bound_optimal", "BnbResult",
     "DecisionGuard", "GuardError", "GuardReport", "GuardViolation",

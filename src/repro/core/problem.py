@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 __all__ = ["UNASSIGNED", "Scenario", "validate_assignment",
-           "validate_assignment_batch", "users_of"]
+           "validate_assignment_batch"]
 
 #: Sentinel extender index for an unattached user.
 UNASSIGNED = -1
@@ -228,8 +228,3 @@ def validate_assignment_batch(scenario: Scenario,
                 f"constraint (8) violated in batch rows "
                 f"{sorted(set(np.nonzero(over)[0].tolist()))}")
     return assign
-
-
-def users_of(assignment: Sequence[int], extender: int) -> np.ndarray:
-    """Indices of users attached to ``extender`` (the set ``N_j``)."""
-    return np.flatnonzero(np.asarray(assignment, dtype=int) == extender)

@@ -36,7 +36,7 @@ sibling, :mod:`repro.fleet.chaos`, torments the whole fleet behind
 ``wolt serve`` — telemetry blackouts, shard worker crashes and
 slow-shard hangs against per-shard deadlines and per-building circuit
 breakers — with its own CI acceptance gate
-(``python -m repro.fleet.chaos``).
+(``python -m scripts.gates.fleet_chaos``).
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..net.metrics import jain_fairness
 from ..sim.dynamics import EpochStats
 from ..sim.runner import run_online_comparison, run_trials
 from .common import format_rows

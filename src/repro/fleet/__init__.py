@@ -19,25 +19,24 @@ package scales it to an operator's whole building fleet:
   (degraded, never stalled);
 * :mod:`repro.fleet.chaos` — seeded fleet-level fault storms
   (telemetry blackouts, shard crashes, slow-shard hangs) behind
-  ``wolt serve --chaos`` and the CI acceptance gate
-  (``python -m repro.fleet.chaos``);
+  ``wolt serve --chaos``;
 * :mod:`repro.fleet.ingest` — the recorded-telemetry boundary:
   versioned checksummed JSONL streams (``wolt record`` / ``wolt serve
   --from``), strict per-record validation with dead-letter quarantine,
-  the :class:`~repro.fleet.ingest.TelemetrySource` seam, and the
-  corruption fuzz gate (``python -m repro.fleet.ingest``).
+  and the :class:`~repro.fleet.ingest.TelemetrySource` seam.
+
+Their CI acceptance gates live in ``scripts/gates/``.
 """
 
-from .chaos import FleetFaultModel, ShardFaultPlan, tear_journal_tail
+from .chaos import FleetFaultModel, ShardFaultPlan
 from .ingest import (DeadLetterJournal, IngestError, RecordedTelemetry,
                      StreamHeaderError, StreamIntegrityError,
                      SyntheticTelemetry, TelemetryRecord,
-                     TelemetrySource, mutate_stream, read_stream,
-                     record_stream, write_stream)
+                     TelemetrySource, read_stream, record_stream,
+                     write_stream)
 from .service import (BuildingEpoch, Directive, EpochReport, FleetService,
                       format_epoch)
-from .sharding import (Segment, coupling_components, scatter_assignment,
-                       solve_segments_reference, split_segments)
+from .sharding import Segment, coupling_components, split_segments
 from .spec import (BuildingSpec, FleetSpec, HealthSettings,
                    TelemetryModel, load_fleet_spec, parse_fleet_spec)
 
@@ -64,13 +63,9 @@ __all__ = [
     "coupling_components",
     "format_epoch",
     "load_fleet_spec",
-    "mutate_stream",
     "parse_fleet_spec",
     "read_stream",
     "record_stream",
-    "scatter_assignment",
-    "solve_segments_reference",
     "split_segments",
-    "tear_journal_tail",
     "write_stream",
 ]

@@ -23,10 +23,9 @@ extenders of the scenario.  Merging two electrically separate segments
 into one ``Scenario`` therefore models them as sharing a single PLC
 medium — a different (and wrong) physical system whose solution
 legitimately differs.  The correct whole-fleet solve *is* the
-per-segment solve: :func:`solve_segments_reference` runs it serially
-in canonical segment order, and the parallel shard dispatch in
-:mod:`repro.fleet.service` is property-tested bit-identical to it
-(``tests/test_fleet_sharding.py``).
+per-segment solve, and the parallel shard dispatch in
+:mod:`repro.fleet.service` is property-tested bit-identical to a serial
+per-segment reference (``tests/test_fleet_sharding.py``).
 """
 
 from __future__ import annotations
@@ -36,11 +35,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.problem import UNASSIGNED, Scenario
-from ..core.wolt import solve_wolt
+from ..core.problem import Scenario
 
-__all__ = ["Segment", "coupling_components", "scatter_assignment",
-           "solve_segments_reference", "split_segments"]
+__all__ = ["Segment", "coupling_components", "split_segments"]
 
 
 @dataclass(frozen=True)
@@ -140,9 +137,7 @@ def split_segments(scenario: Scenario,
 
     Every user with at least one reachable extender lands in exactly
     one segment (reaching two would have merged them into one
-    component); users hearing nothing belong to no segment and are left
-    :data:`~repro.core.problem.UNASSIGNED` by
-    :func:`scatter_assignment`.
+    component); users hearing nothing belong to no segment.
 
     Returns:
         Segments in canonical order (by smallest extender index).
@@ -171,59 +166,3 @@ def split_segments(scenario: Scenario,
         segments.append(Segment(index=c, extenders=tuple(extenders),
                                 users=tuple(users), scenario=sub))
     return segments
-
-
-def scatter_assignment(n_users: int, segments: Sequence[Segment],
-                       assignments: Sequence[Sequence[int]]
-                       ) -> np.ndarray:
-    """Scatter per-segment assignments back into parent indices.
-
-    Args:
-        n_users: user count of the parent scenario.
-        segments: the segments, in any order.
-        assignments: one per-segment assignment vector (segment-local
-            extender indices or :data:`~repro.core.problem.UNASSIGNED`),
-            aligned with ``segments``.
-
-    Returns:
-        A length-``n_users`` parent assignment; users outside every
-        segment stay :data:`~repro.core.problem.UNASSIGNED`.
-    """
-    if len(segments) != len(assignments):
-        raise ValueError(
-            f"{len(assignments)} assignment vectors for "
-            f"{len(segments)} segments")
-    full = np.full(n_users, UNASSIGNED, dtype=int)
-    for segment, local in zip(segments, assignments):
-        vec = np.asarray(local, dtype=int).ravel()
-        if vec.shape[0] != len(segment.users):
-            raise ValueError(
-                f"segment {segment.index} assignment covers "
-                f"{vec.shape[0]} users, expected {len(segment.users)}")
-        ext_map = np.asarray(segment.extenders, dtype=int)
-        attached = vec != UNASSIGNED
-        parent = np.full(vec.shape[0], UNASSIGNED, dtype=int)
-        parent[attached] = ext_map[vec[attached]]
-        full[np.asarray(segment.users, dtype=int)] = parent
-    return full
-
-
-def solve_segments_reference(scenario: Scenario,
-                             circuits: Optional[Sequence[object]] = None,
-                             plc_mode: str = "redistribute"
-                             ) -> np.ndarray:
-    """The unsharded whole-fleet reference solve of one building.
-
-    Splits into segments and solves each **serially** in canonical
-    order with :func:`~repro.core.wolt.solve_wolt` (each segment keeps
-    its own PLC medium — see the module docstring for why this, not a
-    merged-scenario solve, is the correct whole-building model).  The
-    parallel shard dispatch must be bit-identical to this for any
-    worker/chunk count; on a single-segment building it degenerates to
-    plain ``solve_wolt(scenario)``.
-    """
-    segments = split_segments(scenario, circuits)
-    assignments = [solve_wolt(seg.scenario,
-                              plc_mode=plc_mode).assignment
-                   for seg in segments]
-    return scatter_assignment(scenario.n_users, segments, assignments)

@@ -1,10 +1,8 @@
 """Network model: topology, end-to-end throughput engine, metrics."""
 
 from .engine import (BatchThroughputReport, ThroughputReport,
-                     aggregate_throughput, count_engine_calls, evaluate,
-                     evaluate_batch)
-from .estimate import (EwmaEstimator, estimate_rate_from_rssi_samples,
-                       noisy_scenario)
+                     count_engine_calls, evaluate, evaluate_batch)
+from .estimate import noisy_scenario
 from .metrics import (PerUserComparison, bottom_k_users, compare_per_user,
                       jain_fairness, top_k_users)
 from .topology import (FloorPlan, build_scenario, enterprise_floor,
@@ -12,12 +10,12 @@ from .topology import (FloorPlan, build_scenario, enterprise_floor,
 from .visualize import render_floor
 
 __all__ = [
-    "evaluate", "evaluate_batch", "aggregate_throughput",
+    "evaluate", "evaluate_batch",
     "ThroughputReport", "BatchThroughputReport", "count_engine_calls",
     "jain_fairness", "compare_per_user", "PerUserComparison",
     "bottom_k_users", "top_k_users",
     "FloorPlan", "build_scenario", "enterprise_floor",
     "sample_user_positions",
-    "EwmaEstimator", "estimate_rate_from_rssi_samples", "noisy_scenario",
+    "noisy_scenario",
     "render_floor",
 ]

@@ -38,7 +38,7 @@ from ..wifi.sharing import _EPS as _RATE_EPS
 from ..wifi.sharing import cell_throughputs, cell_throughputs_batch
 
 __all__ = ["ThroughputReport", "BatchThroughputReport", "DeltaEvaluator",
-           "evaluate", "evaluate_batch", "aggregate_throughput",
+           "evaluate", "evaluate_batch",
            "EngineCallStats", "count_engine_calls"]
 
 
@@ -192,13 +192,6 @@ def evaluate(scenario: Scenario,
         user_throughputs=user_tput,
         bottleneck_is_plc=bottleneck,
     )
-
-
-def aggregate_throughput(scenario: Scenario,
-                         assignment: Sequence[int],
-                         plc_mode: str = "redistribute") -> float:
-    """Shorthand for the aggregate objective value of an assignment."""
-    return evaluate(scenario, assignment, plc_mode=plc_mode).aggregate
 
 
 @dataclass(frozen=True)

@@ -1,137 +1,20 @@
-"""Channel-quality estimation from noisy measurements.
+"""Estimation noise: the inputs an imperfect controller sees.
 
 §V-A of the paper: clients estimate per-extender WiFi rates from the
 NIC driver's MCS readout, and the CC measures PLC capacities offline
 with iperf.  Both observations are noisy in practice.  This module
-provides the estimators a deployment would use — RSSI smoothing, MCS
-quantization, capacity averaging — and the noise models the robustness
-experiment (``repro.experiments.robustness``) perturbs inputs with.
+holds the noise model the robustness experiment
+(``repro.experiments.robustness``, ``wolt robustness``) perturbs
+inputs with.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
 from ..core.problem import Scenario
-from ..wifi.phy import WifiPhy
 
-__all__ = ["EwmaEstimator", "estimate_rate_from_rssi_samples",
-           "noisy_scenario"]
-
-
-class EwmaEstimator:
-    """Exponentially-weighted moving average of a scalar measurement.
-
-    The standard smoother drivers apply to RSSI readings before rate
-    adaptation decisions.
-
-    A NaN or infinite sample would poison the average forever (every
-    later estimate inherits it), so non-finite samples are rejected
-    with ``ValueError`` by default.  A driver that emits occasional
-    garbage mid-reset can instead pass ``drop_nonfinite=True``: bad
-    samples are skipped, counted in :attr:`dropped`, and leave the
-    estimate unchanged.
-
-    Args:
-        alpha: weight of the newest sample, in ``(0, 1]``.
-        drop_nonfinite: skip (and count) non-finite samples instead of
-            raising.
-    """
-
-    def __init__(self, alpha: float = 0.2,
-                 drop_nonfinite: bool = False) -> None:
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self.drop_nonfinite = drop_nonfinite
-        #: Non-finite samples skipped so far (drop_nonfinite mode).
-        self.dropped = 0
-        self._value: Optional[float] = None
-
-    @property
-    def value(self) -> float:
-        """Current estimate (raises before the first *finite* update)."""
-        if self._value is None:
-            raise ValueError("no samples observed yet")
-        return self._value
-
-    def update(self, sample: float) -> float:
-        """Fold in one sample and return the new estimate.
-
-        Raises:
-            ValueError: on a non-finite sample (unless the estimator
-                was built with ``drop_nonfinite=True``, in which case
-                the sample is counted and skipped; skipping before any
-                finite sample returns NaN as there is no estimate yet).
-        """
-        sample = float(sample)
-        if not np.isfinite(sample):
-            if not self.drop_nonfinite:
-                raise ValueError(
-                    f"non-finite sample {sample!r} would poison the "
-                    "EWMA; pass drop_nonfinite=True to skip it")
-            self.dropped += 1
-            return self._value if self._value is not None \
-                else float("nan")
-        if self._value is None:
-            self._value = sample
-        else:
-            self._value = (self.alpha * sample
-                           + (1.0 - self.alpha) * self._value)
-        return self._value
-
-    def reset(self) -> None:
-        """Forget all history (the drop counter included)."""
-        self._value = None
-        self.dropped = 0
-
-
-def estimate_rate_from_rssi_samples(rssi_samples_dbm: Sequence[float],
-                                    phy: Optional[WifiPhy] = None,
-                                    alpha: float = 0.2,
-                                    drop_nonfinite: bool = False
-                                    ) -> float:
-    """PHY-rate estimate from a burst of RSSI samples.
-
-    Smooths the samples with an EWMA, converts to SNR against the PHY's
-    noise floor, and quantizes through the MCS ladder — what the paper's
-    user-space utility reads from the NIC driver.
-
-    Args:
-        rssi_samples_dbm: measured RSSI values (dBm), oldest first.
-        phy: PHY model supplying noise floor and MCS table.
-        alpha: EWMA weight.
-        drop_nonfinite: skip non-finite samples (driver garbage)
-            instead of raising; with it set, a burst where *every*
-            sample was dropped still raises — there is no estimate to
-            give.
-
-    Returns:
-        Estimated PHY rate (Mbps), 0 when below the lowest MCS.
-
-    Raises:
-        ValueError: on an empty burst, on a non-finite sample (default
-            mode), or when ``drop_nonfinite`` discarded all samples.
-    """
-    samples = list(rssi_samples_dbm)
-    if not samples:
-        raise ValueError("at least one RSSI sample is required")
-    phy = phy or WifiPhy()
-    ewma = EwmaEstimator(alpha=alpha, drop_nonfinite=drop_nonfinite)
-    for index, sample in enumerate(samples):
-        try:
-            ewma.update(float(sample))
-        except ValueError as exc:
-            raise ValueError(
-                f"RSSI sample {index} is non-finite "
-                f"({float(sample)!r}); pass drop_nonfinite=True to "
-                "skip driver garbage") from exc
-    if ewma.dropped == len(samples):
-        raise ValueError(
-            f"all {len(samples)} RSSI samples were non-finite")
-    return phy.rate_for_snr(ewma.value - phy.noise_floor_dbm)
+__all__ = ["noisy_scenario"]
 
 
 def noisy_scenario(scenario: Scenario,

@@ -3,8 +3,6 @@
 from .channel import PowerlineNetwork, random_building
 from .homeplug import DEFAULT_AV2, Av2Phy
 from .noise import NoiseProcess, TimeVaryingPlc
-from .qos import (QosClass, class_weighted_schedule,
-                  optimal_tdma_weights)
 from .mac import (Ieee1901CsmaSimulator, Ieee1901Parameters,
                   Ieee1901Result, TdmaScheduler)
 from .sharing import (PLC_MODES, BatchPlcAllocation, PlcAllocation,
@@ -20,5 +18,4 @@ __all__ = [
     "max_min_time_shares", "max_min_time_shares_batch",
     "time_fair_throughputs",
     "NoiseProcess", "TimeVaryingPlc",
-    "optimal_tdma_weights", "QosClass", "class_weighted_schedule",
 ]

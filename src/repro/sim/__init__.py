@@ -15,20 +15,17 @@ from .mobility import MobilityEpoch, MobilitySimulation, RandomWaypoint
 from .runner import (PolicyOutcome, TrialFailure, TrialResult,
                      TrialRunResult, run_online_comparison, run_policy,
                      run_trials, sample_floor_plan)
-from .workload import DiurnalProfile, hotspot_positions
-from .trace import (load_history, load_scenario, save_history,
-                    save_scenario)
-from .traffic import DemandReport, delivered_bytes, evaluate_with_demands
+from .workload import hotspot_positions
+from .traffic import DemandReport, evaluate_with_demands
 
 __all__ = [
     "EventQueue", "EventHandle", "OnlineSimulation", "EpochStats",
     "run_trials", "run_policy", "run_online_comparison",
     "sample_floor_plan", "PolicyOutcome", "TrialResult",
-    "delivered_bytes", "evaluate_with_demands", "DemandReport",
+    "evaluate_with_demands", "DemandReport",
     "MobilitySimulation", "MobilityEpoch", "RandomWaypoint",
-    "save_history", "load_history", "save_scenario", "load_scenario",
     "FailureSimulation", "FailureEpoch", "fail_extenders",
-    "reassociate_orphans", "hotspot_positions", "DiurnalProfile",
+    "reassociate_orphans", "hotspot_positions",
     "FaultModel", "FaultyTransport", "ControlPlaneOutcome",
     "run_faulty_control_plane", "InjectedCrash", "CrashSchedule",
     "TrialFailure", "TrialRunResult", "TrialStore", "CheckpointError",

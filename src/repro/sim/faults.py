@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ from ..core.problem import Scenario, UNASSIGNED
 from .failures import fail_extenders, reassociate_orphans
 
 __all__ = ["FaultModel", "FaultyTransport", "ControlPlaneOutcome",
-           "run_faulty_control_plane", "InjectedCrash", "CrashSchedule",
-           "SleepSchedule"]
+           "run_faulty_control_plane", "InjectedCrash", "CrashSchedule"]
 
 
 @dataclass(frozen=True)
@@ -279,31 +278,3 @@ class CrashSchedule:
                 f"attempt {attempt}")
         if attempt < self.hangs.get(trial_index, 0):
             time.sleep(self.hang_s)
-
-
-@dataclass(frozen=True)
-class SleepSchedule:
-    """Picklable per-trial latency hook for ``run_trials`` (no faults).
-
-    ``delays`` maps a trial index to a sleep (seconds) injected at the
-    start of every attempt of that trial.  Unlike
-    :class:`CrashSchedule` nothing fails — the hook only skews trial
-    *durations*, which is exactly what the dispatch tests need to force
-    chunks to complete out of submission order and assert that
-    :func:`repro.sim.runner.run_trials` still re-emits results in trial
-    order.
-    """
-
-    delays: Mapping[int, float]
-
-    def __post_init__(self) -> None:
-        normalized = {int(t): float(s) for t, s in
-                      dict(self.delays).items()}
-        if any(s < 0 for s in normalized.values()):
-            raise ValueError("delays must be non-negative")
-        object.__setattr__(self, "delays", normalized)
-
-    def __call__(self, trial_index: int, attempt: int) -> None:
-        delay = self.delays.get(trial_index, 0.0)
-        if delay > 0:
-            time.sleep(delay)

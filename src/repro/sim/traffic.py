@@ -1,9 +1,8 @@
-"""Fluid traffic models: saturated TCP flows and finite-demand users.
+"""Fluid traffic model for finite-demand users.
 
 The paper's model assumes saturated downlink TCP traffic and argues
 (§IV-A) that long-term TCP fairness makes per-flow throughputs equal, so
-only long-term shares need modelling.  :func:`delivered_bytes` turns a
-throughput report into per-user transfer volumes over a window.
+only long-term shares need modelling.
 
 As an extension beyond the paper, :func:`evaluate_with_demands` handles
 users with *finite* demands (e.g. a 5 Mbps video stream): WiFi cell time
@@ -22,18 +21,7 @@ import numpy as np
 from ..core.problem import Scenario, UNASSIGNED, validate_assignment
 from ..plc.sharing import allocate_backhaul, max_min_time_shares
 
-__all__ = ["delivered_bytes", "DemandReport", "evaluate_with_demands"]
-
-
-def delivered_bytes(user_throughputs_mbps: Sequence[float],
-                    duration_s: float) -> np.ndarray:
-    """Bytes each saturated TCP flow transfers in ``duration_s`` seconds."""
-    if duration_s < 0:
-        raise ValueError("duration must be non-negative")
-    tput = np.asarray(user_throughputs_mbps, dtype=float)
-    if np.any(tput < 0):
-        raise ValueError("throughputs must be non-negative")
-    return tput * 1e6 * duration_s / 8.0
+__all__ = ["DemandReport", "evaluate_with_demands"]
 
 
 @dataclass(frozen=True)

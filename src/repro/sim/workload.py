@@ -1,27 +1,20 @@
-"""Workload generators: realistic user placement and arrival intensity.
+"""Workload generators: realistic user placement.
 
-The paper distributes users uniformly on the floor and drives arrivals
-with a constant-rate Poisson process.  Real enterprises are lumpier on
-both axes:
-
-* **Spatial hotspots** — meeting rooms, cafeterias and desk clusters
-  concentrate users.  :func:`hotspot_positions` draws users from a
-  mixture of Gaussian hotspots plus a uniform background; hotspot
-  crowding is exactly the regime where RSSI association collapses onto
-  one extender and WOLT's load spreading matters most.
-* **Diurnal intensity** — arrivals ebb and flow with office hours.
-  :class:`DiurnalProfile` modulates a base Poisson rate over the day,
-  for long-horizon online simulations.
+The paper distributes users uniformly on the floor.  Real enterprises
+are lumpier: meeting rooms, cafeterias and desk clusters concentrate
+users.  :func:`hotspot_positions` draws users from a mixture of
+Gaussian hotspots plus a uniform background; hotspot crowding is
+exactly the regime where RSSI association collapses onto one extender
+and WOLT's load spreading matters most.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-__all__ = ["hotspot_positions", "DiurnalProfile"]
+__all__ = ["hotspot_positions"]
 
 
 def hotspot_positions(n_users: int,
@@ -77,73 +70,3 @@ def hotspot_positions(n_users: int,
     positions[:, 0] = np.clip(positions[:, 0], 0.0, width_m)
     positions[:, 1] = np.clip(positions[:, 1], 0.0, height_m)
     return positions
-
-
-@dataclass(frozen=True)
-class DiurnalProfile:
-    """Office-hours modulation of an arrival rate.
-
-    The intensity follows a raised-cosine business day: near-zero
-    before ``start_hour`` and after ``end_hour``, peaking at
-    ``peak_multiplier`` x base rate mid-day, with a small
-    ``off_hours_multiplier`` floor (cleaners, night owls).
-
-    Attributes:
-        start_hour / end_hour: the business-day window (0-24).
-        peak_multiplier: mid-day intensity relative to the base rate.
-        off_hours_multiplier: floor intensity outside the window.
-    """
-
-    start_hour: float = 8.0
-    end_hour: float = 18.0
-    peak_multiplier: float = 2.0
-    off_hours_multiplier: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.start_hour < self.end_hour <= 24:
-            raise ValueError("need 0 <= start < end <= 24")
-        if self.peak_multiplier <= 0 or self.off_hours_multiplier < 0:
-            raise ValueError("multipliers must be positive (floor >= 0)")
-
-    def multiplier(self, hour_of_day: float) -> float:
-        """Intensity multiplier at an hour of day (wraps modulo 24)."""
-        hour = float(hour_of_day) % 24.0
-        if not self.start_hour <= hour <= self.end_hour:
-            return self.off_hours_multiplier
-        span = self.end_hour - self.start_hour
-        phase = (hour - self.start_hour) / span  # 0..1 across the day
-        shape = 0.5 * (1.0 - np.cos(2.0 * np.pi * phase))  # 0..1..0
-        return (self.off_hours_multiplier
-                + (self.peak_multiplier - self.off_hours_multiplier)
-                * float(shape))
-
-    def rate_at(self, base_rate: float, hour_of_day: float) -> float:
-        """Arrival rate at an hour of day."""
-        if base_rate < 0:
-            raise ValueError("base_rate must be non-negative")
-        return base_rate * self.multiplier(hour_of_day)
-
-    def sample_arrival_times(self, base_rate: float,
-                             duration_hours: float,
-                             rng: np.random.Generator,
-                             start_hour: float = 0.0) -> np.ndarray:
-        """Arrival times (hours) from the non-homogeneous Poisson process.
-
-        Uses thinning against the peak intensity.
-        """
-        if duration_hours <= 0:
-            raise ValueError("duration must be positive")
-        peak = base_rate * max(self.peak_multiplier,
-                               self.off_hours_multiplier)
-        if peak <= 0:
-            return np.empty(0)
-        times = []
-        t = 0.0
-        while True:
-            t += float(rng.exponential(1.0 / peak))
-            if t >= duration_hours:
-                break
-            accept = (self.rate_at(base_rate, start_hour + t) / peak)
-            if rng.random() < accept:
-                times.append(t)
-        return np.asarray(times)

@@ -4,8 +4,6 @@ from .channels import (NON_OVERLAPPING_2_4GHZ, ChannelPlan,
                        assign_channels, interference_graph)
 from .mac import DcfParameters, DcfResult, DcfSimulator
 from .phy import MCS_TABLE_80211N_20MHZ, WifiPhy
-from .rate_adaptation import (ArfRateController,
-                              frame_success_probability, probe_rate)
 from .sharing import (anomaly_ratio, cell_throughput, cell_throughputs,
                       cell_throughputs_batch, per_user_throughput)
 
@@ -16,5 +14,4 @@ __all__ = [
     "per_user_throughput", "anomaly_ratio",
     "assign_channels", "ChannelPlan", "interference_graph",
     "NON_OVERLAPPING_2_4GHZ",
-    "ArfRateController", "frame_success_probability", "probe_rate",
 ]

@@ -21,11 +21,24 @@ all three check production's matrix-scored swap pass rather than reuse
 it.  Otherwise they reuse :mod:`repro.core.phase2`'s cell state and
 batch gains, and differ from production only in the loop they stand
 in for.
+
+Further references the tests compare production against:
+
+* :func:`certify` bounds any assignment's distance from the (unknown)
+  Problem-1 optimum with polynomial upper bounds.
+* :func:`optimal_tdma_weights` derives the TDMA reservation a PLC
+  schedule needs to reproduce the engine's max-min backhaul grants.
+* :func:`solve_segments_reference` is the serial whole-building solve
+  that sharded fleet dispatch must match bit for bit.
+* :class:`SleepSchedule` skews trial durations so dispatch tests can
+  force chunks to finish out of submission order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+import time
+from dataclasses import dataclass
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +48,10 @@ from repro.core.phase2 import (Phase2Result, _BatchGains, _CellState,
                                _relocate)
 from repro.core.problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
 from repro.core.wolt import WoltResult, solve_wolt
+from repro.fleet.sharding import Segment, split_segments
 from repro.net.engine import _record, evaluate, evaluate_batch
+from repro.plc.sharing import allocate_backhaul
+from repro.wifi.sharing import cell_throughputs
 
 
 class _ScalarCellState(_CellState):
@@ -295,3 +311,190 @@ def reconfigure_batch(ctl: IncrementalWolt) -> ReconfigureOutcome:
     return ReconfigureOutcome(moves=tuple(applied), aggregate_before=before,
                               aggregate_after=after,
                               wolt_aggregate=solved.aggregate_throughput)
+
+
+# ---------------------------------------------------------------------------
+# Optimality-gap certificates for Problem 1.
+
+
+def plc_capacity_bound(scenario: Scenario,
+                       plc_mode: str = "redistribute") -> float:
+    """Backhaul-side upper bound on any assignment's aggregate (Mbps).
+
+    No assignment can push more than the whole backhaul carries: under
+    the ``fixed`` law that is ``sum_j c_j / |A|``; under ``active`` and
+    ``redistribute`` it is ``max_j c_j`` (all medium time on the best
+    link).
+    """
+    c = scenario.plc_rates
+    if c.size == 0:
+        return 0.0
+    if plc_mode == "fixed":
+        return float(c.sum() / c.size)
+    if plc_mode in ("active", "redistribute"):
+        return float(c.max())
+    raise ValueError(f"unknown plc_mode {plc_mode!r}")
+
+
+def wifi_ceiling_bound(scenario: Scenario) -> float:
+    """WiFi-side upper bound: every extender serving its best user.
+
+    ``T_WiFi_j <= max_i r_ij`` for any user set (Eq. (1) is a weighted
+    harmonic mean, never above the best member's rate), so the total
+    WiFi-side throughput is at most ``sum_j max_i r_ij``.
+    """
+    if scenario.n_users == 0 or scenario.n_extenders == 0:
+        return 0.0
+    best = np.max(np.where(scenario.wifi_rates > MIN_USABLE_RATE,
+                           scenario.wifi_rates, 0.0), axis=0)
+    return float(best.sum())
+
+
+def relaxation_bound(scenario: Scenario) -> float:
+    """Per-extender relaxation bound under the fixed law.
+
+    ``sum_j min(c_j/|A|, max_i r_ij)`` dominates any fixed-law
+    assignment's aggregate, because each extender's end-to-end
+    throughput is ``min(T_WiFi_j, c_j/|A|)`` and ``T_WiFi_j`` (a
+    harmonic mean of member rates) never exceeds the extender's single
+    best reachable user's rate.
+    """
+    if scenario.n_users == 0 or scenario.n_extenders == 0:
+        return 0.0
+    fair = scenario.plc_rates / scenario.n_extenders
+    best_rate = np.max(np.where(scenario.wifi_rates > MIN_USABLE_RATE,
+                                scenario.wifi_rates, 0.0), axis=0)
+    return float(np.minimum(fair, best_rate).sum())
+
+
+@dataclass(frozen=True)
+class GapCertificate:
+    """An optimality-gap certificate for one assignment.
+
+    Attributes:
+        achieved: the assignment's aggregate throughput (Mbps).
+        upper_bound: a certified bound no assignment can exceed.
+        gap_fraction: ``1 - achieved/upper_bound`` — the assignment is
+            within this fraction of *any* optimum (often much closer,
+            since the bound itself is loose).
+    """
+
+    achieved: float
+    upper_bound: float
+
+    @property
+    def gap_fraction(self) -> float:
+        if self.upper_bound <= 0:
+            return 0.0
+        return max(0.0, 1.0 - self.achieved / self.upper_bound)
+
+
+def certify(scenario: Scenario, assignment: Sequence[int],
+            plc_mode: str = "redistribute") -> GapCertificate:
+    """Certify a complete assignment against the tightest bound."""
+    achieved = evaluate(scenario, assignment, plc_mode=plc_mode,
+                        require_complete=True).aggregate
+    bounds = [plc_capacity_bound(scenario, plc_mode),
+              wifi_ceiling_bound(scenario)]
+    if plc_mode == "fixed":
+        bounds.append(relaxation_bound(scenario))
+    return GapCertificate(achieved=achieved,
+                          upper_bound=float(min(bounds)))
+
+
+# ---------------------------------------------------------------------------
+# PLC TDMA reservation.
+
+
+def optimal_tdma_weights(scenario: Scenario,
+                         assignment: Sequence[int]) -> np.ndarray:
+    """TDMA reservation weights replicating the max-min allocation.
+
+    Computes each extender's WiFi-side offered load under the given
+    association and returns the max-min fair (leftover-redistributing)
+    time shares as weights for :class:`repro.plc.mac.TdmaScheduler`.
+    Extenders with no attached users receive zero weight.
+    """
+    assign = np.asarray(assignment, dtype=int)
+    wifi = cell_throughputs(scenario.wifi_rates, assign,
+                            scenario.n_extenders)
+    allocation = allocate_backhaul(scenario.plc_rates, wifi,
+                                   mode="redistribute")
+    return allocation.time_shares.copy()
+
+
+# ---------------------------------------------------------------------------
+# Whole-building reference for sharded fleet dispatch.
+
+
+def scatter_assignment(n_users: int, segments: Sequence[Segment],
+                       assignments: Sequence[Sequence[int]]
+                       ) -> np.ndarray:
+    """Scatter per-segment assignments back into parent indices.
+
+    Users outside every segment stay ``UNASSIGNED``.
+    """
+    if len(segments) != len(assignments):
+        raise ValueError(
+            f"{len(assignments)} assignment vectors for "
+            f"{len(segments)} segments")
+    full = np.full(n_users, UNASSIGNED, dtype=int)
+    for segment, local in zip(segments, assignments):
+        vec = np.asarray(local, dtype=int).ravel()
+        if vec.shape[0] != len(segment.users):
+            raise ValueError(
+                f"segment {segment.index} assignment covers "
+                f"{vec.shape[0]} users, expected {len(segment.users)}")
+        ext_map = np.asarray(segment.extenders, dtype=int)
+        attached = vec != UNASSIGNED
+        parent = np.full(vec.shape[0], UNASSIGNED, dtype=int)
+        parent[attached] = ext_map[vec[attached]]
+        full[np.asarray(segment.users, dtype=int)] = parent
+    return full
+
+
+def solve_segments_reference(scenario: Scenario,
+                             circuits: Optional[Sequence[object]] = None,
+                             plc_mode: str = "redistribute"
+                             ) -> np.ndarray:
+    """The unsharded whole-building solve: segments solved serially.
+
+    Each segment keeps its own PLC medium (see
+    :mod:`repro.fleet.sharding`).  On a single-segment building this is
+    plain ``solve_wolt(scenario)``.
+    """
+    segments = split_segments(scenario, circuits)
+    assignments = [solve_wolt(seg.scenario,
+                              plc_mode=plc_mode).assignment
+                   for seg in segments]
+    return scatter_assignment(scenario.n_users, segments, assignments)
+
+
+# ---------------------------------------------------------------------------
+# Dispatch-ordering hook.
+
+
+@dataclass(frozen=True)
+class SleepSchedule:
+    """Picklable per-trial latency hook for ``run_trials`` (no faults).
+
+    ``delays`` maps a trial index to a sleep (seconds) injected at the
+    start of every attempt of that trial.  Nothing fails: the hook only
+    skews trial durations, so chunks complete out of submission order
+    and the tests can assert that results still come back in trial
+    order.
+    """
+
+    delays: Mapping[int, float]
+
+    def __post_init__(self) -> None:
+        normalized = {int(t): float(s) for t, s in
+                      dict(self.delays).items()}
+        if any(s < 0 for s in normalized.values()):
+            raise ValueError("delays must be non-negative")
+        object.__setattr__(self, "delays", normalized)
+
+    def __call__(self, trial_index: int, attempt: int) -> None:
+        delay = self.delays.get(trial_index, 0.0)
+        if delay > 0:
+            time.sleep(delay)

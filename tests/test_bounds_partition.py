@@ -7,8 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import (certify, plc_capacity_bound,
-                               relaxation_bound, wifi_ceiling_bound)
 from repro.core.optimal import brute_force_optimal
 from repro.core.partition import (balanced_partition_value,
                                   partition_to_scenario,
@@ -16,6 +14,8 @@ from repro.core.partition import (balanced_partition_value,
 from repro.core.wolt import solve_wolt
 
 from .conftest import random_scenario
+from .oracles import (certify, plc_capacity_bound, relaxation_bound,
+                      wifi_ceiling_bound)
 
 
 class TestBounds:

@@ -75,6 +75,35 @@ class TestParser:
         assert args.resume is True
 
 
+SMOKE_SPEC = "tests/data/fleet_smoke.yaml"
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig6", "--trials", "0"],
+    ["all", "--trials", "0"],
+    ["chaos", "--trials", "0"],
+    ["faults", "--trials", "0"],
+    ["sim", "--trials", "0"],
+    ["sim", "--extenders", "0"],
+    ["sim", "--users", "-1"],
+    ["solve", "--extenders", "0"],
+    ["solve", "--users", "-2"],
+    ["serve", "--spec", SMOKE_SPEC, "--epochs", "0"],
+    ["record", "--spec", SMOKE_SPEC, "--out", "t.jsonl", "--epochs", "0"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+def test_bad_count_is_a_usage_error(argv, capsys):
+    """Counts are checked at parse time: exit 2 with a usage message."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: wolt {argv[0]}")
+    assert "must be >= " in err and "Traceback" not in err
+
+
+def test_zero_users_is_a_valid_floor(capsys):
+    assert main(["solve", "--extenders", "2", "--users", "0"]) == 0
+    assert "WOLT assignment: []" in capsys.readouterr().out
+
+
 class TestExecution:
     def test_fig3(self, capsys):
         assert main(["fig3"]) == 0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.problem import UNASSIGNED, Scenario
-from repro.net.engine import aggregate_throughput, evaluate
+from repro.net.engine import evaluate
 
 from .conftest import random_scenario
 
@@ -74,10 +74,6 @@ class TestEvaluateSemantics:
                       plc_rates=np.array([50.0, 50.0]))
         report = evaluate(sc, [0])
         assert report.aggregate == pytest.approx(50.0)
-
-    def test_aggregate_helper_matches_report(self, fig3_scenario):
-        assert aggregate_throughput(fig3_scenario, [1, 0]) == pytest.approx(
-            evaluate(fig3_scenario, [1, 0]).aggregate)
 
 
 class TestNActiveExtenders:

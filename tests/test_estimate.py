@@ -1,4 +1,4 @@
-"""Tests for channel-quality estimation and noise models."""
+"""Tests for the estimation-noise model."""
 
 from __future__ import annotations
 
@@ -7,135 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.estimate import (EwmaEstimator,
-                                estimate_rate_from_rssi_samples,
-                                noisy_scenario)
-from repro.wifi.phy import WifiPhy
+from repro.net.estimate import noisy_scenario
 
 from .conftest import random_scenario
-
-
-class TestEwma:
-    def test_first_sample_is_estimate(self):
-        est = EwmaEstimator(alpha=0.3)
-        assert est.update(10.0) == 10.0
-        assert est.value == 10.0
-
-    def test_smoothing(self):
-        est = EwmaEstimator(alpha=0.5)
-        est.update(0.0)
-        assert est.update(10.0) == pytest.approx(5.0)
-        assert est.update(10.0) == pytest.approx(7.5)
-
-    def test_alpha_one_tracks_last_sample(self):
-        est = EwmaEstimator(alpha=1.0)
-        est.update(1.0)
-        assert est.update(9.0) == 9.0
-
-    def test_value_before_update_rejected(self):
-        with pytest.raises(ValueError):
-            EwmaEstimator().value
-
-    def test_reset(self):
-        est = EwmaEstimator()
-        est.update(5.0)
-        est.reset()
-        with pytest.raises(ValueError):
-            est.value
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            EwmaEstimator(alpha=0.0)
-        with pytest.raises(ValueError):
-            EwmaEstimator(alpha=1.5)
-
-    @given(st.lists(st.floats(min_value=-90, max_value=-20), min_size=1,
-                    max_size=50))
-    @settings(max_examples=100)
-    def test_estimate_within_sample_range(self, samples):
-        est = EwmaEstimator(alpha=0.2)
-        for s in samples:
-            est.update(s)
-        assert min(samples) - 1e-9 <= est.value <= max(samples) + 1e-9
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
-                                     float("-inf")])
-    def test_nonfinite_sample_rejected(self, bad):
-        est = EwmaEstimator()
-        est.update(10.0)
-        with pytest.raises(ValueError, match="non-finite"):
-            est.update(bad)
-        # The estimate was not poisoned by the rejected sample.
-        assert est.value == 10.0
-
-    def test_drop_nonfinite_skips_and_counts(self):
-        est = EwmaEstimator(alpha=0.5, drop_nonfinite=True)
-        est.update(10.0)
-        assert est.update(float("nan")) == 10.0  # unchanged
-        assert est.update(20.0) == pytest.approx(15.0)
-        assert est.dropped == 1
-
-    def test_drop_nonfinite_before_first_sample_returns_nan(self):
-        est = EwmaEstimator(drop_nonfinite=True)
-        assert np.isnan(est.update(float("inf")))
-        assert est.dropped == 1
-        with pytest.raises(ValueError):
-            est.value  # still no estimate
-
-    def test_reset_clears_drop_counter(self):
-        est = EwmaEstimator(drop_nonfinite=True)
-        est.update(float("nan"))
-        est.reset()
-        assert est.dropped == 0
-
-
-class TestRateFromRssi:
-    def test_strong_signal_gives_top_rate(self):
-        phy = WifiPhy()
-        rate = estimate_rate_from_rssi_samples([-30.0] * 5, phy=phy)
-        assert rate == pytest.approx(
-            phy.mcs_table[-1][1] * phy.spatial_streams)
-
-    def test_weak_signal_gives_zero(self):
-        assert estimate_rate_from_rssi_samples([-95.0] * 5) == 0.0
-
-    def test_outlier_suppressed_by_smoothing(self):
-        phy = WifiPhy()
-        steady = estimate_rate_from_rssi_samples([-50.0] * 20, phy=phy)
-        with_outlier = estimate_rate_from_rssi_samples(
-            [-50.0] * 19 + [-90.0], phy=phy, alpha=0.1)
-        # One bad reading barely moves a smoothed estimate.
-        assert with_outlier >= steady * 0.7
-
-    def test_empty_samples_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_rate_from_rssi_samples([])
-
-    def test_nonfinite_sample_rejected_with_index(self):
-        with pytest.raises(ValueError, match="sample 1"):
-            estimate_rate_from_rssi_samples([-50.0, float("nan"),
-                                             -50.0])
-
-    def test_drop_nonfinite_skips_driver_garbage(self):
-        phy = WifiPhy()
-        clean = estimate_rate_from_rssi_samples([-50.0] * 3, phy=phy)
-        dirty = estimate_rate_from_rssi_samples(
-            [-50.0, float("nan"), -50.0, float("inf"), -50.0],
-            phy=phy, drop_nonfinite=True)
-        assert dirty == clean
-
-    def test_all_samples_dropped_rejected(self):
-        with pytest.raises(ValueError, match="all 3"):
-            estimate_rate_from_rssi_samples(
-                [float("nan")] * 3, drop_nonfinite=True)
-
-    def test_matches_phy_ladder(self):
-        """A constant RSSI stream maps exactly through the MCS ladder."""
-        phy = WifiPhy()
-        rssi = -60.0
-        expected = phy.rate_for_snr(rssi - phy.noise_floor_dbm)
-        assert estimate_rate_from_rssi_samples([rssi] * 3,
-                                               phy=phy) == expected
 
 
 class TestNoisyScenario:

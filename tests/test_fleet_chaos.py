@@ -9,12 +9,13 @@ import pickle
 
 import pytest
 
-from repro.fleet.chaos import (FleetFaultModel, acceptance_failures,
-                               gate_spec, tear_journal_tail)
+from repro.fleet.chaos import FleetFaultModel
 from repro.fleet.service import FleetService, format_epoch
 from repro.fleet.spec import parse_fleet_spec
 from repro.sim.checkpoint import CheckpointError, TrialStore, fingerprint
 from repro.sim.faults import InjectedCrash
+from scripts.gates.fleet_chaos import (acceptance_failures, gate_spec,
+                                       tear_journal_tail)
 
 SMOKE = """
 fleet: {name: smoke, seed: 7, plc_mode: redistribute}

@@ -6,7 +6,7 @@ test per reject class, graceful and strict), the dead-letter journal,
 the :class:`~repro.fleet.ingest.TelemetrySource` seam inside
 :class:`~repro.fleet.service.FleetService` (replay identity, graceful
 degradation, epoch caps), and a reduced run of the corruption fuzz
-gate CI executes in full.
+gate (``scripts/gates/ingest_fuzz.py``) CI executes in full.
 """
 
 from __future__ import annotations
@@ -16,16 +16,16 @@ import json
 import numpy as np
 import pytest
 
-from repro.fleet.ingest import (DeadLetterJournal, MUTATION_KINDS,
-                                RecordedTelemetry, REJECT_CLASSES,
-                                StreamExhausted, StreamHeaderError,
-                                StreamIntegrityError,
+from repro.fleet.ingest import (DeadLetterJournal, RecordedTelemetry,
+                                REJECT_CLASSES, StreamExhausted,
+                                StreamHeaderError, StreamIntegrityError,
                                 SyntheticTelemetry, TelemetryRecord,
-                                _signed_line, acceptance_failures,
-                                gate_spec, mutate_stream, read_stream,
-                                record_stream, write_stream)
+                                _signed_line, read_stream, record_stream,
+                                write_stream)
 from repro.fleet.service import FleetService, format_epoch
 from repro.fleet.spec import BuildingSpec, FleetSpec, TelemetryModel
+from scripts.gates.ingest_fuzz import (MUTATION_KINDS, acceptance_failures,
+                                       gate_spec, mutate_stream)
 
 
 def small_spec(seed: int = 5, dropout: float = 0.0) -> FleetSpec:
@@ -419,7 +419,7 @@ class TestFuzzGate:
                 == mutate_stream(text, kind, 7).text
 
     def test_reduced_gate_passes(self):
-        # CI runs the full gate (python -m repro.fleet.ingest); the
+        # CI runs the full gate (python -m scripts.gates.ingest_fuzz); the
         # unit suite keeps a reduced single-seed pass for fast signal.
         failures = acceptance_failures(epochs=3, seeds=(0,))
         assert failures == []

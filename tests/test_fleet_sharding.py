@@ -11,12 +11,12 @@ import pytest
 from repro.core.problem import UNASSIGNED, Scenario
 from repro.core.wolt import solve_wolt
 from repro.fleet.sharding import (Segment, coupling_components,
-                                  scatter_assignment,
-                                  solve_segments_reference,
                                   split_segments)
 from repro.net.engine import evaluate
 from repro.net.topology import enterprise_floor
 from repro.plc.sharing import PLC_MODES
+
+from .oracles import scatter_assignment, solve_segments_reference
 
 
 def block_scenario(seed, sizes):

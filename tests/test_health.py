@@ -10,7 +10,6 @@ import pytest
 from repro.core.controller import CentralController, ScanReport
 from repro.core.guard import DecisionGuard
 from repro.core.health import HealthMonitor
-from repro.core.problem import UNASSIGNED
 
 from .conftest import random_scenario
 

@@ -12,7 +12,6 @@ import pytest
 from repro import (CentralController, IncrementalWolt, Scenario,
                    enterprise_floor, evaluate, greedy_assignment,
                    jain_fairness, rssi_assignment, solve_wolt)
-from repro.core.bounds import certify
 from repro.core.controller import ScanReport
 from repro.plc.channel import random_building
 from repro.plc.mac import Ieee1901CsmaSimulator
@@ -21,6 +20,8 @@ from repro.sim.runner import sample_floor_plan
 from repro.sim.traffic import evaluate_with_demands
 from repro.wifi.mac import DcfSimulator
 from repro.wifi.phy import WifiPhy
+
+from .oracles import certify
 
 
 class TestBuildingToAssociationPipeline:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.problem import (UNASSIGNED, Scenario, users_of,
+from repro.core.problem import (UNASSIGNED, Scenario,
                                 validate_assignment)
 
 
@@ -118,8 +118,3 @@ class TestValidateAssignment:
         sc = Scenario(wifi_rates=np.ones((3, 2)), plc_rates=np.ones(2),
                       capacities=[1, 3])
         validate_assignment(sc, [0, 0, 1], enforce_capacity=False)
-
-
-def test_users_of():
-    assert users_of([0, 1, 0, UNASSIGNED], 0).tolist() == [0, 2]
-    assert users_of([0, 1, 0], 2).tolist() == []

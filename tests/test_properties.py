@@ -13,16 +13,15 @@ from hypothesis import strategies as st
 
 from repro.core.baselines import (greedy_assignment, rssi_assignment,
                                   selfish_greedy_assignment)
-from repro.core.bounds import certify
 from repro.core.phase1 import phase1_utilities, solve_phase1
 from repro.core.problem import UNASSIGNED
 from repro.core.wolt import solve_wolt
 from repro.net.engine import evaluate
-from repro.plc.qos import optimal_tdma_weights
 from repro.plc.mac import TdmaScheduler
 from repro.sim.traffic import evaluate_with_demands
 
 from .conftest import random_scenario
+from .oracles import certify, optimal_tdma_weights
 
 seeds = st.integers(0, 2**31 - 1)
 

@@ -1,4 +1,4 @@
-"""Tests for the TDMA QoS provisioning and ASCII floor rendering."""
+"""Tests for the TDMA reservation oracle and ASCII floor rendering."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ from repro.core.problem import Scenario
 from repro.net.topology import FloorPlan
 from repro.net.visualize import render_floor
 from repro.plc.mac import TdmaScheduler
-from repro.plc.qos import (QosClass, class_weighted_schedule,
-                           optimal_tdma_weights)
+
+from .oracles import optimal_tdma_weights
 
 
 def _scenario() -> Scenario:
@@ -42,33 +42,6 @@ class TestOptimalTdmaWeights:
     def test_weights_sum_bounded(self):
         weights = optimal_tdma_weights(_scenario(), [1, 0])
         assert 0.0 <= weights.sum() <= 1.0 + 1e-9
-
-
-class TestClassWeightedSchedule:
-    def test_voice_extender_boosted(self):
-        sc = _scenario()
-        classes = [QosClass("voice", 4.0), QosClass("best-effort", 1.0)]
-        weights = class_weighted_schedule(sc, [0, 1], classes)
-        base = optimal_tdma_weights(sc, [0, 1])
-        # Extender 0 serves the voice user: boosted relative share.
-        assert (weights[0] / weights[1]
-                > base[0] / base[1])
-        assert weights.sum() == pytest.approx(1.0)
-
-    def test_class_count_checked(self):
-        with pytest.raises(ValueError):
-            class_weighted_schedule(_scenario(), [0, 1],
-                                    [QosClass("voice", 1.0)])
-
-    def test_negative_multiplier_rejected(self):
-        with pytest.raises(ValueError):
-            QosClass("bad", -1.0)
-
-    def test_all_idle_gives_zeros(self):
-        sc = _scenario()
-        weights = class_weighted_schedule(
-            sc, [-1, -1], [QosClass("a", 1.0), QosClass("b", 1.0)])
-        assert np.all(weights == 0.0)
 
 
 class TestRenderFloor:

@@ -13,8 +13,9 @@ import pytest
 
 from repro.sim import checkpoint as checkpoint_mod
 from repro.sim import runner
-from repro.sim.faults import SleepSchedule
 from repro.sim.runner import run_trials
+
+from .oracles import SleepSchedule
 
 N_TRIALS = 6
 SCALE = dict(n_extenders=4, n_users=8, seed=424242)

@@ -1,4 +1,4 @@
-"""Tests for the fluid traffic models (saturated and demand-limited)."""
+"""Tests for the demand-limited fluid traffic model."""
 
 from __future__ import annotations
 
@@ -9,25 +9,9 @@ from hypothesis import strategies as st
 
 from repro.core.problem import Scenario, UNASSIGNED
 from repro.net.engine import evaluate
-from repro.sim.traffic import (delivered_bytes, evaluate_with_demands)
+from repro.sim.traffic import evaluate_with_demands
 
 from .conftest import random_scenario
-
-
-class TestDeliveredBytes:
-    def test_unit_conversion(self):
-        # 8 Mbps for 10 s = 10 MB.
-        out = delivered_bytes([8.0], 10.0)
-        assert out[0] == pytest.approx(10e6)
-
-    def test_zero_duration(self):
-        assert delivered_bytes([100.0], 0.0)[0] == 0.0
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            delivered_bytes([1.0], -1.0)
-        with pytest.raises(ValueError):
-            delivered_bytes([-1.0], 1.0)
 
 
 class TestEvaluateWithDemands:

@@ -1,13 +1,11 @@
-"""Tests for the hotspot and diurnal workload generators."""
+"""Tests for the hotspot workload generator."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.sim.workload import DiurnalProfile, hotspot_positions
+from repro.sim.workload import hotspot_positions
 
 
 class TestHotspotPositions:
@@ -63,59 +61,3 @@ class TestHotspotPositions:
         with pytest.raises(ValueError):
             hotspot_positions(5, 10, 10, rng,
                               centers=np.ones((2, 3)))
-
-
-class TestDiurnalProfile:
-    def test_midday_peak(self):
-        profile = DiurnalProfile()
-        assert profile.multiplier(13.0) > profile.multiplier(8.5)
-        assert profile.multiplier(13.0) == pytest.approx(
-            profile.peak_multiplier, rel=0.05)
-
-    def test_off_hours_floor(self):
-        profile = DiurnalProfile()
-        assert profile.multiplier(3.0) == profile.off_hours_multiplier
-        assert profile.multiplier(23.0) == profile.off_hours_multiplier
-
-    def test_wraps_modulo_24(self):
-        profile = DiurnalProfile()
-        assert profile.multiplier(13.0) == profile.multiplier(13.0 + 24)
-
-    def test_rate_at(self):
-        profile = DiurnalProfile(peak_multiplier=2.0)
-        assert profile.rate_at(3.0, 13.0) == pytest.approx(6.0, rel=0.05)
-        with pytest.raises(ValueError):
-            profile.rate_at(-1.0, 13.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DiurnalProfile(start_hour=10.0, end_hour=9.0)
-        with pytest.raises(ValueError):
-            DiurnalProfile(peak_multiplier=0.0)
-
-    def test_arrival_sampling_respects_intensity(self):
-        """Business hours see far more arrivals than the night."""
-        profile = DiurnalProfile()
-        rng = np.random.default_rng(0)
-        times = profile.sample_arrival_times(base_rate=30.0,
-                                             duration_hours=24.0,
-                                             rng=rng)
-        hours = times % 24
-        day = np.sum((hours >= 9) & (hours <= 17))
-        night = np.sum((hours < 7) | (hours > 19))
-        assert day > 5 * max(night, 1)
-
-    def test_arrival_sampling_edge_cases(self):
-        profile = DiurnalProfile()
-        rng = np.random.default_rng(0)
-        assert profile.sample_arrival_times(0.0, 5.0, rng).size == 0
-        with pytest.raises(ValueError):
-            profile.sample_arrival_times(1.0, 0.0, rng)
-
-    @given(st.floats(min_value=0.0, max_value=48.0))
-    @settings(max_examples=100)
-    def test_multiplier_bounded(self, hour):
-        profile = DiurnalProfile()
-        m = profile.multiplier(hour)
-        assert profile.off_hours_multiplier - 1e-9 <= m
-        assert m <= profile.peak_multiplier + 1e-9
