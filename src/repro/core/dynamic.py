@@ -156,8 +156,9 @@ class IncrementalWolt:
                                       aggregate_after=0.0,
                                       wolt_aggregate=0.0)
         current = np.array([self.assignment[uid] for uid in ids])
-        before = evaluate(scenario, current, plc_mode=self.plc_mode,
-                          require_complete=True).aggregate
+        baseline = evaluate(scenario, current, plc_mode=self.plc_mode,
+                            require_complete=True)
+        before = baseline.aggregate
         target = solve_wolt(scenario, plc_mode=self.plc_mode,
                             guard=self.guard)
         # A guarded solve may leave a genuinely unattachable user
@@ -172,7 +173,8 @@ class IncrementalWolt:
                                       aggregate_throughput)
         applied: List[Tuple[int, int, int]] = []
         working = current.copy()
-        evaluator = DeltaEvaluator(scenario, working, plc_mode=self.plc_mode)
+        evaluator = DeltaEvaluator.from_report(scenario, baseline,
+                                               plc_mode=self.plc_mode)
         best = before
         while pending:
             if (self.max_moves is not None

@@ -43,8 +43,9 @@ loop (Fig. 6b) across a whole campus.  Each epoch:
    clean solve, and breaker state is journaled so resume is
    bit-identical.
 4. **Directives** — the per-building diff old → new is emitted as
-   :class:`Directive` records with per-move expected aggregate deltas;
-   ``dry_run`` previews them without applying anything.
+   :class:`Directive` records with per-move expected aggregate deltas
+   (one baseline evaluation per building, then one incremental commit
+   per move); ``dry_run`` previews them without applying anything.
 5. **Journal** — applied epochs append one crash-consistent record to
    the :class:`~repro.sim.checkpoint.TrialStore` journal; resume
    replays telemetry deterministically and restores assignments, so a
@@ -68,7 +69,7 @@ from ..core.guard import DecisionGuard
 from ..core.health import HealthMonitor
 from ..core.problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
 from ..core.wolt import solve_wolt
-from ..net.engine import evaluate
+from ..net.engine import DeltaEvaluator, evaluate
 from ..sim.checkpoint import TrialStore, fingerprint
 from ..sim.dispatch import (TIMEOUT_ERROR_TYPE, InterruptState,
                             WorkFailure, WorkSpec, dispatch_chunked,
@@ -230,6 +231,40 @@ def _servable(scenario: Scenario, assignment: np.ndarray) -> np.ndarray:
         rates = scenario.wifi_rates[attached, servable[attached]]
         servable[attached[rates <= MIN_USABLE_RATE]] = UNASSIGNED
     return servable
+
+
+def score_directives(scenario: Scenario, old: np.ndarray,
+                     new: np.ndarray, plc_mode: str, building: str
+                     ) -> Tuple[float, float, Tuple[Directive, ...]]:
+    """The directives of ``old -> new`` and the aggregates around them.
+
+    The baseline is one scalar :func:`evaluate` of ``old`` as servable
+    this epoch (users whose extender vanished contribute nothing).
+    Moved users are then committed in ascending user order to a
+    :class:`~repro.net.engine.DeltaEvaluator` seeded from that report;
+    each commit recomputes only the two cells it touches and is
+    bit-identical to a full ``evaluate`` of the intermediate
+    assignment.  Unlike ``evaluate``, a commit does not re-check
+    constraint (8); none is lost, because the effective scenarios
+    :meth:`FleetService._observe` builds carry no capacities.
+
+    Returns:
+        ``(baseline, aggregate, directives)`` — the aggregate before
+        the first and after the last move, and one
+        :class:`Directive` per moved user carrying its delta.
+    """
+    report = evaluate(scenario, _servable(scenario, old), plc_mode=plc_mode)
+    scorer = DeltaEvaluator.from_report(scenario, report, plc_mode=plc_mode)
+    baseline = running = report.aggregate
+    directives: List[Directive] = []
+    for user in np.flatnonzero(new != old).tolist():
+        moved = scorer.commit(user, int(new[user]))
+        directives.append(Directive(
+            building=building, user=user, old_extender=int(old[user]),
+            new_extender=int(new[user]),
+            delta_mbps=float(moved - running)))
+        running = moved
+    return baseline, running, tuple(directives)
 
 
 class _BuildingState:
@@ -663,32 +698,16 @@ class FleetService:
                                 shard_failures: int,
                                 shard_timeouts: int,
                                 apply: bool) -> BuildingEpoch:
-        """Guard-repair ``new``, diff directives, optionally apply."""
-        old = bstate.assignment
-        n_users = old.shape[0]
+        """Guard-repair ``new``, score its directives, optionally apply.
+
+        Scoring is :func:`score_directives`: one baseline ``evaluate``
+        per building, then one ``DeltaEvaluator`` commit per move.
+        """
         new, _ = bstate.guard.repair_assignment(
             scenario, new, source="fleet", require_complete=False)
-        # Score against the previous association *as servable this
-        # epoch* (users whose extender vanished contribute nothing to
-        # the baseline).
-        reachable_old = _servable(scenario, old)
-        running = evaluate(scenario, reachable_old,
-                           plc_mode=self.spec.plc_mode).aggregate
-        baseline = running
-        working = reachable_old.copy()
-        directives: List[Directive] = []
-        for user in range(n_users):
-            if int(new[user]) == int(old[user]):
-                continue
-            working[user] = new[user]
-            moved = evaluate(scenario, working,
-                             plc_mode=self.spec.plc_mode).aggregate
-            directives.append(Directive(
-                building=bstate.name, user=user,
-                old_extender=int(old[user]),
-                new_extender=int(new[user]),
-                delta_mbps=float(moved - running)))
-            running = moved
+        baseline, aggregate, directives = score_directives(
+            scenario, bstate.assignment, new, self.spec.plc_mode,
+            bstate.name)
         if apply:
             bstate.assignment = new
         return BuildingEpoch(building=bstate.name,
@@ -696,9 +715,9 @@ class FleetService:
                              n_shard_failures=shard_failures,
                              n_shard_timeouts=shard_timeouts,
                              quarantined=quarantined,
-                             aggregate_mbps=float(running),
-                             delta_mbps=float(running - baseline),
-                             directives=tuple(directives))
+                             aggregate_mbps=float(aggregate),
+                             delta_mbps=float(aggregate - baseline),
+                             directives=directives)
 
     def _update_breaker(self, bstate: _BuildingState,
                         report: BuildingEpoch, solved: bool,

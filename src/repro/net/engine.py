@@ -330,8 +330,11 @@ class DeltaEvaluator:
     O(n_extenders) and always recomputed in full; cheap next to the
     O(n_users · n_extenders) WiFi pass it replaces).
 
-    The cache is seeded by one full scalar pass at construction (or
-    validated against a batch row via :meth:`from_batch`); the
+    The cache is seeded by one full scalar pass at construction, taken
+    as-is from a scalar :class:`ThroughputReport` via :meth:`from_report`,
+    or validated against a batch row via :meth:`from_batch`.  Like
+    :func:`evaluate`, the seed may be partial (``UNASSIGNED`` users);
+    moves then attach, detach or relocate single users.  The
     :meth:`reconcile` check recomputes everything from scratch and
     fails loudly on cache drift, which the differential test wall
     exercises on random move sequences.
@@ -341,6 +344,16 @@ class DeltaEvaluator:
 
     def __init__(self, scenario: Scenario, assignment: Sequence[int],
                  plc_mode: str = "redistribute") -> None:
+        assign = validate_assignment(scenario, assignment,
+                                     require_complete=False).copy()
+        # cell_throughputs rejects members with non-positive rates, so
+        # from here on per-move validation narrows to the moved user.
+        self._seed(scenario, plc_mode, assign,
+                   cell_throughputs(scenario.wifi_rates, assign,
+                                    scenario.n_extenders))
+
+    def _seed(self, scenario: Scenario, plc_mode: str,
+              assignment: np.ndarray, wifi: np.ndarray) -> None:
         if plc_mode not in PLC_MODES:
             raise ValueError(
                 f"plc_mode must be one of {PLC_MODES}, got {plc_mode!r}")
@@ -348,12 +361,33 @@ class DeltaEvaluator:
         self._rates = np.asarray(scenario.wifi_rates, dtype=float)
         self._plc_rates = np.asarray(scenario.plc_rates, dtype=float)
         self._plc_mode = plc_mode
-        self._assignment = validate_assignment(scenario, assignment).copy()
-        # cell_throughputs rejects members with non-positive rates, so
-        # from here on per-move validation narrows to the moved user.
-        self._wifi = cell_throughputs(self._rates, self._assignment,
-                                      scenario.n_extenders)
+        self._assignment = assignment
+        self._wifi = wifi
         self._aggregate = self._full_aggregate(self._wifi)
+
+    @classmethod
+    def from_report(cls, scenario: Scenario, report: ThroughputReport,
+                    plc_mode: str = "redistribute") -> "DeltaEvaluator":
+        """Seed from a scalar :class:`ThroughputReport`, with no second pass.
+
+        ``report.assignment`` and ``report.wifi_throughputs`` are exactly
+        the cache the constructor would build (:func:`evaluate` computes
+        both with the same :func:`cell_throughputs` call), so they are
+        copied as-is; only the O(n_extenders) PLC step is recomputed,
+        under this evaluator's own ``plc_mode``.  The report must come
+        from ``evaluate(scenario, ...)``: only its shapes are checked.
+        """
+        assignment = np.array(report.assignment, dtype=int)
+        wifi = np.array(report.wifi_throughputs, dtype=float)
+        if (assignment.shape != (scenario.n_users,)
+                or wifi.shape != (scenario.n_extenders,)):
+            raise ValueError(
+                f"report shapes {assignment.shape}/{wifi.shape} do not "
+                f"match a scenario of {scenario.n_users} users and "
+                f"{scenario.n_extenders} extenders")
+        ev = cls.__new__(cls)
+        ev._seed(scenario, plc_mode, assignment, wifi)
+        return ev
 
     @classmethod
     def from_batch(cls, scenario: Scenario, report: BatchThroughputReport,
@@ -397,7 +431,7 @@ class DeltaEvaluator:
         """Recompute cell ``j`` exactly as :func:`cell_throughputs` does.
 
         Members are guaranteed to have positive rates: the seed pass
-        validated the whole assignment and :meth:`_check_dest` vets
+        validated the whole assignment and :meth:`_check_move` vets
         every move before it lands, so no per-member check is needed on
         this per-move hot path.
         """
@@ -406,11 +440,25 @@ class DeltaEvaluator:
             return 0.0
         return members.size / float(np.sum(1.0 / self._rates[members, j]))
 
-    def _check_dest(self, user: int, dest: int) -> None:
-        if dest != UNASSIGNED and self._rates[user, dest] <= _RATE_EPS:
+    def _check_move(self, user: int, dest: int) -> int:
+        """Vet a move of ``user`` to ``dest``; return the user's extender.
+
+        Out-of-range indices raise like :func:`validate_assignment`
+        instead of wrapping around through numpy's negative indexing.
+        """
+        n_users, n_extenders = self._rates.shape
+        if not 0 <= user < n_users:
             raise ValueError(
-                f"user {user} assigned to extender {dest} "
-                f"with non-positive WiFi rate")
+                f"user index {user} out of range for {n_users} users")
+        if dest != UNASSIGNED:
+            if not 0 <= dest < n_extenders:
+                raise ValueError(
+                    f"extender index out of range for users [{user}]")
+            if self._rates[user, dest] <= _RATE_EPS:
+                raise ValueError(
+                    f"user {user} assigned to extender {dest} "
+                    f"with non-positive WiFi rate")
+        return int(self._assignment[user])
 
     def _full_aggregate(self, wifi: np.ndarray) -> float:
         # backhaul_throughputs is the pre-validated fast path of
@@ -425,10 +473,9 @@ class DeltaEvaluator:
         ``dest`` may be :data:`~repro.core.problem.UNASSIGNED` to score
         a detach.  Bit-identical to ``evaluate(scenario, moved).aggregate``.
         """
-        src = int(self._assignment[user])
+        src = self._check_move(user, dest)
         if dest == src:
             return self._aggregate
-        self._check_dest(user, dest)
         _record(delta=1)
         touched = [j for j in (src, dest) if j != UNASSIGNED]
         trial_wifi = self._wifi.copy()
@@ -442,10 +489,9 @@ class DeltaEvaluator:
 
     def commit(self, user: int, dest: int) -> float:
         """Apply the move, update the touched cells, return the aggregate."""
-        src = int(self._assignment[user])
+        src = self._check_move(user, dest)
         if dest == src:
             return self._aggregate
-        self._check_dest(user, dest)
         self._assignment[user] = dest
         for j in (src, dest):
             if j != UNASSIGNED:

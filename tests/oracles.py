@@ -30,6 +30,8 @@ Further references the tests compare production against:
   schedule needs to reproduce the engine's max-min backhaul grants.
 * :func:`solve_segments_reference` is the serial whole-building solve
   that sharded fleet dispatch must match bit for bit.
+* :func:`score_directives_scalar` scores each fleet directive with one
+  full scalar ``evaluate`` of the building per moved user.
 * :class:`SleepSchedule` skews trial durations so dispatch tests can
   force chunks to finish out of submission order.
 """
@@ -48,6 +50,7 @@ from repro.core.phase2 import (Phase2Result, _BatchGains, _CellState,
                                _relocate)
 from repro.core.problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
 from repro.core.wolt import WoltResult, solve_wolt
+from repro.fleet.service import Directive, _servable
 from repro.fleet.sharding import Segment, split_segments
 from repro.net.engine import _record, evaluate, evaluate_batch
 from repro.plc.sharing import allocate_backhaul
@@ -468,6 +471,34 @@ def solve_segments_reference(scenario: Scenario,
                               plc_mode=plc_mode).assignment
                    for seg in segments]
     return scatter_assignment(scenario.n_users, segments, assignments)
+
+
+# ---------------------------------------------------------------------------
+# Directive scoring reference for the fleet service.
+
+
+def score_directives_scalar(scenario: Scenario, old: np.ndarray,
+                            new: np.ndarray, plc_mode: str,
+                            building: str
+                            ) -> Tuple[float, float, Tuple[Directive, ...]]:
+    """``repro.fleet.service.score_directives`` with one full
+    ``evaluate`` of the building per moved user, in ascending user
+    order, against ``old`` as servable under ``scenario``."""
+    working = _servable(scenario, old)
+    running = evaluate(scenario, working, plc_mode=plc_mode).aggregate
+    baseline = running
+    directives: List[Directive] = []
+    for user in range(old.shape[0]):
+        if int(new[user]) == int(old[user]):
+            continue
+        working[user] = new[user]
+        moved = evaluate(scenario, working, plc_mode=plc_mode).aggregate
+        directives.append(Directive(
+            building=building, user=user, old_extender=int(old[user]),
+            new_extender=int(new[user]),
+            delta_mbps=float(moved - running)))
+        running = moved
+    return baseline, running, tuple(directives)
 
 
 # ---------------------------------------------------------------------------

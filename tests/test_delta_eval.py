@@ -6,7 +6,10 @@ same decisions as the full evaluation it replaces.
 * :class:`repro.net.engine.DeltaEvaluator` scores a single-user move by
   recomputing only the two touched cells — the resulting aggregate must
   be **bit-identical** to a full scalar :func:`~repro.net.engine.evaluate`
-  of the moved assignment, and within 1e-9 of the batched kernel.
+  of the moved assignment, and within 1e-9 of the batched kernel.  That
+  holds for partial seeds (``UNASSIGNED`` users), whether the evaluator
+  is built from an assignment or from a scalar report
+  (:meth:`~repro.net.engine.DeltaEvaluator.from_report`).
 * ``solve_phase2`` maintains the insertion-gains matrix incrementally —
   its final assignment must be bit-identical to the full-rebuild batch
   reference and to the scalar reference (both in ``tests/oracles.py``).
@@ -141,6 +144,140 @@ class TestDeltaEvaluatorDifferential:
         got = ev.report()
         assert np.array_equal(got.assignment, ref.assignment)
         assert got.aggregate == ref.aggregate
+
+
+def _partial_assignment(rng, scenario, unassigned_share):
+    """A reachable assignment with about ``unassigned_share`` detached."""
+    assignment = np.array([int(rng.choice(scenario.reachable(u)))
+                           for u in range(scenario.n_users)])
+    assignment[rng.random(scenario.n_users) < unassigned_share] = \
+        UNASSIGNED
+    return assignment
+
+
+def _seeded(how, scenario, assignment, plc_mode):
+    if how == "constructor":
+        return DeltaEvaluator(scenario, assignment, plc_mode=plc_mode)
+    return DeltaEvaluator.from_report(
+        scenario, evaluate(scenario, assignment, plc_mode=plc_mode),
+        plc_mode=plc_mode)
+
+
+class TestPartialSeeds:
+    """Seeds with UNASSIGNED users, as the fleet service scores them."""
+
+    @pytest.mark.parametrize("seed", TOPOLOGY_SEEDS)
+    @pytest.mark.parametrize("plc_mode", PLC_MODES)
+    @pytest.mark.parametrize("share", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("how", ["constructor", "from_report"])
+    def test_attach_detach_move_matches_full_evaluate(self, seed, plc_mode,
+                                                      share, how):
+        rng = np.random.default_rng(seed)
+        scenario = random_scenario(rng, n_users=16, n_extenders=5,
+                                   reachable_prob=0.7)
+        working = _partial_assignment(rng, scenario, share)
+        ev = _seeded(how, scenario, working, plc_mode)
+        assert ev.aggregate == evaluate(scenario, working,
+                                        plc_mode=plc_mode).aggregate
+        for user, dest in _random_move_sequence(rng, scenario,
+                                                working, 40):
+            moved = working.copy()
+            moved[user] = dest
+            want = evaluate(scenario, moved, plc_mode=plc_mode).aggregate
+            assert ev.score_move(user, dest) == want
+            assert ev.commit(user, dest) == want
+            working = moved
+        assert np.array_equal(ev.assignment, working)
+        assert ev.reconcile() == 0.0
+
+    @pytest.mark.parametrize("seed", TOPOLOGY_SEEDS)
+    @pytest.mark.parametrize("plc_mode", PLC_MODES)
+    @pytest.mark.parametrize("share", [0.0, 0.4, 1.0])
+    def test_from_report_aggregate_is_evaluate_aggregate(self, seed,
+                                                         plc_mode, share):
+        rng = np.random.default_rng(seed)
+        scenario = random_scenario(rng, n_users=12, n_extenders=4,
+                                   reachable_prob=0.7)
+        assignment = _partial_assignment(rng, scenario, share)
+        report = evaluate(scenario, assignment, plc_mode=plc_mode)
+        ev = DeltaEvaluator.from_report(scenario, report, plc_mode=plc_mode)
+        assert ev.aggregate == report.aggregate
+        # The PLC step is recomputed under the evaluator's own mode.
+        for other in PLC_MODES:
+            assert DeltaEvaluator.from_report(
+                scenario, report, plc_mode=other).aggregate == evaluate(
+                scenario, assignment, plc_mode=other).aggregate
+
+    def test_from_report_makes_no_scalar_pass(self, rng):
+        scenario = random_scenario(rng, n_users=8, n_extenders=3)
+        report = evaluate(scenario, np.zeros(8, dtype=int))
+        with count_engine_calls() as stats:
+            DeltaEvaluator.from_report(scenario, report)
+        assert stats.candidates_scored == 0
+
+    def test_from_report_leaves_the_report_untouched(self, rng):
+        scenario = random_scenario(rng, n_users=8, n_extenders=3)
+        assignment = np.zeros(8, dtype=int)
+        report = evaluate(scenario, assignment)
+        wifi = report.wifi_throughputs.copy()
+        ev = DeltaEvaluator.from_report(scenario, report)
+        ev.commit(0, 1)
+        ev.commit(1, UNASSIGNED)
+        assert np.array_equal(report.assignment, np.zeros(8, dtype=int))
+        assert np.array_equal(report.wifi_throughputs, wifi)
+        assert np.array_equal(assignment, np.zeros(8, dtype=int))
+
+    @pytest.mark.parametrize("shape", [(9, 3), (8, 4), (7, 2)])
+    def test_from_report_rejects_mismatched_shapes(self, rng, shape):
+        scenario = random_scenario(rng, n_users=8, n_extenders=3)
+        other = random_scenario(rng, n_users=shape[0],
+                                n_extenders=shape[1])
+        report = evaluate(other, np.zeros(shape[0], dtype=int))
+        with pytest.raises(ValueError, match="shapes"):
+            DeltaEvaluator.from_report(scenario, report)
+
+    def test_from_report_rejects_unknown_plc_mode(self, rng):
+        scenario = random_scenario(rng, n_users=8, n_extenders=3)
+        report = evaluate(scenario, np.zeros(8, dtype=int))
+        with pytest.raises(ValueError, match="plc_mode"):
+            DeltaEvaluator.from_report(scenario, report, plc_mode="bogus")
+
+
+class TestMoveRangeChecks:
+    """Out-of-range moves raise instead of wrapping around."""
+
+    @staticmethod
+    def _evaluator(rng):
+        scenario = random_scenario(rng, n_users=8, n_extenders=3)
+        return scenario, DeltaEvaluator(scenario, np.zeros(8, dtype=int))
+
+    @pytest.mark.parametrize("method", ["score_move", "commit"])
+    @pytest.mark.parametrize("dest", [-2, 3, 99])
+    def test_bad_extender_raises(self, rng, method, dest):
+        scenario, ev = self._evaluator(rng)
+        before = ev.aggregate
+        with pytest.raises(ValueError,
+                           match="extender index out of range"):
+            getattr(ev, method)(0, dest)
+        assert np.array_equal(ev.assignment, np.zeros(8, dtype=int))
+        assert ev.aggregate == before
+        assert ev.reconcile() == 0.0
+
+    @pytest.mark.parametrize("method", ["score_move", "commit"])
+    @pytest.mark.parametrize("user", [-1, 8, 100])
+    def test_bad_user_raises(self, rng, method, user):
+        scenario, ev = self._evaluator(rng)
+        with pytest.raises(ValueError, match="user index"):
+            getattr(ev, method)(user, 1)
+        assert np.array_equal(ev.assignment, np.zeros(8, dtype=int))
+        assert ev.reconcile() == 0.0
+
+    def test_unassigned_dest_is_a_detach(self, rng):
+        scenario, ev = self._evaluator(rng)
+        moved = np.zeros(8, dtype=int)
+        moved[0] = UNASSIGNED
+        assert ev.commit(0, UNASSIGNED) == evaluate(scenario,
+                                                    moved).aggregate
 
 
 class TestPhase2DeltaDifferential:

@@ -156,6 +156,7 @@ class TestW003ScalarEvalInLoop:
         """
         assert codes(src, path="experiments/module.py") == []
         assert codes(src, path="src/repro/sim/module.py") == ["W003"]
+        assert codes(src, path="src/repro/fleet/module.py") == ["W003"]
 
 
 class TestW004ReportMutation:

@@ -201,14 +201,17 @@ class ScalarEvalInLoop(Rule):
     code = "W003"
     name = "scalar-eval-in-loop"
     description = ("scalar engine evaluate() inside a for/while loop in "
-                   "core/ or sim/ hot paths")
-    rationale = ("Scoring candidates one evaluate() call per iteration "
-                 "is the hot path PR 1 vectorized; use evaluate_batch "
-                 "(bit-identical by contract) or suppress with a "
-                 "justification if the loop is a reference oracle.")
+                   "core/, sim/ or fleet/ hot paths")
+    rationale = ("One full evaluate() per loop iteration re-scores the "
+                 "whole network each time.  Score a sequence of "
+                 "single-user moves with a DeltaEvaluator seeded from "
+                 "one baseline report, and independent candidates with "
+                 "one evaluate_batch call (both bit-identical by "
+                 "contract); suppress with a justification only if the "
+                 "loop is a reference oracle.")
 
     def applies_to(self, path: str) -> bool:
-        return bool({"core", "sim"} & set(_path_parts(path)[:-1]))
+        return bool({"core", "sim", "fleet"} & set(_path_parts(path)[:-1]))
 
     def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
         rule = self
@@ -245,8 +248,9 @@ class ScalarEvalInLoop(Rule):
                         and parts[-1] == "evaluate"):
                     findings.append(rule.finding(
                         path, node,
-                        "scalar evaluate() inside a loop — score the "
-                        "whole candidate batch with evaluate_batch()"))
+                        "scalar evaluate() inside a loop — commit "
+                        "sequential moves to a DeltaEvaluator, or score "
+                        "independent candidates with evaluate_batch()"))
                 self.generic_visit(node)
 
         Visitor().visit(tree)
