@@ -49,7 +49,8 @@ import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (IO, Any, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple, Union)
 
 import numpy as np
 
@@ -434,10 +435,33 @@ def read_stream(text: str, spec: FleetSpec, *, strict: bool = False,
     dirty or missing record instead.  Header damage always raises
     :class:`StreamHeaderError` (see that class's rationale).
     """
-    lines = text.split("\n")
-    if not lines or not lines[0]:
+    return _read_lines(text.split("\n"), spec, strict=strict,
+                       dead_letter=dead_letter)
+
+
+def _split_lines(handle: IO[str]) -> Iterator[str]:
+    """Yield what ``handle.read().split("\\n")`` would, a line at a time.
+
+    ``handle`` must be opened with ``newline="\\n"`` so that only
+    ``"\\n"`` ends a line, as in ``str.split``.
+    """
+    ended = True  # an empty file splits to [""]
+    for line in handle:
+        ended = line.endswith("\n")
+        yield line[:-1] if ended else line
+    if ended:
+        yield ""
+
+
+def _read_lines(lines: Iterable[str], spec: FleetSpec, *, strict: bool,
+                dead_letter: Optional[DeadLetterJournal]
+                ) -> RecordedStream:
+    """:func:`read_stream` over the ``"\\n"``-split lines of a stream."""
+    elements = iter(lines)
+    header = next(elements, "")
+    if not header:
         raise StreamHeaderError("stream is empty")
-    start, epochs = _read_header(lines[0], spec)
+    start, epochs = _read_header(header, spec)
     end = start + epochs
     shapes = {b.name: (b.n_users, b.n_extenders)
               for b in spec.buildings}
@@ -460,11 +484,15 @@ def read_stream(text: str, spec: FleetSpec, *, strict: bool = False,
         if dead_letter is not None:
             dead_letter.quarantine(cls, line_no, reason, raw)
 
-    for pos, raw in enumerate(lines[1:], start=2):
+    n_lines = 1
+    blank: Optional[int] = None  # a blank line is judged by what follows
+    for pos, raw in enumerate(elements, start=2):
+        n_lines = pos
+        if blank is not None:
+            reject(MALFORMED, blank, "blank line mid-stream", "")
+            blank = None
         if raw == "":
-            if pos == len(lines):
-                continue  # the clean trailing newline
-            reject(MALFORMED, pos, "blank line mid-stream", raw)
+            blank = pos  # unless it is the clean trailing newline
             continue
         try:
             record = TelemetryRecord.decode(raw, shapes)
@@ -499,7 +527,7 @@ def read_stream(text: str, spec: FleetSpec, *, strict: bool = False,
     for epoch in range(start, end):
         for name in sorted(index_of):
             if (index_of[name], epoch) not in records:
-                reject(MISSING_RECORD, len(lines),
+                reject(MISSING_RECORD, n_lines,
                        f"no record for building {name!r} epoch "
                        f"{epoch}", "", epoch=epoch)
     return RecordedStream(
@@ -623,15 +651,17 @@ class RecordedTelemetry(TelemetrySource):
 
         Bit flips can leave invalid UTF-8, so the file is decoded with
         replacement characters — the damaged line then classifies as
-        malformed/checksum instead of crashing the reader.
+        malformed/checksum instead of crashing the reader.  The file is
+        read a line at a time, so no copy of the whole stream is ever
+        held; the result is the same as :func:`read_stream` of its text.
         """
-        text = Path(path).read_text(encoding="utf-8",
-                                    errors="replace")
         journal = (DeadLetterJournal(dead_letter, capacity=capacity)
                    if dead_letter is not None else None)
         try:
-            stream = read_stream(text, spec, strict=strict,
-                                 dead_letter=journal)
+            with open(path, encoding="utf-8", errors="replace",
+                      newline="\n") as handle:
+                stream = _read_lines(_split_lines(handle), spec,
+                                     strict=strict, dead_letter=journal)
         finally:
             if journal is not None:
                 journal.close()

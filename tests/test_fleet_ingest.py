@@ -392,6 +392,60 @@ class TestServiceSeam:
         assert np.array_equal(wifi, expected_wifi)
         assert np.array_equal(plc, expected_plc, equal_nan=True)
 
+    @pytest.mark.parametrize("damage", [
+        "clean", "no-trailing-newline", "blank-lines", "crlf",
+        "invalid-utf8", "empty", "only-newlines", "mutations"])
+    def test_load_reads_like_read_stream(self, tmp_path, damage):
+        """``load`` reads line by line; ``read_stream`` of the text agrees."""
+        spec = small_spec()
+        clean = record_stream(spec, 3).encode("utf-8")
+        blobs = {
+            "clean": [clean],
+            "no-trailing-newline": [clean[:-1]],
+            "blank-lines": [clean.replace(b"\n", b"\n\n", 2),
+                            clean + b"\n\n"],
+            "crlf": [clean.replace(b"\n", b"\r\n", 3),
+                     clean.replace(b"\n", b"\r", 2)],
+            "invalid-utf8": [clean[:200] + b"\xff\xc3" + clean[200:],
+                             clean[:-1] + b"\xe2\x80"],
+            "empty": [b""],
+            "only-newlines": [b"\n", b"\n\n"],
+            "mutations": [mutate_stream(clean.decode(), kind, 0)
+                          .text.encode("utf-8")
+                          for kind in MUTATION_KINDS],
+        }[damage]
+
+        def outcome(read, dead):
+            try:
+                stream = read(dead)
+            except (StreamHeaderError, StreamIntegrityError) as exc:
+                return type(exc).__name__, str(exc)
+            letters = dead.read_bytes() if dead.exists() else None
+            return (stream.counts, stream.rejects, letters,
+                    sorted((key, r.wifi.tobytes(), r.plc.tobytes())
+                           for key, r in stream.records.items()))
+
+        path = tmp_path / "stream.jsonl"
+        for blob in blobs:
+            path.write_bytes(blob)
+            text = blob.decode("utf-8", errors="replace")
+            for strict in (False, True):
+                def via_text(dead):
+                    with DeadLetterJournal(dead) as journal:
+                        return read_stream(text, spec, strict=strict,
+                                           dead_letter=journal)
+
+                def via_file(dead):
+                    return RecordedTelemetry.load(
+                        path, spec, strict=strict,
+                        dead_letter=dead).stream
+
+                expected = outcome(via_text, tmp_path / "a.jsonl")
+                got = outcome(via_file, tmp_path / "b.jsonl")
+                assert got == expected
+                for name in ("a.jsonl", "b.jsonl"):
+                    (tmp_path / name).unlink(missing_ok=True)
+
     def test_observe_returns_copies(self):
         spec = small_spec()
         source = RecordedTelemetry(
