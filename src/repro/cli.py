@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("fig6", "all"):
             p.add_argument("--trials", type=_at_least(1), default=100,
                            help="Fig 6a Monte-Carlo trials (default 100)")
-            p.add_argument("--workers", type=int, default=None,
+            p.add_argument("--workers", type=_at_least(0), default=None,
                            help="worker processes for the Monte-Carlo "
                                 "trials (default: serial; results are "
                                 "bit-identical for any worker count)")
@@ -129,10 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
                      default="fixed",
                      help="PLC sharing law for scoring (default fixed, "
                           "the paper's simulator model)")
-    sim.add_argument("--workers", type=int, default=None,
+    sim.add_argument("--workers", type=_at_least(0), default=None,
                      help="worker processes (default: serial; results "
                           "are bit-identical for any worker count)")
-    sim.add_argument("--chunk-size", type=int, default=None,
+    sim.add_argument("--chunk-size", type=_at_least(1), default=None,
                      help="trials dispatched per worker task (default: "
                           "auto, about two waves per worker; results "
                           "are bit-identical for any chunk size)")
@@ -161,11 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--dry-run", action="store_true",
                        help="preview every directive without applying "
                             "anything or writing the journal")
-    serve.add_argument("--workers", type=int, default=None,
+    serve.add_argument("--workers", type=_at_least(0), default=None,
                        help="worker processes for shard solves "
                             "(default: serial; results are "
                             "bit-identical for any worker count)")
-    serve.add_argument("--chunk-size", type=int, default=None,
+    serve.add_argument("--chunk-size", type=_at_least(1), default=None,
                        help="shards dispatched per worker task "
                             "(default: auto; results are bit-identical "
                             "for any chunk size)")

@@ -21,7 +21,14 @@ loop (Fig. 6b) across a whole campus.  Each epoch:
    (:func:`repro.sim.failures.fail_extenders` semantics).
 2. **Sharding** — the effective scenario is split into independent PLC
    segments (:func:`repro.fleet.sharding.split_segments`); all shards
-   of all buildings form one work batch.
+   of all buildings form one work batch.  A building whose effective
+   scenario is bit-identical to the one of its last fully clean solve
+   reuses that solve's segments and shard results instead: WOLT is a
+   pure function of its snapshot, so re-solving would re-derive the
+   same association.  Its shards keep their batch indices (and still
+   count in ``n_shards``), but only the ones the epoch's chaos plan
+   crashes or hangs are dispatched.  A shard failure clears the
+   memo; it is never journaled, so a resumed service re-solves once.
 3. **Dispatch** — shard solves run through the chunked warm-pool
    dispatch layer (:func:`repro.sim.dispatch.dispatch_chunked`, the
    machinery behind ``run_trials``), bit-identical to the serial
@@ -219,6 +226,39 @@ def _solve_shard(config: _ShardConfig, spec: WorkSpec) -> Any:
                        error_type="InjectedCrash", error=error)
 
 
+def _same_bits(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
+    """Whether two optional arrays hold the same dtype, shape and bytes."""
+    if a is None or b is None:
+        return a is b
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
+def _same_scenario(a: Scenario, b: Scenario) -> bool:
+    """Whether two scenarios are bit for bit the same solve input.
+
+    A lossless key, unlike :func:`numpy.array_equal`, which calls
+    ``-0.0`` and ``0.0`` equal.
+    """
+    return (_same_bits(a.plc_rates, b.plc_rates)
+            and _same_bits(a.wifi_rates, b.wifi_rates)
+            and _same_bits(a.capacities, b.capacities)
+            and _same_bits(a.user_ids, b.user_ids))
+
+
+@dataclass(frozen=True)
+class _CleanSolve:
+    """A building's last solve in which every shard succeeded.
+
+    ``results`` holds one segment-local assignment per segment, in
+    segment order.
+    """
+
+    scenario: Scenario
+    segments: Tuple[Segment, ...]
+    results: Tuple[Any, ...]
+
+
 def _servable(scenario: Scenario, assignment: np.ndarray) -> np.ndarray:
     """A copy of ``assignment`` with users on unusable extenders detached.
 
@@ -293,6 +333,8 @@ class _BuildingState:
         self.fail_streak = 0
         self.breaker_open = False
         self.breaker_open_epochs = 0
+        # Memo of the last fully clean solve (never journaled).
+        self.clean_solve: Optional[_CleanSolve] = None
 
 
 class FleetService:
@@ -492,18 +534,29 @@ class FleetService:
             not b.breaker_open
             or b.breaker_open_epochs >= health.breaker_probation_epochs
             for b in self._buildings]
-        segments_of: List[List[Segment]] = []
+        segments_of: List[Tuple[Segment, ...]] = []
+        reused: Dict[int, Any] = {}
+        n_shards = 0
         for solve, bstate, (scenario, _) in zip(
                 solving, self._buildings, observed):
-            segments_of.append(
-                split_segments(scenario, circuits=bstate.circuits)
-                if solve else [])
+            memo = bstate.clean_solve
+            if not solve:
+                segments: Tuple[Segment, ...] = ()
+            elif memo is not None and _same_scenario(memo.scenario,
+                                                     scenario):
+                segments = memo.segments
+                reused.update(enumerate(memo.results, start=n_shards))
+            else:
+                segments = tuple(
+                    split_segments(scenario, circuits=bstate.circuits))
+            segments_of.append(segments)
+            n_shards += len(segments)
         specs = tuple(
             WorkSpec(index=i, item=work) for i, work in enumerate(
                 _ShardWork(building=b, segment=segment)
                 for b, segments in enumerate(segments_of)
                 for segment in segments))
-        shard_results = self._dispatch(specs, state, epoch)
+        shard_results = self._dispatch(specs, state, epoch, reused)
         if state is not None and state.interrupted:
             # The epoch is discarded whole, so the counter must not
             # advance: journal resume will re-run this same epoch.
@@ -520,6 +573,9 @@ class FleetService:
                 building_report = self._settle_building(
                     bstate, scenario, quarantined, segments, results,
                     apply=not dry_run)
+                bstate.clean_solve = (
+                    None if building_report.n_shard_failures
+                    else _CleanSolve(scenario, segments, tuple(results)))
             else:
                 building_report = self._carry_building(
                     bstate, scenario, quarantined, apply=not dry_run)
@@ -590,8 +646,13 @@ class FleetService:
 
     def _dispatch(self, specs: Sequence[WorkSpec],
                   state: Optional[InterruptState],
-                  epoch: int) -> Dict[int, Any]:
+                  epoch: int, reused: Dict[int, Any]) -> Dict[int, Any]:
         """Solve every shard; per-index results keyed by spec index.
+
+        ``reused`` maps the indices of shards whose building hit its
+        clean-solve memo to their memoised results; those are recorded
+        as they are, unless the epoch's chaos plan crashes or hangs
+        the shard, which then runs (or is reaped) like any other.
 
         The service's deadline (``timeout_s``) and retry budget ride
         into :func:`~repro.sim.dispatch.dispatch_chunked`, so a hung
@@ -623,8 +684,12 @@ class FleetService:
             # serial and pooled chaos runs bit-identical.
             for index in plan.hung:
                 record(index, timeout_failure(index, self.timeout_s))
-            hung = frozenset(plan.hung)
-            specs = [spec for spec in specs if spec.index not in hung]
+        planned = frozenset(() if plan is None
+                            else plan.crashed + plan.hung)
+        for index, result in reused.items():
+            if index not in planned:
+                record(index, result)
+        specs = [spec for spec in specs if spec.index not in results]
         dispatch_chunked(specs, config, _solve_shard,
                          workers=self.workers,
                          chunk_size=self.chunk_size,

@@ -90,6 +90,13 @@ SMOKE_SPEC = "tests/data/fleet_smoke.yaml"
     ["solve", "--users", "-2"],
     ["serve", "--spec", SMOKE_SPEC, "--epochs", "0"],
     ["record", "--spec", SMOKE_SPEC, "--out", "t.jsonl", "--epochs", "0"],
+    ["fig6", "--workers", "-2"],
+    ["all", "--workers", "-1"],
+    ["sim", "--workers", "-2"],
+    ["sim", "--chunk-size", "0"],
+    ["serve", "--spec", SMOKE_SPEC, "--workers", "-2"],
+    ["serve", "--spec", SMOKE_SPEC, "--workers", "2", "--chunk-size", "0"],
+    ["serve", "--spec", SMOKE_SPEC, "--workers", "2", "--chunk-size", "-3"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
 def test_bad_count_is_a_usage_error(argv, capsys):
     """Counts are checked at parse time: exit 2 with a usage message."""
