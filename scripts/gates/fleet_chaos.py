@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Union
 
@@ -125,7 +126,7 @@ def acceptance_failures(level: float = 0.6, epochs: int = 12,
         clean_texts.append(format_epoch(clean_report))
 
     # 1. Zero-fault identity (the chaos plumbing itself must be free).
-    zero = FleetService(spec, fault_model=FleetFaultModel())
+    zero = FleetService(replace(spec, chaos=FleetFaultModel()))
     for e in range(epochs):
         zero_report = zero.run_epoch()
         assert zero_report is not None
@@ -136,7 +137,8 @@ def acceptance_failures(level: float = 0.6, epochs: int = 12,
             break
 
     # 2. + 4. Serial chaotic run: storm lands, then full recovery.
-    serial = FleetService(spec, fault_model=model)
+    stormy = replace(spec, chaos=model)
+    serial = FleetService(stormy)
     serial_texts: List[str] = []
     n_shard_failures = 0
     n_shard_timeouts = 0
@@ -162,8 +164,10 @@ def acceptance_failures(level: float = 0.6, epochs: int = 12,
 
     # 2. + 3. Pooled chaotic run: real hangs reaped by the deadline,
     # bit-identical to the serial synthesis, epochs time-bounded.
-    pooled = FleetService(spec, workers=workers, timeout_s=timeout_s,
-                          fault_model=model)
+    pooled = FleetService(
+        replace(stormy, health=replace(stormy.health,
+                                       shard_timeout_s=timeout_s)),
+        workers=workers)
     # Generous per-epoch bound: every shard could hang (each costs one
     # timeout to reap) and CI boxes are slow — but a single un-reaped
     # hang_s sleep (3600 s) still blows it by an order of magnitude.
@@ -187,16 +191,14 @@ def acceptance_failures(level: float = 0.6, epochs: int = 12,
     # 5. Atomicity: journal + torn tail + resume == uninterrupted.
     with tempfile.TemporaryDirectory() as tmp:
         full_path = os.path.join(tmp, "full.jsonl")
-        with FleetService(spec, journal=full_path,
-                          fault_model=model) as full:
+        with FleetService(stormy, journal=full_path) as full:
             full.run(epochs)
         torn_path = os.path.join(tmp, "torn.jsonl")
-        with FleetService(spec, journal=torn_path,
-                          fault_model=model) as first:
+        with FleetService(stormy, journal=torn_path) as first:
             first.run(clear_after)
         tear_journal_tail(torn_path)
-        with FleetService(spec, journal=torn_path, resume=True,
-                          fault_model=model) as resumed:
+        with FleetService(stormy, journal=torn_path,
+                          resume=True) as resumed:
             resumed.run(epochs - clear_after)
         full_bytes = Path(full_path).read_bytes()
         torn_bytes = Path(torn_path).read_bytes()

@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
+from dataclasses import replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -348,20 +349,24 @@ def _serve(args: argparse.Namespace) -> Tuple[str, int]:
         return "serve: --retry-budget must be >= 0", 2
     if args.chaos is not None and not 0.0 <= args.chaos <= 1.0:
         return "serve: --chaos level must be in [0, 1]", 2
-    fault_model = (FleetFaultModel.from_level(args.chaos)
-                   if args.chaos is not None else None)
+    # The flags are edits of the spec: the service reads only the spec.
     spec = load_fleet_spec(args.spec)
-    effective_chaos = fault_model if fault_model is not None else spec.chaos
-    if (effective_chaos is not None and effective_chaos.hang_prob > 0
+    knobs = {name: value for name, value in (
+        ("shard_timeout_s", args.timeout_s),
+        ("retry_budget", args.retry_budget)) if value is not None}
+    spec = replace(spec, health=replace(spec.health, **knobs))
+    if args.chaos is not None:
+        spec = replace(spec, chaos=FleetFaultModel.from_level(args.chaos))
+    storm = spec.chaos
+    if (storm is not None and storm.hang_prob > 0
             and args.workers is not None and args.workers > 1
-            and args.timeout_s is None
             and spec.health.shard_timeout_s is None):
         return ("serve: chaos hang faults with --workers need "
                 "--timeout-s or health.shard_timeout_s (a hang needs a "
                 "deadline to reap)", 2)
     source = None
     if args.from_stream is not None:
-        if spec.chaos is not None and not spec.chaos.trivial:
+        if storm is not None and not storm.trivial:
             return ("serve: --from cannot run under the spec's chaos "
                     "block (the recorded stream already is the fault "
                     "surface); drop the block or the flag", 2)
@@ -387,17 +392,16 @@ def _serve(args: argparse.Namespace) -> Tuple[str, int]:
             if args.dead_letter is not None:
                 note += f"; dead-letter: {args.dead_letter}"
             print(note)
-    if effective_chaos is not None and not effective_chaos.trivial:
-        print(f"chaos: blackout {effective_chaos.blackout_prob:.4f}, "
-              f"crash {effective_chaos.crash_prob:.4f} "
-              f"(x{effective_chaos.crash_attempts}), hang "
-              f"{effective_chaos.hang_prob:.4f}")
+    if storm is not None and not storm.trivial:
+        print(f"chaos: blackout {storm.blackout_prob:.4f}, "
+              f"crash {storm.crash_prob:.4f} "
+              f"(x{storm.crash_attempts}), hang "
+              f"{storm.hang_prob:.4f}")
     state = InterruptState()
     with SignalGuard(state), FleetService(
             spec, workers=args.workers, chunk_size=args.chunk_size,
             journal=args.journal, resume=args.resume,
-            timeout_s=args.timeout_s, retry_budget=args.retry_budget,
-            fault_model=fault_model, source=source) as service:
+            source=source) as service:
         if args.resume and service.epoch:
             print(f"resumed from {args.journal} at epoch "
                   f"{service.epoch}")

@@ -49,11 +49,11 @@ import numpy as np
 from ..core.controller import CentralController, ScanReport
 from ..core.guard import DecisionGuard
 from ..core.health import HealthMonitor
-from ..core.problem import UNASSIGNED, Scenario
+from ..core.problem import Scenario
 from ..net.engine import evaluate
 from ..net.estimate import noisy_scenario
 from ..net.topology import enterprise_floor
-from ..sim.failures import fail_extenders, reassociate_orphans
+from ..sim.failures import fail_extenders, settle_clients
 from ..sim.faults import FaultModel, FaultyTransport
 from .common import format_rows
 
@@ -125,17 +125,6 @@ def _poison(row: np.ndarray, rng: np.random.Generator,
     return row
 
 
-def _camp_on_strongest(live: Scenario) -> np.ndarray:
-    """RSSI physics: every user on its strongest live extender."""
-    assignment = np.full(live.n_users, UNASSIGNED, dtype=int)
-    for user in range(live.n_users):
-        reachable = live.reachable(user)
-        if reachable.size:
-            assignment[user] = int(reachable[np.argmax(
-                live.wifi_rates[user, reachable])])
-    return assignment
-
-
 def _run_chaos_episode(truth: Scenario, policy: str, level: float,
                        seq: np.random.SeedSequence, n_epochs: int,
                        plc_mode: str) -> Dict[str, Any]:
@@ -157,7 +146,7 @@ def _run_chaos_episode(truth: Scenario, policy: str, level: float,
         for _ in range(n_epochs):
             down = _flip_extenders(down, crash_rng, level / 3)
             live = fail_extenders(truth, np.flatnonzero(down))
-        assignment = _camp_on_strongest(live)
+        known: Dict[int, int] = {}
     else:
         guarded = policy == "wolt"
         guard = DecisionGuard() if guarded else None
@@ -204,18 +193,8 @@ def _run_chaos_episode(truth: Scenario, policy: str, level: float,
                     crashes += 1
                     alive = False
         known = cc.associations
-        assignment = np.empty(truth.n_users, dtype=int)
-        for user in range(truth.n_users):
-            if user in known:
-                assignment[user] = known[user]
-            else:
-                reachable = live.reachable(user)
-                assignment[user] = (
-                    UNASSIGNED if reachable.size == 0 else
-                    int(reachable[np.argmax(
-                        live.wifi_rates[user, reachable])]))
     # Physics: nobody stays associated to a dead extender.
-    assignment = reassociate_orphans(live, assignment)
+    assignment = settle_clients(live, known)
     report = evaluate(live, assignment, require_complete=False,
                       plc_mode=plc_mode)
     payload: Dict[str, Any] = {"aggregate": float(report.aggregate),

@@ -36,7 +36,7 @@ keeping trivial models out of the journal fingerprint).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -150,15 +150,6 @@ class FleetFaultModel:
         if self.trivial:
             return False
         return self.until_epoch is None or epoch < self.until_epoch
-
-    def params(self) -> Dict[str, Any]:
-        """JSON-serializable echo for checkpoint fingerprinting."""
-        return {"blackout_prob": self.blackout_prob,
-                "crash_prob": self.crash_prob,
-                "crash_attempts": self.crash_attempts,
-                "hang_prob": self.hang_prob,
-                "hang_s": self.hang_s,
-                "until_epoch": self.until_epoch}
 
     # ------------------------------------------------------------------
     # drawing (pure in (seed, epoch))

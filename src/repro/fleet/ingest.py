@@ -422,23 +422,6 @@ def _read_header(raw: str, spec: FleetSpec) -> Tuple[int, int]:
     return start, epochs
 
 
-def read_stream(text: str, spec: FleetSpec, *, strict: bool = False,
-                dead_letter: Optional[DeadLetterJournal] = None
-                ) -> RecordedStream:
-    """Parse, checksum, and classify a recorded telemetry stream.
-
-    Graceful by default: every dirty record is classified into one of
-    :data:`REJECT_CLASSES`, counted (per epoch and stream-wide),
-    optionally quarantined into ``dead_letter``, and dropped — its
-    slot is then a *missing record* the service degrades around.
-    ``strict=True`` raises :class:`StreamIntegrityError` on the first
-    dirty or missing record instead.  Header damage always raises
-    :class:`StreamHeaderError` (see that class's rationale).
-    """
-    return _read_lines(text.split("\n"), spec, strict=strict,
-                       dead_letter=dead_letter)
-
-
 def _split_lines(handle: IO[str]) -> Iterator[str]:
     """Yield what ``handle.read().split("\\n")`` would, a line at a time.
 
@@ -453,11 +436,26 @@ def _split_lines(handle: IO[str]) -> Iterator[str]:
         yield ""
 
 
-def _read_lines(lines: Iterable[str], spec: FleetSpec, *, strict: bool,
-                dead_letter: Optional[DeadLetterJournal]
+def read_stream(stream: Union[str, Iterable[str]], spec: FleetSpec, *,
+                strict: bool = False,
+                dead_letter: Optional[DeadLetterJournal] = None
                 ) -> RecordedStream:
-    """:func:`read_stream` over the ``"\\n"``-split lines of a stream."""
-    elements = iter(lines)
+    """Parse, checksum, and classify a recorded telemetry stream.
+
+    ``stream`` is the stream's text, or its lines as
+    ``text.split("\\n")`` would give them (see
+    :meth:`RecordedTelemetry.load`).
+
+    Graceful by default: every dirty record is classified into one of
+    :data:`REJECT_CLASSES`, counted (per epoch and stream-wide),
+    optionally quarantined into ``dead_letter``, and dropped — its
+    slot is then a *missing record* the service degrades around.
+    ``strict=True`` raises :class:`StreamIntegrityError` on the first
+    dirty or missing record instead.  Header damage always raises
+    :class:`StreamHeaderError` (see that class's rationale).
+    """
+    elements = iter(stream.split("\n") if isinstance(stream, str)
+                    else stream)
     header = next(elements, "")
     if not header:
         raise StreamHeaderError("stream is empty")
@@ -660,7 +658,7 @@ class RecordedTelemetry(TelemetrySource):
         try:
             with open(path, encoding="utf-8", errors="replace",
                       newline="\n") as handle:
-                stream = _read_lines(_split_lines(handle), spec,
+                stream = read_stream(_split_lines(handle), spec,
                                      strict=strict, dead_letter=journal)
         finally:
             if journal is not None:

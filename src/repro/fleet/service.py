@@ -33,12 +33,12 @@ loop (Fig. 6b) across a whole campus.  Each epoch:
    dispatch layer (:func:`repro.sim.dispatch.dispatch_chunked`, the
    machinery behind ``run_trials``), bit-identical to the serial
    reference for any worker/chunk count.  Every shard runs under the
-   service's deadline (``timeout_s``) and worker retry budget: a hung
-   solve is *reaped* past its deadline and a crashed one retried up to
-   ``retry_budget`` times, after which either becomes an explicit
-   :class:`~repro.sim.dispatch.WorkFailure` whose users simply keep
-   their previous association — degraded, never stalled.  One
-   poisoned building cannot take the campus down.
+   spec's deadline (``health.shard_timeout_s``) and worker retry
+   budget: a hung solve is *reaped* past its deadline and a crashed
+   one retried up to ``retry_budget`` times, after which either
+   becomes an explicit :class:`~repro.sim.dispatch.WorkFailure` whose
+   users simply keep their previous association — degraded, never
+   stalled.  One poisoned building cannot take the campus down.
 
    A building whose shards keep failing trips its **circuit breaker**
    (``breaker_strikes`` consecutive bad epochs, mirroring
@@ -82,7 +82,7 @@ from ..sim.dispatch import (TIMEOUT_ERROR_TYPE, InterruptState,
                             WorkFailure, WorkSpec, dispatch_chunked,
                             timeout_failure, uses_pool)
 from ..sim.faults import InjectedCrash
-from .chaos import FleetFaultModel, ShardFaultPlan
+from .chaos import ShardFaultPlan
 from .ingest import StreamExhausted, SyntheticTelemetry, TelemetrySource
 from .sharding import Segment, split_segments
 from .spec import FleetSpec, build_building_scenario
@@ -187,7 +187,7 @@ class _ShardWork:
 
 @dataclass(frozen=True)
 class _ShardConfig:
-    """Fork-inherited batch config for shard solves (picklable).
+    """The batch config for shard solves, shipped in every chunk.
 
     ``fault_hook`` is the epoch's planned chaos
     (:class:`~repro.sim.faults.CrashSchedule`), called as
@@ -349,18 +349,6 @@ class FleetService:
             journal (:class:`~repro.sim.checkpoint.TrialStore`).
         resume: recover the journal and replay it so the service
             continues exactly where it stopped (requires ``journal``).
-        timeout_s: per-shard solve deadline (seconds); overrides the
-            spec's ``health.shard_timeout_s``.  Requires worker
-            processes — a hung in-process solve cannot be reaped
-            (planned chaos hangs are still honored serially by
-            synthesizing the timeout failure parent-side).
-        retry_budget: worker retries per shard before an explicit
-            failure; overrides the spec's ``health.retry_budget``.
-        fault_model: chaos storm to inject
-            (:class:`~repro.fleet.chaos.FleetFaultModel`); overrides
-            the spec's ``chaos`` block.  A non-trivial model joins the
-            journal fingerprint, so a journal written under chaos
-            cannot be silently resumed without it.
         source: where telemetry comes from
             (:class:`~repro.fleet.ingest.TelemetrySource`); ``None``
             synthesizes it in-process
@@ -369,6 +357,15 @@ class FleetService:
             and refuses to combine with a non-trivial chaos model —
             recorded telemetry already is the fault surface, and
             synthetic blackouts would silently shadow real records.
+
+    Every other setting comes from the spec: the per-shard deadline
+    and retry budget from ``spec.health`` (a hung in-process solve
+    cannot be reaped, so the deadline needs worker processes; planned
+    chaos hangs are still honored serially by synthesizing the timeout
+    failure parent-side), and the chaos storm from ``spec.chaos``.  A
+    non-trivial storm joins the journal fingerprint
+    (:meth:`FleetSpec.params`), so a journal written under chaos cannot
+    be silently resumed without it.
     """
 
     def __init__(self, spec: FleetSpec,
@@ -376,38 +373,25 @@ class FleetService:
                  chunk_size: Optional[int] = None,
                  journal: Optional[str] = None,
                  resume: bool = False,
-                 timeout_s: Optional[float] = None,
-                 retry_budget: Optional[int] = None,
-                 fault_model: Optional[FleetFaultModel] = None,
                  source: Optional[TelemetrySource] = None) -> None:
         if resume and journal is None:
             raise ValueError("resume requires a journal path")
         self.spec = spec
         self.workers = workers
         self.chunk_size = chunk_size
-        self.timeout_s = (spec.health.shard_timeout_s
-                          if timeout_s is None else timeout_s)
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        self.retry_budget = (spec.health.retry_budget
-                             if retry_budget is None else retry_budget)
-        if self.retry_budget < 0:
-            raise ValueError("retry_budget must be >= 0")
-        self.fault_model = (spec.chaos if fault_model is None
-                            else fault_model)
-        if (self.fault_model is not None
-                and self.fault_model.hang_prob > 0
+        chaos = spec.chaos
+        if (chaos is not None and chaos.hang_prob > 0
                 and workers is not None and workers > 1
-                and self.timeout_s is None):
+                and spec.health.shard_timeout_s is None):
             raise ValueError(
-                "a chaos model with hang faults needs timeout_s when "
-                "dispatching to worker processes (an un-reaped hang "
-                "stalls the epoch — which is what the deadline is for)")
+                "a chaos model with hang faults needs "
+                "health.shard_timeout_s when dispatching to worker "
+                "processes (an un-reaped hang stalls the epoch — which "
+                "is what the deadline is for)")
         self.source: TelemetrySource = (SyntheticTelemetry(spec)
                                         if source is None else source)
         if (self.source.end_epoch is not None
-                and self.fault_model is not None
-                and not self.fault_model.trivial):
+                and chaos is not None and not chaos.trivial):
             raise ValueError(
                 "a recorded telemetry stream cannot run under a chaos "
                 "model: the recorded stream already is the fault "
@@ -424,11 +408,6 @@ class FleetService:
         self._store: Optional[TrialStore] = None
         if journal is not None:
             params = spec.params()
-            if (self.fault_model is not None
-                    and not self.fault_model.trivial):
-                params["chaos"] = self.fault_model.params()
-            elif "chaos" in params:
-                del params["chaos"]
             self._store = TrialStore(journal, fingerprint(params),
                                      params=params, resume=resume)
             if resume and self._store.records:
@@ -476,10 +455,9 @@ class FleetService:
         epoch alive.
         """
         true = state.scenario
-        if (self.fault_model is not None
-                and state.last_observed is not None
-                and self.fault_model.blackout(self.spec.seed,
-                                              state.index, epoch)):
+        chaos = self.spec.chaos
+        if (chaos is not None and state.last_observed is not None
+                and chaos.blackout(self.spec.seed, state.index, epoch)):
             return state.last_observed
         report = self.source.observe(state.index, epoch)
         if report is None:
@@ -654,10 +632,10 @@ class FleetService:
         as they are, unless the epoch's chaos plan crashes or hangs
         the shard, which then runs (or is reaped) like any other.
 
-        The service's deadline (``timeout_s``) and retry budget ride
-        into :func:`~repro.sim.dispatch.dispatch_chunked`, so a hung
-        shard is reaped as a timeout :class:`WorkFailure` instead of
-        stalling the epoch.  Chaos shard faults for the epoch are
+        The spec's deadline (``health.shard_timeout_s``) and retry
+        budget ride into :func:`~repro.sim.dispatch.dispatch_chunked`,
+        so a hung shard is reaped as a timeout :class:`WorkFailure`
+        instead of stalling the epoch.  Chaos shard faults for the epoch are
         drawn parent-side (:meth:`FleetFaultModel.shard_plan`) and
         shipped to workers as the batch config's fault hook; when the
         batch runs in-process, planned hangs are recorded as reaped
@@ -668,22 +646,24 @@ class FleetService:
         def record(index: int, result: Any) -> None:
             results[index] = result
 
+        health = self.spec.health
         plan: Optional[ShardFaultPlan] = None
-        if self.fault_model is not None:
-            plan = self.fault_model.shard_plan(self.spec.seed, epoch,
-                                               len(specs))
+        if self.spec.chaos is not None:
+            plan = self.spec.chaos.shard_plan(self.spec.seed, epoch,
+                                              len(specs))
         config = _ShardConfig(
             plc_mode=self.spec.plc_mode,
-            retry_budget=self.retry_budget,
+            retry_budget=health.retry_budget,
             fault_hook=None if plan is None else plan.schedule)
         if plan is not None and not uses_pool(self.workers,
-                                              self.timeout_s):
+                                              health.shard_timeout_s):
             # A planned hang cannot be reaped without a process
             # boundary, so the in-process path synthesizes its reaping
             # — same index, same error_type, no sleeping — keeping
             # serial and pooled chaos runs bit-identical.
             for index in plan.hung:
-                record(index, timeout_failure(index, self.timeout_s))
+                record(index, timeout_failure(index,
+                                              health.shard_timeout_s))
         planned = frozenset(() if plan is None
                             else plan.crashed + plan.hung)
         for index, result in reused.items():
@@ -693,8 +673,8 @@ class FleetService:
         dispatch_chunked(specs, config, _solve_shard,
                          workers=self.workers,
                          chunk_size=self.chunk_size,
-                         retry_budget=self.retry_budget,
-                         timeout_s=self.timeout_s,
+                         retry_budget=health.retry_budget,
+                         timeout_s=health.shard_timeout_s,
                          record=record, state=state)
         return results
 

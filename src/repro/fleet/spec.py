@@ -57,9 +57,10 @@ import time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (Any, Dict, List, Mapping, Optional, Tuple, Union,
+                    get_args, get_type_hints)
 
 import numpy as np
 
@@ -148,11 +149,11 @@ class HealthSettings:
             past it is reaped as a timeout failure and its users carry
             their previous association forward.  ``None`` = no
             deadline.  Only enforceable with worker processes (a hung
-            in-process solve cannot be reaped); CLI ``--timeout-s``
-            overrides it.
+            in-process solve cannot be reaped); ``wolt serve
+            --timeout-s`` sets it.
         retry_budget: worker-side retries of a crashed shard solve
-            before it becomes an explicit failure; CLI
-            ``--retry-budget`` overrides it.
+            before it becomes an explicit failure; ``wolt serve
+            --retry-budget`` sets it.
         breaker_strikes: consecutive epochs with shard
             failures/timeouts that trip a building's circuit breaker
             (the building then skips solving and carries forward
@@ -182,6 +183,10 @@ class HealthSettings:
             raise ValueError("breaker_strikes must be >= 1")
         if self.breaker_probation_epochs < 1:
             raise ValueError("breaker_probation_epochs must be >= 1")
+
+
+#: The health settings :meth:`FleetSpec.params` leaves out of the echo.
+_OPERATIONAL_KNOBS = ("shard_timeout_s", "retry_budget")
 
 
 @dataclass(frozen=True)
@@ -231,6 +236,9 @@ class FleetSpec:
         one is excluded so a zero-fault chaos run stays bit-identical
         to a clean run, journal included).
         """
+        health = asdict(self.health)
+        for knob in _OPERATIONAL_KNOBS:
+            del health[knob]
         result: Dict[str, Any] = {
             "name": self.name,
             "seed": self.seed,
@@ -241,20 +249,11 @@ class FleetSpec:
                  "circuits": (None if b.circuits is None
                               else list(b.circuits))}
                 for b in self.buildings],
-            "telemetry": {"wifi_jitter": self.telemetry.wifi_jitter,
-                          "plc_jitter": self.telemetry.plc_jitter,
-                          "dropout": self.telemetry.dropout},
-            "health": {"flap_band": self.health.flap_band,
-                       "flap_strikes": self.health.flap_strikes,
-                       "probation_epochs":
-                           self.health.probation_epochs,
-                       "breaker_strikes":
-                           self.health.breaker_strikes,
-                       "breaker_probation_epochs":
-                           self.health.breaker_probation_epochs},
+            "telemetry": asdict(self.telemetry),
+            "health": health,
         }
         if self.chaos is not None and not self.chaos.trivial:
-            result["chaos"] = self.chaos.params()
+            result["chaos"] = asdict(self.chaos)
         return result
 
     def stream_params(self) -> Dict[str, Any]:
@@ -351,10 +350,7 @@ def _take_int(mapping: Mapping[str, Any], key: str, where: str,
     return value
 
 
-def _take_float(mapping: Mapping[str, Any], key: str, where: str,
-                default: float) -> float:
-    if key not in mapping or mapping[key] is None:
-        return default
+def _take_float(mapping: Mapping[str, Any], key: str, where: str) -> float:
     value = mapping[key]
     # Same trap as _take_int: YAML `wifi_jitter: true` is a Python
     # bool, and float(True) is silently 1.0 — a 100% jitter.
@@ -415,16 +411,43 @@ def _expand_generate(raw: Any, where: str) -> List[BuildingSpec]:
             for i in range(count)]
 
 
+def _field_names(cls: Any) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _settings(block: Mapping[str, Any], cls: Any,
+              where: str) -> Dict[str, Any]:
+    """Keyword arguments for the settings dataclass ``cls``.
+
+    The keys and their types are ``cls``'s fields.  A key left out
+    keeps its field's default, and so does a ``null`` for a field that
+    is not a plain integer.
+    """
+    hints = get_type_hints(cls)
+    kwargs: Dict[str, Any] = {}
+    for name in _field_names(cls):
+        kind = hints[name]
+        if name not in block or (block[name] is None and kind is not int):
+            continue
+        if int in (kind, *get_args(kind)):
+            kwargs[name] = _take_int(block, name, where)
+        else:
+            kwargs[name] = _take_float(block, name, where)
+    return kwargs
+
+
+def _parse_settings(root: Mapping[str, Any], key: str, cls: Any) -> Any:
+    block = _require_mapping(root.get(key, {}), key)
+    _reject_unknown(block, _field_names(cls), key)
+    return cls(**_settings(block, cls, key))
+
+
 def _parse_chaos(raw: Any) -> Optional[FleetFaultModel]:
     if raw is None:
         return None
     block = _require_mapping(raw, "chaos")
-    _reject_unknown(block, ("level", "blackout_prob", "crash_prob",
-                            "crash_attempts", "hang_prob", "hang_s",
-                            "until_epoch"), "chaos")
-    until: Optional[int] = None
-    if block.get("until_epoch") is not None:
-        until = _take_int(block, "until_epoch", "chaos")
+    _reject_unknown(block, ("level",) + _field_names(FleetFaultModel),
+                    "chaos")
     if "level" in block:
         extras = sorted(set(block) - {"level", "until_epoch"})
         if extras:
@@ -432,19 +455,9 @@ def _parse_chaos(raw: Any) -> Optional[FleetFaultModel]:
                 f"chaos.level is a shorthand for the explicit rates; "
                 f"remove {extras} or drop 'level'")
         return FleetFaultModel.from_level(
-            _take_float(block, "level", "chaos", default=0.0),
-            until_epoch=until)
-    return FleetFaultModel(
-        blackout_prob=_take_float(block, "blackout_prob", "chaos",
-                                  default=0.0),
-        crash_prob=_take_float(block, "crash_prob", "chaos",
-                               default=0.0),
-        crash_attempts=_take_int(block, "crash_attempts", "chaos",
-                                 default=1),
-        hang_prob=_take_float(block, "hang_prob", "chaos",
-                              default=0.0),
-        hang_s=_take_float(block, "hang_s", "chaos", default=3600.0),
-        until_epoch=until)
+            _take_float(block, "level", "chaos"),
+            **_settings(block, FleetFaultModel, "chaos"))
+    return FleetFaultModel(**_settings(block, FleetFaultModel, "chaos"))
 
 
 def parse_fleet_spec(text: str) -> FleetSpec:
@@ -473,48 +486,13 @@ def parse_fleet_spec(text: str) -> FleetSpec:
         raise ValueError("generate must be a list")
     for pos, raw in enumerate(raw_generate):
         buildings.extend(_expand_generate(raw, f"generate[{pos}]"))
-    telemetry_block = _require_mapping(root.get("telemetry", {}),
-                                       "telemetry")
-    _reject_unknown(telemetry_block,
-                    ("wifi_jitter", "plc_jitter", "dropout"),
-                    "telemetry")
-    health_block = _require_mapping(root.get("health", {}), "health")
-    _reject_unknown(health_block,
-                    ("flap_band", "flap_strikes", "probation_epochs",
-                     "shard_timeout_s", "retry_budget",
-                     "breaker_strikes", "breaker_probation_epochs"),
-                    "health")
-    shard_timeout_s: Optional[float] = None
-    if health_block.get("shard_timeout_s") is not None:
-        shard_timeout_s = _take_float(health_block, "shard_timeout_s",
-                                      "health", default=0.0)
     return FleetSpec(
         name=str(head.get("name", "fleet")),
         seed=_take_int(head, "seed", "fleet", default=0),
         plc_mode=str(head.get("plc_mode", "redistribute")),
         buildings=tuple(buildings),
-        telemetry=TelemetryModel(
-            wifi_jitter=_take_float(telemetry_block, "wifi_jitter",
-                                    "telemetry", default=0.0),
-            plc_jitter=_take_float(telemetry_block, "plc_jitter",
-                                   "telemetry", default=0.0),
-            dropout=_take_float(telemetry_block, "dropout",
-                                "telemetry", default=0.0)),
-        health=HealthSettings(
-            flap_band=_take_float(health_block, "flap_band", "health",
-                                  default=0.5),
-            flap_strikes=_take_int(health_block, "flap_strikes",
-                                   "health", default=2),
-            probation_epochs=_take_int(health_block, "probation_epochs",
-                                       "health", default=3),
-            shard_timeout_s=shard_timeout_s,
-            retry_budget=_take_int(health_block, "retry_budget",
-                                   "health", default=1),
-            breaker_strikes=_take_int(health_block, "breaker_strikes",
-                                      "health", default=3),
-            breaker_probation_epochs=_take_int(
-                health_block, "breaker_probation_epochs", "health",
-                default=2)),
+        telemetry=_parse_settings(root, "telemetry", TelemetryModel),
+        health=_parse_settings(root, "health", HealthSettings),
         chaos=_parse_chaos(root.get("chaos")))
 
 

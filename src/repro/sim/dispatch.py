@@ -6,8 +6,7 @@ same machinery instead of re-growing its own pool plumbing:
 
 * **Chunked submits** — one future per *chunk* of work amortizes the
   submit/result IPC that made one-future-per-item pools lose to serial
-  execution, and the shared config registry lets fork-started workers
-  inherit the run parameters instead of re-pickling them per chunk.
+  execution; the batch config rides along in every chunk.
 * **Warm pool reuse** — idle executors are cached across dispatch
   calls, so a parameter sweep pays process startup once.
 * **Supervision** — per-item deadlines with hung-worker reaping,
@@ -37,9 +36,6 @@ and keeps the checkpoint/resume and result-codec layers for itself.
 from __future__ import annotations
 
 import atexit
-import itertools
-import multiprocessing
-import os
 import signal
 import time
 from collections import deque
@@ -120,46 +116,16 @@ def timeout_failure(index: int, timeout_s: Optional[float],
                        error=f"work item {detail} and was reaped")
 
 
-# ---------------------------------------------------------------------------
-# Shared config registry: fork-inherited batch parameters.
-
-
-#: Parent-side registry of live batch configs.  A pool *created while a
-#: token is registered* forks its workers from this process, so they
-#: inherit the entry and chunks can reference it by token alone; pools
-#: that predate the registration (warm reuse) get the config embedded
-#: in each chunk task instead.
-_SHARED_CONFIGS: Dict[str, Any] = {}
-
-_config_tokens = itertools.count()
-
-#: True when worker processes inherit parent memory at fork time (the
-#: Linux default).  Spawn-style start methods never inherit, so chunks
-#: always embed their config there.
-_FORK_INHERITS = multiprocessing.get_start_method(allow_none=False) == "fork"
-
-
-def _register_config(config: Any) -> str:
-    token = f"{os.getpid()}-{next(_config_tokens)}"
-    _SHARED_CONFIGS[token] = config
-    return token
-
-
 @dataclass(frozen=True)
 class _ChunkTask:
     """A batch of work shipped to one worker in a single submit.
 
-    ``inherit`` marks a chunk bound for a worker known to have
-    inherited the registry entry for ``token`` at fork time; the worker
-    then resolves the config locally and the chunk's pickle carries
-    only the per-item specs.  (A separate flag — not ``config is
-    None`` — because ``None`` is a legitimate config for callers whose
-    ``fn`` needs no shared block.)
+    The batch config rides in every chunk: it is a small picklable
+    block, and a warm pool's workers outlive the batch that started
+    them.
     """
 
-    token: str
-    config: Optional[Any]
-    inherit: bool
+    config: Any
     specs: Tuple[Any, ...]
     fn: Callable[[Any, Any], Any]
 
@@ -172,16 +138,7 @@ def _run_chunk(task: _ChunkTask) -> List[Any]:
     there) is what keeps chunked results correctly attributed no matter
     which order chunks complete in.
     """
-    if task.inherit:
-        if task.token not in _SHARED_CONFIGS:  # pragma: no cover - defensive
-            raise RuntimeError(
-                f"worker has no config for token {task.token!r}; the "
-                "chunk was dispatched to a pool that never inherited "
-                "it")
-        config = _SHARED_CONFIGS[task.token]
-    else:
-        config = task.config
-    return [task.fn(config, spec) for spec in task.specs]
+    return [task.fn(task.config, spec) for spec in task.specs]
 
 
 #: Cap on the automatic chunk size; beyond this the IPC amortization is
@@ -231,34 +188,21 @@ atexit.register(shutdown_warm_pools)
 class _PoolLease:
     """Exclusive use of a (possibly warm) process pool for one run.
 
-    Tracks whether the current executor was created *after* the run's
-    config registration (``inherits`` — its forked workers carry the
-    config and chunks may omit it) and routes the end-of-run decision:
-    a cleanly drained pool goes back to the warm cache, an abandoned or
-    broken one is killed.
+    Routes the end-of-run decision: a cleanly drained pool goes back to
+    the warm cache, an abandoned or broken one is killed.
     """
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
         self._dead = False
         cached = _WARM_POOLS.pop(workers, None)
-        if cached is not None:
-            self.pool = cached
-            self._fresh = False
-        else:
-            self.pool = ProcessPoolExecutor(max_workers=workers)
-            self._fresh = True
-
-    @property
-    def inherits(self) -> bool:
-        """True when this pool's workers inherited the run config."""
-        return self._fresh and _FORK_INHERITS
+        self.pool = (cached if cached is not None
+                     else ProcessPoolExecutor(max_workers=workers))
 
     def recycle(self) -> None:
         """Kill the current executor and start a fresh one."""
         _kill_pool(self.pool)
         self.pool = ProcessPoolExecutor(max_workers=self.workers)
-        self._fresh = True
         self._dead = False
 
     def abandon(self) -> None:
@@ -344,7 +288,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
         pass
 
 
-def _run_supervised(pending: Sequence[Any], config: Any, token: str,
+def _run_supervised(pending: Sequence[Any], config: Any,
                     lease: _PoolLease, chunk_size: int,
                     fn: Callable[[Any, Any], Any],
                     retry_budget: int, timeout_s: Optional[float],
@@ -394,14 +338,6 @@ def _run_supervised(pending: Sequence[Any], config: Any, token: str,
     quarantine: set = set()
     inflight: Dict[Any, Tuple[Tuple[Any, ...],
                               Optional[float]]] = {}
-
-    def make_task(specs: Tuple[Any, ...]) -> _ChunkTask:
-        # A pool created after the config registration forked workers
-        # that inherited the registry; older (warm-reused) pools need
-        # the config embedded in the chunk.
-        return _ChunkTask(token=token,
-                          config=None if lease.inherits else config,
-                          inherit=lease.inherits, specs=specs, fn=fn)
 
     def settle_chunk(specs: Tuple[Any, ...],
                      results: List[Any]) -> None:
@@ -457,8 +393,8 @@ def _run_supervised(pending: Sequence[Any], config: Any, token: str,
                             else time.monotonic()
                             + timeout_s * len(specs))
                 try:
-                    future = lease.pool.submit(_run_chunk,
-                                               make_task(specs))
+                    future = lease.pool.submit(
+                        _run_chunk, _ChunkTask(config, specs, fn))
                 except (BrokenProcessPool, RuntimeError):
                     # The pool died between polls; recycle and retry.
                     casualties = [c for c, _ in inflight.values()]
@@ -567,8 +503,7 @@ def dispatch_chunked(specs: Sequence[Any], config: Any,
     Args:
         specs: per-item work specs; each must expose ``index``.
         config: the batch-shared parameter block (any picklable value,
-            ``None`` included); registered so fork-started workers
-            inherit it instead of re-pickling it per chunk.
+            ``None`` included), shipped with every chunk.
         fn: module-level callable run as ``fn(config, spec)``; must be
             picklable when a pool is used.
         workers: worker process count; see :func:`uses_pool`.
@@ -602,13 +537,5 @@ def dispatch_chunked(specs: Sequence[Any], config: Any,
         effective_chunk = chunk_size
     else:
         effective_chunk = _auto_chunk_size(len(specs), workers)
-    # Register the config *before* leasing the pool: a fresh pool
-    # forks its workers lazily on first submit, so they inherit the
-    # registry entry and chunks can travel config-free.
-    token = _register_config(config)
-    try:
-        lease = _PoolLease(workers)
-        _run_supervised(specs, config, token, lease, effective_chunk,
-                        fn, retry_budget, timeout_s, record, state)
-    finally:
-        _SHARED_CONFIGS.pop(token, None)
+    _run_supervised(specs, config, _PoolLease(workers), effective_chunk,
+                    fn, retry_budget, timeout_s, record, state)

@@ -17,7 +17,7 @@ recovers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from ..core.problem import Scenario, UNASSIGNED
 from ..core.wolt import solve_wolt
 from ..net.engine import evaluate
 
-__all__ = ["fail_extenders", "reassociate_orphans", "FailureEpoch",
-           "FailureSimulation"]
+__all__ = ["fail_extenders", "reassociate_orphans", "settle_clients",
+           "FailureEpoch", "FailureSimulation"]
 
 
 def fail_extenders(scenario: Scenario,
@@ -83,6 +83,22 @@ def reassociate_orphans(scenario: Scenario,
             assign[user] = int(reachable[np.argmax(
                 scenario.wifi_rates[user, reachable])])
     return assign
+
+
+def settle_clients(scenario: Scenario,
+                   known: Mapping[int, int]) -> np.ndarray:
+    """Where clients end up, given the associations a controller knows.
+
+    A user in ``known`` sits on its known extender, any other user
+    camps on its strongest live extender, and then
+    :func:`reassociate_orphans` moves everyone off dead extenders —
+    clients cannot stay on one, whatever a controller believes.  With
+    an empty ``known`` this is RSSI physics for every user.
+    """
+    assign = np.full(scenario.n_users, UNASSIGNED, dtype=int)
+    for user, extender in known.items():
+        assign[user] = extender
+    return reassociate_orphans(scenario, assign)
 
 
 @dataclass(frozen=True)

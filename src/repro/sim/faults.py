@@ -38,7 +38,7 @@ import numpy as np
 from ..core.controller import (AssociationDirective, CentralController,
                                ControllerStats, ScanReport, Transport)
 from ..core.problem import Scenario, UNASSIGNED
-from .failures import fail_extenders, reassociate_orphans
+from .failures import fail_extenders, settle_clients
 
 __all__ = ["FaultModel", "FaultyTransport", "ControlPlaneOutcome",
            "run_faulty_control_plane", "InjectedCrash", "CrashSchedule"]
@@ -209,21 +209,11 @@ def run_faulty_control_plane(scenario: Scenario, policy: str,
                 ScanReport(user, live.wifi_rates[user]))
         if policy == "wolt":
             cc.reconfigure()
-    known = cc.associations
-    assignment = np.empty(live.n_users, dtype=int)
-    for user in range(live.n_users):
-        if user in known:
-            assignment[user] = known[user]
-        else:
-            # The CC never heard this client; it camps on its
-            # strongest live extender (or stays offline).
-            reachable = live.reachable(user)
-            assignment[user] = (UNASSIGNED if reachable.size == 0 else
-                                int(reachable[np.argmax(
-                                    live.wifi_rates[user, reachable])]))
-    # Clients cannot remain on a browned-out extender, whatever the CC
-    # believes: physics moves them to their strongest survivor.
-    assignment = reassociate_orphans(live, assignment)
+    # The CC never heard some clients; they camp on their strongest
+    # live extender.  And nobody stays on a browned-out extender,
+    # whatever the CC believes: physics moves them to their strongest
+    # survivor.
+    assignment = settle_clients(live, cc.associations)
     return ControlPlaneOutcome(
         assignment=assignment, live=live, stats=cc.stats,
         offline_users=int(np.sum(assignment == UNASSIGNED)))

@@ -208,10 +208,8 @@ class _RunConfig:
 
     Splitting this static block away from the per-trial seeds is what
     makes chunked dispatch cheap: the config is pickled once per
-    *chunk* (or not at all, when a fork-started pool inherited it
-    through :data:`_SHARED_CONFIGS`) instead of once per trial, and the
-    per-trial spec shrinks to a trial index plus its SeedSequence
-    children.
+    *chunk* instead of once per trial, and the per-trial spec shrinks
+    to a trial index plus its SeedSequence children.
     """
 
     n_extenders: int

@@ -17,6 +17,7 @@ deltas sum to its building delta.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -106,8 +107,8 @@ class TestFleetInvariants:
                                (29, "fixed")):
             spec = parse_fleet_spec(SPEC.format(seed=seed,
                                                 plc_mode=plc_mode))
-            service = FleetService(
-                spec, fault_model=FleetFaultModel.from_level(0.4))
+            service = FleetService(replace(
+                spec, chaos=FleetFaultModel.from_level(0.4)))
             for _ in range(5):
                 report = service.run_epoch()
                 failures += report.n_shard_failures

@@ -6,6 +6,7 @@ and the acceptance gate's own guard rails."""
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -129,7 +130,7 @@ class TestBlackoutSemantics:
         spec = smoke_spec()
         storm = FleetFaultModel(blackout_prob=1.0, until_epoch=2)
         clean = FleetService(spec)
-        dark = FleetService(spec, fault_model=storm)
+        dark = FleetService(replace(spec, chaos=storm))
         clean_texts = [format_epoch(clean.run_epoch())
                        for _ in range(4)]
         dark_texts = []
@@ -157,7 +158,7 @@ class TestZeroFaultIdentity:
     def test_zero_fault_model_is_bit_identical_to_none(self):
         spec = smoke_spec()
         clean = FleetService(spec)
-        zero = FleetService(spec, fault_model=FleetFaultModel())
+        zero = FleetService(replace(spec, chaos=FleetFaultModel()))
         for _ in range(3):
             assert format_epoch(zero.run_epoch()) == format_epoch(
                 clean.run_epoch())
@@ -165,8 +166,8 @@ class TestZeroFaultIdentity:
     def test_trivial_model_keeps_the_clean_fingerprint(self, tmp_path):
         spec = smoke_spec()
         path = str(tmp_path / "fleet.jsonl")
-        with FleetService(spec, journal=path,
-                          fault_model=FleetFaultModel()) as service:
+        with FleetService(replace(spec, chaos=FleetFaultModel()),
+                          journal=path) as service:
             service.run_epoch()
         # A clean (model-free) resume accepts the journal: trivial
         # models never reach the fingerprint.
@@ -177,17 +178,15 @@ class TestZeroFaultIdentity:
         spec = smoke_spec()
         storm = FleetFaultModel(crash_prob=0.25)
         path = str(tmp_path / "fleet.jsonl")
-        with FleetService(spec, journal=path,
-                          fault_model=storm) as service:
+        stormy = replace(spec, chaos=storm)
+        with FleetService(stormy, journal=path) as service:
             service.run_epoch()
         with pytest.raises(CheckpointError):
             FleetService(spec, journal=path, resume=True)
-        with FleetService(spec, journal=path, resume=True,
-                          fault_model=storm) as resumed:
+        with FleetService(stormy, journal=path, resume=True) as resumed:
             assert resumed.epoch == 1
 
     def test_operational_knobs_stay_out_of_the_fingerprint(self):
-        from dataclasses import replace
         spec = smoke_spec()
         tuned = replace(spec, health=replace(
             spec.health, shard_timeout_s=30.0, retry_budget=5))

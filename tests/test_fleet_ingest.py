@@ -363,13 +363,14 @@ class TestServiceSeam:
                 service.run_epoch()
 
     def test_recorded_source_refuses_chaos(self):
+        from dataclasses import replace
         from repro.fleet.chaos import FleetFaultModel
         spec = small_spec()
         source = RecordedTelemetry(
             read_stream(record_stream(spec, 2), spec), spec)
+        stormy = replace(spec, chaos=FleetFaultModel.from_level(0.5))
         with pytest.raises(ValueError, match="chaos"):
-            FleetService(spec, source=source,
-                         fault_model=FleetFaultModel.from_level(0.5))
+            FleetService(stormy, source=source)
 
     def test_strict_load_fails_fast(self, tmp_path):
         spec = small_spec()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import tempfile
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from unittest import mock
@@ -146,7 +147,7 @@ class TestMemoIsInvisible:
         spec = fleet_spec(seed, telemetry)
         model = FleetFaultModel.from_level(level)
         hits = memo_is_invisible(lambda workdir: _serve(
-            spec, 5, workdir, dry_run=dry_run, fault_model=model))
+            replace(spec, chaos=model), 5, workdir, dry_run=dry_run))
         if telemetry == "steady" and level == 0.0:
             assert hits == 4 * spec.n_buildings
 
@@ -160,7 +161,7 @@ class TestMemoIsInvisible:
         assert memo_is_invisible(lambda workdir: _serve(
             spec, 4, workdir, workers=2, chunk_size=1)) > 0
         assert memo_is_invisible(lambda workdir: _serve(
-            spec, 4, workdir, workers=2, fault_model=storm)) > 0
+            replace(spec, chaos=storm), 4, workdir, workers=2)) > 0
 
     @pytest.mark.parametrize("seed, telemetry, level, dry_run", [
         (5, "steady", 0.4, False),
@@ -172,26 +173,25 @@ class TestMemoIsInvisible:
         spec = fleet_spec(seed, telemetry)
         model = FleetFaultModel.from_level(level)
         assert memo_is_invisible(lambda workdir: _serve(
-            spec, 6, workdir, dry_run=dry_run, fault_model=model)) > 0
+            replace(spec, chaos=model), 6, workdir, dry_run=dry_run)) > 0
 
     @pytest.mark.parametrize("level", CHAOS_LEVELS)
     def test_crash_and_resume_matches_a_straight_run(
             self, level: float) -> None:
         # The memo is never journaled: the resumed service starts
         # empty and re-solves once, and still writes the same bytes.
-        spec = fleet_spec(13)
-        model = FleetFaultModel.from_level(level)
+        spec = replace(fleet_spec(13),
+                       chaos=FleetFaultModel.from_level(level))
 
         def crash_and_resume(workdir: Path
                              ) -> Tuple[List[str], Optional[bytes]]:
             journal = str(workdir / "journal.jsonl")
-            with FleetService(spec, journal=journal,
-                              fault_model=model) as first:
+            with FleetService(spec, journal=journal) as first:
                 texts = [format_epoch(first.run_epoch())
                          for _ in range(3)]
             tear_journal_tail(journal)
-            with FleetService(spec, journal=journal, resume=True,
-                              fault_model=model) as second:
+            with FleetService(spec, journal=journal,
+                              resume=True) as second:
                 assert second.epoch == 3
                 assert all(b.clean_solve is None
                            for b in second._buildings)
@@ -204,8 +204,7 @@ class TestMemoIsInvisible:
             resumed, straight = Path(tmp, "resumed"), Path(tmp, "straight")
             resumed.mkdir()
             straight.mkdir()
-            assert crash_and_resume(resumed) == _serve(
-                spec, 6, straight, fault_model=model)
+            assert crash_and_resume(resumed) == _serve(spec, 6, straight)
 
     def test_recorded_replay_of_repeating_reports_matches(self) -> None:
         spec = fleet_spec(21, "jitter")
@@ -268,8 +267,8 @@ class TestReuseSemantics:
 
     def test_shard_failure_clears_the_slot_and_redispatches(
             self, monkeypatch: pytest.MonkeyPatch) -> None:
-        service = FleetService(fleet_spec(2),
-                               fault_model=FleetFaultModel())
+        service = FleetService(replace(fleet_spec(2),
+                                       chaos=FleetFaultModel()))
         service.run_epoch()
         assert all(b.clean_solve is not None for b in service._buildings)
 
@@ -380,8 +379,8 @@ def test_no_user_is_applied_onto_an_unusable_extender(
     Checked after every epoch against that epoch's effective scenario,
     including epochs whose buildings were served from the memo.
     """
-    service = FleetService(fleet_spec(seed, telemetry),
-                           fault_model=FleetFaultModel.from_level(level))
+    service = FleetService(replace(fleet_spec(seed, telemetry),
+                                   chaos=FleetFaultModel.from_level(level)))
     with memo_lookups() as hits:
         for _ in range(6):
             report = service.run_epoch()

@@ -5,6 +5,7 @@ quarantine masking, and the ``wolt serve`` CLI (golden-file stable)."""
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -263,30 +264,36 @@ class TestServeCli:
         assert "--epochs" in capsys.readouterr().err
 
 
+def tuned_spec(chaos=None, **health):
+    """The smoke spec with its chaos block and health knobs edited."""
+    spec = smoke_spec()
+    return replace(spec, chaos=chaos,
+                   health=replace(spec.health, **health))
+
+
 class TestDeadlinesAndRetries:
     def test_operational_knobs_come_from_the_spec(self):
-        from repro.fleet.spec import HealthSettings
-        spec = smoke_spec(health=HealthSettings(shard_timeout_s=7.5,
-                                                retry_budget=3))
-        service = FleetService(spec)
-        assert service.timeout_s == 7.5
-        assert service.retry_budget == 3
-        # Constructor arguments override the spec.
-        tuned = FleetService(spec, timeout_s=2.0, retry_budget=0)
-        assert tuned.timeout_s == 2.0
-        assert tuned.retry_budget == 0
+        from repro.fleet.chaos import FleetFaultModel
+        # A budget of zero turns the one injected crash per shard into
+        # a failure; the spec's default budget of one retries through.
+        storm = FleetFaultModel(crash_prob=1.0, crash_attempts=1,
+                                until_epoch=1)
+        strict = FleetService(tuned_spec(chaos=storm, retry_budget=0))
+        assert strict.run_epoch().n_shard_failures > 0
+        lenient = FleetService(tuned_spec(chaos=storm))
+        assert lenient.run_epoch().n_shard_failures == 0
 
     def test_knob_validation(self):
         from repro.fleet.chaos import FleetFaultModel
         with pytest.raises(ValueError, match="timeout_s"):
-            FleetService(smoke_spec(), timeout_s=0.0)
+            tuned_spec(shard_timeout_s=0.0)
         with pytest.raises(ValueError, match="retry_budget"):
-            FleetService(smoke_spec(), retry_budget=-1)
+            tuned_spec(retry_budget=-1)
         # Hang faults dispatched to a pool without a deadline would
         # stall the epoch forever: rejected up front.
         with pytest.raises(ValueError, match="timeout_s"):
-            FleetService(smoke_spec(), workers=2,
-                         fault_model=FleetFaultModel(hang_prob=0.5))
+            FleetService(tuned_spec(chaos=FleetFaultModel(hang_prob=0.5)),
+                         workers=2)
 
     def test_transient_crash_succeeds_on_retry(self):
         # Regression for the previously hardcoded retry budget: a
@@ -296,8 +303,7 @@ class TestDeadlinesAndRetries:
         storm = FleetFaultModel(crash_prob=1.0, crash_attempts=1,
                                 until_epoch=1)
         clean = FleetService(smoke_spec())
-        retried = FleetService(smoke_spec(), retry_budget=1,
-                               fault_model=storm)
+        retried = FleetService(tuned_spec(chaos=storm, retry_budget=1))
         clean_report = clean.run_epoch()
         retried_report = retried.run_epoch()
         assert retried_report.n_shard_failures == 0
@@ -308,8 +314,7 @@ class TestDeadlinesAndRetries:
         from repro.fleet.chaos import FleetFaultModel
         storm = FleetFaultModel(crash_prob=1.0, crash_attempts=1,
                                 until_epoch=1)
-        service = FleetService(smoke_spec(), retry_budget=0,
-                               fault_model=storm)
+        service = FleetService(tuned_spec(chaos=storm, retry_budget=0))
         report = service.run_epoch()
         assert report.n_shard_failures == report.n_shards
         assert report.n_shard_timeouts == 0  # crashes, not reaps
@@ -324,8 +329,9 @@ class TestDeadlinesAndRetries:
         from repro.fleet.chaos import FleetFaultModel
         storm = FleetFaultModel(hang_prob=1.0, hang_s=3600.0,
                                 until_epoch=1)
-        service = FleetService(smoke_spec(), workers=2,
-                               timeout_s=1.0, fault_model=storm)
+        service = FleetService(tuned_spec(chaos=storm,
+                                          shard_timeout_s=1.0),
+                               workers=2)
         started = time.monotonic()
         report = service.run_epoch()
         elapsed = time.monotonic() - started
@@ -346,9 +352,9 @@ class TestDeadlinesAndRetries:
         from repro.fleet.chaos import FleetFaultModel
         storm = FleetFaultModel(hang_prob=1.0, hang_s=3600.0,
                                 until_epoch=1)
-        serial = FleetService(smoke_spec(), fault_model=storm)
-        pooled = FleetService(smoke_spec(), workers=2, timeout_s=1.0,
-                              fault_model=storm)
+        serial = FleetService(tuned_spec(chaos=storm))
+        pooled = FleetService(tuned_spec(chaos=storm, shard_timeout_s=1.0),
+                              workers=2)
         for _ in range(2):
             assert (format_epoch(serial.run_epoch())
                     == format_epoch(pooled.run_epoch()))
@@ -510,6 +516,36 @@ class TestServeChaosCli:
                      "--workers", "2"])
         assert code == 2
         assert "--timeout-s" in capsys.readouterr().err
+
+    def test_flags_and_spec_blocks_are_one_mechanism(
+            self, tmp_path, monkeypatch, capsys):
+        # --chaos/--timeout-s/--retry-budget are edits of the loaded
+        # spec, so they and the same chaos/health blocks written into
+        # the spec must print and journal the same bytes.
+        tuned = tmp_path / "tuned.yaml"
+        tuned.write_text(
+            Path(self.SPEC).read_text().replace(
+                "health:\n",
+                "health:\n  shard_timeout_s: 10\n  retry_budget: 2\n")
+            + "chaos:\n  level: 0.4\n")
+        flags = ["--spec", self.SPEC, "--chaos", "0.4",
+                 "--timeout-s", "10", "--retry-budget", "2"]
+        runs = []
+        for name, argv in (("flags", flags),
+                           ("spec", ["--spec", os.fspath(tuned)])):
+            workdir = tmp_path / name
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            assert main(["serve", *argv, "--epochs", "4", "--workers",
+                         "2", "--journal", "journal.jsonl"]) == 0
+            runs.append((capsys.readouterr().out,
+                         (workdir / "journal.jsonl").read_bytes()))
+        assert runs[0] == runs[1]
+        out = runs[0][0]
+        assert "chaos: blackout" in out
+        # Two retries outlast the storm's two-attempt crashes, which
+        # the default budget of one does not.
+        assert "shard failures" not in out
 
     def test_spec_declared_hangs_with_pool_need_a_deadline(
             self, tmp_path, capsys):
