@@ -5,19 +5,18 @@ estimate per-extender WiFi rates from the NIC's MCS readout, report to a
 Central Controller over their initial (strongest-RSSI) association, and
 re-associate when the CC sends back an association directive.
 
-This module emulates that control plane at message granularity so the
-re-assignment overhead of Fig. 6c (and the paper's claim that it is
-"relatively minor") can be quantified: every scan report, directive and
-re-association handoff is counted, and the handoff outage time is
-charged against the throughput the network would otherwise deliver.
+This module emulates that control plane at message granularity.  It is
+the one implementation of the paper's online association rules: Fig.
+6b/6c (:mod:`repro.sim.dynamics`), ``wolt faults`` and ``wolt chaos``
+all drive it, and Fig. 6c's re-assignments are its counted handoffs.
 
 Messages travel through an injectable :class:`Transport`.  The default
 transport is lossless (the paper's assumption); the fault-injection
 layer in :mod:`repro.sim.faults` substitutes a seeded lossy transport to
-study a degraded control plane.  Directive delivery uses bounded retry
-with exponential backoff, and the controller degrades gracefully: a
-client that never receives its directive stays on its previous extender
-(or on the strongest-RSSI extender it used to reach the CC).
+study a degraded control plane.  Directive delivery uses bounded
+retry, and the controller degrades gracefully: a client that never
+receives its directive stays on its previous extender (or on the
+strongest-RSSI extender it used to reach the CC).
 """
 
 from __future__ import annotations
@@ -37,7 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .health import HealthMonitor
 
 __all__ = ["ScanReport", "AssociationDirective", "ControllerStats",
-           "Transport", "CentralController"]
+           "Transport", "CentralController", "POLICIES"]
+
+#: The association policies the controller implements.
+POLICIES = ("wolt", "greedy", "rssi")
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,6 @@ class ControllerStats:
         scan_reports: reports received from clients.
         directives_sent: association directives issued.
         reassignments: directives that *changed* an existing association.
-        handoff_time_s: cumulative client outage caused by handoffs.
         dropped_reports: scan reports lost in transit (never seen by
             the CC).
         dropped_directives: directives whose every delivery attempt
@@ -83,8 +84,6 @@ class ControllerStats:
         retries: directive retransmission attempts after a lost send.
         failed_handoffs: delivered directives the client failed to act
             on (it stays on its previous extender).
-        backoff_wait_s: cumulative exponential-backoff wait spent on
-            directive retransmissions.
         stale_reports: reports older than the configured TTL at a
             reconfiguration; their users kept their last-known-good
             association instead of being re-solved.
@@ -97,12 +96,10 @@ class ControllerStats:
     scan_reports: int = 0
     directives_sent: int = 0
     reassignments: int = 0
-    handoff_time_s: float = 0.0
     dropped_reports: int = 0
     dropped_directives: int = 0
     retries: int = 0
     failed_handoffs: int = 0
-    backoff_wait_s: float = 0.0
     stale_reports: int = 0
     sanitized_reports: int = 0
     guard_repairs: int = 0
@@ -136,10 +133,6 @@ class Transport:
         """Whether the client acts on a delivered re-association."""
         return True
 
-    def backoff_s(self, attempt: int) -> float:
-        """Backoff wait before retransmission ``attempt`` (0-based)."""
-        return 0.0
-
 
 class CentralController:
     """The WOLT Central Controller.
@@ -150,10 +143,7 @@ class CentralController:
 
     Args:
         plc_rates: measured per-extender PLC rates (Mbps).
-        policy: ``"wolt"``, ``"greedy"`` or ``"rssi"``.
-        handoff_outage_s: client outage per re-association (the time to
-            disassociate, switch BSS and re-run DHCP/ARP; ~1 s for
-            commodity clients).
+        policy: one of :data:`POLICIES`.
         transport: control-plane message channel; defaults to the
             lossless :class:`Transport`.
         guard: optional :class:`repro.core.guard.DecisionGuard`.  When
@@ -178,12 +168,11 @@ class CentralController:
     """
 
     def __init__(self, plc_rates: Sequence[float], policy: str = "wolt",
-                 handoff_outage_s: float = 1.0,
                  transport: Optional[Transport] = None,
                  guard: "Optional[DecisionGuard]" = None,
                  health: "Optional[HealthMonitor]" = None,
                  report_ttl_epochs: Optional[int] = None) -> None:
-        if policy not in ("wolt", "greedy", "rssi"):
+        if policy not in POLICIES:
             raise ValueError(f"unsupported policy {policy!r}")
         self.plc_rates = np.asarray(plc_rates, dtype=float)
         if self.plc_rates.ndim != 1 or self.plc_rates.size == 0:
@@ -194,7 +183,6 @@ class CentralController:
             raise ValueError(
                 "health monitor must watch one extender per PLC link")
         self.policy = policy
-        self.handoff_outage_s = handoff_outage_s
         self.transport = transport if transport is not None else Transport()
         self.guard = guard
         self.health = health
@@ -212,11 +200,6 @@ class CentralController:
     @property
     def n_extenders(self) -> int:
         return self.plc_rates.size
-
-    @property
-    def connected_users(self) -> List[int]:
-        """User ids currently associated, sorted."""
-        return sorted(self._assignment)
 
     @property
     def associations(self) -> Dict[int, int]:
@@ -375,17 +358,6 @@ class CentralController:
         complete = self.guard is None or not np.any(vec == UNASSIGNED)
         return evaluate(scenario, vec, require_complete=complete)
 
-    def reassignment_overhead_fraction(self, window_s: float) -> float:
-        """Fraction of a window lost to handoff outages (per client).
-
-        A coarse upper bound on WOLT's reconfiguration cost: total
-        handoff outage divided by total client-time in the window.
-        """
-        if window_s <= 0:
-            raise ValueError("window must be positive")
-        clients = max(len(self._assignment), 1)
-        return min(1.0, self.stats.handoff_time_s / (window_s * clients))
-
     # ------------------------------------------------------------------
     # internals
 
@@ -393,12 +365,12 @@ class CentralController:
                extender: int) -> Optional[AssociationDirective]:
         """Send one directive through the transport.
 
-        Delivery is retried up to ``transport.max_retries`` times with
-        exponential backoff.  On exhaustion the directive is recorded
-        as dropped and ``None`` is returned — the client keeps its
-        previous association.  A delivered re-association may still
-        fail client-side (``failed_handoffs``); only a completed
-        handoff changes the association and is charged outage time.
+        Delivery is retried up to ``transport.max_retries`` times.  On
+        exhaustion the directive is recorded as dropped and ``None`` is
+        returned — the client keeps its previous association.  A
+        delivered re-association may still fail client-side
+        (``failed_handoffs``); only a completed handoff changes the
+        association.
         """
         previous = self._assignment.get(user_id)
         directive = AssociationDirective(user_id=user_id,
@@ -411,8 +383,6 @@ class CentralController:
                 break
             if attempt < self.transport.max_retries:
                 self.stats.retries += 1
-                self.stats.backoff_wait_s += \
-                    self.transport.backoff_s(attempt)
         if not delivered:
             self.stats.dropped_directives += 1
             return None
@@ -421,7 +391,6 @@ class CentralController:
                 self.stats.failed_handoffs += 1
                 return directive
             self.stats.reassignments += 1
-            self.stats.handoff_time_s += self.handoff_outage_s
         self._assignment[user_id] = extender
         return directive
 

@@ -2,7 +2,7 @@
 
 The fault sweep (:mod:`repro.experiments.faults`) stresses one failure
 mode at a time.  Chaos composes them: every epoch, extenders crash and
-recover (:func:`repro.sim.failures.fail_extenders` Bernoulli dynamics),
+recover (:func:`repro.sim.failures.flip_extenders` Bernoulli dynamics),
 scan reports travel a lossy :class:`repro.sim.faults.FaultyTransport`,
 rate estimates carry log-normal error
 (:func:`repro.net.estimate.noisy_scenario`), and both WiFi and PLC
@@ -53,8 +53,9 @@ from ..core.problem import Scenario
 from ..net.engine import evaluate
 from ..net.estimate import noisy_scenario
 from ..net.topology import enterprise_floor
-from ..sim.failures import fail_extenders, settle_clients
-from ..sim.faults import FaultModel, FaultyTransport
+from ..sim.failures import fail_extenders, flip_extenders, settle_clients
+from ..sim.faults import (EpochInput, FaultModel, FaultyTransport,
+                          drive_control_plane)
 from .common import format_rows
 
 __all__ = ["ChaosResult", "run_chaos_sweep", "quarantine_recovery_check",
@@ -97,18 +98,6 @@ class ChaosResult:
     readmit_events: Tuple[int, ...]
 
 
-def _flip_extenders(down: np.ndarray, rng: np.random.Generator,
-                    fail_prob: float,
-                    recover_prob: float = 0.5) -> np.ndarray:
-    """One epoch of Bernoulli fail/recover; never the whole network."""
-    flips_down = rng.random(down.size) < fail_prob
-    flips_up = rng.random(down.size) < recover_prob
-    down = (down & ~flips_up) | (~down & flips_down)
-    if down.all():
-        down[int(rng.integers(down.size))] = False
-    return down
-
-
 def _poison(row: np.ndarray, rng: np.random.Generator,
             prob: float) -> np.ndarray:
     """With probability ``prob``, NaN out one random entry of ``row``.
@@ -125,6 +114,31 @@ def _poison(row: np.ndarray, rng: np.random.Generator,
     return row
 
 
+def _storm(truth: Scenario, level: float, n_epochs: int,
+           crash_rng: np.random.Generator,
+           noise_rng: np.random.Generator,
+           poison_rng: np.random.Generator) -> List[EpochInput]:
+    """The seeded storm, one controller input per epoch.
+
+    Every user's row draws its poison, even a user who cannot report,
+    so the poison stream never depends on reachability.
+    """
+    down = np.zeros(truth.n_extenders, dtype=bool)
+    storm: List[EpochInput] = []
+    for _ in range(n_epochs):
+        down = flip_extenders(down, crash_rng, level / 3)
+        live = fail_extenders(truth, np.flatnonzero(down))
+        est = noisy_scenario(live, noise_rng,
+                             wifi_noise_fraction=level / 2,
+                             plc_noise_fraction=level / 4)
+        plc_reading = _poison(est.plc_rates, poison_rng, level / 2)
+        wifi = np.vstack([_poison(est.wifi_rates[user], poison_rng,
+                                  level / 2)
+                          for user in range(truth.n_users)])
+        storm.append((live, wifi, plc_reading))
+    return storm
+
+
 def _run_chaos_episode(truth: Scenario, policy: str, level: float,
                        seq: np.random.SeedSequence, n_epochs: int,
                        plc_mode: str) -> Dict[str, Any]:
@@ -138,60 +152,28 @@ def _run_chaos_episode(truth: Scenario, policy: str, level: float,
     """
     crash_rng, transport_rng, noise_rng, poison_rng = (
         np.random.default_rng(s) for s in seq.spawn(4))
-    n_ext = truth.n_extenders
-    down = np.zeros(n_ext, dtype=bool)
-    live = truth
+    storm = _storm(truth, level, n_epochs, crash_rng, noise_rng,
+                   poison_rng)
+    live = storm[-1][0]
     crashes = 0
-    if policy == "rssi":
-        for _ in range(n_epochs):
-            down = _flip_extenders(down, crash_rng, level / 3)
-            live = fail_extenders(truth, np.flatnonzero(down))
-        known: Dict[int, int] = {}
-    else:
+    known: Dict[int, int] = {}
+    if policy != "rssi":
         guarded = policy == "wolt"
-        guard = DecisionGuard() if guarded else None
-        health = (HealthMonitor(n_ext, probation_epochs=2)
-                  if guarded else None)
         model = FaultModel(report_drop_prob=level / 2,
                            directive_drop_prob=level / 2,
                            handoff_failure_prob=level / 2,
-                           max_retries=1, backoff_base_s=0.0)
+                           max_retries=1)
         cc = CentralController(
             truth.plc_rates, policy="wolt",
             transport=FaultyTransport(model, transport_rng),
-            guard=guard, health=health,
+            guard=DecisionGuard() if guarded else None,
+            health=(HealthMonitor(truth.n_extenders, probation_epochs=2)
+                    if guarded else None),
             report_ttl_epochs=2 if guarded else None)
-        alive = True
-        for _ in range(n_epochs):
-            down = _flip_extenders(down, crash_rng, level / 3)
-            live = fail_extenders(truth, np.flatnonzero(down))
-            est = noisy_scenario(live, noise_rng,
-                                 wifi_noise_fraction=level / 2,
-                                 plc_noise_fraction=level / 4)
-            plc_reading = _poison(est.plc_rates, poison_rng, level / 2)
-            if alive:
-                try:
-                    cc.update_plc_telemetry(plc_reading)
-                except ValueError:
-                    crashes += 1
-                    alive = False
-            for user in range(truth.n_users):
-                row = _poison(est.wifi_rates[user], poison_rng,
-                              level / 2)
-                if live.reachable(user).size == 0:
-                    continue  # hears nothing; cannot report
-                if alive:
-                    try:
-                        cc.receive_scan_report(ScanReport(user, row))
-                    except ValueError:
-                        crashes += 1
-                        alive = False
-            if alive:
-                try:
-                    cc.reconfigure()
-                except ValueError:  # pragma: no cover - guard net
-                    crashes += 1
-                    alive = False
+        try:
+            drive_control_plane(cc, storm)
+        except ValueError:
+            crashes += 1
         known = cc.associations
     # Physics: nobody stays associated to a dead extender.
     assignment = settle_clients(live, known)

@@ -88,7 +88,7 @@ def _run_fault_trial(trial_seq: np.random.SeedSequence,
                 truth, policy, model,
                 np.random.default_rng(streams[stream]))
             stream += 1
-            report = evaluate(outcome.live, outcome.assignment,
+            report = evaluate(truth, outcome.assignment,
                               require_complete=False,
                               plc_mode=plc_mode)
             aggregates[policy][li] = float(report.aggregate)
@@ -121,7 +121,7 @@ def run_fault_sweep(fault_levels: Sequence[float] = DEFAULT_FAULT_LEVELS,
         n_trials: independent floors per level.
         n_extenders / n_users: floor scale (paper: 15 / 36).
         seed: master random seed.
-        max_retries: directive retransmission budget (§ retry/backoff).
+        max_retries: directive retransmission budget.
         plc_mode: PLC sharing law used for scoring.
         checkpoint: journal each floor's per-(level, policy) aggregates
             to this crash-consistent JSONL file as it completes.

@@ -5,7 +5,10 @@ arrive and depart the network according to Poisson distribution with
 arrival rate of 3 and departure rate of 1", giving a net average growth
 of ~33 users per epoch (36 -> 66 -> 102 in Fig. 6b).
 
-Policies behave as in the paper:
+The simulation owns the population (on the DES kernel in
+:mod:`repro.sim.events`) and the scoring; a lossless
+:class:`repro.core.controller.CentralController` makes every association
+decision, so the policies behave as in the paper:
 
 * **WOLT** — an arriving user attaches to its strongest-RSSI extender to
   reach the Central Controller; at every epoch boundary the CC re-solves
@@ -15,8 +18,7 @@ Policies behave as in the paper:
   aggregate throughput; nobody is ever re-assigned.
 * **RSSI** — each arriving user sticks with its strongest extender.
 
-The simulation is built on the DES kernel in :mod:`repro.sim.events` and
-is fully deterministic given a seed.
+The simulation is fully deterministic given a seed.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.baselines import greedy_attach_user
+from ..core.controller import CentralController, ScanReport
 from ..core.problem import Scenario, UNASSIGNED
-from ..core.wolt import solve_wolt
 from ..net.engine import evaluate
 from ..net.topology import FloorPlan, build_scenario, sample_user_positions
 from ..wifi.phy import WifiPhy
@@ -67,7 +68,7 @@ class OnlineSimulation:
     Args:
         plan: floor geometry with extender placements (users ignored;
             the simulation manages its own population).
-        policy: ``"wolt"``, ``"greedy"`` or ``"rssi"``.
+        policy: one of :data:`repro.core.controller.POLICIES`.
         rng: random generator (drives arrivals, departures, positions).
         arrival_rate: Poisson arrival rate (paper: 3 per time unit).
         departure_rate: Poisson departure rate (paper: 1 per time unit).
@@ -78,8 +79,6 @@ class OnlineSimulation:
             decide against the measured, redistributing behaviour).
     """
 
-    POLICIES = ("wolt", "greedy", "rssi")
-
     def __init__(self, plan: FloorPlan, policy: str,
                  rng: np.random.Generator,
                  arrival_rate: float = 3.0,
@@ -87,8 +86,6 @@ class OnlineSimulation:
                  epoch_duration: float = 16.5,
                  phy: Optional[WifiPhy] = None,
                  plc_mode: str = "redistribute") -> None:
-        if policy not in self.POLICIES:
-            raise ValueError(f"policy must be one of {self.POLICIES}")
         if arrival_rate <= 0 or departure_rate < 0:
             raise ValueError("rates must be positive (departures >= 0)")
         self.plan = plan
@@ -103,8 +100,8 @@ class OnlineSimulation:
         self._next_user_id = 0
         #: user id -> (x, y) position
         self.positions: Dict[int, np.ndarray] = {}
-        #: user id -> extender index
-        self.assignment: Dict[int, int] = {}
+        #: the controller making every association decision
+        self.cc = CentralController(plan.plc_rates, policy)
         self._epoch_arrivals = 0
         self._epoch_departures = 0
         self.history: List[EpochStats] = []
@@ -117,6 +114,11 @@ class OnlineSimulation:
     @property
     def n_users(self) -> int:
         return len(self.positions)
+
+    @property
+    def assignment(self) -> Dict[int, int]:
+        """User id -> extender index, as the controller has it (a copy)."""
+        return self.cc.associations
 
     def seed_users(self, n_users: int) -> None:
         """Place an initial population (counted as epoch-0 arrivals)."""
@@ -136,9 +138,9 @@ class OnlineSimulation:
                         user_ids=np.asarray(ids))
 
     def _assignment_vector(self, scenario: Scenario) -> np.ndarray:
-        ids = scenario.user_ids
-        return np.array([self.assignment.get(int(uid), UNASSIGNED)
-                         for uid in ids])
+        assignment = self.assignment
+        return np.array([assignment.get(int(uid), UNASSIGNED)
+                         for uid in scenario.user_ids])
 
     # ------------------------------------------------------------------
     # event processes
@@ -156,18 +158,12 @@ class OnlineSimulation:
     def _arrive(self, count: bool = True) -> None:
         uid = self._next_user_id
         self._next_user_id += 1
-        self.positions[uid] = sample_user_positions(
+        xy = sample_user_positions(
             1, self.plan.width_m, self.plan.height_m, self.rng)[0]
-        scenario = self._scenario()
-        idx = int(np.flatnonzero(scenario.user_ids == uid)[0])
-        if self.policy == "greedy":
-            vec = self._assignment_vector(scenario)
-            self.assignment[uid] = greedy_attach_user(scenario, vec, idx)
-        else:
-            # WOLT newcomers camp on the strongest extender until the
-            # next epoch boundary; RSSI users stay there for good.
-            self.assignment[uid] = int(
-                np.argmax(scenario.wifi_rates[idx]))
+        self.positions[uid] = xy
+        scan = build_scenario(self.plan.with_users(xy[np.newaxis]),
+                              phy=self.phy)
+        self.cc.receive_scan_report(ScanReport(uid, scan.wifi_rates[0]))
         if count:
             self._epoch_arrivals += 1
             self._schedule_next_arrival()
@@ -177,7 +173,7 @@ class OnlineSimulation:
             ids = sorted(self.positions)
             uid = int(self.rng.choice(ids))
             del self.positions[uid]
-            del self.assignment[uid]
+            self.cc.disconnect(uid)
             self._epoch_departures += 1
         self._schedule_next_departure()
 
@@ -189,16 +185,10 @@ class OnlineSimulation:
         from ..net.metrics import jain_fairness
 
         self.queue.run_until(self.queue.now + self.epoch_duration)
-        reassignments = 0
+        before = self.cc.stats.reassignments
+        self.cc.reconfigure()
+        reassignments = self.cc.stats.reassignments - before
         scenario = self._scenario()
-        if self.policy == "wolt" and scenario.n_users > 0:
-            previous = self._assignment_vector(scenario)
-            result = solve_wolt(scenario)
-            for pos, uid in enumerate(scenario.user_ids):
-                new_j = int(result.assignment[pos])
-                if previous[pos] != UNASSIGNED and previous[pos] != new_j:
-                    reassignments += 1
-                self.assignment[int(uid)] = new_j
         if scenario.n_users > 0:
             report = evaluate(scenario, self._assignment_vector(scenario),
                               require_complete=True,

@@ -10,8 +10,9 @@ recovers:
 * orphaned users must re-associate — WOLT re-solves globally, RSSI
   clients fall back to the strongest surviving extender, a "sticky"
   policy strands them (models clients that keep probing a dead BSS);
-* :class:`FailureSimulation` drives epochs of Bernoulli fail/recover
-  dynamics and records throughput and orphan counts.
+* :func:`flip_extenders` is one epoch of Bernoulli fail/recover
+  dynamics; :class:`FailureSimulation` drives epochs of it and records
+  throughput and orphan counts.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from ..core.problem import Scenario, UNASSIGNED
 from ..core.wolt import solve_wolt
 from ..net.engine import evaluate
 
-__all__ = ["fail_extenders", "reassociate_orphans", "settle_clients",
-           "FailureEpoch", "FailureSimulation"]
+__all__ = ["fail_extenders", "flip_extenders", "reassociate_orphans",
+           "settle_clients", "FailureEpoch", "FailureSimulation"]
 
 
 def fail_extenders(scenario: Scenario,
@@ -60,6 +61,22 @@ def fail_extenders(scenario: Scenario,
     return Scenario(wifi_rates=wifi, plc_rates=plc,
                     capacities=scenario.capacities,
                     user_ids=scenario.user_ids)
+
+
+def flip_extenders(down: np.ndarray, rng: np.random.Generator,
+                   fail_prob: float,
+                   recover_prob: float = 0.5) -> np.ndarray:
+    """One epoch of Bernoulli fail/recover on the ``down`` mask.
+
+    Returns a new mask; never the whole network (one random extender is
+    kept up).
+    """
+    flips_down = rng.random(down.size) < fail_prob
+    flips_up = rng.random(down.size) < recover_prob
+    down = (down & ~flips_up) | (~down & flips_down)
+    if down.all():
+        down[int(rng.integers(down.size))] = False
+    return down
 
 
 def reassociate_orphans(scenario: Scenario,
@@ -155,14 +172,8 @@ class FailureSimulation:
 
     def run_epoch(self) -> FailureEpoch:
         """Fail/recover extenders, recover the association, measure."""
-        flips_down = self.rng.random(self.healthy.n_extenders) \
-            < self.fail_prob
-        flips_up = self.rng.random(self.healthy.n_extenders) \
-            < self.recover_prob
-        self.down = (self.down & ~flips_up) | (~self.down & flips_down)
-        # Never kill the whole network: keep at least one extender up.
-        if self.down.all():
-            self.down[int(self.rng.integers(self.down.size))] = False
+        self.down = flip_extenders(self.down, self.rng, self.fail_prob,
+                                   self.recover_prob)
         live = fail_extenders(self.healthy, np.flatnonzero(self.down))
         orphaned = int(np.sum([
             self.assignment[u] != UNASSIGNED

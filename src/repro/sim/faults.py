@@ -9,11 +9,13 @@ module makes that degradation injectable and *reproducible*:
 
 * :class:`FaultModel` — the fault rates (per-message drop
   probabilities, handoff-failure probability, stale-rate-estimate
-  noise, extender brown-out schedule) plus the retry budget;
+  noise) plus the retry budget;
 * :class:`FaultyTransport` — a seeded :class:`repro.core.Transport`
   that applies the model to every control-plane message;
-* :func:`run_faulty_control_plane` — admission + epoch reconfiguration
-  of one scenario through a lossy control plane, returning the ground
+* :func:`drive_control_plane` — the epoch loop around a
+  :class:`~repro.core.CentralController`;
+* :func:`run_faulty_control_plane` — admission + reconfiguration of
+  one scenario through a lossy control plane, returning the ground
   truth association (graceful degradation included);
 * :class:`CrashSchedule` / :data:`InjectedCrash` — a picklable fault
   hook that crashes selected Monte-Carlo trials inside
@@ -31,17 +33,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.controller import (AssociationDirective, CentralController,
                                ControllerStats, ScanReport, Transport)
-from ..core.problem import Scenario, UNASSIGNED
-from .failures import fail_extenders, settle_clients
+from ..core.problem import Scenario
+from .failures import settle_clients
 
 __all__ = ["FaultModel", "FaultyTransport", "ControlPlaneOutcome",
-           "run_faulty_control_plane", "InjectedCrash", "CrashSchedule"]
+           "drive_control_plane", "run_faulty_control_plane",
+           "InjectedCrash", "CrashSchedule"]
 
 
 @dataclass(frozen=True)
@@ -59,22 +62,14 @@ class FaultModel:
         rate_noise_fraction: relative std-dev of log-normal noise on
             the rates the CC *receives* (stale/quantized estimates);
             zero entries stay zero, so reachability is preserved.
-        brownout_schedule: epoch -> extender indices browned out during
-            that epoch (power-strip brown-outs; see
-            :func:`repro.sim.failures.fail_extenders`).
         max_retries: directive retransmissions after a lost send.
-        backoff_base_s: base of the exponential backoff wait
-            (retransmission ``k`` waits ``backoff_base_s * 2**k``).
     """
 
     report_drop_prob: float = 0.0
     directive_drop_prob: float = 0.0
     handoff_failure_prob: float = 0.0
     rate_noise_fraction: float = 0.0
-    brownout_schedule: Mapping[int, Tuple[int, ...]] = \
-        field(default_factory=dict)
     max_retries: int = 2
-    backoff_base_s: float = 0.1
 
     def __post_init__(self) -> None:
         for name in ("report_drop_prob", "directive_drop_prob",
@@ -86,16 +81,6 @@ class FaultModel:
             raise ValueError("rate_noise_fraction must be non-negative")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be non-negative")
-        schedule: Dict[int, Tuple[int, ...]] = {}
-        for epoch, extenders in dict(self.brownout_schedule).items():
-            schedule[int(epoch)] = tuple(int(j) for j in extenders)
-        object.__setattr__(self, "brownout_schedule", schedule)
-
-    def brownouts_at(self, epoch: int) -> Tuple[int, ...]:
-        """Extenders browned out during ``epoch`` (0-based)."""
-        return self.brownout_schedule.get(epoch, ())
 
 
 class FaultyTransport(Transport):
@@ -135,88 +120,80 @@ class FaultyTransport(Transport):
         return bool(self.rng.random()
                     >= self.model.handoff_failure_prob)
 
-    def backoff_s(self, attempt: int) -> float:
-        return self.model.backoff_base_s * (2.0 ** attempt)
-
 
 @dataclass(frozen=True)
 class ControlPlaneOutcome:
     """Result of one lossy control-plane emulation.
 
     Attributes:
-        assignment: ground-truth per-user extender indices after the
-            last epoch (:data:`~repro.core.problem.UNASSIGNED` for
-            users no live extender reaches).
-        live: the scenario as of the last epoch (brown-outs applied);
-            evaluate the assignment against this.
+        assignment: ground-truth per-user extender indices; evaluate
+            it against the input scenario.
         stats: the controller's control-plane counters.
-        offline_users: users left UNASSIGNED.
     """
 
     assignment: np.ndarray
-    live: Scenario
     stats: ControllerStats
-    offline_users: int
+
+
+#: One epoch of controller input: the live ground truth (dead extenders
+#: masked), the per-user WiFi rates the clients report, and the PLC
+#: capacity reading to feed first (``None`` = no telemetry this epoch).
+EpochInput = Tuple[Scenario, np.ndarray, Optional[np.ndarray]]
+
+
+def drive_control_plane(cc: CentralController,
+                        epochs: Sequence[EpochInput]) -> Scenario:
+    """Run ``cc`` through ``epochs``; return the last live scenario.
+
+    Per epoch: feed the PLC reading (if any), send one scan report per
+    user that hears a live extender, then ``reconfigure()``.  Controller
+    exceptions propagate, leaving ``cc`` as it was at the raise.
+    """
+    for live, reported_wifi, plc_reading in epochs:
+        if plc_reading is not None:
+            cc.update_plc_telemetry(plc_reading)
+        for user in range(live.n_users):
+            if live.reachable(user).size == 0:
+                continue
+            cc.receive_scan_report(ScanReport(user, reported_wifi[user]))
+        cc.reconfigure()
+    return epochs[-1][0]
 
 
 def run_faulty_control_plane(scenario: Scenario, policy: str,
                              model: FaultModel,
-                             rng: np.random.Generator,
-                             n_epochs: int = 1) -> ControlPlaneOutcome:
+                             rng: np.random.Generator
+                             ) -> ControlPlaneOutcome:
     """Emulate admission and reconfiguration over a lossy control plane.
 
-    Every epoch, each client scans the live network (brown-outs from
-    the model's schedule applied) and reports to the CC through a
-    :class:`FaultyTransport`; WOLT then runs its epoch-boundary
-    :meth:`~repro.core.CentralController.reconfigure`.  Degradation is
+    Each client reports its scan to the CC through a
+    :class:`FaultyTransport`, then the CC runs its epoch-boundary
+    :meth:`~repro.core.CentralController.reconfigure` (WOLT re-solves;
+    Greedy and RSSI keep their admission placement).  Degradation is
     graceful at every step:
 
     * a dropped scan report leaves the client camped on its strongest
-      live extender (the BSS it used to look for the CC);
-    * a dropped directive (after bounded retry with exponential
-      backoff) or a failed handoff leaves the client on its previous
-      extender;
-    * a client whose extender browned out falls back to its strongest
-      surviving extender (:func:`repro.sim.failures.reassociate_orphans`)
-      even when the CC never heard about it.
+      extender (the BSS it used to look for the CC);
+    * a dropped directive (after bounded retry) or a failed handoff
+      leaves the client on its previous extender.
 
     Args:
-        scenario: the healthy ground-truth network.
-        policy: ``"wolt"``, ``"greedy"`` or ``"rssi"``.
+        scenario: the ground-truth network.
+        policy: one of :data:`repro.core.controller.POLICIES`.
         model: fault rates and retry budget.
         rng: dedicated generator for the transport's fault draws.
-        n_epochs: scan/reconfigure rounds to run.
 
     Returns:
-        The :class:`ControlPlaneOutcome` after the last epoch.
+        The :class:`ControlPlaneOutcome`.
     """
-    if n_epochs < 1:
-        raise ValueError("n_epochs must be positive")
-    transport = FaultyTransport(model, rng)
     cc = CentralController(scenario.plc_rates, policy=policy,
-                           transport=transport)
-    live = scenario
-    for epoch in range(n_epochs):
-        # A schedule may legitimately brown out every extender for an
-        # epoch (a building-wide power event): clients simply go
-        # offline until something recovers.
-        live = fail_extenders(scenario, model.brownouts_at(epoch),
-                              allow_all_failed=True)
-        for user in range(live.n_users):
-            if live.reachable(user).size == 0:
-                continue  # hears nothing this epoch; cannot report
-            cc.receive_scan_report(
-                ScanReport(user, live.wifi_rates[user]))
-        if policy == "wolt":
-            cc.reconfigure()
+                           transport=FaultyTransport(model, rng))
+    drive_control_plane(cc, [(scenario, scenario.wifi_rates, None)])
     # The CC never heard some clients; they camp on their strongest
-    # live extender.  And nobody stays on a browned-out extender,
-    # whatever the CC believes: physics moves them to their strongest
-    # survivor.
-    assignment = settle_clients(live, cc.associations)
+    # extender.
     return ControlPlaneOutcome(
-        assignment=assignment, live=live, stats=cc.stats,
-        offline_users=int(np.sum(assignment == UNASSIGNED)))
+        assignment=settle_clients(scenario, cc.associations),
+        stats=cc.stats)
 
 
 class InjectedCrash(RuntimeError):

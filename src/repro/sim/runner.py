@@ -30,6 +30,7 @@ import numpy as np
 
 from ..core.baselines import (greedy_assignment, random_assignment,
                               rssi_assignment)
+from ..core.controller import POLICIES as CONTROLLER_POLICIES
 from ..core.problem import Scenario
 from ..core.wolt import solve_wolt
 from ..net.engine import evaluate
@@ -604,11 +605,12 @@ def run_online_comparison(n_epochs: int,
     of ``SeedSequence(seed)`` (spawned afresh per policy, so each policy
     replays identical randomness).
 
-    Policy names are validated up front — before any floor plan is
-    sampled or epoch run — so a typo fails fast instead of deep inside
-    the first policy's simulation.
+    Policy names are validated up front against the controller's
+    :data:`~repro.core.controller.POLICIES` — before any floor plan is
+    sampled or epoch run — so a typo (or a static-only policy such as
+    ``"random"``) fails fast instead of deep inside a simulation.
     """
-    unknown = set(policies) - set(POLICY_NAMES)
+    unknown = set(policies) - set(CONTROLLER_POLICIES)
     if unknown:
         raise ValueError(f"unknown policies: {sorted(unknown)}")
     histories: Dict[str, List[EpochStats]] = {}

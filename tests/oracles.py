@@ -14,6 +14,9 @@ bit-identical decisions:
   ``evaluate`` per candidate extender.
 * :func:`reconfigure_batch` is ``IncrementalWolt.reconfigure`` with the
   pending moves scored by one ``evaluate_batch`` call per step.
+* :class:`OnlineSimulationReference` is the Fig. 6b/6c simulation with
+  its own admission (greedy attach or strongest extender over a rebuilt
+  rate matrix) and epoch re-solve, in place of the Central Controller.
 
 The Phase-II references share :func:`_local_search`, whose swap pass
 :func:`_try_swaps_scalar` tries one pair at a time on the cell state, so
@@ -40,10 +43,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
+from repro.core.baselines import greedy_attach_user
 from repro.core.dynamic import IncrementalWolt, ReconfigureOutcome
 from repro.core.phase1 import solve_phase1
 from repro.core.phase2 import (Phase2Result, _BatchGains, _CellState,
@@ -53,7 +58,10 @@ from repro.core.wolt import WoltResult, solve_wolt
 from repro.fleet.service import Directive, _servable
 from repro.fleet.sharding import Segment, split_segments
 from repro.net.engine import _record, evaluate, evaluate_batch
+from repro.net.metrics import jain_fairness
+from repro.net.topology import sample_user_positions
 from repro.plc.sharing import allocate_backhaul
+from repro.sim.dynamics import EpochStats, OnlineSimulation
 from repro.wifi.sharing import cell_throughputs
 
 
@@ -314,6 +322,83 @@ def reconfigure_batch(ctl: IncrementalWolt) -> ReconfigureOutcome:
     return ReconfigureOutcome(moves=tuple(applied), aggregate_before=before,
                               aggregate_after=after,
                               wolt_aggregate=solved.aggregate_throughput)
+
+
+class OnlineSimulationReference(OnlineSimulation):
+    """:class:`OnlineSimulation` deciding associations itself.
+
+    Each arrival rebuilds the whole rate matrix and is placed by
+    ``greedy_attach_user`` (Greedy) or on its strongest extender (WOLT,
+    RSSI); each WOLT epoch boundary re-solves everyone with
+    ``solve_wolt`` and counts the users whose extender changed.  The
+    population, event processes and scoring are the production ones.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._reference_assignment: Dict[int, int] = {}
+
+    @property
+    def assignment(self) -> Dict[int, int]:
+        return self._reference_assignment
+
+    def _arrive(self, count: bool = True) -> None:
+        uid = self._next_user_id
+        self._next_user_id += 1
+        self.positions[uid] = sample_user_positions(
+            1, self.plan.width_m, self.plan.height_m, self.rng)[0]
+        scenario = self._scenario()
+        idx = int(np.flatnonzero(scenario.user_ids == uid)[0])
+        if self.policy == "greedy":
+            vec = self._assignment_vector(scenario)
+            self.assignment[uid] = greedy_attach_user(scenario, vec, idx)
+        else:
+            self.assignment[uid] = int(
+                np.argmax(scenario.wifi_rates[idx]))
+        if count:
+            self._epoch_arrivals += 1
+            self._schedule_next_arrival()
+
+    def _depart(self) -> None:
+        if self.positions:
+            ids = sorted(self.positions)
+            uid = int(self.rng.choice(ids))
+            del self.positions[uid]
+            del self.assignment[uid]
+            self._epoch_departures += 1
+        self._schedule_next_departure()
+
+    def run_epoch(self) -> EpochStats:
+        self.queue.run_until(self.queue.now + self.epoch_duration)
+        reassignments = 0
+        scenario = self._scenario()
+        if self.policy == "wolt" and scenario.n_users > 0:
+            previous = self._assignment_vector(scenario)
+            result = solve_wolt(scenario)
+            for pos, uid in enumerate(scenario.user_ids):
+                new_j = int(result.assignment[pos])
+                if previous[pos] != UNASSIGNED and previous[pos] != new_j:
+                    reassignments += 1
+                self.assignment[int(uid)] = new_j
+        if scenario.n_users > 0:
+            report = evaluate(scenario, self._assignment_vector(scenario),
+                              require_complete=True,
+                              plc_mode=self.plc_mode)
+            aggregate = report.aggregate
+            fairness = jain_fairness(report.user_throughputs)
+        else:
+            aggregate, fairness = 0.0, 0.0
+        stats = EpochStats(epoch=len(self.history) + 1,
+                           n_users=self.n_users,
+                           arrivals=self._epoch_arrivals,
+                           departures=self._epoch_departures,
+                           reassignments=reassignments,
+                           aggregate_throughput=aggregate,
+                           jain_fairness=fairness)
+        self.history.append(stats)
+        self._epoch_arrivals = 0
+        self._epoch_departures = 0
+        return stats
 
 
 # ---------------------------------------------------------------------------

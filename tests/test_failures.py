@@ -7,8 +7,7 @@ import pytest
 
 from repro.core.problem import Scenario, UNASSIGNED
 from repro.sim.failures import (FailureSimulation, fail_extenders,
-                                reassociate_orphans)
-from repro.sim.faults import FaultModel
+                                flip_extenders, reassociate_orphans)
 
 from .conftest import random_scenario
 
@@ -76,22 +75,21 @@ class TestReassociateOrphans:
 
 
 class TestFaultLayerInteraction:
-    """fail_extenders / reassociate_orphans driven by a FaultModel
-    brown-out schedule (the deterministic counterpart of
-    FailureSimulation's random outages)."""
+    """fail_extenders / reassociate_orphans driven by explicit brown-out
+    epochs (the deterministic counterpart of FailureSimulation's random
+    outages)."""
 
     def test_orphan_accounting_across_consecutive_failures(self, rng):
         sc = random_scenario(rng, 8, 4)
-        model = FaultModel(brownout_schedule={0: (0,), 1: (0, 1)})
         assignment = np.zeros(8, dtype=int)  # everyone starts on 0
         # Epoch 0: extender 0 browns out; all 8 users are orphaned once.
-        dead = fail_extenders(sc, model.brownouts_at(0))
+        dead = fail_extenders(sc, (0,))
         assignment = reassociate_orphans(dead, assignment)
         assert np.all(assignment != 0)
         # Epoch 1: extender 1 joins the outage; only the users that
         # landed on it are orphaned again — survivors are not touched,
         # so nobody is double-counted.
-        dead = fail_extenders(sc, model.brownouts_at(1))
+        dead = fail_extenders(sc, (0, 1))
         on_one = int(np.sum(assignment == 1))
         moved = reassociate_orphans(dead, assignment)
         assert int(np.sum(moved != assignment)) == on_one
@@ -99,26 +97,40 @@ class TestFaultLayerInteraction:
 
     def test_all_extenders_down_guard(self, rng):
         sc = random_scenario(rng, 5, 3)
-        model = FaultModel(brownout_schedule={0: (0, 1, 2)})
-        dead = fail_extenders(sc, model.brownouts_at(0),
-                              allow_all_failed=True)
+        dead = fail_extenders(sc, (0, 1, 2), allow_all_failed=True)
         recovered = reassociate_orphans(dead, np.zeros(5, dtype=int))
         assert recovered.tolist() == [UNASSIGNED] * 5
-        # Epochs without a scheduled brown-out leave the scenario whole.
-        same = fail_extenders(sc, model.brownouts_at(1))
+        # Epochs without a brown-out leave the scenario whole.
+        same = fail_extenders(sc, ())
         assert np.allclose(same.wifi_rates, sc.wifi_rates)
 
     def test_recovery_after_blackout_reattaches_users(self, rng):
         sc = random_scenario(rng, 5, 2)
-        model = FaultModel(brownout_schedule={0: (0, 1), 1: (1,)})
-        dead = fail_extenders(sc, model.brownouts_at(0),
-                              allow_all_failed=True)
+        dead = fail_extenders(sc, (0, 1), allow_all_failed=True)
         offline = reassociate_orphans(dead, np.zeros(5, dtype=int))
         assert np.all(offline == UNASSIGNED)
         # Extender 0 comes back in epoch 1: offline users reattach.
-        partial = fail_extenders(sc, model.brownouts_at(1))
+        partial = fail_extenders(sc, (1,))
         back = reassociate_orphans(partial, offline)
         assert back.tolist() == [0] * 5
+
+
+class TestFlipExtenders:
+    def test_does_not_mutate_its_input(self):
+        down = np.array([True, True, True])
+        flip_extenders(down, np.random.default_rng(0), 0.0, 0.0)
+        assert down.tolist() == [True, True, True]
+
+    def test_failure_simulation_draws_the_same_flips(self, rng):
+        sc = random_scenario(rng, 8, 4)
+        sim = FailureSimulation(sc, "rssi", np.random.default_rng(5),
+                                fail_prob=0.4, recover_prob=0.3)
+        replay = np.random.default_rng(5)
+        down = np.zeros(4, dtype=bool)
+        for _ in range(6):
+            sim.run_epoch()
+            down = flip_extenders(down, replay, 0.4, 0.3)
+            assert sim.down.tolist() == down.tolist()
 
 
 class TestFailureSimulation:

@@ -1,9 +1,9 @@
 """Tests for the seeded fault-injection layer (repro.sim.faults).
 
 Covers the FaultModel contract, the lossy transport's effect on the
-Central Controller (drops, retries with backoff, failed handoffs,
-graceful degradation), the lossy control-plane emulation including
-brown-outs, and the trial runner's retry-and-TrialFailure path.
+Central Controller (drops, retries, failed handoffs, graceful
+degradation), the lossy control-plane emulation, the epoch driver
+under brown-outs, and the trial runner's retry-and-TrialFailure path.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from repro.core.controller import (CentralController, ScanReport,
                                    Transport)
 from repro.core.problem import UNASSIGNED
 from repro.core.wolt import solve_wolt
+from repro.sim.failures import fail_extenders, settle_clients
 from repro.sim.faults import (ControlPlaneOutcome, CrashSchedule,
                               FaultModel, FaultyTransport, InjectedCrash,
+                              drive_control_plane,
                               run_faulty_control_plane)
 from repro.sim.runner import TrialFailure, TrialResult, run_trials
 
@@ -36,7 +38,6 @@ class TestFaultModel:
     def test_defaults_are_faultless(self):
         model = FaultModel()
         assert model.report_drop_prob == 0.0
-        assert model.brownouts_at(0) == ()
 
     @pytest.mark.parametrize("kwargs", [
         {"report_drop_prob": -0.1},
@@ -44,17 +45,10 @@ class TestFaultModel:
         {"handoff_failure_prob": 2.0},
         {"rate_noise_fraction": -1.0},
         {"max_retries": -1},
-        {"backoff_base_s": -0.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             FaultModel(**kwargs)
-
-    def test_brownout_schedule_normalized(self):
-        model = FaultModel(brownout_schedule={0: [1, 2], 2: (0,)})
-        assert model.brownouts_at(0) == (1, 2)
-        assert model.brownouts_at(1) == ()
-        assert model.brownouts_at(2) == (0,)
 
 
 class TestFaultyTransport:
@@ -82,12 +76,6 @@ class TestFaultyTransport:
         assert observed.wifi_rates[0] > 0 and observed.wifi_rates[2] > 0
         assert not np.array_equal(observed.wifi_rates, [10.0, 0.0, 20.0])
 
-    def test_exponential_backoff(self):
-        transport = _transport(0, backoff_base_s=0.25)
-        assert transport.backoff_s(0) == pytest.approx(0.25)
-        assert transport.backoff_s(1) == pytest.approx(0.5)
-        assert transport.backoff_s(2) == pytest.approx(1.0)
-
 
 class _ScriptedTransport(Transport):
     """Delivery attempts succeed per a scripted list (True/False)."""
@@ -103,9 +91,6 @@ class _ScriptedTransport(Transport):
     def handoff_succeeds(self, directive):
         return self.handoffs_ok
 
-    def backoff_s(self, attempt):
-        return 0.1 * (2.0 ** attempt)
-
 
 class TestControllerUnderFaults:
     def test_dropped_report_never_reaches_cc(self):
@@ -115,7 +100,7 @@ class TestControllerUnderFaults:
         assert cc.receive_scan_report(_report(1, [15.0, 10.0])) is None
         assert cc.stats.dropped_reports == 1
         assert cc.stats.scan_reports == 0
-        assert cc.connected_users == []
+        assert cc.associations == {}
 
     def test_dropped_directive_falls_back_to_strongest_rssi(self):
         cc = CentralController(
@@ -136,7 +121,6 @@ class TestControllerUnderFaults:
         assert directive is not None and directive.extender == 0
         assert cc.stats.retries == 2
         assert cc.stats.dropped_directives == 0
-        assert cc.stats.backoff_wait_s == pytest.approx(0.1 + 0.2)
         assert cc.associations == {1: 0}
 
     def test_failed_handoff_keeps_previous_extender(self):
@@ -149,7 +133,6 @@ class TestControllerUnderFaults:
         cc.reconfigure()  # Fig. 3 optimum wants to move user 1
         assert cc.stats.failed_handoffs == 1
         assert cc.stats.reassignments == 0
-        assert cc.stats.handoff_time_s == 0.0
         assert cc.associations == before
 
     def test_reliable_transport_unchanged_stats(self):
@@ -175,7 +158,7 @@ class TestRunFaultyControlPlane:
         assert isinstance(outcome, ControlPlaneOutcome)
         assert np.array_equal(outcome.assignment,
                               solve_wolt(sc).assignment)
-        assert outcome.offline_users == 0
+        assert not np.any(outcome.assignment == UNASSIGNED)
 
     def test_total_loss_degrades_to_rssi_parking(self):
         sc = self._scenario()
@@ -199,42 +182,65 @@ class TestRunFaultyControlPlane:
         assert np.array_equal(a.assignment, b.assignment)
         assert a.stats == b.stats
 
+
+class TestDriveControlPlane:
+    """The epoch driver under explicit brown-out epochs."""
+
+    def _drive(self, sc, brownouts, model=None):
+        """Drive one epoch per entry of ``brownouts`` (dead extenders)
+        and settle the clients on the last epoch's live network."""
+        epochs = []
+        for dead in brownouts:
+            live = fail_extenders(sc, dead, allow_all_failed=True)
+            epochs.append((live, live.wifi_rates, None))
+        cc = CentralController(
+            sc.plc_rates, policy="rssi",
+            transport=FaultyTransport(model or FaultModel(),
+                                      np.random.default_rng(0)))
+        live = drive_control_plane(cc, epochs)
+        assert live is epochs[-1][0]
+        return live, settle_clients(live, cc.associations), cc
+
+    def _scenario(self, seed=0, n_users=10, n_extenders=4):
+        return random_scenario(np.random.default_rng(seed), n_users,
+                               n_extenders)
+
     def test_brownout_moves_clients_off_dead_extender(self):
         sc = self._scenario()
-        model = FaultModel(brownout_schedule={1: (0,)})
-        outcome = run_faulty_control_plane(
-            sc, "rssi", model, np.random.default_rng(0), n_epochs=2)
-        assert not np.any(outcome.assignment == 0)
-        assert np.all(outcome.live.wifi_rates[:, 0] == 0.0)
-        assert outcome.live.plc_rates[0] == 0.0
+        live, assignment, _ = self._drive(sc, [(), (0,)])
+        assert not np.any(assignment == 0)
+        assert np.all(live.wifi_rates[:, 0] == 0.0)
+        assert live.plc_rates[0] == 0.0
 
     def test_brownout_with_dropped_rereports_still_reassociates(self):
         # Even when every epoch-1 re-report is lost, physics moves the
         # orphans to their strongest survivor (reassociate_orphans).
         sc = self._scenario()
-        model = FaultModel(report_drop_prob=1.0,
-                           brownout_schedule={1: (0,)})
-        outcome = run_faulty_control_plane(
-            sc, "rssi", model, np.random.default_rng(0), n_epochs=2)
-        assert not np.any(outcome.assignment == 0)
+        _, assignment, cc = self._drive(
+            sc, [(), (0,)], FaultModel(report_drop_prob=1.0))
+        assert cc.stats.scan_reports == 0
+        assert not np.any(assignment == 0)
         survivors = sc.wifi_rates[:, 1:]
         expected = 1 + np.argmax(survivors, axis=1)
-        assert np.array_equal(outcome.assignment, expected)
+        assert np.array_equal(assignment, expected)
 
     def test_total_blackout_goes_offline(self):
         sc = self._scenario(n_extenders=2)
-        model = FaultModel(brownout_schedule={0: (0, 1)})
-        outcome = run_faulty_control_plane(
-            sc, "rssi", model, np.random.default_rng(0))
-        assert outcome.offline_users == sc.n_users
-        assert np.all(outcome.assignment == UNASSIGNED)
+        _, assignment, cc = self._drive(sc, [(0, 1)])
+        # Nobody hears an extender, so nobody reports.
+        assert cc.stats.scan_reports == 0
+        assert np.all(assignment == UNASSIGNED)
 
-    def test_validation(self):
+    def test_plc_reading_is_fed_before_reports(self):
         sc = self._scenario()
-        with pytest.raises(ValueError):
-            run_faulty_control_plane(sc, "rssi", FaultModel(),
-                                     np.random.default_rng(0),
-                                     n_epochs=0)
+        cc = CentralController(sc.plc_rates)
+        bad = sc.plc_rates.copy()
+        bad[0] = np.nan
+        # The unguarded controller rejects the poisoned reading before
+        # any report is sent.
+        with pytest.raises(ValueError, match="PLC telemetry"):
+            drive_control_plane(cc, [(sc, sc.wifi_rates, bad)])
+        assert cc.stats.scan_reports == 0
 
 
 class TestCrashSchedule:

@@ -410,3 +410,17 @@ class TestArgumentValidation:
             run_online_comparison(n_epochs=1, n_extenders=3,
                                   initial_users=4,
                                   policies=("wolt", "gredy"))
+
+    def test_online_comparison_rejects_offline_only_policy_up_front(
+            self, monkeypatch):
+        # "random" is a run_trials policy the controller does not
+        # implement: it must fail before any floor is sampled, not
+        # after the earlier policies' full simulations.
+        def no_floor(*args, **kwargs):
+            raise AssertionError("a floor was sampled before validation")
+
+        monkeypatch.setattr("repro.sim.runner.sample_floor_plan", no_floor)
+        with pytest.raises(ValueError, match="unknown policies"):
+            run_online_comparison(n_epochs=1, n_extenders=3,
+                                  initial_users=4,
+                                  policies=("wolt", "random"))

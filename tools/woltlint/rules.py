@@ -433,7 +433,6 @@ class SwallowedEngineException(Rule):
 #: Method names of the :class:`repro.core.controller.Transport` seam.
 _TRANSPORT_METHODS = frozenset({
     "observe_report", "deliver_directive", "handoff_succeeds",
-    "backoff_s",
 })
 
 
