@@ -81,9 +81,10 @@ def bench_evaluate(scenario, rng) -> dict:
 def bench_delta_eval(scenario, rng) -> dict:
     """Single-move scoring: ``DeltaEvaluator`` vs a full re-score.
 
-    This is the hysteresis-loop shape (``core/dynamic.py``): candidate
-    moves are scored one at a time against a *changing* working
-    assignment, so batching does not apply.  The delta path recomputes
+    This is the hysteresis-loop shape (``CentralController._hysteresis``
+    in ``core/controller.py``): candidate moves are scored one at a
+    time against a *changing* working assignment, so batching does not
+    apply.  The delta path recomputes
     only the two cells a move touches; the full path re-runs scalar
     ``evaluate`` on the moved assignment.
     """

@@ -4,7 +4,7 @@
 Four studies beyond the paper, on one enterprise floor:
 
 1. the throughput/fairness trade-off of α-fair association,
-2. handoff budgeting with hysteresis (IncrementalWolt),
+2. handoff budgeting with the Central Controller's hysteresis bar,
 3. WOLT vs RSSI under random-waypoint user mobility,
 4. association staleness under time-varying power-line noise.
 
@@ -13,8 +13,9 @@ Run:  python examples/fairness_and_mobility.py
 
 import numpy as np
 
-from repro import (IncrementalWolt, MobilitySimulation, enterprise_floor,
-                   solve_alpha_fair, solve_wolt)
+from repro import (CentralController, MobilitySimulation, enterprise_floor,
+                   evaluate, solve_alpha_fair, solve_wolt)
+from repro.core.controller import ScanReport
 from repro.plc.noise import NoiseProcess, TimeVaryingPlc
 from repro.core.problem import Scenario
 from repro.sim.runner import sample_floor_plan
@@ -36,13 +37,15 @@ def study_hysteresis(seed: int = 3) -> None:
     scenario = enterprise_floor(10, 30, np.random.default_rng(seed))
     print("   min gain (Mbps)   moves   aggregate after (Mbps)")
     for threshold in (0.0, 1.0, 5.0, 20.0):
-        ctrl = IncrementalWolt(scenario.plc_rates,
+        cc = CentralController(scenario.plc_rates,
                                min_gain_mbps=threshold)
         for uid in range(scenario.n_users):
-            ctrl.add_user(uid, scenario.wifi_rates[uid])
-        outcome = ctrl.reconfigure()
-        print(f"   {threshold:15.1f}   {len(outcome.moves):5d}"
-              f"   {outcome.aggregate_after:19.1f}")
+            cc.receive_scan_report(ScanReport(uid, scenario.wifi_rates[uid]))
+        cc.reconfigure()
+        after = evaluate(scenario, [cc.associations[uid] for uid
+                                    in range(scenario.n_users)]).aggregate
+        print(f"   {threshold:15.1f}   {cc.stats.reassignments:5d}"
+              f"   {after:19.1f}")
     print()
 
 

@@ -26,7 +26,6 @@ paper-vs-reproduced numbers.
 from .core.baselines import (greedy_assignment, random_assignment,
                              rssi_assignment, selfish_greedy_assignment)
 from .core.controller import CentralController
-from .core.dynamic import IncrementalWolt
 from .core.fairness import solve_alpha_fair
 from .core.optimal import brute_force_optimal
 from .core.phase1 import phase1_utilities, solve_phase1
@@ -58,7 +57,7 @@ __all__ = [
     "solve_phase2_continuous", "phase1_utilities",
     "rssi_assignment", "greedy_assignment", "selfish_greedy_assignment",
     "random_assignment", "brute_force_optimal", "CentralController",
-    "IncrementalWolt", "solve_alpha_fair",
+    "solve_alpha_fair",
     # network model
     "evaluate", "evaluate_batch",
     "ThroughputReport", "BatchThroughputReport", "count_engine_calls",

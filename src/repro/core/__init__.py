@@ -4,7 +4,6 @@ from .baselines import (greedy_assignment, random_assignment,
                         rssi_assignment, selfish_greedy_assignment)
 from .bnb import BnbResult, branch_and_bound_optimal
 from .controller import CentralController, Transport
-from .dynamic import IncrementalWolt, ReconfigureOutcome
 from .fairness import AlphaFairResult, alpha_fair_utility, solve_alpha_fair
 from .guard import DecisionGuard, GuardError, GuardReport, GuardViolation
 from .health import HealthEvent, HealthMonitor
@@ -26,7 +25,6 @@ __all__ = [
     "rssi_assignment", "greedy_assignment", "selfish_greedy_assignment",
     "random_assignment", "brute_force_optimal", "CentralController",
     "Transport",
-    "IncrementalWolt", "ReconfigureOutcome",
     "solve_alpha_fair", "alpha_fair_utility", "AlphaFairResult",
     "partition_to_scenario", "solve_partition_by_association",
     "branch_and_bound_optimal", "BnbResult",

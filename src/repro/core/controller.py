@@ -7,8 +7,11 @@ re-associate when the CC sends back an association directive.
 
 This module emulates that control plane at message granularity.  It is
 the one implementation of the paper's online association rules: Fig.
-6b/6c (:mod:`repro.sim.dynamics`), ``wolt faults`` and ``wolt chaos``
-all drive it, and Fig. 6c's re-assignments are its counted handoffs.
+6b/6c (:mod:`repro.sim.dynamics`), extender failure recovery
+(:mod:`repro.sim.failures`), ``wolt faults`` and ``wolt chaos`` all
+drive it, and Fig. 6c's re-assignments are its counted handoffs.  An
+optional hysteresis bar (``min_gain_mbps``) trades a little aggregate
+throughput for fewer of those handoffs.
 
 Messages travel through an injectable :class:`Transport`.  The default
 transport is lossless (the paper's assumption); the fault-injection
@@ -26,7 +29,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..net.engine import ThroughputReport, evaluate
+from ..net.engine import DeltaEvaluator, evaluate
 from .baselines import greedy_attach_user
 from .problem import Scenario, UNASSIGNED
 from .wolt import solve_wolt
@@ -74,8 +77,6 @@ class ControllerStats:
     """Running counters of control-plane activity.
 
     Attributes:
-        scan_reports: reports received from clients.
-        directives_sent: association directives issued.
         reassignments: directives that *changed* an existing association.
         dropped_reports: scan reports lost in transit (never seen by
             the CC).
@@ -93,8 +94,6 @@ class ControllerStats:
             repair across this controller's solves.
     """
 
-    scan_reports: int = 0
-    directives_sent: int = 0
     reassignments: int = 0
     dropped_reports: int = 0
     dropped_directives: int = 0
@@ -165,15 +164,28 @@ class CentralController:
             :attr:`ControllerStats.stale_reports`).  ``None`` (the
             default) keeps the legacy behaviour — reports never
             expire.
+        min_gain_mbps: hysteresis bar for :meth:`reconfigure`.  At 0
+            (the default) every user moves to its fresh WOLT target.
+            Above 0 only target moves that each gain at least this
+            much aggregate throughput (``redistribute`` law) are
+            issued; see :meth:`_hysteresis`.  Not combinable with
+            ``guard`` or ``health``.
     """
 
     def __init__(self, plc_rates: Sequence[float], policy: str = "wolt",
                  transport: Optional[Transport] = None,
                  guard: "Optional[DecisionGuard]" = None,
                  health: "Optional[HealthMonitor]" = None,
-                 report_ttl_epochs: Optional[int] = None) -> None:
+                 report_ttl_epochs: Optional[int] = None,
+                 min_gain_mbps: float = 0.0) -> None:
         if policy not in POLICIES:
             raise ValueError(f"unsupported policy {policy!r}")
+        if min_gain_mbps < 0:
+            raise ValueError("min_gain_mbps must be non-negative")
+        if min_gain_mbps > 0 and (guard is not None or health is not None):
+            raise ValueError(
+                "min_gain_mbps cannot be combined with a guard or a "
+                "health monitor")
         self.plc_rates = np.asarray(plc_rates, dtype=float)
         if self.plc_rates.ndim != 1 or self.plc_rates.size == 0:
             raise ValueError("plc_rates must be a non-empty vector")
@@ -187,6 +199,7 @@ class CentralController:
         self.guard = guard
         self.health = health
         self.report_ttl_epochs = report_ttl_epochs
+        self.min_gain_mbps = min_gain_mbps
         self.stats = ControllerStats()
         self._epoch = 0
         self._reports: Dict[int, ScanReport] = {}
@@ -206,9 +219,8 @@ class CentralController:
         """Current user id -> extender associations (a copy)."""
         return dict(self._assignment)
 
-    def receive_scan_report(self, report: ScanReport
-                            ) -> Optional[AssociationDirective]:
-        """Handle a client's scan report; reply with a directive.
+    def receive_scan_report(self, report: ScanReport) -> None:
+        """Handle a client's scan report; direct it if needed.
 
         A new client is admitted immediately: Greedy places it to
         maximize aggregate throughput, RSSI and WOLT park it on its
@@ -220,11 +232,9 @@ class CentralController:
         A client is re-parked only when its extender became unreachable
         (e.g. the extender browned out).
 
-        Returns ``None`` when no directive reaches the client: the
-        report was lost in transit, every directive delivery attempt
-        was lost, or no directive was needed.  A new client whose
-        directive never arrives stays on the strongest-RSSI extender it
-        used to reach the CC (graceful degradation).
+        A lost report changes nothing.  A new client whose directive
+        never arrives stays on the strongest-RSSI extender it used to
+        reach the CC (graceful degradation).
         """
         rates = np.asarray(report.wifi_rates, dtype=float)
         if rates.shape != (self.n_extenders,):
@@ -235,21 +245,20 @@ class CentralController:
                 # Nothing usable survived sanitation and there is no
                 # last-known-good fallback: ignore the report (the
                 # client physically stays wherever it is).
-                return None
+                return
             raise ValueError(f"user {report.user_id} hears no extender")
         observed = self.transport.observe_report(
             ScanReport(report.user_id, rates))
         if observed is None:
             self.stats.dropped_reports += 1
-            return None
+            return
         seen = np.asarray(observed.wifi_rates, dtype=float)
-        self.stats.scan_reports += 1
         self._reports[report.user_id] = ScanReport(report.user_id, seen)
         self._report_epoch[report.user_id] = self._epoch
         self._last_good_rates[report.user_id] = seen.copy()
         current = self._assignment.get(report.user_id)
         if current is not None and seen[current] > 0:
-            return None
+            return
         if self.policy == "greedy":
             scenario, ids = self._scenario()
             idx = ids.index(report.user_id)
@@ -263,13 +272,11 @@ class CentralController:
                 extender = int(np.argmax(self._admission_rates(seen)))
         else:
             extender = int(np.argmax(self._admission_rates(seen)))
-        directive = self._issue(report.user_id, extender)
-        if directive is None and current is None:
+        if not self._issue(report.user_id, extender) and current is None:
             # The client reached the CC over its strongest-RSSI
             # association and never heard back: it physically stays
             # there (per its own, unperturbed scan).
             self._assignment[report.user_id] = int(np.argmax(rates))
-        return directive
 
     def disconnect(self, user_id: int) -> None:
         """Remove a departing client."""
@@ -304,7 +311,7 @@ class CentralController:
                 "PLC telemetry must be finite and non-negative")
         self.plc_rates = arr
 
-    def reconfigure(self) -> List[AssociationDirective]:
+    def reconfigure(self) -> None:
         """Epoch-boundary re-optimization (WOLT only; others no-op).
 
         Every call advances the controller's epoch clock (the unit of
@@ -312,70 +319,85 @@ class CentralController:
         newest report expired are excluded from the solve and keep
         their last-known-good association.
 
-        Returns the directives *delivered* to clients whose extender
-        changed (a directive lost on every attempt is counted in
-        :attr:`ControllerStats.dropped_directives` instead; its client
-        keeps its previous extender).
+        Each user whose extender changes gets a directive, in ascending
+        user order (a directive lost on every attempt is counted in
+        :attr:`ControllerStats.dropped_directives`; its client keeps
+        its previous extender).
         """
         self._epoch += 1
         if self.policy != "wolt" or not self._reports:
-            return []
+            return
         fresh = self._fresh_ids()
         self.stats.stale_reports += len(self._reports) - len(fresh)
         if not fresh:
-            return []
+            return
         before = self.guard.repairs if self.guard is not None else 0
         scenario, ids = self._scenario(fresh)
-        result = solve_wolt(scenario, guard=self.guard)
+        target = solve_wolt(scenario, guard=self.guard).assignment
         if self.guard is not None:
             self.stats.guard_repairs += self.guard.repairs - before
-        directives = []
+        if self.min_gain_mbps > 0:
+            target = self._hysteresis(scenario, ids, target)
         for idx, uid in enumerate(ids):
-            new_j = int(result.assignment[idx])
+            new_j = int(target[idx])
             if new_j == UNASSIGNED:
                 # A guarded solve could not place this user (e.g. its
                 # only extenders are quarantined): it keeps its
                 # last-known-good association.
                 continue
             if self._assignment.get(uid) != new_j:
-                directive = self._issue(uid, new_j)
-                if directive is not None:
-                    directives.append(directive)
-        return directives
-
-    # ------------------------------------------------------------------
-    # measurement
-
-    def network_report(self) -> "ThroughputReport":
-        """Current end-to-end throughput report (see
-        :func:`repro.net.engine.evaluate`)."""
-        # Measurement covers everyone (stale users included) against
-        # the unmasked scenario: quarantine is solver bookkeeping, not
-        # physics, and clients may legitimately still sit on a
-        # quarantined extender.
-        scenario, ids = self._scenario(mask_quarantined=False)
-        vec = self._assignment_vector(ids)
-        complete = self.guard is None or not np.any(vec == UNASSIGNED)
-        return evaluate(scenario, vec, require_complete=complete)
+                self._issue(uid, new_j)
 
     # ------------------------------------------------------------------
     # internals
 
-    def _issue(self, user_id: int,
-               extender: int) -> Optional[AssociationDirective]:
-        """Send one directive through the transport.
+    def _hysteresis(self, scenario: Scenario, ids: List[int],
+                    target: np.ndarray) -> np.ndarray:
+        """The part of the WOLT ``target`` that clears the hysteresis bar.
+
+        Target moves are applied greedily to the current association,
+        highest aggregate gain first (a tie goes to the larger index),
+        until the best remaining move gains less than
+        ``min_gain_mbps``.  Each candidate is scored by a
+        :class:`~repro.net.engine.DeltaEvaluator`, which recomputes
+        only the two cells a move touches, bit-identically to a full
+        :func:`~repro.net.engine.evaluate`; the bar is re-read from the
+        evaluator after every commit, so rounding never accumulates.
+        """
+        current = self._assignment_vector(ids)
+        # A client whose re-park handoff failed may still sit on an
+        # extender its newest report cannot hear: score it as detached.
+        current[scenario.wifi_rates[np.arange(len(ids)), current]
+                <= 0] = UNASSIGNED
+        evaluator = DeltaEvaluator.from_report(
+            scenario, evaluate(scenario, current))
+        pending = {idx for idx in range(len(ids))
+                   if target[idx] != current[idx]
+                   and target[idx] != UNASSIGNED}
+        best = evaluator.aggregate
+        while pending:
+            gain, idx = max((evaluator.score_move(idx, int(target[idx]))
+                             - best, idx) for idx in pending)
+            if gain < self.min_gain_mbps:
+                break
+            evaluator.commit(idx, int(target[idx]))
+            best = evaluator.aggregate
+            current[idx] = target[idx]
+            pending.discard(idx)
+        return current
+
+    def _issue(self, user_id: int, extender: int) -> bool:
+        """Send one directive through the transport; ``True`` if delivered.
 
         Delivery is retried up to ``transport.max_retries`` times.  On
-        exhaustion the directive is recorded as dropped and ``None`` is
-        returned — the client keeps its previous association.  A
-        delivered re-association may still fail client-side
-        (``failed_handoffs``); only a completed handoff changes the
-        association.
+        exhaustion the directive is recorded as dropped — the client
+        keeps its previous association.  A delivered re-association may
+        still fail client-side (``failed_handoffs``); only a completed
+        handoff changes the association.
         """
         previous = self._assignment.get(user_id)
         directive = AssociationDirective(user_id=user_id,
                                          extender=extender)
-        self.stats.directives_sent += 1
         delivered = False
         for attempt in range(self.transport.max_retries + 1):
             if self.transport.deliver_directive(directive):
@@ -385,14 +407,14 @@ class CentralController:
                 self.stats.retries += 1
         if not delivered:
             self.stats.dropped_directives += 1
-            return None
+            return False
         if previous is not None and previous != extender:
             if not self.transport.handoff_succeeds(directive):
                 self.stats.failed_handoffs += 1
-                return directive
+                return True
             self.stats.reassignments += 1
         self._assignment[user_id] = extender
-        return directive
+        return True
 
     def _checked_rates(self, user_id: int,
                        rates: np.ndarray) -> np.ndarray:
@@ -435,15 +457,13 @@ class CentralController:
                 if self._epoch - self._report_epoch.get(uid, self._epoch)
                 <= self.report_ttl_epochs]
 
-    def _scenario(self, ids: Optional[List[int]] = None,
-                  mask_quarantined: bool = True
+    def _scenario(self, ids: Optional[List[int]] = None
                   ) -> "Tuple[Scenario, List[int]]":
         if ids is None:
             ids = sorted(self._reports)
         wifi = np.vstack([self._reports[uid].wifi_rates for uid in ids])
         plc = self.plc_rates
-        if (mask_quarantined and self.health is not None
-                and np.any(self.health.quarantined)):
+        if self.health is not None and np.any(self.health.quarantined):
             quarantined = self.health.quarantined
             wifi = wifi.copy()
             wifi[:, quarantined] = 0.0

@@ -53,9 +53,9 @@ from ..core.problem import Scenario
 from ..net.engine import evaluate
 from ..net.estimate import noisy_scenario
 from ..net.topology import enterprise_floor
-from ..sim.failures import fail_extenders, flip_extenders, settle_clients
-from ..sim.faults import (EpochInput, FaultModel, FaultyTransport,
-                          drive_control_plane)
+from ..sim.failures import (EpochInput, drive_control_plane,
+                            fail_extenders, flip_extenders, settle_clients)
+from ..sim.faults import FaultModel, FaultyTransport
 from .common import format_rows
 
 __all__ = ["ChaosResult", "run_chaos_sweep", "quarantine_recovery_check",

@@ -7,9 +7,12 @@ recovers:
 
 * a failed extender's PLC link and WiFi cell vanish
   (:func:`fail_extenders` masks the scenario);
-* orphaned users must re-associate — WOLT re-solves globally, RSSI
-  clients fall back to the strongest surviving extender, a "sticky"
-  policy strands them (models clients that keep probing a dead BSS);
+* orphaned users must re-associate — :func:`drive_control_plane`
+  feeds each epoch's live network to a
+  :class:`~repro.core.controller.CentralController`, which re-solves
+  globally (WOLT) or re-parks only the orphans on their strongest
+  survivor (RSSI); clients that hear no live extender leave the WLAN;
+* :func:`settle_clients` is where clients physically end up;
 * :func:`flip_extenders` is one epoch of Bernoulli fail/recover
   dynamics; :class:`FailureSimulation` drives epochs of it and records
   throughput and orphan counts.
@@ -18,17 +21,17 @@ recovers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.baselines import rssi_assignment
+from ..core.controller import CentralController, ScanReport
 from ..core.problem import Scenario, UNASSIGNED
-from ..core.wolt import solve_wolt
 from ..net.engine import evaluate
 
 __all__ = ["fail_extenders", "flip_extenders", "reassociate_orphans",
-           "settle_clients", "FailureEpoch", "FailureSimulation"]
+           "settle_clients", "drive_control_plane", "FailureEpoch",
+           "FailureSimulation"]
 
 
 def fail_extenders(scenario: Scenario,
@@ -118,6 +121,33 @@ def settle_clients(scenario: Scenario,
     return reassociate_orphans(scenario, assign)
 
 
+#: One epoch of controller input: the live ground truth (dead extenders
+#: masked), the per-user WiFi rates the clients report, and the PLC
+#: capacity reading to feed first (``None`` = no telemetry this epoch).
+EpochInput = Tuple[Scenario, np.ndarray, Optional[np.ndarray]]
+
+
+def drive_control_plane(cc: CentralController,
+                        epochs: Sequence[EpochInput]) -> None:
+    """Run ``cc`` through ``epochs``.
+
+    Per epoch: feed the PLC reading (if any), disconnect every user who
+    hears no live extender (it has left the WLAN), send one scan report
+    per other user, then ``reconfigure()``.  Controller exceptions
+    propagate, leaving ``cc`` as it was at the raise.
+    """
+    for live, reported_wifi, plc_reading in epochs:
+        if plc_reading is not None:
+            cc.update_plc_telemetry(plc_reading)
+        for user in range(live.n_users):
+            if live.reachable(user).size == 0:
+                cc.disconnect(user)
+            else:
+                cc.receive_scan_report(
+                    ScanReport(user, reported_wifi[user]))
+        cc.reconfigure()
+
+
 @dataclass(frozen=True)
 class FailureEpoch:
     """Measurements from one failure-injection epoch.
@@ -140,6 +170,10 @@ class FailureEpoch:
 class FailureSimulation:
     """Bernoulli extender fail/recover dynamics under a fixed population.
 
+    Every association decision is made by a lossless
+    :class:`~repro.core.controller.CentralController` running
+    ``policy``; the simulation only injects failures and measures.
+
     Args:
         scenario: the healthy network (users fixed; no churn, isolating
             the failure effect).
@@ -161,13 +195,14 @@ class FailureSimulation:
         if not 0 <= fail_prob <= 1 or not 0 <= recover_prob <= 1:
             raise ValueError("probabilities must be in [0, 1]")
         self.healthy = scenario
-        self.policy = policy
         self.rng = rng
         self.fail_prob = fail_prob
         self.recover_prob = recover_prob
         self.plc_mode = plc_mode
         self.down = np.zeros(scenario.n_extenders, dtype=bool)
-        self.assignment = rssi_assignment(scenario)
+        self.cc = CentralController(scenario.plc_rates, policy=policy)
+        #: Where clients sit; before epoch 1, on their strongest extender.
+        self.assignment = settle_clients(scenario, {})
         self.history: List[FailureEpoch] = []
 
     def run_epoch(self) -> FailureEpoch:
@@ -179,25 +214,15 @@ class FailureSimulation:
             self.assignment[u] != UNASSIGNED
             and live.wifi_rates[u, self.assignment[u]] <= 0
             for u in range(live.n_users)]))
-        if self.policy == "wolt":
-            # Users who hear nothing stay offline; WOLT solves the rest.
-            reachable = np.array([live.reachable(u).size > 0
-                                  for u in range(live.n_users)])
-            assignment = np.full(live.n_users, UNASSIGNED, dtype=int)
-            if reachable.any():
-                sub = live.subset_users(np.flatnonzero(reachable))
-                solved = solve_wolt(sub, plc_mode=self.plc_mode)
-                assignment[np.flatnonzero(reachable)] = solved.assignment
-            self.assignment = assignment
-        else:
-            self.assignment = reassociate_orphans(live, self.assignment)
-        offline = int(np.sum(self.assignment == UNASSIGNED))
+        drive_control_plane(self.cc,
+                            [(live, live.wifi_rates, live.plc_rates)])
+        self.assignment = settle_clients(live, self.cc.associations)
         report = evaluate(live, self.assignment, plc_mode=self.plc_mode)
         stats = FailureEpoch(
             epoch=len(self.history) + 1,
             failed_extenders=tuple(np.flatnonzero(self.down).tolist()),
             orphaned_users=orphaned,
-            offline_users=offline,
+            offline_users=int(np.sum(self.assignment == UNASSIGNED)),
             aggregate_throughput=report.aggregate)
         self.history.append(stats)
         return stats

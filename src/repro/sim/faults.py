@@ -12,8 +12,6 @@ module makes that degradation injectable and *reproducible*:
   noise) plus the retry budget;
 * :class:`FaultyTransport` — a seeded :class:`repro.core.Transport`
   that applies the model to every control-plane message;
-* :func:`drive_control_plane` — the epoch loop around a
-  :class:`~repro.core.CentralController`;
 * :func:`run_faulty_control_plane` — admission + reconfiguration of
   one scenario through a lossy control plane, returning the ground
   truth association (graceful degradation included);
@@ -33,17 +31,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional
 
 import numpy as np
 
 from ..core.controller import (AssociationDirective, CentralController,
                                ControllerStats, ScanReport, Transport)
 from ..core.problem import Scenario
-from .failures import settle_clients
+from .failures import drive_control_plane, settle_clients
 
 __all__ = ["FaultModel", "FaultyTransport", "ControlPlaneOutcome",
-           "drive_control_plane", "run_faulty_control_plane",
+           "run_faulty_control_plane",
            "InjectedCrash", "CrashSchedule"]
 
 
@@ -133,31 +131,6 @@ class ControlPlaneOutcome:
 
     assignment: np.ndarray
     stats: ControllerStats
-
-
-#: One epoch of controller input: the live ground truth (dead extenders
-#: masked), the per-user WiFi rates the clients report, and the PLC
-#: capacity reading to feed first (``None`` = no telemetry this epoch).
-EpochInput = Tuple[Scenario, np.ndarray, Optional[np.ndarray]]
-
-
-def drive_control_plane(cc: CentralController,
-                        epochs: Sequence[EpochInput]) -> Scenario:
-    """Run ``cc`` through ``epochs``; return the last live scenario.
-
-    Per epoch: feed the PLC reading (if any), send one scan report per
-    user that hears a live extender, then ``reconfigure()``.  Controller
-    exceptions propagate, leaving ``cc`` as it was at the raise.
-    """
-    for live, reported_wifi, plc_reading in epochs:
-        if plc_reading is not None:
-            cc.update_plc_telemetry(plc_reading)
-        for user in range(live.n_users):
-            if live.reachable(user).size == 0:
-                continue
-            cc.receive_scan_report(ScanReport(user, reported_wifi[user]))
-        cc.reconfigure()
-    return epochs[-1][0]
 
 
 def run_faulty_control_plane(scenario: Scenario, policy: str,

@@ -12,11 +12,17 @@ bit-identical decisions:
 * :func:`greedy_assignment_scalar` and
   :func:`selfish_greedy_assignment_scalar` issue one scalar
   ``evaluate`` per candidate extender.
-* :func:`reconfigure_batch` is ``IncrementalWolt.reconfigure`` with the
-  pending moves scored by one ``evaluate_batch`` call per step.
+* :func:`reconfigure_batch` is ``CentralController.reconfigure`` with
+  the hysteresis bar's pending moves scored by one ``evaluate_batch``
+  call per step.
 * :class:`OnlineSimulationReference` is the Fig. 6b/6c simulation with
   its own admission (greedy attach or strongest extender over a rebuilt
   rate matrix) and epoch re-solve, in place of the Central Controller.
+* :class:`FailureSimulationReference` is the extender-failure
+  simulation with its own WOLT subset re-solve and RSSI orphan
+  fallback, in place of the Central Controller.
+* :class:`IncrementalWoltReference` is the stand-alone hysteresis
+  controller the Central Controller's ``min_gain_mbps`` replaced.
 
 The Phase-II references share :func:`_local_search`, whose swap pass
 :func:`_try_swaps_scalar` tries one pair at a time on the cell state, so
@@ -41,6 +47,7 @@ Further references the tests compare production against:
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
@@ -48,8 +55,8 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
 
 import numpy as np
 
-from repro.core.baselines import greedy_attach_user
-from repro.core.dynamic import IncrementalWolt, ReconfigureOutcome
+from repro.core.baselines import greedy_attach_user, rssi_assignment
+from repro.core.controller import CentralController
 from repro.core.phase1 import solve_phase1
 from repro.core.phase2 import (Phase2Result, _BatchGains, _CellState,
                                _relocate)
@@ -57,11 +64,15 @@ from repro.core.problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
 from repro.core.wolt import WoltResult, solve_wolt
 from repro.fleet.service import Directive, _servable
 from repro.fleet.sharding import Segment, split_segments
-from repro.net.engine import _record, evaluate, evaluate_batch
+from repro.net.engine import (DeltaEvaluator, _record, evaluate,
+                              evaluate_batch)
 from repro.net.metrics import jain_fairness
 from repro.net.topology import sample_user_positions
 from repro.plc.sharing import allocate_backhaul
 from repro.sim.dynamics import EpochStats, OnlineSimulation
+from repro.sim.failures import (FailureEpoch, FailureSimulation,
+                                fail_extenders, flip_extenders,
+                                reassociate_orphans)
 from repro.wifi.sharing import cell_throughputs
 
 
@@ -282,46 +293,161 @@ def selfish_greedy_assignment_scalar(
             scenario, a, plc_mode=plc_mode).user_throughputs[user])
 
 
-def reconfigure_batch(ctl: IncrementalWolt) -> ReconfigureOutcome:
-    """``ctl.reconfigure()`` with each step's moves scored in one batch."""
-    scenario, ids = ctl._scenario()
-    if not ids:
-        return ReconfigureOutcome(moves=(), aggregate_before=0.0,
-                                  aggregate_after=0.0, wolt_aggregate=0.0)
-    current = np.array([ctl.assignment[uid] for uid in ids])
-    before = evaluate(scenario, current, plc_mode=ctl.plc_mode,
-                      require_complete=True).aggregate
-    solved = solve_wolt(scenario, plc_mode=ctl.plc_mode, guard=ctl.guard)
-    target = solved.assignment
+def _hysteresis_batch(cc: CentralController, scenario: Scenario,
+                      ids: List[int], target: np.ndarray) -> np.ndarray:
+    """``cc._hysteresis`` with each step's moves scored in one batch."""
+    current = cc._assignment_vector(ids)
+    current[scenario.wifi_rates[np.arange(len(ids)), current]
+            <= 0] = UNASSIGNED
+    best = evaluate(scenario, current).aggregate
     pending = {idx for idx in range(len(ids))
                if target[idx] != current[idx] and target[idx] != UNASSIGNED}
-    applied: List[Tuple[int, int, int]] = []
-    working = current.copy()
-    best = before
     while pending:
-        if ctl.max_moves is not None and len(applied) >= ctl.max_moves:
-            break
         idxs = sorted(pending)
-        batch = np.tile(working, (len(idxs), 1))
+        batch = np.tile(current, (len(idxs), 1))
         batch[np.arange(len(idxs)), idxs] = target[idxs]
-        aggregates = evaluate_batch(scenario, batch, plc_mode=ctl.plc_mode,
-                                    require_complete=True).aggregates
+        aggregates = evaluate_batch(scenario, batch).aggregates
         gain, idx = max((float(agg) - best, idx)
                         for agg, idx in zip(aggregates, idxs))
-        if ctl.min_gain_mbps > 0 and gain < ctl.min_gain_mbps:
+        if gain < cc.min_gain_mbps:
             break
-        applied.append((ids[idx], int(working[idx]), int(target[idx])))
-        working[idx] = target[idx]
+        current[idx] = target[idx]
         best = float(aggregates[idxs.index(idx)])
         pending.discard(idx)
-    for user_id, _, new_j in applied:
-        ctl.assignment[user_id] = new_j
-    ctl.total_moves += len(applied)
-    after = evaluate(scenario, working, plc_mode=ctl.plc_mode,
-                     require_complete=True).aggregate
-    return ReconfigureOutcome(moves=tuple(applied), aggregate_before=before,
-                              aggregate_after=after,
-                              wolt_aggregate=solved.aggregate_throughput)
+    return current
+
+
+def reconfigure_batch(cc: CentralController) -> None:
+    """``cc.reconfigure()`` with the hysteresis moves batch-scored."""
+    cc._hysteresis = functools.partial(_hysteresis_batch, cc)
+    try:
+        cc.reconfigure()
+    finally:
+        del cc._hysteresis
+
+
+@dataclass(frozen=True)
+class ReconfigureOutcome:
+    """One :meth:`IncrementalWoltReference.reconfigure`.
+
+    Attributes:
+        moves: ``(user_id, old_extender, new_extender)`` in the order
+            the greedy loop applied them.
+        gains: the aggregate gain each applied move scored.
+        aggregate_after: aggregate throughput after the moves.
+    """
+
+    moves: Tuple[Tuple[int, int, int], ...]
+    gains: Tuple[float, ...]
+    aggregate_after: float
+
+
+class IncrementalWoltReference:
+    """The stand-alone hysteresis WOLT controller.
+
+    Users are admitted on their strongest extender; ``reconfigure``
+    re-solves WOLT and applies target moves greedily, highest gain
+    first, while the best remaining move gains at least
+    ``min_gain_mbps`` (all of them at 0), scoring under the
+    ``redistribute`` law with a ``DeltaEvaluator``.
+    """
+
+    def __init__(self, plc_rates: Sequence[float],
+                 min_gain_mbps: float = 0.0) -> None:
+        self.plc_rates = np.asarray(plc_rates, dtype=float)
+        self.min_gain_mbps = min_gain_mbps
+        self._rates: Dict[int, np.ndarray] = {}
+        self.assignment: Dict[int, int] = {}
+
+    def add_user(self, user_id: int, wifi_rates: Sequence[float]) -> None:
+        self._rates[user_id] = np.asarray(wifi_rates, dtype=float)
+        self.assignment[user_id] = int(np.argmax(self._rates[user_id]))
+
+    def remove_user(self, user_id: int) -> None:
+        self._rates.pop(user_id, None)
+        self.assignment.pop(user_id, None)
+
+    def reconfigure(self) -> ReconfigureOutcome:
+        ids = sorted(self._rates)
+        if not ids:
+            return ReconfigureOutcome(moves=(), gains=(),
+                                      aggregate_after=0.0)
+        scenario = Scenario(
+            wifi_rates=np.vstack([self._rates[uid] for uid in ids]),
+            plc_rates=self.plc_rates)
+        current = np.array([self.assignment[uid] for uid in ids])
+        baseline = evaluate(scenario, current, require_complete=True)
+        target = solve_wolt(scenario).assignment
+        pending = {idx for idx in range(len(ids))
+                   if target[idx] != current[idx]
+                   and target[idx] != UNASSIGNED}
+        applied: List[Tuple[int, int, int]] = []
+        gains: List[float] = []
+        working = current.copy()
+        evaluator = DeltaEvaluator.from_report(scenario, baseline)
+        best = baseline.aggregate
+        while pending:
+            gain, idx = max((evaluator.score_move(idx, int(target[idx]))
+                             - best, idx) for idx in sorted(pending))
+            if self.min_gain_mbps > 0 and gain < self.min_gain_mbps:
+                break
+            applied.append((ids[idx], int(working[idx]), int(target[idx])))
+            gains.append(gain)
+            working[idx] = target[idx]
+            evaluator.commit(idx, int(target[idx]))
+            best = evaluator.aggregate
+            pending.discard(idx)
+        for user_id, _, new_j in applied:
+            self.assignment[user_id] = new_j
+        after = evaluate(scenario, working, require_complete=True).aggregate
+        return ReconfigureOutcome(moves=tuple(applied), gains=tuple(gains),
+                                  aggregate_after=after)
+
+
+class FailureSimulationReference(FailureSimulation):
+    """:class:`FailureSimulation` deciding associations itself.
+
+    Clients start on ``rssi_assignment`` of the healthy floor.  Each
+    WOLT epoch re-solves the users who hear a live extender with
+    ``solve_wolt`` over a subset scenario (the rest go offline); each
+    RSSI epoch moves only orphans, to their strongest survivor.  The
+    failure draws and the scoring are the production ones.
+    """
+
+    def __init__(self, scenario: Scenario, policy: str,
+                 *args, **kwargs) -> None:
+        super().__init__(scenario, policy, *args, **kwargs)
+        self.policy = policy
+        self.assignment = rssi_assignment(scenario)
+
+    def run_epoch(self) -> FailureEpoch:
+        self.down = flip_extenders(self.down, self.rng, self.fail_prob,
+                                   self.recover_prob)
+        live = fail_extenders(self.healthy, np.flatnonzero(self.down))
+        orphaned = int(np.sum([
+            self.assignment[u] != UNASSIGNED
+            and live.wifi_rates[u, self.assignment[u]] <= 0
+            for u in range(live.n_users)]))
+        if self.policy == "wolt":
+            reachable = np.array([live.reachable(u).size > 0
+                                  for u in range(live.n_users)])
+            assignment = np.full(live.n_users, UNASSIGNED, dtype=int)
+            if reachable.any():
+                sub = live.subset_users(np.flatnonzero(reachable))
+                solved = solve_wolt(sub, plc_mode=self.plc_mode)
+                assignment[np.flatnonzero(reachable)] = solved.assignment
+            self.assignment = assignment
+        else:
+            self.assignment = reassociate_orphans(live, self.assignment)
+        report = evaluate(live, self.assignment, plc_mode=self.plc_mode)
+        stats = FailureEpoch(
+            epoch=len(self.history) + 1,
+            failed_extenders=tuple(np.flatnonzero(self.down).tolist()),
+            orphaned_users=orphaned,
+            offline_users=int(np.sum(self.assignment == UNASSIGNED)),
+            aggregate_throughput=report.aggregate)
+        self.history.append(stats)
+        return stats
 
 
 class OnlineSimulationReference(OnlineSimulation):

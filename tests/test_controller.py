@@ -2,30 +2,41 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core.controller import (AssociationDirective, CentralController,
-                                   ScanReport)
+from repro.core.controller import CentralController, ScanReport
+from repro.core.problem import Scenario
+from repro.net.engine import evaluate
 
 
 def _report(uid: int, rates) -> ScanReport:
     return ScanReport(user_id=uid, wifi_rates=np.asarray(rates, float))
 
 
+def _fig3_aggregate(cc) -> float:
+    """Aggregate of users 1 and 2's associations on the Fig. 3 network."""
+    scenario = Scenario(wifi_rates=np.array([[15.0, 10.0], [40.0, 20.0]]),
+                        plc_rates=np.array([60.0, 20.0]))
+    return evaluate(scenario, [cc.associations[1],
+                               cc.associations[2]]).aggregate
+
+
 class TestAdmission:
     def test_rssi_and_wolt_park_on_strongest(self):
         for policy in ("rssi", "wolt"):
             cc = CentralController([60.0, 20.0], policy=policy)
-            directive = cc.receive_scan_report(_report(1, [15.0, 10.0]))
-            assert directive == AssociationDirective(user_id=1, extender=0)
+            cc.receive_scan_report(_report(1, [15.0, 10.0]))
+            assert cc.associations == {1: 0}
 
     def test_greedy_places_for_aggregate(self):
         cc = CentralController([60.0, 20.0], policy="greedy")
         cc.receive_scan_report(_report(1, [15.0, 10.0]))
         # Fig. 3c: user 2 greedily prefers extender 2.
-        directive = cc.receive_scan_report(_report(2, [40.0, 20.0]))
-        assert directive.extender == 1
+        cc.receive_scan_report(_report(2, [40.0, 20.0]))
+        assert cc.associations[2] == 1
 
     def test_scan_must_cover_every_extender(self):
         cc = CentralController([60.0, 20.0])
@@ -44,29 +55,29 @@ class TestAdmission:
         cc.receive_scan_report(_report(1, [15.0, 10.0]))
         cc.receive_scan_report(_report(2, [40.0, 20.0]))
         cc.reconfigure()  # user 1 moves to extender 1 (Fig. 3 optimum)
-        moves = cc.stats.reassignments
-        assert cc.receive_scan_report(_report(1, [15.0, 10.0])) is None
+        stats = replace(cc.stats)
+        cc.receive_scan_report(_report(1, [15.0, 10.0]))
         assert cc.associations[1] == 1
-        assert cc.stats.reassignments == moves
+        assert cc.stats == stats
         # The refreshed estimates are still adopted for the next solve.
-        assert cc.reconfigure() == []
+        cc.reconfigure()
+        assert cc.stats == stats
 
     def test_rereport_reparks_when_extender_unreachable(self):
         cc = CentralController([60.0, 20.0], policy="rssi")
         cc.receive_scan_report(_report(1, [15.0, 10.0]))
         assert cc.associations[1] == 0
         # Extender 0 went silent for this client: re-admit afresh.
-        directive = cc.receive_scan_report(_report(1, [0.0, 10.0]))
-        assert directive == AssociationDirective(user_id=1, extender=1)
+        cc.receive_scan_report(_report(1, [0.0, 10.0]))
         assert cc.associations[1] == 1
+        assert cc.stats.reassignments == 1
 
-    def test_counters(self):
+    def test_initial_placements_are_not_reassignments(self):
         cc = CentralController([60.0, 20.0])
         cc.receive_scan_report(_report(1, [15.0, 10.0]))
         cc.receive_scan_report(_report(2, [40.0, 20.0]))
-        assert cc.stats.scan_reports == 2
-        assert cc.stats.directives_sent == 2
-        assert cc.stats.reassignments == 0  # initial placements
+        assert cc.associations == {1: 0, 2: 0}
+        assert cc.stats.reassignments == 0
 
 
 class TestReconfigure:
@@ -74,31 +85,36 @@ class TestReconfigure:
         cc = CentralController([60.0, 20.0], policy="wolt")
         cc.receive_scan_report(_report(1, [15.0, 10.0]))
         cc.receive_scan_report(_report(2, [40.0, 20.0]))
-        directives = cc.reconfigure()
+        cc.reconfigure()
         # Both users start on extender 1 (their strongest).  The optimum
         # keeps user 2 there and moves only user 1 to extender 2.
-        moves = {d.user_id: d.extender for d in directives}
-        assert moves == {1: 1}
-        assert cc.network_report().aggregate == pytest.approx(40.0)
+        assert cc.associations == {1: 1, 2: 0}
+        assert _fig3_aggregate(cc) == pytest.approx(40.0)
         assert cc.stats.reassignments == 1
 
     def test_non_wolt_reconfigure_is_noop(self):
         for policy in ("greedy", "rssi"):
             cc = CentralController([60.0, 20.0], policy=policy)
             cc.receive_scan_report(_report(1, [15.0, 10.0]))
-            assert cc.reconfigure() == []
+            cc.reconfigure()
+            assert cc.associations == {1: 0}
+            assert cc.stats.reassignments == 0
 
     def test_stable_reconfigure_sends_nothing(self):
         cc = CentralController([60.0, 20.0], policy="wolt")
         cc.receive_scan_report(_report(1, [15.0, 10.0]))
         cc.receive_scan_report(_report(2, [40.0, 20.0]))
         cc.reconfigure()
+        stats = replace(cc.stats)
         # Second pass with no changes: no directives, no handoffs.
-        assert cc.reconfigure() == []
+        cc.reconfigure()
+        assert cc.associations == {1: 1, 2: 0}
+        assert cc.stats == stats
 
     def test_empty_controller_reconfigure(self):
         cc = CentralController([60.0])
-        assert cc.reconfigure() == []
+        cc.reconfigure()
+        assert cc.associations == {}
 
 
 class TestDisconnect:
@@ -118,9 +134,10 @@ class TestDisconnect:
         assert list(cc.associations) == [2]
         # The departed client leaves no stale report behind: the solve
         # covers only user 2, who stays on its best extender.
-        assert cc.reconfigure() == []
+        moves = cc.stats.reassignments
+        cc.reconfigure()
         assert cc.associations == {2: 0}
-        assert cc.network_report().aggregate == pytest.approx(40.0)
+        assert cc.stats.reassignments == moves
 
 
 

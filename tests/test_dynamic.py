@@ -1,127 +1,149 @@
-"""Tests for the incremental / hysteresis WOLT controller."""
+"""Tests for the Central Controller's hysteresis bar (``min_gain_mbps``)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.dynamic import IncrementalWolt
+from repro.core.controller import CentralController, ScanReport, Transport
+from repro.core.guard import DecisionGuard
+from repro.core.health import HealthMonitor
 from repro.core.problem import UNASSIGNED, Scenario
 from repro.core.wolt import solve_wolt
-from repro.net.engine import DeltaEvaluator
+from repro.net.engine import DeltaEvaluator, evaluate
 
 from .conftest import random_scenario
 from .oracles import reconfigure_batch
 
 
+def _admit(cc, scenario):
+    for uid in range(scenario.n_users):
+        cc.receive_scan_report(ScanReport(uid, scenario.wifi_rates[uid]))
+
+
 def _loaded_controller(rng, n_users=12, n_ext=4, **kwargs):
     sc = random_scenario(rng, n_users, n_ext)
-    ctrl = IncrementalWolt(sc.plc_rates, **kwargs)
-    for uid in range(n_users):
-        ctrl.add_user(uid, sc.wifi_rates[uid])
-    return ctrl, sc
+    cc = CentralController(sc.plc_rates, **kwargs)
+    _admit(cc, sc)
+    return cc, sc
+
+
+def _aggregate(cc, scenario):
+    """Aggregate of the controller's associations (``redistribute``)."""
+    return evaluate(scenario, [cc.associations[uid] for uid
+                               in range(scenario.n_users)]).aggregate
+
+
+def _reconfigure(cc, scenario, reconfigure=CentralController.reconfigure):
+    """Reconfigure; return ``(moved users, aggregate before, after)``."""
+    before = cc.associations
+    aggregate_before = _aggregate(cc, scenario)
+    reconfigure(cc)
+    moved = sorted(uid for uid, j in cc.associations.items()
+                   if before[uid] != j)
+    return moved, aggregate_before, _aggregate(cc, scenario)
 
 
 class TestChurn:
-    def test_add_user_parks_on_strongest(self, rng):
-        ctrl = IncrementalWolt([100.0, 50.0])
-        j = ctrl.add_user(7, [20.0, 30.0])
-        assert j == 1
-        assert ctrl.assignment[7] == 1
-        assert ctrl.n_users == 1
+    def test_add_user_parks_on_strongest(self):
+        cc = CentralController([100.0, 50.0], min_gain_mbps=1.0)
+        cc.receive_scan_report(ScanReport(7, np.array([20.0, 30.0])))
+        assert cc.associations == {7: 1}
 
-    def test_duplicate_user_rejected(self):
-        ctrl = IncrementalWolt([100.0])
-        ctrl.add_user(1, [10.0])
-        with pytest.raises(ValueError):
-            ctrl.add_user(1, [10.0])
+    def test_repeated_report_refreshes_one_user(self):
+        cc = CentralController([100.0], min_gain_mbps=1.0)
+        cc.receive_scan_report(ScanReport(1, np.array([10.0])))
+        cc.receive_scan_report(ScanReport(1, np.array([12.0])))
+        assert cc.associations == {1: 0}
 
     def test_deaf_user_rejected(self):
-        ctrl = IncrementalWolt([100.0])
+        cc = CentralController([100.0], min_gain_mbps=1.0)
         with pytest.raises(ValueError):
-            ctrl.add_user(1, [0.0])
+            cc.receive_scan_report(ScanReport(1, np.array([0.0])))
 
     def test_rate_vector_length_checked(self):
-        ctrl = IncrementalWolt([100.0, 50.0])
+        cc = CentralController([100.0, 50.0], min_gain_mbps=1.0)
         with pytest.raises(ValueError):
-            ctrl.add_user(1, [10.0])
+            cc.receive_scan_report(ScanReport(1, np.array([10.0])))
 
     def test_remove_user(self):
-        ctrl = IncrementalWolt([100.0])
-        ctrl.add_user(1, [10.0])
-        ctrl.remove_user(1)
-        assert ctrl.n_users == 0
-        ctrl.remove_user(99)  # unknown: no-op
+        cc = CentralController([100.0], min_gain_mbps=1.0)
+        cc.receive_scan_report(ScanReport(1, np.array([10.0])))
+        cc.disconnect(1)
+        assert cc.associations == {}
+        cc.disconnect(99)  # unknown: no-op
 
 
 class TestReconfigure:
     def test_empty_controller(self):
-        ctrl = IncrementalWolt([100.0])
-        outcome = ctrl.reconfigure()
-        assert outcome.moves == ()
-        assert outcome.aggregate_after == 0.0
+        cc = CentralController([100.0], min_gain_mbps=1.0)
+        cc.reconfigure()
+        assert cc.associations == {}
+        assert cc.stats.reassignments == 0
 
     def test_zero_threshold_tracks_wolt(self, rng):
-        ctrl, _ = _loaded_controller(rng, min_gain_mbps=0.0)
-        outcome = ctrl.reconfigure()
-        # With no hysteresis, applied moves reach at least WOLT's level
-        # minus negligible tolerance.
-        assert outcome.aggregate_after >= outcome.wolt_aggregate - 1e-6 \
-            or outcome.hysteresis_cost <= 1e-6
+        cc, sc = _loaded_controller(rng, min_gain_mbps=0.0)
+        _, _, after = _reconfigure(cc, sc)
+        assert after == evaluate(sc, solve_wolt(sc).assignment).aggregate
 
     def test_moves_never_hurt(self, rng):
-        ctrl, _ = _loaded_controller(rng, min_gain_mbps=0.5)
-        outcome = ctrl.reconfigure()
-        assert outcome.aggregate_after >= outcome.aggregate_before - 1e-9
+        cc, sc = _loaded_controller(rng, min_gain_mbps=0.5)
+        _, before, after = _reconfigure(cc, sc)
+        assert after >= before - 1e-9
 
     def test_each_move_clears_the_bar(self, rng):
         """Every applied move gained at least min_gain_mbps."""
-        ctrl, _ = _loaded_controller(rng, min_gain_mbps=2.0)
-        outcome = ctrl.reconfigure()
-        if outcome.moves:
-            total_gain = outcome.aggregate_after - outcome.aggregate_before
-            assert total_gain >= 2.0 * len(outcome.moves) - 1e-6
-
-    def test_move_cap_enforced(self, rng):
-        ctrl, _ = _loaded_controller(rng, max_moves=1)
-        outcome = ctrl.reconfigure()
-        assert len(outcome.moves) <= 1
-        assert ctrl.total_moves <= 1
+        cc, sc = _loaded_controller(rng, min_gain_mbps=2.0)
+        moved, before, after = _reconfigure(cc, sc)
+        if moved:
+            assert after - before >= 2.0 * len(moved) - 1e-6
 
     def test_high_threshold_freezes_network(self, rng):
-        ctrl, _ = _loaded_controller(rng, min_gain_mbps=1e9)
-        outcome = ctrl.reconfigure()
-        assert outcome.moves == ()
-        assert outcome.aggregate_after == pytest.approx(
-            outcome.aggregate_before)
+        cc, sc = _loaded_controller(rng, min_gain_mbps=1e9)
+        moved, before, after = _reconfigure(cc, sc)
+        assert moved == []
+        assert after == before
+        assert cc.stats.reassignments == 0
 
-    def test_threshold_monotone_in_moves(self, rng):
+    def test_threshold_monotone_in_moves(self):
         """Raising the hysteresis bar never increases the move count."""
         moves = []
         for threshold in (0.0, 1.0, 5.0, 50.0):
-            ctrl, _ = _loaded_controller(np.random.default_rng(7),
-                                         min_gain_mbps=threshold)
-            moves.append(len(ctrl.reconfigure().moves))
+            cc, sc = _loaded_controller(np.random.default_rng(7),
+                                        min_gain_mbps=threshold)
+            moves.append(len(_reconfigure(cc, sc)[0]))
         assert moves == sorted(moves, reverse=True)
 
-    def test_assignment_state_updated(self, rng):
-        ctrl, _ = _loaded_controller(rng, min_gain_mbps=0.0)
-        outcome = ctrl.reconfigure()
-        for user_id, _, new_j in outcome.moves:
-            assert ctrl.assignment[user_id] == new_j
-        # aggregate_throughput() reflects the applied state.
-        assert ctrl.aggregate_throughput() == pytest.approx(
-            outcome.aggregate_after)
+    def test_every_move_is_a_counted_handoff(self, rng):
+        cc, sc = _loaded_controller(rng, min_gain_mbps=0.5)
+        moved, _, _ = _reconfigure(cc, sc)
+        assert cc.stats.reassignments == len(moved)
 
     def test_second_reconfigure_is_stable(self, rng):
-        ctrl, _ = _loaded_controller(rng, min_gain_mbps=0.0)
-        ctrl.reconfigure()
-        second = ctrl.reconfigure()
+        cc, sc = _loaded_controller(rng, min_gain_mbps=0.0)
+        cc.reconfigure()
+        _, before, after = _reconfigure(cc, sc)
         # No strictly-improving moves should remain at zero threshold
         # beyond numerical dust.
-        assert (second.aggregate_after
-                - second.aggregate_before) <= max(
-                    1e-6, 0.01 * second.aggregate_before)
+        assert after - before <= max(1e-6, 0.01 * before)
+
+    def test_failed_rehome_is_scored_as_detached(self):
+        """A client whose re-park handoff failed still sits on an
+        extender its newest report cannot hear; the bar scores it as
+        detached instead of raising."""
+
+        class _RefuseHandoffs(Transport):
+            def handoff_succeeds(self, directive):
+                return False
+
+        cc = CentralController([60.0, 20.0], transport=_RefuseHandoffs(),
+                               min_gain_mbps=1.0)
+        cc.receive_scan_report(ScanReport(1, np.array([15.0, 10.0])))
+        cc.receive_scan_report(ScanReport(1, np.array([0.0, 10.0])))
+        assert cc.associations == {1: 0}
+        cc.reconfigure()
+        assert cc.stats.failed_handoffs == 2
+        assert cc.associations == {1: 0}
 
 
 def _drift_scenario() -> Scenario:
@@ -193,31 +215,30 @@ class TestBugfixRegressions:
                                                  [50.0, 40.0]]),
                             plc_rates=np.array([10.0, 10.0]))
         target = solve_wolt(scenario).assignment
-        parked = np.array([1, 0])  # add_user parks on argmax WiFi
+        parked = np.array([1, 0])  # admission parks on argmax WiFi
         assert not np.array_equal(target, parked), \
             "precondition: the tie point must separate target from parking"
-        for reconfigure in (IncrementalWolt.reconfigure, reconfigure_batch):
-            ctrl = IncrementalWolt(scenario.plc_rates, min_gain_mbps=0.0)
-            ctrl.add_user(0, scenario.wifi_rates[0])
-            ctrl.add_user(1, scenario.wifi_rates[1])
-            assert [ctrl.assignment[u] for u in (0, 1)] == [1, 0]
-            outcome = reconfigure(ctrl)
-            assert len(outcome.moves) == 2
-            assert [ctrl.assignment[u] for u in (0, 1)] == \
+        for reconfigure in (CentralController.reconfigure,
+                            reconfigure_batch):
+            cc = CentralController(scenario.plc_rates, min_gain_mbps=0.0)
+            _admit(cc, scenario)
+            assert [cc.associations[u] for u in (0, 1)] == [1, 0]
+            moved, _, after = _reconfigure(cc, scenario, reconfigure)
+            assert moved == [0, 1]
+            assert [cc.associations[u] for u in (0, 1)] == \
                 target.tolist()
-            assert outcome.hysteresis_cost == 0.0
+            assert after == evaluate(scenario, target).aggregate
 
     @pytest.mark.parametrize("seed", [0, 3, 11, 42])
     def test_zero_threshold_is_vanilla_wolt(self, seed):
         """min_gain 0 adopts the complete fresh WOLT target, exactly."""
         rng = np.random.default_rng(seed)
         sc = random_scenario(rng, 14, 4)
-        ctrl = IncrementalWolt(sc.plc_rates, min_gain_mbps=0.0)
-        for uid in range(sc.n_users):
-            ctrl.add_user(uid, sc.wifi_rates[uid])
-        ctrl.reconfigure()
+        cc = CentralController(sc.plc_rates, min_gain_mbps=0.0)
+        _admit(cc, sc)
+        cc.reconfigure()
         target = solve_wolt(sc).assignment
-        adopted = np.array([ctrl.assignment[uid]
+        adopted = np.array([cc.associations[uid]
                             for uid in range(sc.n_users)])
         assert np.array_equal(adopted, target)
 
@@ -230,7 +251,9 @@ class TestBugfixRegressions:
         replayed move then separates the implementations: against the
         true baseline the move clears the bar with equality and is
         applied; against the drifted baseline its computed gain falls
-        1.4e-14 short and the loop stops after one move.
+        1.4e-14 short and the loop stops after one move.  (Directives
+        go out in user order, so the test checks that both replayed
+        users moved.)
         """
         scenario = _drift_scenario()
         parked = np.argmax(scenario.wifi_rates, axis=1)
@@ -246,20 +269,28 @@ class TestBugfixRegressions:
         assert old_best > drifted, \
             "precondition: the pinned scenario must drift the baseline up"
         exact_second_gain = steps[1][1] - agg0
-        ctrl = IncrementalWolt(scenario.plc_rates,
+        cc = CentralController(scenario.plc_rates,
                                min_gain_mbps=exact_second_gain)
-        for uid in range(scenario.n_users):
-            ctrl.add_user(uid, scenario.wifi_rates[uid])
-        outcome = ctrl.reconfigure()
-        assert len(outcome.moves) >= 2
-        assert outcome.moves[1][0] == steps[1][0]
+        _admit(cc, scenario)
+        moved, _, _ = _reconfigure(cc, scenario)
+        assert len(moved) >= 2
+        assert {steps[0][0], steps[1][0]} <= set(moved)
 
 
 class TestValidation:
     def test_bad_params(self):
         with pytest.raises(ValueError):
-            IncrementalWolt([100.0], min_gain_mbps=-1.0)
+            CentralController([100.0], min_gain_mbps=-1.0)
         with pytest.raises(ValueError):
-            IncrementalWolt([100.0], max_moves=-1)
-        with pytest.raises(ValueError):
-            IncrementalWolt([])
+            CentralController([], min_gain_mbps=1.0)
+
+    def test_hysteresis_excludes_guard_and_health(self):
+        with pytest.raises(ValueError, match="min_gain_mbps"):
+            CentralController([100.0], min_gain_mbps=1.0,
+                              guard=DecisionGuard())
+        with pytest.raises(ValueError, match="min_gain_mbps"):
+            CentralController([100.0], min_gain_mbps=1.0,
+                              health=HealthMonitor(1))
+        # At the zero threshold both stay available.
+        CentralController([100.0], guard=DecisionGuard(),
+                          health=HealthMonitor(1))

@@ -2,7 +2,8 @@
 
 The examples are part of what ``src/repro`` must keep working, so each
 one runs here in a fresh interpreter with ``PYTHONPATH=src``, exactly as
-the README tells a reader to run it.
+the README tells a reader to run it.  The scripts in ``GOLDEN`` must
+also print ``tests/data/example_<stem>_golden.txt`` byte for byte.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((REPO / "examples").glob("*.py"))
+GOLDEN = ("hotspot_failures", "fairness_and_mobility")
 
 
 def test_examples_exist():
@@ -29,3 +31,6 @@ def test_example_runs(script):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    if script.stem in GOLDEN:
+        golden = REPO / "tests" / "data" / f"example_{script.stem}_golden.txt"
+        assert proc.stdout == golden.read_text()

@@ -15,10 +15,10 @@ from repro.core.controller import (CentralController, ScanReport,
                                    Transport)
 from repro.core.problem import UNASSIGNED
 from repro.core.wolt import solve_wolt
-from repro.sim.failures import fail_extenders, settle_clients
+from repro.sim.failures import (drive_control_plane, fail_extenders,
+                                settle_clients)
 from repro.sim.faults import (ControlPlaneOutcome, CrashSchedule,
                               FaultModel, FaultyTransport, InjectedCrash,
-                              drive_control_plane,
                               run_faulty_control_plane)
 from repro.sim.runner import TrialFailure, TrialResult, run_trials
 
@@ -97,9 +97,8 @@ class TestControllerUnderFaults:
         cc = CentralController(
             [60.0, 20.0],
             transport=_transport(0, report_drop_prob=1.0))
-        assert cc.receive_scan_report(_report(1, [15.0, 10.0])) is None
+        cc.receive_scan_report(_report(1, [15.0, 10.0]))
         assert cc.stats.dropped_reports == 1
-        assert cc.stats.scan_reports == 0
         assert cc.associations == {}
 
     def test_dropped_directive_falls_back_to_strongest_rssi(self):
@@ -107,7 +106,7 @@ class TestControllerUnderFaults:
             [60.0, 20.0], policy="greedy",
             transport=_transport(0, directive_drop_prob=1.0,
                                  max_retries=1))
-        assert cc.receive_scan_report(_report(1, [10.0, 25.0])) is None
+        cc.receive_scan_report(_report(1, [10.0, 25.0]))
         # Every attempt (1 send + 1 retry) was lost; the client camps on
         # its strongest-RSSI extender (index 1).
         assert cc.stats.dropped_directives == 1
@@ -117,8 +116,7 @@ class TestControllerUnderFaults:
     def test_retry_recovers_from_transient_loss(self):
         transport = _ScriptedTransport([False, False, True])
         cc = CentralController([60.0, 20.0], transport=transport)
-        directive = cc.receive_scan_report(_report(1, [15.0, 10.0]))
-        assert directive is not None and directive.extender == 0
+        cc.receive_scan_report(_report(1, [15.0, 10.0]))
         assert cc.stats.retries == 2
         assert cc.stats.dropped_directives == 0
         assert cc.associations == {1: 0}
@@ -197,8 +195,8 @@ class TestDriveControlPlane:
             sc.plc_rates, policy="rssi",
             transport=FaultyTransport(model or FaultModel(),
                                       np.random.default_rng(0)))
-        live = drive_control_plane(cc, epochs)
-        assert live is epochs[-1][0]
+        drive_control_plane(cc, epochs)
+        live = epochs[-1][0]
         return live, settle_clients(live, cc.associations), cc
 
     def _scenario(self, seed=0, n_users=10, n_extenders=4):
@@ -218,7 +216,8 @@ class TestDriveControlPlane:
         sc = self._scenario()
         _, assignment, cc = self._drive(
             sc, [(), (0,)], FaultModel(report_drop_prob=1.0))
-        assert cc.stats.scan_reports == 0
+        assert cc.stats.dropped_reports == 2 * sc.n_users
+        assert cc.associations == {}
         assert not np.any(assignment == 0)
         survivors = sc.wifi_rates[:, 1:]
         expected = 1 + np.argmax(survivors, axis=1)
@@ -228,8 +227,18 @@ class TestDriveControlPlane:
         sc = self._scenario(n_extenders=2)
         _, assignment, cc = self._drive(sc, [(0, 1)])
         # Nobody hears an extender, so nobody reports.
-        assert cc.stats.scan_reports == 0
+        assert cc.associations == {}
         assert np.all(assignment == UNASSIGNED)
+
+    def test_deaf_users_leave_and_rejoin(self):
+        """A client that hears no live extender has left the WLAN: the
+        CC forgets it, and re-admits it once an extender is back."""
+        sc = self._scenario(n_extenders=2)
+        _, _, cc = self._drive(sc, [(), (0, 1)])
+        assert cc.associations == {}
+        _, assignment, cc = self._drive(sc, [(), (0, 1), (1,)])
+        assert cc.associations == {u: 0 for u in range(sc.n_users)}
+        assert np.all(assignment == 0)
 
     def test_plc_reading_is_fed_before_reports(self):
         sc = self._scenario()
@@ -240,7 +249,7 @@ class TestDriveControlPlane:
         # any report is sent.
         with pytest.raises(ValueError, match="PLC telemetry"):
             drive_control_plane(cc, [(sc, sc.wifi_rates, bad)])
-        assert cc.stats.scan_reports == 0
+        assert cc.associations == {}
 
 
 class TestCrashSchedule:

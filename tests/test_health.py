@@ -10,6 +10,9 @@ import pytest
 from repro.core.controller import CentralController, ScanReport
 from repro.core.guard import DecisionGuard
 from repro.core.health import HealthMonitor
+from repro.core.problem import Scenario
+from repro.net.engine import evaluate
+from repro.sim.failures import settle_clients
 
 from .conftest import random_scenario
 
@@ -278,7 +281,7 @@ class TestQuarantineMasking:
         cc.receive_scan_report(ScanReport(0, np.array([90.0, 30.0])))
         assert cc.associations[0] == 0
 
-    def test_network_report_ignores_quarantine(self):
+    def test_measurement_ignores_quarantine(self):
         """Measurement is physics: a client still parked on a
         quarantined extender must be measurable."""
         health = HealthMonitor(2, probation_epochs=5)
@@ -289,5 +292,9 @@ class TestQuarantineMasking:
         cc.update_plc_telemetry([50.0, 60.0])  # seed last-known-good
         cc.update_plc_telemetry([np.nan, 60.0])
         assert health.is_quarantined(0)
-        report = cc.network_report()
-        assert report.aggregate > 0
+        assert cc.associations == {0: 0}
+        truth = Scenario(wifi_rates=np.array([[90.0, 30.0]]),
+                         plc_rates=np.array([50.0, 60.0]))
+        assignment = settle_clients(truth, cc.associations)
+        assert assignment.tolist() == [0]
+        assert evaluate(truth, assignment).aggregate > 0

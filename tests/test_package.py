@@ -38,7 +38,7 @@ def test_subpackage_all_resolves(module):
 @pytest.mark.parametrize("module", [
     "repro.core.problem", "repro.core.hungarian", "repro.core.phase1",
     "repro.core.phase2", "repro.core.wolt", "repro.core.baselines",
-    "repro.core.optimal", "repro.core.controller", "repro.core.dynamic",
+    "repro.core.optimal", "repro.core.controller",
     "repro.core.fairness", "repro.core.partition",
     "repro.wifi.phy", "repro.wifi.mac", "repro.wifi.sharing",
     "repro.wifi.channels",
