@@ -6,8 +6,8 @@ task utilities ``u_ij = min(c_j/|A|, r_ij)`` is maximized.  The paper
 solves it with the Hungarian algorithm in ``O(|A|^3)``.
 
 This module implements the shortest-augmenting-path variant of the
-Hungarian method (Jonker-Volgenant style) for *rectangular* cost matrices,
-without relying on :func:`scipy.optimize.linear_sum_assignment` — although
+Hungarian method (Jonker-Volgenant style) for *rectangular* cost matrices
+as a scalar loop (Phase-I matrices are small), without scipy — although
 the test-suite cross-checks the two on random instances.
 
 The solver minimizes cost; :func:`solve_assignment` exposes both
@@ -17,7 +17,7 @@ orientations through a ``maximize`` flag and understands forbidden pairs
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -55,91 +55,91 @@ def solve_assignment(weights: np.ndarray,
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.size == 0:
         raise ValueError("weights must be a non-empty 2-D matrix")
-    if np.any(np.isnan(w)):
+    cost = -w if maximize else w
+    lowest, highest = float(cost.min()), float(cost.max())
+    if lowest != lowest:  # min() propagates NaN
         raise ValueError("weights must not contain NaN")
-
-    cost = -w if maximize else w.copy()
-    forbidden = np.isinf(cost) & (cost > 0)
-    if maximize and np.any(np.isinf(cost) & (cost < 0)):
-        raise ValueError("utilities must not be +inf")
-    if not maximize and np.any(np.isinf(cost) & (cost < 0)):
-        raise ValueError("costs must not be -inf")
-
-    finite = cost[~forbidden]
-    if finite.size == 0:
-        raise InfeasibleAssignmentError("all pairs are forbidden")
-    # Replace forbidden entries by a cost so large they are never chosen
-    # unless unavoidable (detected afterwards).
-    span = float(finite.max() - finite.min()) + 1.0
-    big = float(finite.max()) + span * (max(cost.shape) + 1)
-    cost = np.where(forbidden, big, cost)
+    if lowest == -np.inf:
+        raise ValueError("utilities must not be +inf" if maximize
+                         else "costs must not be -inf")
 
     transposed = cost.shape[0] > cost.shape[1]
     if transposed:
         cost = cost.T
-        forbidden_t = forbidden.T
-    else:
-        forbidden_t = forbidden
+    forbidden = None
+    if highest == np.inf:
+        forbidden = cost == np.inf
+        finite = cost[~forbidden]
+        if finite.size == 0:
+            raise InfeasibleAssignmentError("all pairs are forbidden")
+        # Replace forbidden entries by a cost so large they are never
+        # chosen unless unavoidable (detected afterwards).
+        span = float(finite.max() - finite.min()) + 1.0
+        big = float(finite.max()) + span * (max(cost.shape) + 1)
+        cost = np.where(forbidden, big, cost)
 
-    row4col, col4row = _shortest_path_assignment(cost)
-
-    rows = np.arange(cost.shape[0])
-    cols = col4row
-    if np.any(forbidden_t[rows, cols]):
+    row4col, col4row = _shortest_path_assignment(cost.tolist())
+    rows = np.arange(len(col4row))
+    cols = np.array(col4row)
+    if forbidden is not None and forbidden[rows, cols].any():
         raise InfeasibleAssignmentError(
             "no complete matching avoids the forbidden pairs")
     if transposed:
-        order = np.argsort(cols)
-        return cols[order], rows[order]
+        matched = [j for j, i in enumerate(row4col) if i != -1]
+        return np.array(matched), np.array([row4col[j] for j in matched])
     return rows, cols
 
 
-def _shortest_path_assignment(cost: np.ndarray
-                              ) -> Tuple[np.ndarray, np.ndarray]:
+def _shortest_path_assignment(cost: List[List[float]]
+                              ) -> Tuple[List[int], List[int]]:
     """Jonker-Volgenant successive shortest augmenting paths.
 
     Expects ``n_rows <= n_cols``; matches every row.  Returns
     ``(row4col, col4row)`` where ``row4col[j]`` is the row matched to
     column ``j`` (or -1) and ``col4row[i]`` the column matched to row
-    ``i``.
+    ``i``.  Each path step relaxes the open columns in ascending order
+    and extends to the first column of least reduced distance (strict
+    ``<``), so ties go to the lowest column index.
     """
-    n_rows, n_cols = cost.shape
-    u = np.zeros(n_rows)  # row duals
-    v = np.zeros(n_cols)  # column duals
-    col4row = np.full(n_rows, -1, dtype=int)
-    row4col = np.full(n_cols, -1, dtype=int)
+    n_rows, n_cols = len(cost), len(cost[0])
+    u = [0.0] * n_rows  # row duals
+    v = [0.0] * n_cols  # column duals
+    col4row = [-1] * n_rows
+    row4col = [-1] * n_cols
 
     for cur_row in range(n_rows):
-        shortest = np.full(n_cols, np.inf)
-        pred_row = np.full(n_cols, -1, dtype=int)
-        scanned_rows = np.zeros(n_rows, dtype=bool)
-        scanned_cols = np.zeros(n_cols, dtype=bool)
+        shortest = [np.inf] * n_cols
+        pred_row = [-1] * n_cols
+        open_cols = list(range(n_cols))
+        scanned_rows: List[int] = []
+        scanned_cols: List[int] = []
         lowest = 0.0
-        sink = -1
         i = cur_row
-        while sink == -1:
-            scanned_rows[i] = True
-            slack = lowest + cost[i] - u[i] - v
-            improve = ~scanned_cols & (slack < shortest)
-            shortest[improve] = slack[improve]
-            pred_row[improve] = i
-            open_cols = np.flatnonzero(~scanned_cols)
-            j = open_cols[np.argmin(shortest[open_cols])]
-            lowest = shortest[j]
-            if np.isinf(lowest):  # pragma: no cover - guarded by `big`
+        while True:
+            scanned_rows.append(i)
+            row, u_i = cost[i], u[i]
+            sink, best = -1, np.inf
+            for j in open_cols:
+                slack = lowest + row[j] - u_i - v[j]
+                if slack < shortest[j]:
+                    shortest[j] = slack
+                    pred_row[j] = i
+                if shortest[j] < best:
+                    sink, best = j, shortest[j]
+            if sink == -1:  # pragma: no cover - guarded by `big`
                 raise InfeasibleAssignmentError("matching cannot be extended")
-            scanned_cols[j] = True
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
+            lowest = best
+            open_cols.remove(sink)
+            scanned_cols.append(sink)
+            if row4col[sink] == -1:
+                break
+            i = row4col[sink]
         # Dual updates keep reduced costs non-negative.
         u[cur_row] += lowest
-        others = scanned_rows.copy()
-        others[cur_row] = False
-        for i2 in np.flatnonzero(others):
+        for i2 in scanned_rows[1:]:
             u[i2] += lowest - shortest[col4row[i2]]
-        v[scanned_cols] -= lowest - shortest[scanned_cols]
+        for j in scanned_cols:
+            v[j] -= lowest - shortest[j]
         # Augment along the alternating path back to cur_row.
         j = sink
         while True:

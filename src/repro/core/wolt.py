@@ -4,20 +4,23 @@
        + Phase II (Problem 2 on the leftover users)``
 
 The solver returns the full assignment together with the per-phase
-artifacts, and can be evaluated against the end-to-end throughput engine.
+artifacts.  Its end-to-end throughput ``report`` is lazy, evaluated on
+first access, so callers that read only the assignment pay for none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from ..net.engine import ThroughputReport, evaluate
+from ..plc.sharing import PLC_MODES
 from .phase1 import Phase1Result, phase1_utilities, solve_phase1
 from .phase2 import Phase2Result, solve_phase2, solve_phase2_continuous
-from .problem import UNASSIGNED, Scenario
+from .problem import Scenario, validate_assignment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .guard import DecisionGuard
@@ -33,13 +36,20 @@ class WoltResult:
         assignment: complete per-user extender indices.
         phase1: the Phase-I artifact (anchors ``U1``, utilities, ...).
         phase2: the Phase-II artifact (objective, iterations, ...).
-        report: end-to-end throughput report of the final assignment.
+        scenario: the solved network snapshot.
+        plc_mode: PLC sharing law of :attr:`report`.
     """
 
     assignment: np.ndarray
     phase1: Phase1Result
     phase2: Phase2Result
-    report: ThroughputReport
+    scenario: Scenario = field(compare=False, repr=False)
+    plc_mode: str = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def report(self) -> ThroughputReport:
+        """End-to-end throughput report, evaluated on first access."""
+        return evaluate(self.scenario, self.assignment, plc_mode=self.plc_mode)
 
     @property
     def aggregate_throughput(self) -> float:
@@ -65,7 +75,7 @@ def solve_wolt(scenario: Scenario,
             local search, always integral) or ``"continuous"`` (the
             paper's numerical nonlinear-program route, cross-checking
             Theorem 3).
-        plc_mode: PLC sharing law used in the final evaluation (the
+        plc_mode: PLC sharing law of the result's lazy ``report`` (the
             algorithm itself is model-free; see
             :func:`repro.net.engine.evaluate`).
         rng: optional generator for the continuous solver's start point.
@@ -79,6 +89,8 @@ def solve_wolt(scenario: Scenario,
     Returns:
         A :class:`WoltResult`.
     """
+    if plc_mode not in PLC_MODES:
+        raise ValueError(f"mode must be one of {PLC_MODES}, got {plc_mode!r}")
     utilities = phase1_utilities(scenario)
     phase1 = solve_phase1(scenario, utilities, guard=guard)
     if phase2_solver == "combinatorial":
@@ -94,8 +106,6 @@ def solve_wolt(scenario: Scenario,
         # this records a clean report unless a phase is buggy.
         guard.check_assignment(scenario, phase2.assignment,
                                source="wolt", require_complete=False)
-    complete = not np.any(phase2.assignment == UNASSIGNED)
-    report = evaluate(scenario, phase2.assignment, plc_mode=plc_mode,
-                      require_complete=complete)
+    validate_assignment(scenario, phase2.assignment, require_complete=False)
     return WoltResult(assignment=phase2.assignment, phase1=phase1,
-                      phase2=phase2, report=report)
+                      phase2=phase2, scenario=scenario, plc_mode=plc_mode)

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.problem import Scenario
+from ..core.problem import MIN_USABLE_RATE, Scenario
 
 __all__ = ["Segment", "coupling_components", "split_segments"]
 
@@ -61,30 +61,6 @@ class Segment:
     scenario: Scenario
 
 
-class _UnionFind:
-    """Union-find over extender indices (path halving, union by size)."""
-
-    def __init__(self, n: int) -> None:
-        self._parent = list(range(n))
-        self._size = [1] * n
-
-    def find(self, j: int) -> int:
-        parent = self._parent
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-
-
 def coupling_components(scenario: Scenario,
                         circuits: Optional[Sequence[object]] = None
                         ) -> List[Tuple[int, ...]]:
@@ -102,32 +78,42 @@ def coupling_components(scenario: Scenario,
         Extender-index tuples, each sorted ascending, ordered by their
         smallest member.
     """
-    n_ext = scenario.n_extenders
-    uf = _UnionFind(n_ext)
+    users, cols = np.nonzero(scenario.wifi_rates > MIN_USABLE_RATE)
+    return _components(scenario.n_extenders, circuits, users, cols)
+
+
+def _components(n_ext: int, circuits: Optional[Sequence[object]],
+                users: np.ndarray, cols: np.ndarray
+                ) -> List[Tuple[int, ...]]:
+    """:func:`coupling_components` from the row-major ``np.nonzero``
+    of the reachability mask."""
     if circuits is None:
-        for j in range(1, n_ext):
-            uf.union(0, j)
-    else:
-        labels = list(circuits)
-        if len(labels) != n_ext:
-            raise ValueError(
-                f"circuits has {len(labels)} labels for {n_ext} "
-                "extenders")
-        first_of: Dict[object, int] = {}
-        for j, label in enumerate(labels):
-            if label in first_of:
-                uf.union(first_of[label], j)
-            else:
-                first_of[label] = j
-    for user in range(scenario.n_users):
-        reach = scenario.reachable(user)
-        for j in reach[1:]:
-            uf.union(int(reach[0]), int(j))
+        return [tuple(range(n_ext))] if n_ext else []
+    labels = list(circuits)
+    if len(labels) != n_ext:
+        raise ValueError(
+            f"circuits has {len(labels)} labels for {n_ext} extenders")
+    first_of: Dict[object, int] = {}
+    edges = [(first_of.setdefault(label, j), j)
+             for j, label in enumerate(labels)]
+    # Chaining each user's consecutive reachable extenders couples them
+    # all.
+    same_user = users[1:] == users[:-1]
+    edges += zip(cols[:-1][same_user].tolist(), cols[1:][same_user].tolist())
+    parent = list(range(n_ext))  # union-find with path halving
+
+    def find(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
     groups: Dict[int, List[int]] = {}
     for j in range(n_ext):
-        groups.setdefault(uf.find(j), []).append(j)
-    return sorted((tuple(sorted(g)) for g in groups.values()),
-                  key=lambda g: g[0])
+        groups.setdefault(find(j), []).append(j)
+    return sorted((tuple(g) for g in groups.values()), key=lambda g: g[0])
 
 
 def split_segments(scenario: Scenario,
@@ -142,19 +128,18 @@ def split_segments(scenario: Scenario,
     Returns:
         Segments in canonical order (by smallest extender index).
     """
-    components = coupling_components(scenario, circuits)
-    ext_to_comp = {j: c for c, comp in enumerate(components)
-                   for j in comp}
-    comp_users: List[List[int]] = [[] for _ in components]
-    for user in range(scenario.n_users):
-        reach = scenario.reachable(user)
-        if reach.size:
-            comp_users[ext_to_comp[int(reach[0])]].append(user)
+    users, cols = np.nonzero(scenario.wifi_rates > MIN_USABLE_RATE)
+    components = _components(scenario.n_extenders, circuits, users, cols)
+    comp_of = np.empty(scenario.n_extenders, dtype=int)
+    for c, extenders in enumerate(components):
+        comp_of[list(extenders)] = c
+    # All of a user's reachable extenders share one component.
+    user_comp = np.full(scenario.n_users, -1)
+    user_comp[users] = comp_of[cols]
     segments: List[Segment] = []
     for c, extenders in enumerate(components):
-        users = comp_users[c]
         ext_idx = np.asarray(extenders, dtype=int)
-        user_idx = np.asarray(users, dtype=int)
+        user_idx = np.flatnonzero(user_comp == c)
         wifi = scenario.wifi_rates[np.ix_(user_idx, ext_idx)]
         caps = (None if scenario.capacities is None
                 else scenario.capacities[ext_idx])
@@ -163,6 +148,7 @@ def split_segments(scenario: Scenario,
         sub = Scenario(wifi_rates=wifi,
                        plc_rates=scenario.plc_rates[ext_idx],
                        capacities=caps, user_ids=ids)
-        segments.append(Segment(index=c, extenders=tuple(extenders),
-                                users=tuple(users), scenario=sub))
+        segments.append(Segment(index=c, extenders=extenders,
+                                users=tuple(user_idx.tolist()),
+                                scenario=sub))
     return segments

@@ -175,8 +175,8 @@ class FailureSimulation:
     ``policy``; the simulation only injects failures and measures.
 
     Args:
-        scenario: the healthy network (users fixed; no churn, isolating
-            the failure effect).
+        scenario: the healthy, uncapacitated network (users fixed; no
+            churn, isolating the failure effect).
         policy: ``"wolt"`` (global re-solve each epoch) or ``"rssi"``
             (only orphans move, to their strongest survivor).
         rng: random generator.
@@ -194,6 +194,9 @@ class FailureSimulation:
             raise ValueError("policy must be 'wolt' or 'rssi'")
         if not 0 <= fail_prob <= 1 or not 0 <= recover_prob <= 1:
             raise ValueError("probabilities must be in [0, 1]")
+        if scenario.capacities is not None:  # the CC ignores B_j
+            raise ValueError("constraint (8): FailureSimulation's "
+                             "controller ignores extender capacities")
         self.healthy = scenario
         self.rng = rng
         self.fail_prob = fail_prob

@@ -9,6 +9,9 @@ bit-identical decisions:
   time; :func:`solve_phase2_batch` rebuilds the whole insertion-gains
   matrix per placement instead of refreshing one column.
 * :func:`solve_wolt_scalar` is Alg. 1 with the scalar Phase II.
+* :func:`shortest_path_assignment_numpy` is Phase I's assignment solver
+  with each row relaxed by numpy array operations, on the cost matrix
+  :func:`assignment_cost` prepares.
 * :func:`greedy_assignment_scalar` and
   :func:`selfish_greedy_assignment_scalar` issue one scalar
   ``evaluate`` per candidate extender.
@@ -39,6 +42,8 @@ Further references the tests compare production against:
   schedule needs to reproduce the engine's max-min backhaul grants.
 * :func:`solve_segments_reference` is the serial whole-building solve
   that sharded fleet dispatch must match bit for bit.
+* :func:`split_segments_per_user` and :func:`coupling_components_per_user`
+  split a building one ``scenario.reachable(user)`` call at a time.
 * :func:`score_directives_scalar` scores each fleet directive with one
   full scalar ``evaluate`` of the building per moved user.
 * :class:`SleepSchedule` skews trial durations so dispatch tests can
@@ -57,6 +62,7 @@ import numpy as np
 
 from repro.core.baselines import greedy_attach_user, rssi_assignment
 from repro.core.controller import CentralController
+from repro.core.hungarian import InfeasibleAssignmentError
 from repro.core.phase1 import solve_phase1
 from repro.core.phase2 import (Phase2Result, _BatchGains, _CellState,
                                _relocate)
@@ -238,9 +244,86 @@ def solve_wolt_scalar(scenario: Scenario,
     """Alg. 1 with the scalar Phase-II reference."""
     phase1 = solve_phase1(scenario)
     phase2 = solve_phase2_scalar(scenario, phase1.assignment)
-    report = evaluate(scenario, phase2.assignment, plc_mode=plc_mode)
     return WoltResult(assignment=phase2.assignment, phase1=phase1,
-                      phase2=phase2, report=report)
+                      phase2=phase2, scenario=scenario, plc_mode=plc_mode)
+
+
+def assignment_cost(utilities: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """The cost matrix :func:`repro.core.hungarian.solve_assignment`
+    hands its solver for ``utilities``, computed with numpy masks.
+
+    Forbidden pairs (``-inf`` utility) become a finite ``big`` cost, and
+    a tall matrix is transposed.  Returns ``(cost, forbidden,
+    transposed)``; needs at least one allowed pair.
+    """
+    cost = -np.asarray(utilities, dtype=float)
+    forbidden = np.isinf(cost) & (cost > 0)
+    finite = cost[~forbidden]
+    span = float(finite.max() - finite.min()) + 1.0
+    big = float(finite.max()) + span * (max(cost.shape) + 1)
+    cost = np.where(forbidden, big, cost)
+    transposed = cost.shape[0] > cost.shape[1]
+    if transposed:
+        return cost.T, forbidden.T, True
+    return cost, forbidden, False
+
+
+def shortest_path_assignment_numpy(cost: np.ndarray
+                                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Phase I's Jonker-Volgenant assignment with numpy row relaxations.
+
+    Expects ``n_rows <= n_cols`` and finite costs; returns
+    ``(row4col, col4row)`` like
+    :func:`repro.core.hungarian._shortest_path_assignment`, which must
+    match it element for element.
+    """
+    n_rows, n_cols = cost.shape
+    u = np.zeros(n_rows)  # row duals
+    v = np.zeros(n_cols)  # column duals
+    col4row = np.full(n_rows, -1, dtype=int)
+    row4col = np.full(n_cols, -1, dtype=int)
+
+    for cur_row in range(n_rows):
+        shortest = np.full(n_cols, np.inf)
+        pred_row = np.full(n_cols, -1, dtype=int)
+        scanned_rows = np.zeros(n_rows, dtype=bool)
+        scanned_cols = np.zeros(n_cols, dtype=bool)
+        lowest = 0.0
+        sink = -1
+        i = cur_row
+        while sink == -1:
+            scanned_rows[i] = True
+            slack = lowest + cost[i] - u[i] - v
+            improve = ~scanned_cols & (slack < shortest)
+            shortest[improve] = slack[improve]
+            pred_row[improve] = i
+            open_cols = np.flatnonzero(~scanned_cols)
+            j = open_cols[np.argmin(shortest[open_cols])]
+            lowest = shortest[j]
+            if np.isinf(lowest):
+                raise InfeasibleAssignmentError("matching cannot be extended")
+            scanned_cols[j] = True
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+        # Dual updates keep reduced costs non-negative.
+        u[cur_row] += lowest
+        others = scanned_rows.copy()
+        others[cur_row] = False
+        for i2 in np.flatnonzero(others):
+            u[i2] += lowest - shortest[col4row[i2]]
+        v[scanned_cols] -= lowest - shortest[scanned_cols]
+        # Augment along the alternating path back to cur_row.
+        j = sink
+        while True:
+            i2 = pred_row[j]
+            row4col[j] = i2
+            col4row[i2], j = j, col4row[i2]
+            if i2 == cur_row:
+                break
+    return row4col, col4row
 
 
 def _greedy_scalar(scenario: Scenario,
@@ -665,6 +748,89 @@ def scatter_assignment(n_users: int, segments: Sequence[Segment],
         parent[attached] = ext_map[vec[attached]]
         full[np.asarray(segment.users, dtype=int)] = parent
     return full
+
+
+class _UnionFind:
+    """Union-find over extender indices (path halving, union by size)."""
+
+    def __init__(self, n: int) -> None:
+        self._parent = list(range(n))
+        self._size = [1] * n
+
+    def find(self, j: int) -> int:
+        parent = self._parent
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self._size[ra] < self._size[rb]:
+            ra, rb = rb, ra
+        self._parent[rb] = ra
+        self._size[ra] += self._size[rb]
+
+
+def coupling_components_per_user(scenario: Scenario,
+                                 circuits: Optional[Sequence[object]] = None
+                                 ) -> List[Tuple[int, ...]]:
+    """``coupling_components`` with one ``scenario.reachable`` call and
+    one union per reachable extender of each user."""
+    n_ext = scenario.n_extenders
+    uf = _UnionFind(n_ext)
+    if circuits is None:
+        for j in range(1, n_ext):
+            uf.union(0, j)
+    else:
+        first_of: Dict[object, int] = {}
+        for j, label in enumerate(circuits):
+            if label in first_of:
+                uf.union(first_of[label], j)
+            else:
+                first_of[label] = j
+    for user in range(scenario.n_users):
+        reach = scenario.reachable(user)
+        for j in reach[1:]:
+            uf.union(int(reach[0]), int(j))
+    groups: Dict[int, List[int]] = {}
+    for j in range(n_ext):
+        groups.setdefault(uf.find(j), []).append(j)
+    return sorted((tuple(sorted(g)) for g in groups.values()),
+                  key=lambda g: g[0])
+
+
+def split_segments_per_user(scenario: Scenario,
+                            circuits: Optional[Sequence[object]] = None
+                            ) -> List[Segment]:
+    """``split_segments`` placing each user by its first
+    ``scenario.reachable`` extender, one user at a time."""
+    components = coupling_components_per_user(scenario, circuits)
+    ext_to_comp = {j: c for c, comp in enumerate(components)
+                   for j in comp}
+    comp_users: List[List[int]] = [[] for _ in components]
+    for user in range(scenario.n_users):
+        reach = scenario.reachable(user)
+        if reach.size:
+            comp_users[ext_to_comp[int(reach[0])]].append(user)
+    segments: List[Segment] = []
+    for c, extenders in enumerate(components):
+        users = comp_users[c]
+        ext_idx = np.asarray(extenders, dtype=int)
+        user_idx = np.asarray(users, dtype=int)
+        wifi = scenario.wifi_rates[np.ix_(user_idx, ext_idx)]
+        caps = (None if scenario.capacities is None
+                else scenario.capacities[ext_idx])
+        ids = (None if scenario.user_ids is None
+               else scenario.user_ids[user_idx])
+        sub = Scenario(wifi_rates=wifi,
+                       plc_rates=scenario.plc_rates[ext_idx],
+                       capacities=caps, user_ids=ids)
+        segments.append(Segment(index=c, extenders=tuple(extenders),
+                                users=tuple(users), scenario=sub))
+    return segments
 
 
 def solve_segments_reference(scenario: Scenario,

@@ -190,3 +190,13 @@ class TestFailureSimulation:
             FailureSimulation(sc, "wolt", rng, fail_prob=1.5)
         with pytest.raises(ValueError):
             FailureSimulation(sc, "wolt", rng).run(0)
+
+    @pytest.mark.parametrize("policy", ["wolt", "rssi"])
+    def test_capacitated_floor_rejected_up_front(self, policy):
+        # The controller places users without B_j; such a floor used to
+        # crash mid-run with "constraint (8) violated".
+        sc = random_scenario(np.random.default_rng(3), 12, 4,
+                             capacities=True)
+        with pytest.raises(ValueError, match=r"constraint \(8\)"):
+            FailureSimulation(sc, policy, np.random.default_rng(4),
+                              fail_prob=0.3)

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.problem import UNASSIGNED, Scenario
 from repro.core.wolt import solve_wolt
@@ -16,7 +18,9 @@ from repro.net.engine import evaluate
 from repro.net.topology import enterprise_floor
 from repro.plc.sharing import PLC_MODES
 
-from .oracles import scatter_assignment, solve_segments_reference
+from .conftest import max_examples
+from .oracles import (coupling_components_per_user, scatter_assignment,
+                      solve_segments_reference, split_segments_per_user)
 
 
 def block_scenario(seed, sizes):
@@ -121,6 +125,48 @@ class TestSplitSegments:
         segments = split_segments(scenario, ["a", "b"])
         assert [s.users for s in segments] == [(0, 1), ()]
         assert segments[1].scenario.n_users == 0
+
+
+def _bytes(array):
+    return None if array is None else (array.dtype, array.shape,
+                                       array.tobytes())
+
+
+class TestMaskSplitMatchesPerUserLoop:
+    @given(n_users=st.integers(0, 12), n_ext=st.integers(0, 7),
+           density=st.sampled_from([0.0, 0.15, 0.4, 0.8]),
+           wiring=st.sampled_from(["none", "shared", "distinct", "mixed"]),
+           extras=st.booleans(), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=max_examples(150), deadline=None)
+    def test_same_components_and_segment_bytes(self, n_users, n_ext,
+                                               density, wiring, extras,
+                                               seed):
+        rng = np.random.default_rng(seed)
+        reach = rng.random((n_users, n_ext)) < density
+        if n_users:
+            reach[rng.integers(n_users)] = False  # a silent user
+            reach[rng.integers(n_users)] = True  # hears every extender
+        wifi = np.where(reach, rng.uniform(1.0, 144.0, reach.shape), 0.0)
+        circuits = {"none": None, "shared": ["a"] * n_ext,
+                    "distinct": list(range(n_ext)),
+                    "mixed": rng.choice(list("abc"), n_ext).tolist()
+                    }[wiring]
+        scenario = Scenario(
+            wifi_rates=wifi, plc_rates=rng.uniform(20.0, 200.0, n_ext),
+            capacities=(rng.integers(1, 5, n_ext) if extras else None),
+            user_ids=(np.arange(100, 100 + n_users) if extras else None))
+        assert (coupling_components(scenario, circuits)
+                == coupling_components_per_user(scenario, circuits))
+        got = split_segments(scenario, circuits)
+        want = split_segments_per_user(scenario, circuits)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.index, a.extenders, a.users) == (
+                b.index, b.extenders, b.users)
+            for name in ("wifi_rates", "plc_rates", "capacities",
+                         "user_ids"):
+                assert _bytes(getattr(a.scenario, name)) == _bytes(
+                    getattr(b.scenario, name)), name
 
 
 class TestScatterAssignment:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 
 from repro.core.baselines import greedy_assignment, rssi_assignment
 from repro.core.optimal import brute_force_optimal
-from repro.core.problem import UNASSIGNED
+import repro.core.wolt as wolt_module
+from repro.core.phase2 import Phase2Result
+from repro.core.problem import UNASSIGNED, Scenario
 from repro.core.wolt import solve_wolt
-from repro.net.engine import evaluate
+from repro.net.engine import count_engine_calls, evaluate
 
 from .conftest import random_scenario
 
@@ -29,6 +33,46 @@ class TestFig3:
         greedy = evaluate(fig3_scenario,
                           greedy_assignment(fig3_scenario)).aggregate
         assert wolt > greedy > rssi
+
+
+class TestLazyReport:
+    @pytest.mark.parametrize("plc_mode", ["redistribute", "active", "fixed"])
+    def test_report_equals_eager_evaluate(self, rng, plc_mode):
+        sc = random_scenario(rng, 20, 5, reachable_prob=0.6)
+        res = solve_wolt(sc, plc_mode=plc_mode)
+        eager = evaluate(sc, res.assignment, plc_mode=plc_mode)
+        assert res.report.aggregate == eager.aggregate
+        for field in dataclasses.fields(eager):
+            assert np.array_equal(getattr(res.report, field.name),
+                                  getattr(eager, field.name)), field.name
+
+    def test_assignment_alone_makes_no_scalar_engine_call(self, rng):
+        sc = random_scenario(rng, 20, 5)
+        with count_engine_calls() as stats:
+            assert solve_wolt(sc).assignment.size == 20
+        assert stats.scalar_calls == 0
+        with count_engine_calls() as stats:
+            res = solve_wolt(sc)
+            assert res.aggregate_throughput == res.report.aggregate
+        assert stats.scalar_calls == 1
+
+    def test_invalid_assignment_still_raises_inside_the_solve(
+            self, monkeypatch):
+        sc = Scenario(wifi_rates=np.array([[15.0, 0.0], [40.0, 20.0]]),
+                      plc_rates=np.array([60.0, 20.0]))
+
+        def unreachable_phase2(scenario, phase1_assignment, guard=None):
+            # User 0 cannot hear extender 1.
+            return Phase2Result(assignment=np.array([1, 0]), objective=0.0,
+                                iterations=0, was_integral=True)
+
+        monkeypatch.setattr(wolt_module, "solve_phase2", unreachable_phase2)
+        with pytest.raises(ValueError, match="unreachable"):
+            solve_wolt(sc)
+
+    def test_unknown_plc_mode_rejected_before_solving(self, fig3_scenario):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            solve_wolt(fig3_scenario, plc_mode="magic")
 
 
 class TestAlgorithmContract:
