@@ -376,6 +376,8 @@ class FleetService:
                  source: Optional[TelemetrySource] = None) -> None:
         if resume and journal is None:
             raise ValueError("resume requires a journal path")
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
         self.spec = spec
         self.workers = workers
         self.chunk_size = chunk_size

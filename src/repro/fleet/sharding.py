@@ -126,7 +126,9 @@ def split_segments(scenario: Scenario,
     component); users hearing nothing belong to no segment.
 
     Returns:
-        Segments in canonical order (by smallest extender index).
+        Segments in canonical order (by smallest extender index).  A
+        building that is one segment holding every user gets
+        ``scenario`` itself as that segment's scenario.
     """
     users, cols = np.nonzero(scenario.wifi_rates > MIN_USABLE_RATE)
     components = _components(scenario.n_extenders, circuits, users, cols)
@@ -140,14 +142,19 @@ def split_segments(scenario: Scenario,
     for c, extenders in enumerate(components):
         ext_idx = np.asarray(extenders, dtype=int)
         user_idx = np.flatnonzero(user_comp == c)
-        wifi = scenario.wifi_rates[np.ix_(user_idx, ext_idx)]
-        caps = (None if scenario.capacities is None
-                else scenario.capacities[ext_idx])
-        ids = (None if scenario.user_ids is None
-               else scenario.user_ids[user_idx])
-        sub = Scenario(wifi_rates=wifi,
-                       plc_rates=scenario.plc_rates[ext_idx],
-                       capacities=caps, user_ids=ids)
+        if len(components) == 1 and user_idx.size == scenario.n_users:
+            # The one segment is the whole building: a sub-scenario
+            # would copy the parent byte for byte.
+            sub = scenario
+        else:
+            wifi = scenario.wifi_rates[np.ix_(user_idx, ext_idx)]
+            caps = (None if scenario.capacities is None
+                    else scenario.capacities[ext_idx])
+            ids = (None if scenario.user_ids is None
+                   else scenario.user_ids[user_idx])
+            sub = Scenario(wifi_rates=wifi,
+                           plc_rates=scenario.plc_rates[ext_idx],
+                           capacities=caps, user_ids=ids)
         segments.append(Segment(index=c, extenders=extenders,
                                 users=tuple(user_idx.tolist()),
                                 scenario=sub))

@@ -9,7 +9,8 @@ same machinery instead of re-growing its own pool plumbing:
   execution; the batch config rides along in every chunk.
 * **Warm pool reuse** — idle executors are cached across dispatch
   calls, so a parameter sweep pays process startup once.
-* **Supervision** — per-item deadlines with hung-worker reaping,
+* **Supervision** — per-item deadlines with hung-worker reaping (a
+  chunk that overruns one is split, so only a lone item is reaped),
   broken-pool recycling with *serial quarantine* (casualties are
   re-probed one at a time so the true killer is blamed with
   certainty), and graceful SIGINT/SIGTERM draining.
@@ -103,11 +104,12 @@ def timeout_failure(index: int, timeout_s: Optional[float],
                     attempts: int = 1) -> WorkFailure:
     """The canonical deadline-reap :class:`WorkFailure`.
 
-    Both the pool supervisor (a chunk that outlived its deadline) and
-    callers that must *synthesize* a reap without a process boundary —
-    the fleet layer's serial path applying a planned hang fault —
-    build the record here, so journals and reports carry one
-    ``error_type`` regardless of how the hang was detected.
+    Both the pool supervisor (an item that alone outlived its
+    deadline) and callers that must *synthesize* a reap without a
+    process boundary — the fleet layer's serial path applying a
+    planned hang fault — build the record here, so journals and
+    reports carry one ``error_type`` regardless of how the hang was
+    detected.
     """
     detail = (f"exceeded its {timeout_s}s deadline"
               if timeout_s is not None else "hung")
@@ -305,14 +307,17 @@ def _run_supervised(pending: Sequence[Any], config: Any,
       never mis-attribute a result;
     * keeps at most ``workers`` chunks in flight, so every submitted
       chunk starts promptly and its deadline is meaningful;
-    * reaps any chunk that outlives its deadline (``timeout_s`` per
-      item in the chunk; callers force single-item chunks when
-      deadlines are active, keeping the contract per-item) — the pool
-      is killed (hung workers cannot be joined), the hung items are
-      recorded as :class:`WorkFailure` with
-      :data:`TIMEOUT_ERROR_TYPE`, and the innocent in-flight items are
+    * gives every chunk, whatever its length, one item's deadline
+      (``submit + timeout_s``).  A chunk past it has its pool killed
+      (hung workers cannot be joined) and the innocent in-flight items
       resubmitted on a fresh pool (deterministic ``fn``s make the
-      rerun bit-identical);
+      rerun bit-identical).  A single-item chunk past its deadline is
+      recorded as a :class:`WorkFailure` with
+      :data:`TIMEOUT_ERROR_TYPE`; a multi-item one is *split on
+      overrun*: its items go back to the front of the queue, and every
+      chunk still queued or in flight is re-split, as single-item
+      chunks.  So an item is reaped only when it alone outruns the
+      deadline, and a hang is reaped within about two deadlines;
     * converts a :class:`BrokenProcessPool` (a worker SIGKILLed / OOMed
       / segfaulted) into a pool recycle with *serial quarantine*: a
       broken pool takes down every in-flight future, so blame cannot be
@@ -390,8 +395,7 @@ def _run_supervised(pending: Sequence[Any], config: Any,
                                              else lease.workers):
                 specs = queue.popleft()
                 deadline = (None if timeout_s is None
-                            else time.monotonic()
-                            + timeout_s * len(specs))
+                            else time.monotonic() + timeout_s)
                 try:
                     future = lease.pool.submit(
                         _run_chunk, _ChunkTask(config, specs, fn))
@@ -449,15 +453,23 @@ def _run_supervised(pending: Sequence[Any], config: Any,
             if not hung:
                 continue
             for specs in hung:
-                for spec in specs:
-                    fail_spec(spec, timeout_failure(spec.index,
-                                                    timeout_s))
+                if len(specs) == 1:
+                    fail_spec(specs[0], timeout_failure(specs[0].index,
+                                                        timeout_s))
             # The hung workers must die; innocents rerun unpunished
             # (deadline reaping is not their failure).
+            overrun = [c for c in hung if len(c) > 1]
             survivors = [c for c, _ in inflight.values()]
             inflight.clear()
             lease.recycle()
-            queue.extendleft(reversed(survivors))
+            if overrun:
+                # Split on overrun: no one item of the chunk can be
+                # blamed, so it and all the rest run one item per chunk.
+                rest = overrun + survivors + list(queue)
+                queue.clear()
+                queue.extend((spec,) for chunk in rest for spec in chunk)
+            else:
+                queue.extendleft(reversed(survivors))
     finally:
         if inflight or queue:
             # Interrupted (or propagating an error): abandon cleanly.
@@ -496,9 +508,9 @@ def dispatch_chunked(specs: Sequence[Any], config: Any,
     says so, the batch is supervised through a leased warm pool and
     results are recorded in chunk completion order.  Otherwise each
     item runs in-process, in spec order, and ``timeout_s``,
-    ``chunk_size`` and ``retry_budget`` are ignored: there is no
-    process boundary to reap across or to die.  Item exceptions
-    propagate to the caller on both paths.
+    ``chunk_size`` and ``retry_budget`` are checked but not used:
+    there is no process boundary to reap across or to die.  Item
+    exceptions propagate to the caller on both paths.
 
     Args:
         specs: per-item work specs; each must expose ``index``.
@@ -509,16 +521,22 @@ def dispatch_chunked(specs: Sequence[Any], config: Any,
         workers: worker process count; see :func:`uses_pool`.
         chunk_size: items per dispatched chunk; ``None`` sizes chunks
             automatically (≈ two waves per worker, capped at 16).
-            ``timeout_s`` forces single-item chunks — the deadline
-            contract is per item.
+            A deadline does not change it; a chunk that overruns one
+            is split into single-item chunks (:func:`_run_supervised`).
         retry_budget: pool-death retries per item before recording a
             :class:`WorkFailure` (at least one probe is always made).
-        timeout_s: optional per-item wall-clock deadline.
+        timeout_s: optional per-item wall-clock deadline; a chunk of
+            any length gets one item's deadline, and only an item that
+            outruns it alone is recorded as a timeout.
         record: per-item completion callback.
         state: optional shared interrupt flag; when it trips, the
             in-process loop stops after the current item and the
             supervisor drains promptly, abandoning queued work.
     """
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+    if timeout_s is not None and timeout_s <= 0:
+        raise ValueError("timeout_s must be positive")
     state = state if state is not None else InterruptState()
     if not uses_pool(workers, timeout_s):
         for spec in specs:
@@ -527,15 +545,7 @@ def dispatch_chunked(specs: Sequence[Any], config: Any,
             record(spec.index, fn(config, spec))
         return
     assert workers is not None  # uses_pool() guarantees it
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    if timeout_s is not None and timeout_s <= 0:
-        raise ValueError("timeout_s must be positive")
-    if timeout_s is not None:
-        effective_chunk = 1  # the deadline is per item
-    elif chunk_size is not None:
-        effective_chunk = chunk_size
-    else:
-        effective_chunk = _auto_chunk_size(len(specs), workers)
+    effective_chunk = (chunk_size if chunk_size is not None
+                       else _auto_chunk_size(len(specs), workers))
     _run_supervised(specs, config, _PoolLease(workers), effective_chunk,
                     fn, retry_budget, timeout_s, record, state)

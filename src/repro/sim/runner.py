@@ -450,9 +450,10 @@ def run_trials(n_trials: int,
             sizes chunks automatically (≈ two waves per worker, capped
             at 16) so submit/result IPC is amortized; results are
             always re-emitted in trial order regardless of chunk
-            completion order.  ``timeout_s`` forces single-trial chunks
-            — the deadline contract is per trial.  Ignored on serial
-            runs.
+            completion order.  Under ``timeout_s`` a chunk gets one
+            trial's deadline and is split into single-trial chunks if
+            it overruns it, so the deadline contract stays per trial.
+            Ignored on serial runs.
         max_retries: when ``None`` (default), a trial exception
             propagates to the caller unchanged (unless durable mode is
             active, which implies a budget of 0).  When an int, a

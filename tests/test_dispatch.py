@@ -5,20 +5,25 @@ dispatch layer: callers hand it a worker count and it applies
 :func:`~repro.sim.dispatch.uses_pool` — a pool exactly when
 ``workers >= 1`` and either ``workers > 1`` or a deadline is set —
 otherwise running the items in-process through the same ``record``
-callback.
+callback.  On a pool, a deadline keeps the chunking: a chunk gets one
+item's deadline and is split into single-item chunks on overrun.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Iterator
+import time
+from concurrent.futures import ProcessPoolExecutor
+from typing import Any, Dict, Iterator, List
 
 import pytest
 
 from repro.sim import dispatch
-from repro.sim.dispatch import (InterruptState, WorkSpec,
-                                dispatch_chunked, shutdown_warm_pools,
-                                uses_pool)
+from repro.sim.dispatch import (TIMEOUT_ERROR_TYPE, InterruptState,
+                                WorkFailure, WorkSpec, dispatch_chunked,
+                                shutdown_warm_pools, uses_pool)
+from repro.sim.faults import CrashSchedule
+from tests.oracles import SleepSchedule
 
 SPECS = tuple(WorkSpec(index=i, item=i) for i in range(8))
 
@@ -29,6 +34,12 @@ def _affine(config: int, spec: WorkSpec) -> int:
 
 def _pid(config: Any, spec: WorkSpec) -> int:
     return os.getpid()
+
+
+def _hooked_affine(config: Any, spec: WorkSpec) -> int:
+    hook, offset = config
+    hook(spec.index, 0)  # may hang or sleep before the item runs
+    return _affine(offset, spec)
 
 
 def _trip_at(config: Any, spec: WorkSpec) -> int:
@@ -117,3 +128,82 @@ class TestPoolEquivalence:
         pooled = _collect(_affine, 7, workers=2, timeout_s=None)
         assert serial == pooled
         assert sorted(serial) == [spec.index for spec in SPECS]
+
+
+@pytest.fixture
+def chunk_sizes(monkeypatch) -> Iterator[List[int]]:
+    """The length of every ``_ChunkTask`` the supervisor submits."""
+    sizes: List[int] = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def submit(self, fn: Any, task: Any, /) -> Any:
+            sizes.append(len(task.specs))
+            return super().submit(fn, task)
+
+    shutdown_warm_pools()  # lease a recording pool, not a warm one
+    monkeypatch.setattr(dispatch, "ProcessPoolExecutor", RecordingPool)
+    yield sizes
+    shutdown_warm_pools()
+
+
+class TestChunksUnderADeadline:
+    def test_a_deadline_keeps_the_chunk_size(self, chunk_sizes):
+        results = _collect(_affine, 7, workers=2, chunk_size=4,
+                           timeout_s=30.0)
+        assert chunk_sizes == [4, 4]
+        assert results == _collect(_affine, 7, workers=None,
+                                   timeout_s=None)
+
+    def test_only_the_hung_item_is_reaped(self, chunk_sizes):
+        hang = CrashSchedule(crashes={}, hangs={5: 1})
+        started = time.monotonic()
+        results = _collect(_hooked_affine, (hang, 7), workers=2,
+                           chunk_size=4, timeout_s=1.0)
+        assert time.monotonic() - started < 30
+        failure = results.pop(5)
+        assert isinstance(failure, WorkFailure)
+        assert failure.error_type == TIMEOUT_ERROR_TYPE
+        serial = _collect(_affine, 7, workers=None, timeout_s=None)
+        del serial[5]
+        assert results == serial
+        # The overrun chunk's items re-ran one per chunk; the hung one
+        # then ran alone past its deadline.
+        assert chunk_sizes[:2] == [4, 4]
+        assert set(chunk_sizes[2:]) == {1}
+
+    def test_after_an_overrun_every_chunk_left_is_one_item(
+            self, chunk_sizes):
+        hang = CrashSchedule(crashes={}, hangs={1: 1})
+        results = _collect(_hooked_affine, (hang, 7), workers=1,
+                           chunk_size=4, timeout_s=1.0)
+        # The queued chunk [4..7] is split too, not only the overrun one.
+        assert chunk_sizes == [4] + [1] * 8
+        assert [i for i, r in results.items()
+                if isinstance(r, WorkFailure)] == [1]
+
+    def test_slow_items_overrunning_together_are_not_reaped(
+            self, chunk_sizes):
+        # Each item takes 0.6 of the deadline: a pair overruns it, but
+        # no item does alone, so nothing is recorded as a timeout.
+        slow = SleepSchedule({i: 0.6 for i in range(4)})
+        specs = SPECS[:4]
+        results: Dict[int, Any] = {}
+        dispatch_chunked(specs, (slow, 7), _hooked_affine, workers=2,
+                         chunk_size=2, timeout_s=1.0,
+                         record=results.__setitem__)
+        assert results == {spec.index: _affine(7, spec)
+                           for spec in specs}
+        assert chunk_sizes == [2, 2, 1, 1, 1, 1]
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("options, message", [
+        ({"chunk_size": 0}, "chunk_size"),
+        ({"timeout_s": -3.0}, "timeout_s")])
+    def test_bad_options_fail_on_both_paths(self, monkeypatch, workers,
+                                            options, message):
+        monkeypatch.setattr(dispatch, "_PoolLease", _NoPool)
+        options.setdefault("timeout_s", None)
+        with pytest.raises(ValueError, match=message):
+            _collect(_affine, 0, workers=workers, **options)

@@ -126,6 +126,21 @@ class TestSplitSegments:
         assert [s.users for s in segments] == [(0, 1), ()]
         assert segments[1].scenario.n_users == 0
 
+    def test_one_segment_building_keeps_its_scenario(self):
+        scenario, _, circuits = block_scenario(6, [(3, 6)])
+        [segment] = split_segments(scenario, circuits)
+        assert segment.scenario is scenario
+        assert segment.users == tuple(range(scenario.n_users))
+
+    def test_one_segment_with_a_deaf_user_is_a_copy(self):
+        scenario, _, circuits = block_scenario(6, [(3, 6)])
+        wifi = scenario.wifi_rates.copy()
+        wifi[2, :] = 0.0  # user 2 hears nothing
+        deaf = Scenario(wifi_rates=wifi, plc_rates=scenario.plc_rates)
+        [segment] = split_segments(deaf, circuits)
+        assert segment.scenario is not deaf
+        assert 2 not in segment.users
+
 
 def _bytes(array):
     return None if array is None else (array.dtype, array.shape,
