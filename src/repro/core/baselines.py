@@ -15,15 +15,12 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..net.engine import evaluate_batch
 from .problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .guard import DecisionGuard
 
 __all__ = ["rssi_assignment", "greedy_assignment", "greedy_attach_user",
            "selfish_greedy_assignment", "random_assignment"]
@@ -42,17 +39,13 @@ def _candidate_batch(scenario: Scenario, assign: np.ndarray, user: int,
     return candidates, batch
 
 
-def rssi_assignment(scenario: Scenario,
-                    guard: "Optional[DecisionGuard]" = None) -> np.ndarray:
+def rssi_assignment(scenario: Scenario) -> np.ndarray:
     """Strongest-signal association (the commodity default).
 
     RSSI is monotone in the WiFi PHY rate under the paper's distance-based
     channel model, so picking the best-rate extender is the best-RSSI
     choice.  Capacity limits, when present, are honoured by falling back
-    to the next-strongest extender with room.  With a ``guard``,
-    unattachable users are left UNASSIGNED and reported instead of
-    raising, and the result is validated (bit-identical on clean
-    inputs).
+    to the next-strongest extender with room.
     """
     assignment = np.full(scenario.n_users, UNASSIGNED, dtype=int)
     counts = np.zeros(scenario.n_extenders, dtype=int)
@@ -66,11 +59,8 @@ def rssi_assignment(scenario: Scenario,
                 assignment[user] = j
                 counts[j] += 1
                 break
-        if assignment[user] == UNASSIGNED and guard is None:
+        if assignment[user] == UNASSIGNED:
             raise ValueError(f"user {user} cannot be attached anywhere")
-    if guard is not None:
-        assignment, _ = guard.repair_assignment(scenario, assignment,
-                                                source="rssi")
     return assignment
 
 
@@ -108,9 +98,7 @@ def greedy_attach_user(scenario: Scenario,
 
 def greedy_assignment(scenario: Scenario,
                       arrival_order: Optional[Sequence[int]] = None,
-                      plc_mode: str = "redistribute",
-                      guard: "Optional[DecisionGuard]" = None
-                      ) -> np.ndarray:
+                      plc_mode: str = "redistribute") -> np.ndarray:
     """Centralized online greedy association (§V-B baseline).
 
     Args:
@@ -120,42 +108,29 @@ def greedy_assignment(scenario: Scenario,
         plc_mode: PLC sharing law the controller's measurements reflect
             (the default "redistribute" is what a real deployment would
             observe).
-        guard: optional :class:`repro.core.guard.DecisionGuard` — an
-            unattachable arrival is left UNASSIGNED and reported
-            instead of raising, and the result is validated
-            (bit-identical on clean inputs).
 
     Returns:
         A complete assignment array.
+
+    Raises:
+        ValueError: if an arriving user cannot be attached anywhere.
     """
     if arrival_order is None:
         arrival_order = range(scenario.n_users)
     assignment = np.full(scenario.n_users, UNASSIGNED, dtype=int)
     for user in arrival_order:
-        try:
-            assignment[user] = greedy_attach_user(scenario, assignment,
-                                                  int(user),
-                                                  plc_mode=plc_mode)
-        except ValueError:
-            if guard is None:
-                raise
-    if guard is not None:
-        assignment, _ = guard.repair_assignment(scenario, assignment,
-                                                source="greedy")
+        assignment[user] = greedy_attach_user(scenario, assignment,
+                                              int(user), plc_mode=plc_mode)
     return assignment
 
 
 def random_assignment(scenario: Scenario,
-                      rng: Optional[np.random.Generator] = None,
-                      guard: "Optional[DecisionGuard]" = None
+                      rng: Optional[np.random.Generator] = None
                       ) -> np.ndarray:
     """Uniformly random reachable extender per user (sanity baseline).
 
     ``rng`` defaults to ``np.random.default_rng(0)`` — the baseline is
-    random *across seeds*, never across repeated identical calls.  With
-    a ``guard``, unattachable users are left UNASSIGNED and reported
-    instead of raising; on clean inputs the guarded result is
-    bit-identical.
+    random *across seeds*, never across repeated identical calls.
     """
     # woltlint: disable=W010 — documented API default for ad-hoc direct
     # calls; run_policy always passes a SeedSequence-derived generator.
@@ -166,23 +141,16 @@ def random_assignment(scenario: Scenario,
         options = [int(j) for j in scenario.reachable(user)
                    if counts[j] < scenario.capacity_of(int(j))]
         if not options:
-            if guard is None:
-                raise ValueError(
-                    f"user {user} cannot be attached anywhere")
-            continue
+            raise ValueError(f"user {user} cannot be attached anywhere")
         j = int(rng.choice(options))
         assignment[user] = j
         counts[j] += 1
-    if guard is not None:
-        assignment, _ = guard.repair_assignment(scenario, assignment,
-                                                source="random")
     return assignment
 
 
 def selfish_greedy_assignment(scenario: Scenario,
                               arrival_order: Optional[Sequence[int]] = None,
-                              plc_mode: str = "redistribute",
-                              guard: "Optional[DecisionGuard]" = None
+                              plc_mode: str = "redistribute"
                               ) -> np.ndarray:
     """Self-interested greedy association (the §III-B case study policy).
 
@@ -190,9 +158,7 @@ def selfish_greedy_assignment(scenario: Scenario,
     end-to-end throughput given the users already attached (Fig. 3c),
     rather than the network aggregate.  Kept as an extra baseline: it is
     what uncoordinated rate-aware clients would do.  Each arrival's
-    candidates are scored with one batched engine call.  With a
-    ``guard``, unattachable arrivals are left UNASSIGNED and reported
-    instead of raising.
+    candidates are scored with one batched engine call.
     """
     if arrival_order is None:
         arrival_order = range(scenario.n_users)
@@ -203,10 +169,7 @@ def selfish_greedy_assignment(scenario: Scenario,
         candidates, batch = _candidate_batch(scenario, assignment,
                                              user, counts)
         if not candidates:
-            if guard is None:
-                raise ValueError(
-                    f"user {user} cannot be attached anywhere")
-            continue
+            raise ValueError(f"user {user} cannot be attached anywhere")
         report = evaluate_batch(scenario, batch, plc_mode=plc_mode)
         own = report.user_throughputs[:, user]
         best_k = 0
@@ -218,7 +181,4 @@ def selfish_greedy_assignment(scenario: Scenario,
         best_j = candidates[best_k]
         assignment[user] = best_j
         counts[best_j] += 1
-    if guard is not None:
-        assignment, _ = guard.repair_assignment(scenario, assignment,
-                                                source="selfish")
     return assignment

@@ -22,16 +22,12 @@ brute force.  Certified identical to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from ..net.engine import evaluate, evaluate_batch
 from .baselines import greedy_assignment
 from .problem import Scenario, UNASSIGNED
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .guard import DecisionGuard
 
 __all__ = ["BnbResult", "branch_and_bound_optimal"]
 
@@ -55,37 +51,25 @@ class BnbResult:
 
 def branch_and_bound_optimal(scenario: Scenario,
                              plc_mode: str = "redistribute",
-                             node_limit: int = 5_000_000,
-                             guard: "Optional[DecisionGuard]" = None
-                             ) -> BnbResult:
+                             node_limit: int = 5_000_000) -> BnbResult:
     """Exact Problem-1 optimum by depth-first branch and bound.
 
     Args:
         scenario: the network snapshot (capacities honoured).
         plc_mode: PLC sharing law for evaluation and bounding.
         node_limit: safety cap on expanded nodes.
-        guard: optional :class:`repro.core.guard.DecisionGuard` — users
-            with no reachable extender are left UNASSIGNED and reported
-            (the optimum is certified over the reachable users) instead
-            of raising, and the result is validated.  Bit-identical on
-            clean inputs.
 
     Returns:
         A :class:`BnbResult` certificate.
 
     Raises:
-        ValueError: if some user is unattachable (only without a guard)
-            or the node limit is exceeded.
+        ValueError: if some user is unattachable or the node limit is
+            exceeded.
     """
     n_users, n_ext = scenario.n_users, scenario.n_extenders
-    unreachable = [user for user in range(n_users)
-                   if scenario.reachable(user).size == 0]
-    if unreachable:
-        if guard is None:
-            raise ValueError(
-                f"user {unreachable[0]} has no reachable extender")
-        return _guarded_subset_bnb(scenario, unreachable, plc_mode,
-                                   node_limit, guard)
+    for user in range(n_users):
+        if scenario.reachable(user).size == 0:
+            raise ValueError(f"user {user} has no reachable extender")
     if plc_mode == "fixed":
         caps = scenario.plc_rates / max(n_ext, 1)
     else:
@@ -171,39 +155,7 @@ def branch_and_bound_optimal(scenario: Scenario,
             assignment[user] = UNASSIGNED
 
     dfs(0)
-    if guard is not None:
-        guard.check_assignment(scenario, best_assignment, source="bnb")
     return BnbResult(assignment=best_assignment,
                      aggregate_throughput=float(best_value),
                      nodes_expanded=stats["expanded"],
                      nodes_pruned=stats["pruned"])
-
-
-def _guarded_subset_bnb(scenario: Scenario, unreachable: "list[int]",
-                        plc_mode: str, node_limit: int,
-                        guard: "DecisionGuard") -> BnbResult:
-    """Certify the optimum over the reachable users only.
-
-    Users no extender can reach are left UNASSIGNED; the guard records
-    them as dropped.  The certificate is exact for the reachable
-    subset (an unreachable user cannot contribute throughput under any
-    assignment, so the subset optimum is the full optimum).
-    """
-    keep = np.array([u for u in range(scenario.n_users)
-                     if u not in set(unreachable)], dtype=int)
-    assignment = np.full(scenario.n_users, UNASSIGNED, dtype=int)
-    expanded = pruned = 0
-    if keep.size:
-        sub = scenario.subset_users(keep)
-        sub_result = branch_and_bound_optimal(sub, plc_mode=plc_mode,
-                                              node_limit=node_limit)
-        assignment[keep] = sub_result.assignment
-        expanded = sub_result.nodes_expanded
-        pruned = sub_result.nodes_pruned
-    assignment, _ = guard.repair_assignment(scenario, assignment,
-                                            source="bnb")
-    value = evaluate(scenario, assignment, plc_mode=plc_mode,
-                     require_complete=False).aggregate
-    return BnbResult(assignment=assignment,
-                     aggregate_throughput=float(value),
-                     nodes_expanded=expanded, nodes_pruned=pruned)

@@ -15,15 +15,12 @@ all ``|A|`` extenders time-share the PLC backhaul equally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from .hungarian import InfeasibleAssignmentError, solve_assignment
 from .problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .guard import DecisionGuard
 
 __all__ = ["phase1_utilities", "Phase1Result", "solve_phase1"]
 
@@ -64,8 +61,7 @@ class Phase1Result:
 
 
 def solve_phase1(scenario: Scenario,
-                 utilities: Optional[np.ndarray] = None,
-                 guard: "Optional[DecisionGuard]" = None) -> Phase1Result:
+                 utilities: Optional[np.ndarray] = None) -> Phase1Result:
     """Solve the Phase-I assignment problem.
 
     One distinct user is matched to every extender (when user supply and
@@ -76,11 +72,6 @@ def solve_phase1(scenario: Scenario,
         scenario: the network snapshot.
         utilities: optional pre-computed utility matrix (defaults to
             :func:`phase1_utilities`).
-        guard: optional :class:`repro.core.guard.DecisionGuard`; the
-            returned artifact is validated (and, if needed, repaired)
-            against Lemma 2 via
-            :meth:`~repro.core.guard.DecisionGuard.repair_phase1`.  On
-            a clean artifact this is a no-op returning the same object.
 
     Returns:
         A :class:`Phase1Result`.
@@ -94,14 +85,11 @@ def solve_phase1(scenario: Scenario,
     assignment = np.full(scenario.n_users, UNASSIGNED, dtype=int)
     candidate_ext = np.flatnonzero(np.any(np.isfinite(utilities), axis=0))
     if candidate_ext.size == 0 or scenario.n_users == 0:
-        result = Phase1Result(assignment=assignment,
-                              anchored_users=np.empty(0, dtype=int),
-                              utilities=utilities, objective=0.0,
-                              unmatched_extenders=np.arange(
-                                  scenario.n_extenders))
-        if guard is not None:
-            result, _ = guard.repair_phase1(scenario, result)
-        return result
+        return Phase1Result(assignment=assignment,
+                            anchored_users=np.empty(0, dtype=int),
+                            utilities=utilities, objective=0.0,
+                            unmatched_extenders=np.arange(
+                                scenario.n_extenders))
 
     sub = utilities[:, candidate_ext]
     try:
@@ -121,14 +109,11 @@ def solve_phase1(scenario: Scenario,
     objective = float(utilities[users, extenders].sum())
     matched_mask = np.zeros(scenario.n_extenders, dtype=bool)
     matched_mask[extenders] = True
-    result = Phase1Result(assignment=assignment,
-                          anchored_users=np.sort(users),
-                          utilities=utilities,
-                          objective=objective,
-                          unmatched_extenders=np.flatnonzero(~matched_mask))
-    if guard is not None:
-        result, _ = guard.repair_phase1(scenario, result)
-    return result
+    return Phase1Result(assignment=assignment,
+                        anchored_users=np.sort(users),
+                        utilities=utilities,
+                        objective=objective,
+                        unmatched_extenders=np.flatnonzero(~matched_mask))
 
 
 def _max_matchable_extenders(utilities: np.ndarray) -> np.ndarray:

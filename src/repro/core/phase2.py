@@ -27,15 +27,12 @@ Two solvers are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..net.engine import _record
 from .problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .guard import DecisionGuard
 
 __all__ = ["Phase2Result", "solve_phase2", "solve_phase2_continuous",
            "wifi_objective"]
@@ -156,8 +153,7 @@ class _BatchGains:
 
 def _greedy_insertion(scenario: Scenario, state: _CellState,
                       gains: _BatchGains, assignment: np.ndarray,
-                      remaining: "List[int]",
-                      drop_unplaceable: bool = False) -> None:
+                      remaining: "List[int]") -> None:
     """Greedy insertion over an incrementally maintained gains matrix.
 
     Each step places the (pending user, extender) pair with the largest
@@ -173,9 +169,6 @@ def _greedy_insertion(scenario: Scenario, state: _CellState,
     so the decisions are bit-identical to rebuilding the whole matrix
     per placement and to the scalar loop — the differential wall in
     ``tests/test_delta_eval.py`` checks both against ``tests/oracles.py``.
-    With ``drop_unplaceable`` (the guarded mode) insertion stops when no
-    feasible pair remains, leaving the leftovers UNASSIGNED for the
-    guard to report, instead of raising.
     """
     if not remaining:
         return
@@ -187,8 +180,6 @@ def _greedy_insertion(scenario: Scenario, state: _CellState,
     while remaining:
         flat = int(np.argmax(matrix))
         if np.isneginf(matrix.flat[flat]):
-            if drop_unplaceable:
-                break
             raise ValueError(
                 f"users {remaining} cannot be attached to any extender")
         user, j = divmod(flat, n_ext)
@@ -238,8 +229,7 @@ def _relocate(state: _CellState, gains: _BatchGains,
 
 def solve_phase2(scenario: Scenario,
                  phase1_assignment: Sequence[int],
-                 max_rounds: int = 100,
-                 guard: "Optional[DecisionGuard]" = None) -> Phase2Result:
+                 max_rounds: int = 100) -> Phase2Result:
     """Combinatorial Phase-II solver (greedy insertion + local search).
 
     Args:
@@ -247,32 +237,17 @@ def solve_phase2(scenario: Scenario,
         phase1_assignment: per-user extender indices with the ``U1``
             anchors set and everyone else :data:`UNASSIGNED`.
         max_rounds: safety cap on local-search rounds.
-        guard: optional :class:`repro.core.guard.DecisionGuard`.  When
-            set, invalid anchors are repaired instead of poisoning the
-            search, unattachable users are left UNASSIGNED and reported
-            instead of raising, and the final assignment is validated.
-            On clean inputs the guarded result is bit-identical to the
-            unguarded one.
 
     Returns:
-        A :class:`Phase2Result` with a complete, integral assignment
-        (guarded mode may leave genuinely unattachable users
-        UNASSIGNED, reported on the guard).
+        A :class:`Phase2Result` with a complete, integral assignment.
 
     Raises:
         ValueError: if some user cannot be attached anywhere (no reachable
-            extender with free capacity), i.e. constraint (7) cannot hold
-            — only without a guard.
+            extender with free capacity), i.e. constraint (7) cannot hold.
     """
     assignment = np.array(phase1_assignment, dtype=int)
     if assignment.shape[0] != scenario.n_users:
         raise ValueError("phase1_assignment length must equal n_users")
-    if guard is not None:
-        # Repair the incoming anchors before they poison _CellState
-        # (an anchor on an unreachable extender divides by zero rate).
-        assignment, _ = guard.repair_assignment(
-            scenario, assignment, source="phase2-anchors",
-            require_complete=False)
     anchors = assignment.copy()
     state = _CellState(scenario, assignment)
     remaining = list(np.flatnonzero(assignment == UNASSIGNED))
@@ -280,16 +255,13 @@ def solve_phase2(scenario: Scenario,
 
     # Greedy insertion: repeatedly place the (user, extender) pair with the
     # largest marginal gain in total WiFi throughput.
-    _greedy_insertion(scenario, state, gains, assignment, remaining,
-                      drop_unplaceable=guard is not None)
+    _greedy_insertion(scenario, state, gains, assignment, remaining)
 
     # Local search over single relocations and pairwise swaps of U2 users
     # (the Phase-I anchors stay put, as the paper fixes U1).  Relocations
     # realize the shift argument of Theorem 3; swaps escape the
     # single-move local optima that pure shifting can get stuck in.
-    # Users the guarded insertion could not place are not movable.
-    movable = np.flatnonzero((anchors == UNASSIGNED)
-                             & (assignment != UNASSIGNED))
+    movable = np.flatnonzero(anchors == UNASSIGNED)
     rounds = 0
     improved = True
     while improved and rounds < max_rounds:
@@ -303,13 +275,7 @@ def solve_phase2(scenario: Scenario,
                 improved = True
         if _try_swaps(state, gains, assignment, movable):
             improved = True
-    objective = state.total()
-    if guard is not None:
-        assignment, report = guard.repair_assignment(
-            scenario, assignment, source="phase2", require_complete=True)
-        if report.repaired_users:
-            objective = wifi_objective(scenario, assignment)
-    return Phase2Result(assignment=assignment, objective=objective,
+    return Phase2Result(assignment=assignment, objective=state.total(),
                         iterations=rounds, was_integral=True)
 
 
@@ -368,8 +334,7 @@ def solve_phase2_continuous(scenario: Scenario,
                             phase1_assignment: Sequence[int],
                             tolerance: float = SOLVER_TOLERANCE,
                             max_iterations: int = 200,
-                            rng: Optional[np.random.Generator] = None,
-                            guard: "Optional[DecisionGuard]" = None
+                            rng: Optional[np.random.Generator] = None
                             ) -> Phase2Result:
     """Numerical Phase-II solver on the fractional relaxation of Problem 2.
 
@@ -381,28 +346,16 @@ def solve_phase2_continuous(scenario: Scenario,
     where ``m_j`` and ``D_j`` account for the fixed Phase-I anchors.  The
     optimum is integral by Theorem 3; the returned assignment snaps each
     user to its largest ``x_ij`` and reports whether snapping was a no-op.
-    With a ``guard``, invalid anchors are repaired up front and users
-    with no reachable extender are left UNASSIGNED and reported instead
-    of raising.
     """
     from scipy import optimize
 
     assignment = np.array(phase1_assignment, dtype=int)
-    if guard is not None:
-        assignment, _ = guard.repair_assignment(
-            scenario, assignment, source="phase2-anchors",
-            require_complete=False)
     pending = np.flatnonzero(assignment == UNASSIGNED)
-    if guard is not None and pending.size:
-        hears = np.array([scenario.reachable(int(u)).size > 0
-                          for u in pending])
-        pending = pending[hears]
     if pending.size == 0:
-        result = Phase2Result(
+        return Phase2Result(
             assignment=assignment,
             objective=wifi_objective(scenario, assignment),
             iterations=0, was_integral=True)
-        return _finalize_continuous(scenario, result, guard)
 
     n_ext = scenario.n_extenders
     anchored = np.flatnonzero(assignment != UNASSIGNED)
@@ -462,24 +415,7 @@ def solve_phase2_continuous(scenario: Scenario,
     largest = xm[np.arange(pending.size), choice]
     was_integral = bool(np.all(np.abs(largest - 1.0) < 1e-3))
     assignment[pending] = choice
-    outcome = Phase2Result(assignment=assignment,
-                           objective=wifi_objective(scenario, assignment),
-                           iterations=int(result.nit),
-                           was_integral=was_integral)
-    return _finalize_continuous(scenario, outcome, guard)
-
-
-def _finalize_continuous(scenario: Scenario, result: Phase2Result,
-                         guard: "Optional[DecisionGuard]") -> Phase2Result:
-    """Guarded post-validation of the continuous solver's snap."""
-    if guard is None:
-        return result
-    assignment, report = guard.repair_assignment(
-        scenario, result.assignment, source="phase2",
-        require_complete=True)
-    if not report.repaired_users:
-        return result
     return Phase2Result(assignment=assignment,
                         objective=wifi_objective(scenario, assignment),
-                        iterations=result.iterations,
-                        was_integral=result.was_integral)
+                        iterations=int(result.nit),
+                        was_integral=was_integral)

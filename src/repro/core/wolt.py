@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -21,9 +21,6 @@ from ..plc.sharing import PLC_MODES
 from .phase1 import Phase1Result, phase1_utilities, solve_phase1
 from .phase2 import Phase2Result, solve_phase2, solve_phase2_continuous
 from .problem import Scenario, validate_assignment
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .guard import DecisionGuard
 
 __all__ = ["WoltResult", "solve_wolt"]
 
@@ -65,8 +62,7 @@ class WoltResult:
 def solve_wolt(scenario: Scenario,
                phase2_solver: str = "combinatorial",
                plc_mode: str = "redistribute",
-               rng: Optional[np.random.Generator] = None,
-               guard: "Optional[DecisionGuard]" = None) -> WoltResult:
+               rng: Optional[np.random.Generator] = None) -> WoltResult:
     """Run the full WOLT association algorithm (Alg. 1 of the paper).
 
     Args:
@@ -79,33 +75,28 @@ def solve_wolt(scenario: Scenario,
             algorithm itself is model-free; see
             :func:`repro.net.engine.evaluate`).
         rng: optional generator for the continuous solver's start point.
-        guard: optional :class:`repro.core.guard.DecisionGuard` threaded
-            through both phases.  Guarded, WOLT repairs invariant
-            violations instead of raising (genuinely unattachable users
-            are left :data:`UNASSIGNED` and reported), and the final
-            assignment is re-validated.  On clean inputs the guarded
-            decisions are bit-identical to the unguarded ones.
 
     Returns:
         A :class:`WoltResult`.
+
+    Raises:
+        ValueError: if some user hears no extender with free capacity
+            (constraint (7) cannot hold).  Callers that may hold such
+            users solve the hearing subset and scatter it back, as
+            :meth:`repro.core.controller.CentralController.reconfigure`
+            and :func:`repro.fleet.sharding.split_segments` do.
     """
     if plc_mode not in PLC_MODES:
         raise ValueError(f"mode must be one of {PLC_MODES}, got {plc_mode!r}")
     utilities = phase1_utilities(scenario)
-    phase1 = solve_phase1(scenario, utilities, guard=guard)
+    phase1 = solve_phase1(scenario, utilities)
     if phase2_solver == "combinatorial":
-        phase2: Phase2Result = solve_phase2(scenario, phase1.assignment,
-                                            guard=guard)
+        phase2: Phase2Result = solve_phase2(scenario, phase1.assignment)
     elif phase2_solver == "continuous":
         phase2 = solve_phase2_continuous(scenario, phase1.assignment,
-                                         rng=rng, guard=guard)
+                                         rng=rng)
     else:
         raise ValueError(f"unknown phase2_solver: {phase2_solver!r}")
-    if guard is not None:
-        # Final validation checkpoint: the phases already repaired, so
-        # this records a clean report unless a phase is buggy.
-        guard.check_assignment(scenario, phase2.assignment,
-                               source="wolt", require_complete=False)
     validate_assignment(scenario, phase2.assignment, require_complete=False)
     return WoltResult(assignment=phase2.assignment, phase1=phase1,
                       phase2=phase2, scenario=scenario, plc_mode=plc_mode)

@@ -64,11 +64,6 @@ class EngineCallStats:
     batch_rows: int = 0
     delta_moves: int = 0
 
-    @property
-    def candidates_scored(self) -> int:
-        """Total assignments scored: scalar, batched and delta combined."""
-        return self.scalar_calls + self.batch_rows + self.delta_moves
-
 
 #: Stack of active counter frames (the engine increments every frame, so
 #: nested ``count_engine_calls`` blocks each see their own totals).
@@ -131,17 +126,6 @@ class ThroughputReport:
     def aggregate(self) -> float:
         """Total end-to-end network throughput (the paper's objective)."""
         return float(self.extender_throughputs.sum())
-
-    @property
-    def n_active_extenders(self) -> int:
-        """Number of extenders with at least one attached user."""
-        assign = np.asarray(self.assignment, dtype=int)
-        attached = assign[assign != UNASSIGNED]
-        if attached.size == 0:
-            return 0
-        return int(np.count_nonzero(
-            np.bincount(attached,
-                        minlength=self.extender_throughputs.shape[0])))
 
 
 def evaluate(scenario: Scenario,
@@ -238,22 +222,6 @@ class BatchThroughputReport:
             raise ValueError("empty batch has no best candidate")
         return int(np.argmax(self.aggregates))
 
-    def expand(self, b: int) -> ThroughputReport:
-        """The exact single-candidate :class:`ThroughputReport` of row ``b``.
-
-        The returned report is built from the batch's own rows (no
-        re-evaluation), so it is numerically identical to the batch entry.
-        """
-        return ThroughputReport(
-            assignment=self.assignments[b].copy(),
-            wifi_throughputs=self.wifi_throughputs[b].copy(),
-            plc_throughputs=self.plc_throughputs[b].copy(),
-            plc_time_shares=self.plc_time_shares[b].copy(),
-            extender_throughputs=self.extender_throughputs[b].copy(),
-            user_throughputs=self.user_throughputs[b].copy(),
-            bottleneck_is_plc=self.bottleneck_is_plc[b].copy(),
-        )
-
 
 def evaluate_batch(scenario: Scenario,
                    assignments: Sequence[Sequence[int]],
@@ -278,8 +246,8 @@ def evaluate_batch(scenario: Scenario,
         require_complete: insist that every user is attached in every row.
 
     Returns:
-        A :class:`BatchThroughputReport`; ``report.expand(b)`` recovers the
-        exact scalar report of candidate ``b``.
+        A :class:`BatchThroughputReport`; row ``b`` of each array holds
+        candidate ``b``'s scalar report.
     """
     assign = validate_assignment_batch(scenario, assignments,
                                        require_complete=require_complete)
@@ -330,14 +298,12 @@ class DeltaEvaluator:
     O(n_extenders) and always recomputed in full; cheap next to the
     O(n_users · n_extenders) WiFi pass it replaces).
 
-    The cache is seeded by one full scalar pass at construction, taken
-    as-is from a scalar :class:`ThroughputReport` via :meth:`from_report`,
-    or validated against a batch row via :meth:`from_batch`.  Like
-    :func:`evaluate`, the seed may be partial (``UNASSIGNED`` users);
-    moves then attach, detach or relocate single users.  The
-    :meth:`reconcile` check recomputes everything from scratch and
-    fails loudly on cache drift, which the differential test wall
-    exercises on random move sequences.
+    The cache is seeded by one full scalar pass at construction, or
+    taken as-is from a scalar :class:`ThroughputReport` via
+    :meth:`from_report`.  Like :func:`evaluate`, the seed may be
+    partial (``UNASSIGNED`` users); moves then attach, detach or
+    relocate single users.  The differential test wall checks the
+    cache against a full :func:`evaluate` after random move sequences.
 
     Not thread-safe; one evaluator per search loop.
     """
@@ -387,29 +353,6 @@ class DeltaEvaluator:
                 f"{scenario.n_extenders} extenders")
         ev = cls.__new__(cls)
         ev._seed(scenario, plc_mode, assignment, wifi)
-        return ev
-
-    @classmethod
-    def from_batch(cls, scenario: Scenario, report: BatchThroughputReport,
-                   index: int = 0, plc_mode: str = "redistribute",
-                   atol: float = 1e-9) -> "DeltaEvaluator":
-        """Seed from row ``index`` of a cached :class:`BatchThroughputReport`.
-
-        The evaluator recomputes the WiFi vector with the scalar law
-        (the batch kernel's scatter-add sums in a different order, so
-        its bits may differ at ulp level) and *reconciles* it against
-        the cached batch row: any deviation beyond ``atol`` raises,
-        catching a stale or mismatched report at the hand-off instead
-        of corrupting the search.
-        """
-        ev = cls(scenario, report.assignments[index], plc_mode=plc_mode)
-        cached = np.asarray(report.wifi_throughputs[index], dtype=float)
-        drift = float(np.max(np.abs(cached - ev._wifi))) \
-            if cached.size else 0.0
-        if drift > atol:
-            raise ValueError(
-                f"cached batch report disagrees with scalar recompute "
-                f"by {drift:.3e} (> atol={atol:.0e}) — stale report?")
         return ev
 
     @property
@@ -498,26 +441,6 @@ class DeltaEvaluator:
                 self._wifi[j] = self._cell_wifi(j)
         self._aggregate = self._full_aggregate(self._wifi)
         return self._aggregate
-
-    def reconcile(self, atol: float = 0.0) -> float:
-        """Recompute the WiFi cache from scratch and verify it.
-
-        Returns the max absolute drift; raises if it exceeds ``atol``
-        (with the scalar per-cell law the drift is exactly zero — any
-        nonzero value means a bookkeeping bug).  The cache is refreshed
-        either way.
-        """
-        fresh = cell_throughputs(self._rates, self._assignment,
-                                 self._scenario.n_extenders)
-        drift = float(np.max(np.abs(fresh - self._wifi))) \
-            if fresh.size else 0.0
-        self._wifi = fresh
-        self._aggregate = self._full_aggregate(self._wifi)
-        if drift > atol:
-            raise RuntimeError(
-                f"DeltaEvaluator cache drifted by {drift:.3e} "
-                f"(> atol={atol:.0e}) — incremental bookkeeping bug")
-        return drift
 
     def report(self) -> ThroughputReport:
         """Full :class:`ThroughputReport` of the current assignment.

@@ -191,11 +191,6 @@ class PlcAllocation:
     throughputs: np.ndarray
     saturated: np.ndarray
 
-    @property
-    def busy_fraction(self) -> float:
-        """Total fraction of the medium time in use."""
-        return float(self.time_shares.sum())
-
 
 #: Valid PLC medium-sharing modes (see :func:`allocate_backhaul`).
 PLC_MODES = ("redistribute", "active", "fixed")
@@ -305,11 +300,6 @@ class BatchPlcAllocation:
     time_shares: np.ndarray
     throughputs: np.ndarray
     saturated: np.ndarray
-
-    @property
-    def busy_fractions(self) -> np.ndarray:
-        """Per-candidate total fraction of the medium time in use."""
-        return self.time_shares.sum(axis=1)
 
 
 def allocate_backhaul_batch(plc_rates: Sequence[float],

@@ -124,10 +124,6 @@ class EmulatedTestbed:
             raise ValueError(f"duplicate laptop {laptop.name!r}")
         self.laptops[laptop.name] = laptop
 
-    def move_laptop(self, name: str, position: Tuple[float, float]) -> None:
-        """Move a laptop to a new position."""
-        self._laptop(name).position = tuple(position)
-
     def wire(self, laptop: str, extender: str) -> None:
         """Connect a laptop to an extender with an Ethernet cable."""
         self._extender(extender)
@@ -146,21 +142,6 @@ class EmulatedTestbed:
                 f"{laptop!r} is out of range of {extender!r}")
         lp.associated_to = extender
         lp.wired_to = None
-
-    def associate_strongest(self, laptop: str) -> str:
-        """Associate a laptop with its strongest-RSSI powered extender."""
-        lp = self._laptop(laptop)
-        best_name, best_rssi = None, -np.inf
-        for name, ext in sorted(self.extenders.items()):
-            if not ext.powered:
-                continue
-            rssi = self.phy.rssi_dbm(self._distance(lp, ext))
-            if rssi > best_rssi and self.wifi_rate(laptop, name) > 0:
-                best_name, best_rssi = name, rssi
-        if best_name is None:
-            raise ValueError(f"{laptop!r} hears no powered extender")
-        self.associate(laptop, best_name)
-        return best_name
 
     # ------------------------------------------------------------------
     # radio helpers

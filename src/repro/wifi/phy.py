@@ -118,15 +118,6 @@ class WifiPhy:
         """PHY rate (Mbps) at a distance (0 = unreachable)."""
         return self.rate_for_snr(self.snr_db(distance_m, rng))
 
-    def max_range_m(self) -> float:
-        """Distance at which even the lowest MCS stops decoding."""
-        lowest_snr = self.mcs_table[0][0]
-        budget = (self.tx_power_dbm - self.noise_floor_dbm - lowest_snr
-                  - self.reference_loss_db)
-        if budget < 0:
-            return 1.0
-        return float(10.0 ** (budget / (10.0 * self.path_loss_exponent)))
-
     def rate_matrix(self, user_xy: np.ndarray, extender_xy: np.ndarray,
                     rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """WiFi rate matrix ``r_ij`` for users and extenders on a plane.

@@ -82,5 +82,4 @@ class TestCallCounter:
         assert outer.batch_rows == 3
         assert inner.scalar_calls == 0
         assert inner.batch_rows == 3
-        assert inner.candidates_scored == 3
-        assert outer.candidates_scored == 4
+        assert inner.delta_moves == outer.delta_moves == 0

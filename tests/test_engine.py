@@ -48,7 +48,6 @@ class TestEvaluateSemantics:
         report = evaluate(fig3_scenario, [UNASSIGNED, UNASSIGNED])
         assert report.aggregate == 0.0
         assert np.all(report.user_throughputs == 0.0)
-        assert report.n_active_extenders == 0
 
     def test_require_complete_raises(self, fig3_scenario):
         with pytest.raises(ValueError):
@@ -74,47 +73,6 @@ class TestEvaluateSemantics:
                       plc_rates=np.array([50.0, 50.0]))
         report = evaluate(sc, [0])
         assert report.aggregate == pytest.approx(50.0)
-
-
-class TestNActiveExtenders:
-    """Regression: the empty-attachment path must not crash or miscount."""
-
-    def test_all_unassigned_is_zero(self, fig3_scenario):
-        report = evaluate(fig3_scenario, [UNASSIGNED, UNASSIGNED])
-        assert report.n_active_extenders == 0
-
-    def test_zero_users_is_zero(self):
-        sc = Scenario(wifi_rates=np.empty((0, 3)),
-                      plc_rates=np.array([50.0, 50.0, 50.0]))
-        report = evaluate(sc, np.empty(0, dtype=int))
-        assert report.n_active_extenders == 0
-
-    def test_counts_distinct_extenders_only(self):
-        sc = Scenario(wifi_rates=np.full((4, 3), 40.0),
-                      plc_rates=np.full(3, 100.0))
-        report = evaluate(sc, [2, 2, 2, UNASSIGNED])
-        assert report.n_active_extenders == 1
-
-    def test_list_typed_assignment(self, fig3_scenario):
-        # The report may be built from a plain python list; the property
-        # must coerce rather than rely on ndarray methods.
-        report = evaluate(fig3_scenario, [0, 1])
-        patched = type(report)(
-            assignment=[0, 1],
-            wifi_throughputs=report.wifi_throughputs,
-            plc_throughputs=report.plc_throughputs,
-            plc_time_shares=report.plc_time_shares,
-            extender_throughputs=report.extender_throughputs,
-            user_throughputs=report.user_throughputs,
-            bottleneck_is_plc=report.bottleneck_is_plc)
-        assert patched.n_active_extenders == 2
-
-    def test_matches_manual_count(self, rng):
-        sc = random_scenario(rng, 10, 4)
-        assignment = rng.integers(-1, 4, size=10)
-        report = evaluate(sc, assignment)
-        manual = len({int(j) for j in assignment if j != UNASSIGNED})
-        assert report.n_active_extenders == manual
 
 
 class TestEngineInvariants:

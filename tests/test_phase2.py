@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.guard import DecisionGuard
 from repro.core.phase1 import solve_phase1
 from repro.core.phase2 import (solve_phase2, solve_phase2_continuous,
                                wifi_objective)
@@ -142,10 +141,10 @@ class TestSwapPassDifferential:
 
     @given(st.integers(2, 60), st.integers(2, 12),
            st.floats(0.3, 0.95), st.sampled_from(["none", "random", "full"]),
-           st.booleans(), st.integers(0, 2**31 - 1))
+           st.integers(0, 2**31 - 1))
     @settings(max_examples=max_examples(100), deadline=None)
     def test_matches_scalar_oracle(self, n_users, n_ext, reachable_prob,
-                                   capacities, guarded, seed):
+                                   capacities, seed):
         """Same assignment, objective and iterations as the oracle.
 
         ``full`` capacities leave no spare room once every user is placed
@@ -163,18 +162,14 @@ class TestSwapPassDifferential:
             sc = Scenario(wifi_rates=sc.wifi_rates, plc_rates=sc.plc_rates,
                           capacities=caps)
         p1 = solve_phase1(sc).assignment
-        guard = DecisionGuard() if guarded else None
         try:
             ref = solve_phase2_scalar(sc, p1)
         except ValueError:
             # Capacities left some user nowhere to go.
-            if guard is None:
-                with pytest.raises(ValueError, match="cannot be attached"):
-                    solve_phase2(sc, p1)
+            with pytest.raises(ValueError, match="cannot be attached"):
+                solve_phase2(sc, p1)
             return
-        _assert_same_result(solve_phase2(sc, p1, guard=guard), ref)
-        if guard is not None:
-            assert guard.violation_count == 0
+        _assert_same_result(solve_phase2(sc, p1), ref)
 
     def test_swap_between_single_user_cells(self):
         """Both cells hold one user, so a trial empties and refills each.

@@ -183,7 +183,7 @@ class TestAllocateBackhaul:
         alloc = allocate_backhaul(rates, demands)
         assert np.all(alloc.throughputs <= demands + 1e-9)
         assert np.all(alloc.throughputs <= alloc.time_shares * rates + 1e-9)
-        assert alloc.busy_fraction <= 1.0 + 1e-9
+        assert alloc.time_shares.sum() <= 1.0 + 1e-9
 
     @given(st.integers(min_value=1, max_value=10), st.integers(0, 2**31 - 1))
     @settings(max_examples=100)

@@ -36,24 +36,23 @@ class TestBenchSetup:
         with pytest.raises(KeyError):
             bench.associate("lap-1", "ext-99")
         with pytest.raises(KeyError):
-            bench.move_laptop("lap-99", (0, 0))
+            bench.associate("lap-99", "ext-1")
 
     def test_negative_plc_rate_rejected(self):
         with pytest.raises(ValueError):
             PlcExtender("x", (0, 0), -5.0)
 
-    def test_associate_strongest_picks_nearest(self):
+    def test_scan_ranks_the_nearest_extender_first(self):
         bench = _bench()
-        assert bench.associate_strongest("lap-1") == "ext-1"
-        assert bench.associate_strongest("lap-2") == "ext-2"
+        for laptop, nearest in (("lap-1", "ext-1"), ("lap-2", "ext-2")):
+            rates = bench.scan(laptop)
+            assert max(rates, key=rates.get) == nearest
 
     def test_unpowered_extender_not_joinable(self):
         bench = _bench()
         bench.unplug_extender("ext-1")
         with pytest.raises(ValueError):
             bench.associate("lap-1", "ext-1")
-        # associate_strongest falls back to the powered one.
-        assert bench.associate_strongest("lap-1") == "ext-2"
 
     def test_scan_reports_only_powered(self):
         bench = _bench()

