@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 
 from repro.core.controller import CentralController, ScanReport
+from repro.core.guard import DecisionGuard
 from repro.core.problem import Scenario
+from repro.core.wolt import solve_wolt
 from repro.net.engine import evaluate
+
+from .conftest import random_scenario
 
 
 def _report(uid: int, rates) -> ScanReport:
@@ -115,6 +119,25 @@ class TestReconfigure:
         cc = CentralController([60.0])
         cc.reconfigure()
         assert cc.associations == {}
+
+    def test_guarded_cc_issues_the_unguarded_directives(self):
+        """On clean reports the boundary repair changes nothing: a
+        guarded CC lands every user where an unguarded one does, which
+        is where solve_wolt puts it."""
+        sc = random_scenario(np.random.default_rng(3), 10, 4,
+                             reachable_prob=0.6)
+        guard = DecisionGuard()
+        plain = CentralController(sc.plc_rates)
+        guarded = CentralController(sc.plc_rates, guard=guard)
+        for cc in (plain, guarded):
+            for user in range(sc.n_users):
+                cc.receive_scan_report(_report(user, sc.wifi_rates[user]))
+            cc.reconfigure()
+        assert guarded.associations == plain.associations
+        assert [plain.associations[u] for u in range(sc.n_users)] == \
+            solve_wolt(sc).assignment.tolist()
+        assert guarded.stats == plain.stats
+        assert guard.violation_count == 0
 
 
 class TestDisconnect:
