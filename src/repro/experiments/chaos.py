@@ -12,7 +12,7 @@ garbage a real driver emits mid-reset.
 Three control loops face the same seeded storm:
 
 * ``wolt`` — the guarded loop: a :class:`repro.core.DecisionGuard`
-  validates/repairs every solve, a :class:`repro.core.HealthMonitor`
+  sanitizes poisoned scan reports, a :class:`repro.core.HealthMonitor`
   quarantines suspect extenders, and a report TTL expires stale
   telemetry.
 * ``wolt_unguarded`` — the same controller with every safety net
@@ -83,7 +83,7 @@ class ChaosResult:
             exceptions across trials (the guarded loop must stay at 0).
         guard_stats: counter name -> per-level totals of the guarded
             controller's :class:`~repro.core.controller.ControllerStats`
-            resilience counters (``guard_repairs``,
+            resilience counters (``guard_repairs``, always 0,
             ``sanitized_reports``, ``stale_reports``).
         quarantine_events / readmit_events: per-level totals of
             :class:`~repro.core.health.HealthMonitor` transitions in

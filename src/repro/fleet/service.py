@@ -750,8 +750,8 @@ class FleetService:
         Scoring is :func:`score_directives`: one baseline ``evaluate``
         per building, then one ``DeltaEvaluator`` commit per move.
         """
-        new, _ = bstate.guard.repair_assignment(
-            scenario, new, source="fleet", require_complete=False)
+        new, _ = bstate.guard.repair_assignment(scenario, new,
+                                                source="fleet")
         baseline, aggregate, directives = score_directives(
             scenario, bstate.assignment, new, self.spec.plc_mode,
             bstate.name)
