@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.faults import DEFAULT_FAULT_LEVELS, run_fault_sweep
+from repro.experiments.faults import (DEFAULT_FAULT_LEVELS, run_fault_sweep,
+                                     wolt_retention)
 
 from .conftest import emit
 
@@ -24,19 +25,19 @@ def test_wolt_survives_lossy_control_plane(benchmark):
                 "seed": 0},
         rounds=1, iterations=1)
     # WOLT never drops below the RSSI fallback it degrades toward.
-    for li in range(len(result.fault_levels)):
+    for li in range(len(result.levels)):
         assert (result.mean_mbps["wolt"][li]
                 >= result.mean_mbps["rssi"][li])
     # And keeps most of its fault-free throughput at every level.
-    assert min(result.wolt_retention) >= 0.8
+    assert min(wolt_retention(result)) >= 0.8
     # The sweep is bit-reproducible for a fixed seed.
     again = run_fault_sweep(fault_levels=DEFAULT_FAULT_LEVELS,
                             n_trials=10, seed=0)
     assert again.mean_mbps == result.mean_mbps
-    assert again.wolt_control_stats == result.wolt_control_stats
+    assert again.totals == result.totals
     rows = ", ".join(
         f"{level:.0%}: WOLT {result.mean_mbps['wolt'][li]:.0f} / "
         f"Greedy {result.mean_mbps['greedy'][li]:.0f} / "
         f"RSSI {result.mean_mbps['rssi'][li]:.0f} Mbps"
-        for li, level in enumerate(result.fault_levels))
+        for li, level in enumerate(result.levels))
     emit("Fault sweep (lossy control plane, clean scoring): " + rows)

@@ -8,9 +8,8 @@ from .dynamics import EpochStats, OnlineSimulation
 from .events import EventHandle, EventQueue
 from .failures import (FailureEpoch, FailureSimulation, fail_extenders,
                        reassociate_orphans)
-from .faults import (ControlPlaneOutcome, CrashSchedule, FaultModel,
-                     FaultyTransport, InjectedCrash,
-                     run_faulty_control_plane)
+from .faults import (CrashSchedule, FaultModel, FaultyTransport,
+                     InjectedCrash)
 from .mobility import MobilityEpoch, MobilitySimulation, RandomWaypoint
 from .runner import (PolicyOutcome, TrialFailure, TrialResult,
                      TrialRunResult, run_online_comparison, run_policy,
@@ -26,8 +25,7 @@ __all__ = [
     "MobilitySimulation", "MobilityEpoch", "RandomWaypoint",
     "FailureSimulation", "FailureEpoch", "fail_extenders",
     "reassociate_orphans", "hotspot_positions",
-    "FaultModel", "FaultyTransport", "ControlPlaneOutcome",
-    "run_faulty_control_plane", "InjectedCrash", "CrashSchedule",
+    "FaultModel", "FaultyTransport", "InjectedCrash", "CrashSchedule",
     "TrialFailure", "TrialRunResult", "TrialStore", "CheckpointError",
     "CheckpointExists", "CorruptCheckpoint", "FingerprintMismatch",
     "atomic_write_text", "atomic_write_json",

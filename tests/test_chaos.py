@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import chaos
+from repro.experiments.common import SweepResult
 
 
 @pytest.fixture(scope="module")
@@ -25,43 +26,44 @@ class TestChaosSweep:
         assert again == sweep
 
     def test_level_zero_guarded_equals_unguarded(self, sweep):
-        li = sweep.chaos_levels.index(0.0)
+        li = sweep.levels.index(0.0)
         assert sweep.mean_mbps["wolt"][li] == \
             sweep.mean_mbps["wolt_unguarded"][li]
-        assert sweep.crashes["wolt_unguarded"][li] == 0
-        assert sweep.quarantine_events[li] == 0
+        assert sweep.totals["unguarded_crashes"][li] == 0
+        assert sweep.totals["quarantines"][li] == 0
 
     def test_guarded_loop_never_crashes(self, sweep):
-        assert all(c == 0 for c in sweep.crashes["wolt"])
-        assert all(c == 0 for c in sweep.crashes["rssi"])
+        assert all(c == 0 for c in sweep.totals["crashes"])
 
     def test_unguarded_loop_crashes_under_chaos(self, sweep):
-        li = sweep.chaos_levels.index(0.3)
-        assert sweep.crashes["wolt_unguarded"][li] > 0
+        li = sweep.levels.index(0.3)
+        assert sweep.totals["unguarded_crashes"][li] > 0
 
     def test_guard_counters_active_under_chaos(self, sweep):
-        li = sweep.chaos_levels.index(0.3)
-        assert sweep.guard_stats["sanitized_reports"][li] > 0
+        li = sweep.levels.index(0.3)
+        assert sweep.totals["sanitized_reports"][li] > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             chaos.run_chaos_sweep(chaos_levels=(1.5,), n_trials=1)
         with pytest.raises(ValueError):
             chaos.run_chaos_sweep(n_trials=0)
+        with pytest.raises(ValueError):
+            chaos.run_chaos_sweep(n_epochs=0)
+
+    def test_empty_level_list_rejected(self):
+        # An empty sweep would pass acceptance_failures vacuously.
+        with pytest.raises(ValueError, match="non-empty"):
+            chaos.run_chaos_sweep(chaos_levels=(), n_trials=1)
 
     def test_acceptance_failure_reporting(self, sweep):
         # The real sweep's criteria are judged at CI scale; here the
         # reporter itself is exercised on a doctored result.
-        broken = chaos.ChaosResult(
-            chaos_levels=(0.3,),
+        broken = SweepResult(
+            levels=(0.3,),
             mean_mbps={"wolt": (10.0,), "wolt_unguarded": (50.0,),
                        "rssi": (60.0,)},
-            crashes={"wolt": (2,), "wolt_unguarded": (0,),
-                     "rssi": (0,)},
-            guard_stats={n: (0,) for n in ("guard_repairs",
-                                           "sanitized_reports",
-                                           "stale_reports")},
-            quarantine_events=(0,), readmit_events=(0,))
+            totals={"crashes": (2,), "unguarded_crashes": (0,)})
         failures = chaos.acceptance_failures(broken)
         assert len(failures) == 3
         assert chaos.acceptance_failures(sweep) == []

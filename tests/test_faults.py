@@ -2,7 +2,7 @@
 
 Covers the FaultModel contract, the lossy transport's effect on the
 Central Controller (drops, retries, failed handoffs, graceful
-degradation), the lossy control-plane emulation, the epoch driver
+degradation), the shared control-plane episode runner, the epoch driver
 under brown-outs, and the trial runner's retry-and-TrialFailure path.
 """
 
@@ -15,11 +15,12 @@ from repro.core.controller import (CentralController, ScanReport,
                                    Transport)
 from repro.core.problem import UNASSIGNED
 from repro.core.wolt import solve_wolt
+from repro.experiments.common import run_episode
+from repro.net.engine import evaluate
 from repro.sim.failures import (drive_control_plane, fail_extenders,
                                 settle_clients)
-from repro.sim.faults import (ControlPlaneOutcome, CrashSchedule,
-                              FaultModel, FaultyTransport, InjectedCrash,
-                              run_faulty_control_plane)
+from repro.sim.faults import (CrashSchedule, FaultModel,
+                              FaultyTransport, InjectedCrash)
 from repro.sim.runner import TrialFailure, TrialResult, run_trials
 
 from .conftest import random_scenario
@@ -144,28 +145,43 @@ class TestControllerUnderFaults:
         assert cc.stats.failed_handoffs == 0
 
 
-class TestRunFaultyControlPlane:
+def _score(sc, assignment) -> float:
+    return float(evaluate(sc, assignment, plc_mode="fixed").aggregate)
+
+
+class TestRunEpisode:
+    """One lossy admission + reconfiguration epoch through the shared
+    episode runner, scored on the clean scenario."""
+
     def _scenario(self, seed=0, n_users=10, n_extenders=4):
         return random_scenario(np.random.default_rng(seed), n_users,
                                n_extenders)
 
+    def _episode(self, sc, model, seed=0):
+        cc = CentralController(sc.plc_rates, policy="wolt",
+                               transport=FaultyTransport(
+                                   model, np.random.default_rng(seed)))
+        aggregate, crashes = run_episode(
+            cc, [(sc, sc.wifi_rates, None)], "fixed")
+        return cc, aggregate, crashes
+
     def test_faultless_wolt_matches_solver(self):
         sc = self._scenario()
-        outcome = run_faulty_control_plane(
-            sc, "wolt", FaultModel(), np.random.default_rng(0))
-        assert isinstance(outcome, ControlPlaneOutcome)
-        assert np.array_equal(outcome.assignment,
-                              solve_wolt(sc).assignment)
-        assert not np.any(outcome.assignment == UNASSIGNED)
+        cc, aggregate, crashes = self._episode(sc, FaultModel())
+        solved = solve_wolt(sc).assignment
+        assert not np.any(solved == UNASSIGNED)
+        assert cc.associations == dict(enumerate(solved.tolist()))
+        assert aggregate == _score(sc, solved)
+        assert crashes == 0
 
     def test_total_loss_degrades_to_rssi_parking(self):
         sc = self._scenario()
         model = FaultModel(directive_drop_prob=1.0,
                            handoff_failure_prob=1.0)
-        outcome = run_faulty_control_plane(
-            sc, "wolt", model, np.random.default_rng(0))
-        assert np.array_equal(outcome.assignment,
-                              np.argmax(sc.wifi_rates, axis=1))
+        cc, aggregate, _ = self._episode(sc, model)
+        rssi = np.argmax(sc.wifi_rates, axis=1)
+        assert np.array_equal(settle_clients(sc, cc.associations), rssi)
+        assert aggregate == _score(sc, rssi)
 
     def test_deterministic_for_fixed_seed(self):
         sc = self._scenario()
@@ -173,12 +189,32 @@ class TestRunFaultyControlPlane:
                            directive_drop_prob=0.3,
                            handoff_failure_prob=0.3,
                            rate_noise_fraction=0.2)
-        a = run_faulty_control_plane(sc, "wolt", model,
-                                     np.random.default_rng(7))
-        b = run_faulty_control_plane(sc, "wolt", model,
-                                     np.random.default_rng(7))
-        assert np.array_equal(a.assignment, b.assignment)
-        assert a.stats == b.stats
+        a = self._episode(sc, model, seed=7)
+        b = self._episode(sc, model, seed=7)
+        assert a[0].associations == b[0].associations
+        assert a[0].stats == b[0].stats
+        assert a[1:] == b[1:]
+
+    def test_controller_value_error_counts_as_a_crash(self):
+        sc = self._scenario()
+        cc = CentralController(sc.plc_rates, policy="wolt")
+        poisoned = sc.wifi_rates.copy()
+        poisoned[3, 0] = np.nan
+        clean = (sc, sc.wifi_rates, None)
+        aggregate, crashes = run_episode(
+            cc, [clean, (sc, poisoned, None)], "fixed")
+        assert crashes == 1
+        # Clients keep the associations held at the raise.
+        solved = solve_wolt(sc).assignment
+        assert cc.associations == dict(enumerate(solved.tolist()))
+        assert aggregate == _score(sc, solved)
+
+    def test_no_controller_is_rssi_camping(self):
+        sc = self._scenario()
+        aggregate, crashes = run_episode(
+            None, [(sc, sc.wifi_rates, None)], "fixed")
+        rssi = np.argmax(sc.wifi_rates, axis=1)
+        assert (aggregate, crashes) == (_score(sc, rssi), 0)
 
 
 class TestDriveControlPlane:
