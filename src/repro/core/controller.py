@@ -93,10 +93,6 @@ class ControllerStats:
             association instead of being re-solved.
         sanitized_reports: scan reports containing non-finite or
             negative rates that the guard repaired at receipt.
-        guard_repairs: always 0.  The CC's subset solve scattered
-            back cannot break an invariant the guard repairs, so
-            nothing counts here; the field stays only because ``wolt
-            chaos`` prints it as a column.
     """
 
     reassignments: int = 0
@@ -106,7 +102,6 @@ class ControllerStats:
     failed_handoffs: int = 0
     stale_reports: int = 0
     sanitized_reports: int = 0
-    guard_repairs: int = 0
 
 
 class Transport:
