@@ -212,8 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "this append-only bounded JSONL journal "
                             "(requires --from)")
     serve.add_argument("--quiet", action="store_true",
-                       help="one summary line per epoch, no "
-                            "per-directive detail")
+                       help="print only each epoch's headline line "
+                            "(no per-building or per-directive "
+                            "detail)")
 
     record = sub.add_parser(
         "record",
@@ -408,7 +409,8 @@ def _serve(args: argparse.Namespace) -> Tuple[str, int]:
         reports, interrupted = service.run(
             args.epochs, dry_run=args.dry_run, state=state,
             on_epoch=lambda r: print(
-                format_epoch(r, directives=not args.quiet)))
+                format_epoch(r).partition("\n")[0] if args.quiet
+                else format_epoch(r)))
     if interrupted is not None:
         note = (f"interrupted by {interrupted} after "
                 f"{len(reports)} epochs")

@@ -901,7 +901,7 @@ def _ext_label(extender: int) -> str:
     return "none" if extender == UNASSIGNED else str(extender)
 
 
-def format_epoch(report: EpochReport, directives: bool = True) -> str:
+def format_epoch(report: EpochReport) -> str:
     """Render one epoch as a stable, diff-friendly text block.
 
     The format is deliberately deterministic — fixed float precision,
@@ -936,10 +936,9 @@ def format_epoch(report: EpochReport, directives: bool = True) -> str:
             f"{building.n_segments}, aggregate "
             f"{building.aggregate_mbps:.6f} Mbps "
             f"({building.delta_mbps:+.6f}){notes}")
-        if directives:
-            for d in building.directives:
-                lines.append(
-                    f"    user {d.user}: {_ext_label(d.old_extender)}"
-                    f" -> {_ext_label(d.new_extender)} "
-                    f"({d.delta_mbps:+.6f} Mbps)")
+        for d in building.directives:
+            lines.append(
+                f"    user {d.user}: {_ext_label(d.old_extender)}"
+                f" -> {_ext_label(d.new_extender)} "
+                f"({d.delta_mbps:+.6f} Mbps)")
     return "\n".join(lines)

@@ -227,6 +227,17 @@ class TestServeCli:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
+    def test_quiet_prints_one_line_per_epoch(self, capsys):
+        assert main(["serve", "--spec",
+                     os.fspath(DATA / "fleet_smoke.yaml"),
+                     "--epochs", "2", "--quiet"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        assert lines[0].startswith("fleet smoke: 3 buildings")
+        assert lines[1].startswith("epoch 0 (applied): 3 buildings")
+        assert lines[2].startswith("epoch 1 (applied): 3 buildings")
+        assert lines[3].startswith("2 epochs applied")
+
     def test_journal_roundtrip_via_cli(self, capsys, tmp_path):
         journal = os.fspath(tmp_path / "fleet.jsonl")
         spec = os.fspath(DATA / "fleet_smoke.yaml")
