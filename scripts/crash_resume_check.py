@@ -2,19 +2,20 @@
 """CI integration check: a SIGKILLed run resumes bit-identically.
 
 End-to-end exercise of the durable CLI paths, as a real operator would
-hit them — ``wolt sim``, then ``wolt serve``, then ``wolt record`` →
-``wolt serve --from``:
+hit them — ``wolt sim``, then ``wolt faults``, then ``wolt serve``,
+then ``wolt record`` → ``wolt serve --from``:
 
 1. start a checkpointed run via ``python -m repro.cli``;
 2. SIGKILL it once a few trials/epochs are journaled (no warning, no
    cleanup);
 3. corrupt the journal tail with a torn partial record, as a crash
    mid-``write`` would;
-4. resume with ``--resume`` (different worker count, to prove results
-   do not depend on it);
+4. resume with ``--resume`` (under a different worker count where the
+   command has one, to prove results do not depend on it);
 5. run the identical workload uninterrupted into a second journal;
 6. require the two journal files to be **byte-identical** (both end
-   as canonical snapshots) and the reports to agree.
+   as canonical snapshots) and the reports to agree (``wolt faults``:
+   byte-identical stdout).
 
 The record→replay phase then reruns the serve check from a recorded
 telemetry stream whose tail was torn (a recorder crash mid-append):
@@ -49,6 +50,12 @@ MIN_LINES_BEFORE_KILL = 4
 
 #: A torn partial record, as left by a crash mid-append.
 TORN_TAIL = b'{"kind":"record","index":11,"payload":{"type":"res'
+
+
+#: The faults phase: enough floors that the sweep can be SIGKILLed
+#: after a few have been journaled.
+FAULTS_TRIALS = 12
+FAULTS_ARGS = ["faults", "--trials", str(FAULTS_TRIALS)]
 
 
 #: The serve phase: a fleet big enough that epochs take long enough
@@ -218,6 +225,55 @@ def check_sim() -> None:
           "is byte-identical to an uninterrupted run")
 
 
+def check_faults() -> None:
+    """SIGKILL ``wolt faults`` mid-sweep; torn tail + resume must
+    journal and print byte-identically to an uninterrupted sweep."""
+    workdir = Path(tempfile.mkdtemp(prefix="crash-resume-faults-"))
+    interrupted = workdir / "interrupted.jsonl"
+    uninterrupted = workdir / "uninterrupted.jsonl"
+
+    # 1-2. Start a checkpointed sweep and SIGKILL it mid-run.
+    victim = _wolt_cmd(*FAULTS_ARGS, "--checkpoint", str(interrupted),
+                       start_new_session=True)
+    try:
+        _wait_for_journal(interrupted)
+    finally:
+        _kill_group(victim)
+    journaled = interrupted.read_bytes().count(b'"kind":"record"')
+    print(f"killed faults with {journaled} trials journaled")
+    if journaled >= FAULTS_TRIALS:
+        _fail("fault sweep finished before the kill")
+
+    # 3. Tear the journal tail, as a crash mid-write would.
+    with open(interrupted, "ab") as handle:
+        handle.write(TORN_TAIL)
+
+    # 4. Resume the sweep.
+    resumed = _wolt_cmd(*FAULTS_ARGS, "--checkpoint", str(interrupted),
+                        "--resume")
+    out, err = resumed.communicate(timeout=600)
+    if resumed.returncode != 0:
+        _fail(f"faults resume exited {resumed.returncode}: {err}")
+    print("resumed fault sweep completed")
+
+    # 5. The same sweep, uninterrupted.
+    cold = _wolt_cmd(*FAULTS_ARGS, "--checkpoint", str(uninterrupted))
+    cold_out, cold_err = cold.communicate(timeout=600)
+    if cold.returncode != 0:
+        _fail(f"uninterrupted faults exited {cold.returncode}: "
+              f"{cold_err}")
+
+    # 6. Byte-identical snapshots and stdout.
+    if interrupted.read_bytes() != uninterrupted.read_bytes():
+        _fail("resumed faults journal differs from the uninterrupted "
+              f"one ({interrupted} vs {uninterrupted})")
+    if out != cold_out:
+        _fail(f"fault reports disagree:\nresumed:\n{out}\n"
+              f"cold:\n{cold_out}")
+    print("crash_resume_check[faults]: OK — kill + torn tail + resume "
+          "is byte-identical to an uninterrupted sweep")
+
+
 def check_record_replay(synthetic_journal: Path) -> None:
     """``wolt record`` → SIGKILLed ``wolt serve --from`` → resume.
 
@@ -263,6 +319,7 @@ def check_record_replay(synthetic_journal: Path) -> None:
 
 def main() -> None:
     check_sim()
+    check_faults()
     synthetic_journal = check_serve()
     check_record_replay(synthetic_journal)
 
