@@ -24,7 +24,7 @@ from .conftest import emit
 
 
 @pytest.mark.benchmark(group="ablation")
-def test_phase2_solver_ablation(benchmark):
+def test_phase2_continuous_ablation(benchmark):
     """The combinatorial solver matches the NLP route's quality and both
     return integral assignments (Theorem 3)."""
     rng = np.random.default_rng(0)

@@ -2,8 +2,8 @@
 """CI integration check: a SIGKILLed run resumes bit-identically.
 
 End-to-end exercise of the durable CLI paths, as a real operator would
-hit them — ``wolt sim``, then ``wolt faults``, then ``wolt serve``,
-then ``wolt record`` → ``wolt serve --from``:
+hit them — ``wolt sim``, then ``wolt faults``, then ``wolt sweeps``,
+then ``wolt serve``, then ``wolt record`` → ``wolt serve --from``:
 
 1. start a checkpointed run via ``python -m repro.cli``;
 2. SIGKILL it once a few trials/epochs are journaled (no warning, no
@@ -14,8 +14,8 @@ then ``wolt record`` → ``wolt serve --from``:
    command has one, to prove results do not depend on it);
 5. run the identical workload uninterrupted into a second journal;
 6. require the two journal files to be **byte-identical** (both end
-   as canonical snapshots) and the reports to agree (``wolt faults``:
-   byte-identical stdout).
+   as canonical snapshots) and the reports to agree (``wolt faults``
+   and ``wolt sweeps``: byte-identical stdout).
 
 The record→replay phase then reruns the serve check from a recorded
 telemetry stream whose tail was torn (a recorder crash mid-append):
@@ -56,6 +56,10 @@ TORN_TAIL = b'{"kind":"record","index":11,"payload":{"type":"res'
 #: after a few have been journaled.
 FAULTS_TRIALS = 12
 FAULTS_ARGS = ["faults", "--trials", str(FAULTS_TRIALS)]
+
+#: ``wolt sweeps`` journals one record per sweep; its three sweeps take
+#: roughly 0.8, 1.6 and 0.6 s, so the kill lands during the second.
+SWEEPS = 3
 
 
 #: The serve phase: a fleet big enough that epochs take long enough
@@ -274,6 +278,56 @@ def check_faults() -> None:
           "is byte-identical to an uninterrupted sweep")
 
 
+def check_sweeps() -> None:
+    """SIGKILL ``wolt sweeps`` after its first sweep is journaled; torn
+    tail + resume must journal and print byte-identically to a cold
+    run."""
+    workdir = Path(tempfile.mkdtemp(prefix="crash-resume-sweeps-"))
+    interrupted = workdir / "interrupted.jsonl"
+    uninterrupted = workdir / "uninterrupted.jsonl"
+
+    # 1-2. Start the sweeps and SIGKILL them after the first record.
+    victim = _wolt_cmd("sweeps", "--checkpoint", str(interrupted),
+                       start_new_session=True)
+    try:
+        _wait_for_journal(interrupted, min_lines=2)
+    finally:
+        _kill_group(victim)
+    journaled = interrupted.read_bytes().count(b'"kind":"record"')
+    print(f"killed sweeps with {journaled} sweeps journaled")
+    if journaled >= SWEEPS:
+        _fail("sweeps finished before the kill")
+
+    # 3. Tear the journal tail, as a crash mid-write would.
+    with open(interrupted, "ab") as handle:
+        handle.write(TORN_TAIL)
+
+    # 4. Resume the sweeps.
+    resumed = _wolt_cmd("sweeps", "--checkpoint", str(interrupted),
+                        "--resume")
+    out, err = resumed.communicate(timeout=600)
+    if resumed.returncode != 0:
+        _fail(f"sweeps resume exited {resumed.returncode}: {err}")
+    print("resumed sweeps completed")
+
+    # 5. The same sweeps, uninterrupted.
+    cold = _wolt_cmd("sweeps", "--checkpoint", str(uninterrupted))
+    cold_out, cold_err = cold.communicate(timeout=600)
+    if cold.returncode != 0:
+        _fail(f"uninterrupted sweeps exited {cold.returncode}: "
+              f"{cold_err}")
+
+    # 6. Byte-identical snapshots and stdout.
+    if interrupted.read_bytes() != uninterrupted.read_bytes():
+        _fail("resumed sweeps journal differs from the uninterrupted "
+              f"one ({interrupted} vs {uninterrupted})")
+    if out != cold_out:
+        _fail(f"sweep reports disagree:\nresumed:\n{out}\n"
+              f"cold:\n{cold_out}")
+    print("crash_resume_check[sweeps]: OK — kill + torn tail + resume "
+          "is byte-identical to an uninterrupted run")
+
+
 def check_record_replay(synthetic_journal: Path) -> None:
     """``wolt record`` → SIGKILLed ``wolt serve --from`` → resume.
 
@@ -320,6 +374,7 @@ def check_record_replay(synthetic_journal: Path) -> None:
 def main() -> None:
     check_sim()
     check_faults()
+    check_sweeps()
     synthetic_journal = check_serve()
     check_record_replay(synthetic_journal)
 

@@ -19,14 +19,16 @@ Runs any of the paper's experiments from a shell::
     wolt all             # every figure, paper-scale
 
 All experiments are deterministic for a given ``--seed``; a
-checkpointed ``wolt sim`` resumed after a crash is bit-identical to an
-uninterrupted run, and ``wolt serve --from`` replaying a clean
-``wolt record`` stream is byte-identical (journal included) to the
-synthetic run of the same spec.  Exit codes: 0 success, 1 on
-checkpoint or telemetry-ingest errors (fingerprint mismatch,
-corruption, damaged stream header, ``--strict`` integrity failures),
-2 on a usage error (such as a count below its minimum), 130/143 when
-a run was interrupted by SIGINT/SIGTERM after flushing its checkpoint.
+checkpointed ``wolt sim``, ``wolt faults`` or ``wolt sweeps`` resumed
+after a crash is bit-identical to an uninterrupted run, and ``wolt
+serve --from`` replaying a clean ``wolt record`` stream is
+byte-identical (journal included) to the synthetic run of the same
+spec.  Exit codes: 0 success, 1 on checkpoint or telemetry-ingest
+errors (fingerprint mismatch, corruption, an existing checkpoint
+without ``--resume``, damaged stream header, ``--strict`` integrity
+failures), 2 on a usage error (such as a count below its minimum),
+130/143 when a run was interrupted by SIGINT/SIGTERM after flushing
+its checkpoint.
 """
 
 from __future__ import annotations
@@ -99,19 +101,14 @@ def build_parser() -> argparse.ArgumentParser:
         elif name == "faults":
             p.add_argument("--trials", type=_at_least(1), default=10,
                            help="floors per fault level (default 10)")
+        if name in ("faults", "sweeps"):
             p.add_argument("--checkpoint", type=str, default=None,
-                           help="journal per-trial partial results to "
-                                "this crash-consistent JSONL file")
+                           help="journal each finished floor (faults) "
+                                "or sweep (sweeps) to this "
+                                "crash-consistent JSONL file")
             p.add_argument("--resume", action="store_true",
-                           help="continue an interrupted fault sweep "
-                                "from its checkpoint")
-        elif name == "sweeps":
-            p.add_argument("--checkpoint-dir", type=str, default=None,
-                           help="persist each finished sweep "
-                                "atomically under this directory")
-            p.add_argument("--resume", action="store_true",
-                           help="skip sweeps already persisted in the "
-                                "checkpoint directory")
+                           help="continue an interrupted run from its "
+                                "checkpoint")
 
     sim = sub.add_parser(
         "sim",
@@ -145,11 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "trials are merged, not recomputed")
     sim.add_argument("--timeout-s", type=float, default=None,
                      help="per-trial wall-clock deadline; a hung trial "
-                          "is reaped and recorded as a TrialFailure "
+                          "is reaped and recorded as a WorkFailure "
                           "(requires --workers)")
     sim.add_argument("--max-retries", type=int, default=None,
                      help="retry budget for crashed trials before an "
-                          "explicit TrialFailure is recorded")
+                          "explicit WorkFailure is recorded")
 
     serve = sub.add_parser(
         "serve",
@@ -271,7 +268,8 @@ def _solve(args: argparse.Namespace) -> str:
 
 def _sim(args: argparse.Namespace) -> Tuple[str, int]:
     """The durable ``wolt sim`` sweep; returns (report, exit code)."""
-    from .sim.runner import TrialFailure, run_trials
+    from .sim.dispatch import WorkFailure
+    from .sim.runner import run_trials
 
     policies = tuple(p.strip() for p in args.policies.split(",")
                      if p.strip())
@@ -282,8 +280,8 @@ def _sim(args: argparse.Namespace) -> Tuple[str, int]:
                         max_retries=args.max_retries,
                         checkpoint=args.checkpoint, resume=args.resume,
                         timeout_s=args.timeout_s)
-    completed = [t for t in result if not isinstance(t, TrialFailure)]
-    failures = [t for t in result if isinstance(t, TrialFailure)]
+    completed = [t for t in result if not isinstance(t, WorkFailure)]
+    failures = [t for t in result if isinstance(t, WorkFailure)]
     lines = [f"sim: {args.extenders} extenders, {args.users} users, "
              f"seed {args.seed}, plc_mode={args.plc_mode}",
              f"trials: {len(result)}/{args.trials} finished "
@@ -295,7 +293,7 @@ def _sim(args: argparse.Namespace) -> Tuple[str, int]:
         lines.append(f"{policy:>8s} mean aggregate: {mean:8.2f} Mbps "
                      f"over {len(values)} trials")
     for failure in failures:
-        lines.append(f"  trial {failure.trial_index} failed: "
+        lines.append(f"  trial {failure.index} failed: "
                      f"{failure.error_type} ({failure.error})")
     if result.checkpoint is not None:
         lines.append(f"checkpoint: {result.checkpoint}")
@@ -441,6 +439,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse: 2 on a usage error, 0 on --help
         return int(exc.code or 0)
+    try:
+        return _run(args)
+    except CheckpointError as exc:
+        print(f"checkpoint error: {exc}", file=sys.stderr)
+    except IngestError as exc:
+        print(f"ingest error: {exc}", file=sys.stderr)
+    return CHECKPOINT_ERROR_EXIT
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command; checkpoint and ingest errors propagate."""
     if args.command == "fig2":
         print(fig2.main(args.seed))
     elif args.command == "fig3":
@@ -453,7 +462,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(fig6.main(args.seed, n_trials=args.trials,
                         workers=args.workers))
     elif args.command == "sweeps":
-        print(sweeps.main(args.seed, checkpoint_dir=args.checkpoint_dir,
+        print(sweeps.main(args.seed, checkpoint=args.checkpoint,
                           resume=args.resume))
     elif args.command == "robustness":
         print(robustness.main(args.seed))
@@ -463,38 +472,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         if "ACCEPTANCE: FAIL" in report:
             return 1
     elif args.command == "faults":
-        try:
-            print(faults.main(args.seed, n_trials=args.trials,
-                              checkpoint=args.checkpoint,
-                              resume=args.resume))
-        except CheckpointError as exc:
-            print(f"checkpoint error: {exc}", file=sys.stderr)
-            return CHECKPOINT_ERROR_EXIT
+        print(faults.main(args.seed, n_trials=args.trials,
+                          checkpoint=args.checkpoint, resume=args.resume))
     elif args.command == "sim":
-        try:
-            text, code = _sim(args)
-        except CheckpointError as exc:
-            print(f"checkpoint error: {exc}", file=sys.stderr)
-            return CHECKPOINT_ERROR_EXIT
+        text, code = _sim(args)
         print(text)
         return code
-    elif args.command == "serve":
-        try:
-            text, code = _serve(args)
-        except CheckpointError as exc:
-            print(f"checkpoint error: {exc}", file=sys.stderr)
-            return CHECKPOINT_ERROR_EXIT
-        except IngestError as exc:
-            print(f"ingest error: {exc}", file=sys.stderr)
-            return CHECKPOINT_ERROR_EXIT
-        print(text, file=sys.stderr if code == 2 else sys.stdout)
-        return code
-    elif args.command == "record":
-        try:
-            text, code = _record(args)
-        except IngestError as exc:
-            print(f"ingest error: {exc}", file=sys.stderr)
-            return CHECKPOINT_ERROR_EXIT
+    elif args.command in ("serve", "record"):
+        text, code = (_serve if args.command == "serve" else _record)(args)
         print(text, file=sys.stderr if code == 2 else sys.stdout)
         return code
     elif args.command == "all":

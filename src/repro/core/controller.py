@@ -34,7 +34,7 @@ import numpy as np
 
 from ..net.engine import DeltaEvaluator, evaluate
 from .baselines import greedy_attach_user
-from .problem import MIN_USABLE_RATE, Scenario, UNASSIGNED
+from .problem import MIN_USABLE_RATE, Scenario, UNASSIGNED, fail_extenders
 from .wolt import solve_wolt
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -153,7 +153,8 @@ class CentralController:
             rejected loudly.
         health: optional :class:`repro.core.health.HealthMonitor`.
             Quarantined extenders are masked out of every solve and of
-            admission parking (``fail_extenders`` semantics: zero WiFi
+            admission parking (every solve goes through
+            :func:`~repro.core.problem.fail_extenders`: zero WiFi
             column, zero PLC rate); feed it capacity telemetry through
             :meth:`update_plc_telemetry`.
         report_ttl_epochs: optional scan-report time-to-live, counted
@@ -473,19 +474,16 @@ class CentralController:
         if ids is None:
             ids = sorted(self._reports)
         wifi = np.vstack([self._reports[uid].wifi_rates for uid in ids])
-        plc = self.plc_rates
-        if self.health is not None and np.any(self.health.quarantined):
-            quarantined = self.health.quarantined
-            wifi = wifi.copy()
-            wifi[:, quarantined] = 0.0
-            plc = plc.copy()
-            plc[quarantined] = 0.0
         if not np.all(np.isfinite(wifi)):
             # Reports are checked at receipt (_checked_rates); this is
             # defense in depth against cache corruption.
             raise ValueError("non-finite rates in the scan-report cache")
-        return (Scenario(wifi_rates=wifi, plc_rates=plc,
-                         user_ids=np.asarray(ids)), ids)
+        scenario = Scenario(wifi_rates=wifi, plc_rates=self.plc_rates,
+                            user_ids=np.asarray(ids))
+        if self.health is not None and np.any(self.health.quarantined):
+            scenario = fail_extenders(
+                scenario, np.flatnonzero(self.health.quarantined))
+        return scenario, ids
 
     def _assignment_vector(self, ids: List[int]) -> np.ndarray:
         return np.array([self._assignment.get(uid, UNASSIGNED)

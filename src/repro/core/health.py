@@ -21,8 +21,9 @@ per epoch and drives a small quarantine state machine:
   clean observations (finite, non-negative, inside the flap band).
 
 Quarantined extenders are masked out of the solve exactly like dead
-ones (:func:`repro.sim.failures.fail_extenders` semantics: zero WiFi
-column, zero PLC rate), so no user is ever *commanded* onto one.  The
+ones (the controller and the fleet service both apply
+:func:`repro.core.problem.fail_extenders`: zero WiFi column, zero PLC
+rate), so no user is ever *commanded* onto one.  The
 monitor never quarantines the last healthy extender — serving users on
 a suspect link beats serving nobody.
 

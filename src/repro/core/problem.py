@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["UNASSIGNED", "Scenario", "validate_assignment",
-           "validate_assignment_batch"]
+__all__ = ["UNASSIGNED", "Scenario", "fail_extenders",
+           "validate_assignment", "validate_assignment_batch"]
 
 #: Sentinel extender index for an unattached user.
 UNASSIGNED = -1
@@ -117,6 +117,38 @@ class Scenario:
             ids = np.concatenate([self.user_ids, np.asarray(user_ids).ravel()])
         return Scenario(wifi_rates=new_wifi, plc_rates=self.plc_rates,
                         capacities=self.capacities, user_ids=ids)
+
+
+def fail_extenders(scenario: Scenario,
+                   failed: Sequence[int],
+                   allow_all_failed: bool = False) -> Scenario:
+    """A scenario with the given extenders dead.
+
+    Dead extenders keep their column (indices stay stable) but offer
+    zero WiFi rate (nobody can associate) and zero PLC rate.
+
+    Killing *every* extender produces a scenario no solver can place a
+    single user in — almost always a caller bug (a mis-built failure
+    schedule), so it raises unless ``allow_all_failed`` explicitly
+    opts into modelling a total blackout.
+    """
+    failed_idx = np.asarray(list(failed), dtype=int)
+    if failed_idx.size and (failed_idx.min() < 0
+                            or failed_idx.max() >= scenario.n_extenders):
+        raise ValueError("failed extender index out of range")
+    if (not allow_all_failed and failed_idx.size
+            and np.unique(failed_idx).size >= scenario.n_extenders):
+        raise ValueError(
+            f"all {scenario.n_extenders} extenders would be dead — no "
+            "user can associate anywhere; pass allow_all_failed=True "
+            "to model a total blackout deliberately")
+    wifi = scenario.wifi_rates.copy()
+    plc = scenario.plc_rates.copy()
+    wifi[:, failed_idx] = 0.0
+    plc[failed_idx] = 0.0
+    return Scenario(wifi_rates=wifi, plc_rates=plc,
+                    capacities=scenario.capacities,
+                    user_ids=scenario.user_ids)
 
 
 def validate_assignment(scenario: Scenario,

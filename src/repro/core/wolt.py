@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from ..net.engine import ThroughputReport, evaluate
 from ..plc.sharing import PLC_MODES
 from .phase1 import Phase1Result, phase1_utilities, solve_phase1
-from .phase2 import Phase2Result, solve_phase2, solve_phase2_continuous
+from .phase2 import Phase2Result, solve_phase2
 from .problem import Scenario, validate_assignment
 
 __all__ = ["WoltResult", "solve_wolt"]
@@ -60,21 +59,14 @@ class WoltResult:
 
 
 def solve_wolt(scenario: Scenario,
-               phase2_solver: str = "combinatorial",
-               plc_mode: str = "redistribute",
-               rng: Optional[np.random.Generator] = None) -> WoltResult:
+               plc_mode: str = "redistribute") -> WoltResult:
     """Run the full WOLT association algorithm (Alg. 1 of the paper).
 
     Args:
         scenario: the network snapshot.
-        phase2_solver: ``"combinatorial"`` (default; greedy insertion plus
-            local search, always integral) or ``"continuous"`` (the
-            paper's numerical nonlinear-program route, cross-checking
-            Theorem 3).
         plc_mode: PLC sharing law of the result's lazy ``report`` (the
             algorithm itself is model-free; see
             :func:`repro.net.engine.evaluate`).
-        rng: optional generator for the continuous solver's start point.
 
     Returns:
         A :class:`WoltResult`.
@@ -90,13 +82,7 @@ def solve_wolt(scenario: Scenario,
         raise ValueError(f"mode must be one of {PLC_MODES}, got {plc_mode!r}")
     utilities = phase1_utilities(scenario)
     phase1 = solve_phase1(scenario, utilities)
-    if phase2_solver == "combinatorial":
-        phase2: Phase2Result = solve_phase2(scenario, phase1.assignment)
-    elif phase2_solver == "continuous":
-        phase2 = solve_phase2_continuous(scenario, phase1.assignment,
-                                         rng=rng)
-    else:
-        raise ValueError(f"unknown phase2_solver: {phase2_solver!r}")
+    phase2 = solve_phase2(scenario, phase1.assignment)
     validate_assignment(scenario, phase2.assignment, require_complete=False)
     return WoltResult(assignment=phase2.assignment, phase1=phase1,
                       phase2=phase2, scenario=scenario, plc_mode=plc_mode)

@@ -48,11 +48,11 @@ import numpy as np
 from ..core.controller import CentralController
 from ..core.guard import DecisionGuard
 from ..core.health import HealthMonitor
-from ..core.problem import Scenario
+from ..core.problem import Scenario, fail_extenders
 from ..net.estimate import noisy_scenario
 from ..net.topology import enterprise_floor
 from ..sim.failures import (EpochInput, drive_control_plane,
-                            fail_extenders, flip_extenders)
+                            flip_extenders)
 from ..sim.faults import FaultModel, FaultyTransport
 from .common import SweepResult, format_rows, run_episode, run_sweep
 

@@ -15,7 +15,6 @@ The paper evaluates two operating points (3 ext / 7 users and 15 ext /
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
@@ -27,15 +26,13 @@ from ..core.problem import Scenario
 from ..core.wolt import solve_wolt
 from ..net.engine import evaluate
 from ..net.topology import enterprise_floor
-from ..sim.checkpoint import (FingerprintMismatch, atomic_write_json,
-                              fingerprint)
+from ..sim.checkpoint import TrialStore, fingerprint
 from ..testbed.calibration import sample_isolation_capacities
 from ..wifi.phy import WifiPhy
 from .common import format_rows
 
 __all__ = ["SweepResult", "sweep_extenders", "sweep_users",
-           "sweep_plc_quality", "save_sweep_result",
-           "load_sweep_result", "main"]
+           "sweep_plc_quality", "main"]
 
 
 @dataclass(frozen=True)
@@ -159,81 +156,52 @@ def sweep_plc_quality(capacity_scales: Sequence[float] = (0.5, 1.0, 2.0,
                        ratio_wolt_rssi=tuple(wr_series))
 
 
-def save_sweep_result(path: Union[str, Path], result: SweepResult,
-                      seed: int, n_trials: int) -> None:
-    """Atomically persist one sweep's series with its fingerprint.
-
-    The file is written through the atomic helper (temp file +
-    ``os.replace``), so a crash mid-write leaves either the previous
-    file or the new one — never a torn JSON document.
-    """
-    digest = fingerprint({"kind": "sweep", "parameter": result.parameter,
-                          "seed": int(seed), "n_trials": int(n_trials)})
-    atomic_write_json(path, {"version": 1, "kind": "sweep",
-                             "fingerprint": digest,
-                             "seed": int(seed),
-                             "n_trials": int(n_trials),
-                             "result": asdict(result)})
-
-
-def load_sweep_result(path: Union[str, Path], parameter: str,
-                      seed: int, n_trials: int) -> SweepResult:
-    """Load a persisted sweep, rejecting mismatched parameters loudly."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("kind") != "sweep" or payload.get("version") != 1:
-        raise ValueError(f"{path} is not a version-1 sweep result")
-    expected = fingerprint({"kind": "sweep", "parameter": parameter,
-                            "seed": int(seed),
-                            "n_trials": int(n_trials)})
-    if payload.get("fingerprint") != expected:
-        raise FingerprintMismatch(
-            f"{path} was produced by a sweep with different parameters "
-            f"(stored fingerprint {payload.get('fingerprint')!r}, "
-            f"expected {expected!r}); refusing to merge it")
-    raw = payload["result"]
-    return SweepResult(parameter=raw["parameter"],
-                       values=tuple(raw["values"]),
-                       ratio_wolt_greedy=tuple(raw["ratio_wolt_greedy"]),
-                       ratio_wolt_rssi=tuple(raw["ratio_wolt_rssi"]))
-
-
 def main(seed: int = 0, n_trials: int = 6,
-         checkpoint_dir: Optional[Union[str, Path]] = None,
+         checkpoint: Optional[Union[str, Path]] = None,
          resume: bool = False) -> str:
     """Run all three sweeps and format the series.
 
-    With ``checkpoint_dir`` set, each finished sweep is persisted
-    atomically to ``sweep_<parameter>.json``; with ``resume`` a
-    persisted sweep (matching seed and trial count) is loaded instead
-    of recomputed, so a killed run only repeats its unfinished sweep.
+    With ``checkpoint`` set, each finished sweep is journaled to a
+    crash-consistent :class:`~repro.sim.checkpoint.TrialStore` as one
+    record (index 0, 1 and 2 for the extender, user and PLC-scale
+    sweeps), and the store is snapshotted once all three are done.
+    With ``resume`` the journaled sweeps are merged instead of
+    recomputed, so a killed run only repeats its unfinished sweeps and
+    prints what a cold run prints.  A checkpoint from another seed or
+    trial count is rejected with
+    :class:`~repro.sim.checkpoint.FingerprintMismatch`.
     """
+    store: Optional[TrialStore] = None
+    if checkpoint is not None:
+        params = {"kind": "sweeps", "seed": int(seed),
+                  "n_trials": int(n_trials)}
+        store = TrialStore(checkpoint, fingerprint(params),
+                           params=params, resume=resume)
+    sweep_fns = (("extender count", sweep_extenders),
+                 ("user count", sweep_users),
+                 ("PLC capacity scale", sweep_plc_quality))
     out = []
-    sweep_fns = [("extender count",
-                  lambda: sweep_extenders(seed=seed, n_trials=n_trials)),
-                 ("user count",
-                  lambda: sweep_users(seed=seed, n_trials=n_trials)),
-                 ("PLC capacity scale",
-                  lambda: sweep_plc_quality(seed=seed,
-                                            n_trials=n_trials))]
-    parameters = ("n_extenders", "n_users", "plc_capacity_scale")
-    directory = None if checkpoint_dir is None else Path(checkpoint_dir)
-    if directory is not None:
-        directory.mkdir(parents=True, exist_ok=True)
-    for (name, run_sweep), parameter in zip(sweep_fns, parameters):
-        path = (None if directory is None
-                else directory / f"sweep_{parameter}.json")
-        if resume and path is not None and path.exists():
-            sweep = load_sweep_result(path, parameter, seed, n_trials)
-        else:
-            sweep = run_sweep()
-            if path is not None:
-                save_sweep_result(path, sweep, seed, n_trials)
-        out.append(f"Sweep over {name} "
-                   "(mean aggregate ratios, paper-model scoring)")
-        out.append(format_rows(
-            [sweep.parameter, "WOLT/Greedy", "WOLT/RSSI"],
-            [(v, wg, wr) for v, wg, wr in
-             zip(sweep.values, sweep.ratio_wolt_greedy,
-                 sweep.ratio_wolt_rssi)]))
-        out.append("")
+    try:
+        for index, (name, sweep_fn) in enumerate(sweep_fns):
+            if store is not None and index in store:
+                sweep = SweepResult(**{
+                    key: value if key == "parameter" else tuple(value)
+                    for key, value in store.records[index].items()})
+            else:
+                sweep = sweep_fn(seed=seed, n_trials=n_trials)
+                if store is not None:
+                    store.append(index, asdict(sweep))
+            out.append(f"Sweep over {name} "
+                       "(mean aggregate ratios, paper-model scoring)")
+            out.append(format_rows(
+                [sweep.parameter, "WOLT/Greedy", "WOLT/RSSI"],
+                [(v, wg, wr) for v, wg, wr in
+                 zip(sweep.values, sweep.ratio_wolt_greedy,
+                     sweep.ratio_wolt_rssi)]))
+            out.append("")
+        if store is not None:
+            store.snapshot()
+    finally:
+        if store is not None:
+            store.close()
     return "\n".join(out)

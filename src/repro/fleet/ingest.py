@@ -45,7 +45,6 @@ reader live in ``scripts/gates/ingest_fuzz.py``.
 from __future__ import annotations
 
 import json
-import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,8 +54,8 @@ from typing import (IO, Any, Dict, Iterable, Iterator, List, Mapping,
 import numpy as np
 
 from ..core.problem import Scenario
-from ..sim.checkpoint import (atomic_write_text, canonical_json,
-                              fingerprint)
+from ..sim.checkpoint import (append_line, atomic_write_text,
+                              canonical_json, fingerprint)
 from .spec import (FleetSpec, build_building_scenario,
                    synthesize_observation)
 
@@ -317,9 +316,7 @@ class DeadLetterJournal:
     def _append(self, entry: Mapping[str, Any]) -> None:
         if self._handle is None:
             raise IngestError(f"{self.path}: journal is closed")
-        self._handle.write(canonical_json(entry) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        append_line(self._handle, entry)
 
     def quarantine(self, cls: str, line: int, reason: str,
                    raw: str) -> None:

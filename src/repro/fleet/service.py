@@ -18,7 +18,7 @@ loop (Fig. 6b) across a whole campus.  Each epoch:
    :class:`~repro.core.health.HealthMonitor` folds in the PLC
    reports, and quarantined extenders are masked out of the solve
    exactly like dead ones
-   (:func:`repro.sim.failures.fail_extenders` semantics).
+   (:func:`repro.core.problem.fail_extenders` semantics).
 2. **Sharding** — the effective scenario is split into independent PLC
    segments (:func:`repro.fleet.sharding.split_segments`); all shards
    of all buildings form one work batch.  A building whose effective
@@ -74,7 +74,8 @@ import numpy as np
 
 from ..core.guard import DecisionGuard
 from ..core.health import HealthMonitor
-from ..core.problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
+from ..core.problem import (MIN_USABLE_RATE, UNASSIGNED, Scenario,
+                            fail_extenders)
 from ..core.wolt import solve_wolt
 from ..net.engine import DeltaEvaluator, evaluate
 from ..sim.checkpoint import TrialStore, fingerprint
@@ -473,16 +474,12 @@ class FleetService:
         attached = state.assignment[state.assignment != UNASSIGNED]
         carrying[attached] = True
         state.health.observe(plc_obs, carrying_traffic=carrying)
-        effective_plc = state.health.effective_rates(plc_obs)
+        scenario = Scenario(wifi_rates=wifi_obs,
+                            plc_rates=state.health.effective_rates(plc_obs))
         quarantined = state.health.quarantined_extenders()
         if quarantined:
-            mask = np.asarray(quarantined, dtype=int)
-            wifi_obs = wifi_obs.copy()
-            wifi_obs[:, mask] = 0.0
-            effective_plc = effective_plc.copy()
-            effective_plc[mask] = 0.0
-        result = (Scenario(wifi_rates=wifi_obs,
-                           plc_rates=effective_plc), quarantined)
+            scenario = fail_extenders(scenario, quarantined)
+        result = (scenario, quarantined)
         state.last_observed = result
         return result
 
@@ -705,12 +702,8 @@ class FleetService:
                         "shard-failure", epoch=self.epoch,
                         building=bstate.name, segment=segment.index,
                         error_type=result.error_type)
-                for user in segment.users:
-                    kept = int(old[user])
-                    if (kept != UNASSIGNED
-                            and scenario.wifi_rates[user, kept]
-                            > MIN_USABLE_RATE):
-                        new[user] = kept
+                users = list(segment.users)
+                new[users] = _servable(scenario, old)[users]
                 continue
             local = np.asarray(result, dtype=int).ravel()
             ext_map = np.asarray(segment.extenders, dtype=int)

@@ -6,10 +6,12 @@ one SIGKILL, OOM-kill, or reboot cannot support them.  This module is
 the durability layer the trial runner and the experiment entry points
 share:
 
-* :func:`atomic_write_text` / :func:`atomic_write_json` — the repo's
-  atomic-persistence helpers (write to a temp file in the destination
-  directory, ``fsync``, then ``os.replace``); the woltlint rule W008
-  flags result persistence that bypasses them;
+* :func:`atomic_write_text` — the repo's atomic-persistence helper
+  (write to a temp file in the destination directory, ``fsync``, then
+  ``os.replace``); the woltlint rule W008 flags result persistence
+  that bypasses it;
+* :func:`append_line` — one durable JSONL append (write, flush,
+  ``fsync``), shared by every append-only journal in the repo;
 * :func:`fingerprint` — a canonical SHA-256 over a run's scientific
   parameters, stamped into every checkpoint so a resume against the
   wrong configuration is rejected loudly instead of silently merging
@@ -23,7 +25,8 @@ share:
 The journal stores plain JSON payloads keyed by a non-negative integer
 index; the runner layers :class:`~repro.sim.runner.TrialResult`
 encoding on top (see ``repro.sim.runner``), and the experiment modules
-journal their own per-trial partial sums through the same store.
+journal their own partial results (per-floor sums, finished sweeps)
+through the same store.
 JSON round-trips Python floats exactly (``repr`` emits the shortest
 digits that reparse to the same IEEE-754 double), which is what makes
 a resumed run bit-identical to a cold one.
@@ -40,7 +43,7 @@ from typing import (IO, Any, Dict, FrozenSet, List, Mapping, Optional,
                     Union)
 
 __all__ = ["CheckpointError", "CheckpointExists", "CorruptCheckpoint",
-           "FingerprintMismatch", "TrialStore", "atomic_write_json",
+           "FingerprintMismatch", "TrialStore", "append_line",
            "atomic_write_text", "canonical_json", "fingerprint"]
 
 #: Format version stamped into every checkpoint header.
@@ -108,10 +111,16 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
         raise
 
 
-def atomic_write_json(path: Union[str, Path], payload: Any,
-                      indent: Optional[int] = 2) -> None:
-    """Atomically write ``payload`` as JSON (see :func:`atomic_write_text`)."""
-    atomic_write_text(path, json.dumps(payload, indent=indent) + "\n")
+def append_line(handle: IO[str], entry: Mapping[str, Any]) -> None:
+    """Durably append ``entry`` to ``handle`` as one canonical JSON line.
+
+    The line is written whole, flushed and fsynced, so after a crash it
+    is either fully on disk or a torn final line (which
+    :class:`TrialStore` recovery discards).
+    """
+    handle.write(canonical_json(entry) + "\n")
+    handle.flush()
+    os.fsync(handle.fileno())
 
 
 class TrialStore:
@@ -285,9 +294,7 @@ class TrialStore:
     def _append_line(self, entry: Mapping[str, Any]) -> None:
         if self._handle is None:
             raise CheckpointError(f"{self.path}: store is closed")
-        self._handle.write(canonical_json(entry) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        append_line(self._handle, entry)
 
     def append(self, index: int, payload: Any) -> None:
         """Durably journal one record (complete-line write + fsync)."""

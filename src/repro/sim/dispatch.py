@@ -77,21 +77,25 @@ class WorkSpec:
 
 @dataclass(frozen=True)
 class WorkFailure:
-    """A work item the supervisor had to give up on.
+    """A work item that was given up on: the repo's one give-up record.
 
-    Produced for items reaped past their deadline
+    The supervisor produces it for items reaped past their deadline
     (:data:`TIMEOUT_ERROR_TYPE`) or whose worker process died
-    repeatedly (:data:`POOL_ERROR_TYPE`); delivered through ``record``
-    in place of a result.  Item-level exceptions are *not* wrapped —
-    an ``fn`` that raises propagates its exception to the caller
-    unchanged.
+    repeatedly (:data:`POOL_ERROR_TYPE`) and delivers it through
+    ``record`` in place of a result.  Item-level exceptions are *not*
+    wrapped — an ``fn`` that raises propagates its exception to the
+    caller unchanged — but an ``fn`` may return one itself after its
+    own retries (the trial runner's guarded trials, the fleet's shard
+    solves).
 
     Attributes:
         index: 0-based position of the item in the batch.
         attempts: attempts made before giving up.
-        error_type: :data:`TIMEOUT_ERROR_TYPE` or
-            :data:`POOL_ERROR_TYPE`.
-        error: a supervisor note describing what happened.
+        error_type: :data:`TIMEOUT_ERROR_TYPE`,
+            :data:`POOL_ERROR_TYPE`, or the class name of the last
+            exception an ``fn`` caught.
+        error: a note describing what happened (for a caught
+            exception, its ``repr`` or message).
     """
 
     index: int

@@ -5,10 +5,10 @@ arrive and depart the network according to Poisson distribution with
 arrival rate of 3 and departure rate of 1", giving a net average growth
 of ~33 users per epoch (36 -> 66 -> 102 in Fig. 6b).
 
-The simulation owns the population (on the DES kernel in
-:mod:`repro.sim.events`) and the scoring; a lossless
-:class:`repro.core.controller.CentralController` makes every association
-decision, so the policies behave as in the paper:
+The simulation owns the population (two Poisson timers, one for
+arrivals and one for departures, fired in time order) and the scoring;
+a lossless :class:`repro.core.controller.CentralController` makes every
+association decision, so the policies behave as in the paper:
 
 * **WOLT** — an arriving user attaches to its strongest-RSSI extender to
   reach the Central Controller; at every epoch boundary the CC re-solves
@@ -23,8 +23,9 @@ The simulation is fully deterministic given a seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from ..core.problem import Scenario, UNASSIGNED
 from ..net.engine import evaluate
 from ..net.topology import FloorPlan, build_scenario, sample_user_positions
 from ..wifi.phy import WifiPhy
-from .events import EventQueue
 
 __all__ = ["EpochStats", "OnlineSimulation"]
 
@@ -96,7 +96,9 @@ class OnlineSimulation:
         self.epoch_duration = epoch_duration
         self.phy = phy or WifiPhy()
         self.plc_mode = plc_mode
-        self.queue = EventQueue()
+        #: current simulation time
+        self.now = 0.0
+        self._tickets = 0
         self._next_user_id = 0
         #: user id -> (x, y) position
         self.positions: Dict[int, np.ndarray] = {}
@@ -145,15 +147,39 @@ class OnlineSimulation:
     # ------------------------------------------------------------------
     # event processes
 
+    def _next_event(self, rate: float) -> Tuple[float, int]:
+        """(fire time, scheduling ticket) of a Poisson timer's next
+        event; a timer with rate 0 never fires and draws nothing.
+
+        The ticket breaks ties between the two timers: of two events
+        at the same instant, the one scheduled first fires first.
+        """
+        self._tickets += 1
+        if rate <= 0:
+            return math.inf, self._tickets
+        gap = float(self.rng.exponential(1.0 / rate))
+        return self.now + gap, self._tickets
+
     def _schedule_next_arrival(self) -> None:
-        gap = float(self.rng.exponential(1.0 / self.arrival_rate))
-        self.queue.schedule_in(gap, self._arrive)
+        self._next_arrival = self._next_event(self.arrival_rate)
 
     def _schedule_next_departure(self) -> None:
-        if self.departure_rate <= 0:
-            return
-        gap = float(self.rng.exponential(1.0 / self.departure_rate))
-        self.queue.schedule_in(gap, self._depart)
+        self._next_departure = self._next_event(self.departure_rate)
+
+    def _run_until(self, end_time: float) -> None:
+        """Fire every arrival and departure due by ``end_time`` in time
+        order; the clock ends at ``end_time``."""
+        while True:
+            arrival = self._next_arrival < self._next_departure
+            due, _ = self._next_arrival if arrival else self._next_departure
+            if due > end_time:
+                break
+            self.now = due
+            if arrival:
+                self._arrive()
+            else:
+                self._depart()
+        self.now = end_time
 
     def _arrive(self, count: bool = True) -> None:
         uid = self._next_user_id
@@ -184,7 +210,7 @@ class OnlineSimulation:
         """Advance one epoch and reconfigure at the boundary."""
         from ..net.metrics import jain_fairness
 
-        self.queue.run_until(self.queue.now + self.epoch_duration)
+        self._run_until(self.now + self.epoch_duration)
         before = self.cc.stats.reassignments
         self.cc.reconfigure()
         reassignments = self.cc.stats.reassignments - before

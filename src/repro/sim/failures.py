@@ -6,7 +6,7 @@ failures into a running association and measures how each policy
 recovers:
 
 * a failed extender's PLC link and WiFi cell vanish
-  (:func:`fail_extenders` masks the scenario);
+  (:func:`~repro.core.problem.fail_extenders` masks the scenario);
 * orphaned users must re-associate — :func:`drive_control_plane`
   feeds each epoch's live network to a
   :class:`~repro.core.controller.CentralController`, which re-solves
@@ -26,44 +26,12 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.controller import CentralController, ScanReport
-from ..core.problem import Scenario, UNASSIGNED
+from ..core.problem import Scenario, UNASSIGNED, fail_extenders
 from ..net.engine import evaluate
 
-__all__ = ["fail_extenders", "flip_extenders", "reassociate_orphans",
+__all__ = ["flip_extenders", "reassociate_orphans",
            "settle_clients", "drive_control_plane", "FailureEpoch",
            "FailureSimulation"]
-
-
-def fail_extenders(scenario: Scenario,
-                   failed: Sequence[int],
-                   allow_all_failed: bool = False) -> Scenario:
-    """A scenario with the given extenders dead.
-
-    Dead extenders keep their column (indices stay stable) but offer
-    zero WiFi rate (nobody can associate) and zero PLC rate.
-
-    Killing *every* extender produces a scenario no solver can place a
-    single user in — almost always a caller bug (a mis-built failure
-    schedule), so it raises unless ``allow_all_failed`` explicitly
-    opts into modelling a total blackout.
-    """
-    failed_idx = np.asarray(list(failed), dtype=int)
-    if failed_idx.size and (failed_idx.min() < 0
-                            or failed_idx.max() >= scenario.n_extenders):
-        raise ValueError("failed extender index out of range")
-    if (not allow_all_failed and failed_idx.size
-            and np.unique(failed_idx).size >= scenario.n_extenders):
-        raise ValueError(
-            f"all {scenario.n_extenders} extenders would be dead — no "
-            "user can associate anywhere; pass allow_all_failed=True "
-            "to model a total blackout deliberately")
-    wifi = scenario.wifi_rates.copy()
-    plc = scenario.plc_rates.copy()
-    wifi[:, failed_idx] = 0.0
-    plc[failed_idx] = 0.0
-    return Scenario(wifi_rates=wifi, plc_rates=plc,
-                    capacities=scenario.capacities,
-                    user_ids=scenario.user_ids)
 
 
 def flip_extenders(down: np.ndarray, rng: np.random.Generator,

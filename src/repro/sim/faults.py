@@ -15,7 +15,7 @@ module makes that degradation injectable and *reproducible*:
 * :class:`CrashSchedule` / :data:`InjectedCrash` — a picklable fault
   hook that crashes selected Monte-Carlo trials inside
   :func:`repro.sim.runner.run_trials` workers, exercising its
-  retry-and-:class:`~repro.sim.runner.TrialFailure` path.
+  retry-and-:class:`~repro.sim.dispatch.WorkFailure` path.
 
 Determinism contract: a :class:`FaultyTransport` consumes its generator
 in message order, so for a fixed seed and a fixed call sequence every
@@ -124,7 +124,7 @@ class CrashSchedule:
     :class:`InjectedCrash` on those attempts.  Passing it as
     ``run_trials(..., fault_hook=CrashSchedule({1: 3}), max_retries=2)``
     exhausts trial 1's retry budget and yields a
-    :class:`~repro.sim.runner.TrialFailure` for it while every other
+    :class:`~repro.sim.dispatch.WorkFailure` for it while every other
     trial completes normally.
 
     ``hangs`` maps a trial index to the number of attempts that must
@@ -133,7 +133,7 @@ class CrashSchedule:
     allowed to proceed.  Pair it with ``run_trials(...,
     timeout_s=...)`` to exercise the supervisor's deadline reaping: the
     hung worker is killed and the trial recorded as a timeout
-    :class:`~repro.sim.runner.TrialFailure`.
+    :class:`~repro.sim.dispatch.WorkFailure`.
     """
 
     crashes: Mapping[int, int]

@@ -44,10 +44,9 @@ from .dispatch import (POOL_ERROR_TYPE, TIMEOUT_ERROR_TYPE,
                        dispatch_chunked, shutdown_warm_pools)
 from .dynamics import EpochStats, OnlineSimulation
 
-__all__ = ["PolicyOutcome", "TrialResult", "TrialFailure",
-           "TrialRunResult", "run_policy", "run_trials",
-           "run_online_comparison", "sample_floor_plan",
-           "shutdown_warm_pools"]
+__all__ = ["PolicyOutcome", "TrialResult", "TrialRunResult",
+           "run_policy", "run_trials", "run_online_comparison",
+           "sample_floor_plan", "shutdown_warm_pools"]
 
 #: The association policies known to the runner.
 POLICY_NAMES = ("wolt", "greedy", "rssi", "random")
@@ -89,31 +88,7 @@ class TrialResult:
         return self.outcomes[policy].aggregate_throughput
 
 
-@dataclass(frozen=True)
-class TrialFailure:
-    """A trial whose every attempt crashed (retry budget exhausted).
-
-    Returned in place of a :class:`TrialResult` when ``run_trials`` is
-    given ``max_retries`` (or runs in durable mode) — the run's
-    surviving trials are preserved instead of one worker exception
-    destroying all of them.
-
-    Attributes:
-        trial_index: 0-based position of the trial in the run.
-        attempts: attempts made (``max_retries + 1``).
-        error_type: class name of the last exception, or
-            :data:`TIMEOUT_ERROR_TYPE` / :data:`POOL_ERROR_TYPE` for
-            trials reaped by the supervisor.
-        error: ``repr`` of the last exception (or a supervisor note).
-    """
-
-    trial_index: int
-    attempts: int
-    error_type: str
-    error: str
-
-
-class TrialRunResult(List[Union[TrialResult, TrialFailure]]):
+class TrialRunResult(List[Union[TrialResult, WorkFailure]]):
     """The list of per-trial results plus run-level durability markers.
 
     Behaves exactly like the plain list older callers expect, with
@@ -129,7 +104,7 @@ class TrialRunResult(List[Union[TrialResult, TrialFailure]]):
     """
 
     def __init__(self,
-                 items: Sequence[Union[TrialResult, TrialFailure]] = (),
+                 items: Sequence[Union[TrialResult, WorkFailure]] = (),
                  interrupted: Optional[str] = None, resumed: int = 0,
                  checkpoint: Optional[str] = None) -> None:
         super().__init__(items)
@@ -287,13 +262,14 @@ def _run_single_trial(config: _RunConfig, spec: _TrialSpec,
 
 
 def _run_trial_guarded(config: _RunConfig, spec: _TrialSpec
-                       ) -> Union[TrialResult, TrialFailure]:
+                       ) -> Union[TrialResult, WorkFailure]:
     """Run one trial with bounded retries; never raises on trial errors.
 
     A crashed attempt is retried with the *same* SeedSequence children
     (a clean retry reproduces the original trial bit-identically); when
     the budget is exhausted the trial is returned as an explicit
-    :class:`TrialFailure` instead of destroying the whole run.
+    :class:`~repro.sim.dispatch.WorkFailure` instead of destroying the
+    whole run.
     """
     last_error: Optional[BaseException] = None
     for attempt in range(config.max_retries + 1):
@@ -301,24 +277,25 @@ def _run_trial_guarded(config: _RunConfig, spec: _TrialSpec
             return _run_single_trial(config, spec, attempt)
         except Exception as exc:
             last_error = exc
-    return TrialFailure(trial_index=spec.index,
-                        attempts=config.max_retries + 1,
-                        error_type=type(last_error).__name__,
-                        error=repr(last_error))
+    return WorkFailure(index=spec.index,
+                       attempts=config.max_retries + 1,
+                       error_type=type(last_error).__name__,
+                       error=repr(last_error))
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint codec: TrialResult / TrialFailure <-> JSON payloads.
+# Checkpoint codec: TrialResult / WorkFailure <-> JSON payloads.
 #
 # Every float goes through Python's shortest-round-trip repr (what
 # json emits), so decode(encode(x)) is bit-identical to x — the basis
-# of the resume == cold-run contract.
+# of the resume == cold-run contract.  A failure's index is stored
+# under "trial_index", the key journals have always used.
 
 
-def _encode_record(result: Union[TrialResult, TrialFailure]
+def _encode_record(result: Union[TrialResult, WorkFailure]
                    ) -> Dict[str, Any]:
-    if isinstance(result, TrialFailure):
-        return {"type": "failure", "trial_index": result.trial_index,
+    if isinstance(result, WorkFailure):
+        return {"type": "failure", "trial_index": result.index,
                 "attempts": result.attempts,
                 "error_type": result.error_type, "error": result.error}
     scenario = result.scenario
@@ -344,12 +321,12 @@ def _encode_record(result: Union[TrialResult, TrialFailure]
 
 
 def _decode_record(payload: Dict[str, Any]
-                   ) -> Union[TrialResult, TrialFailure]:
+                   ) -> Union[TrialResult, WorkFailure]:
     if payload["type"] == "failure":
-        return TrialFailure(trial_index=int(payload["trial_index"]),
-                            attempts=int(payload["attempts"]),
-                            error_type=payload["error_type"],
-                            error=payload["error"])
+        return WorkFailure(index=int(payload["trial_index"]),
+                           attempts=int(payload["attempts"]),
+                           error_type=payload["error_type"],
+                           error=payload["error"])
     raw = payload["scenario"]
     scenario = Scenario(
         wifi_rates=np.asarray(raw["wifi_rates"], dtype=float),
@@ -426,7 +403,7 @@ def run_trials(n_trials: int,
 
     Durable mode (any of ``checkpoint``/``timeout_s`` set, or
     ``max_retries`` not None) never loses completed work: trial errors
-    become :class:`TrialFailure` records, completed trials are
+    become :class:`WorkFailure` records, completed trials are
     journaled before the next one starts, and SIGINT/SIGTERM drain
     gracefully instead of destroying the run.
 
@@ -459,7 +436,7 @@ def run_trials(n_trials: int,
             active, which implies a budget of 0).  When an int, a
             crashed trial is retried up to ``max_retries`` times with
             the same SeedSequence children and, on exhaustion, returned
-            as an explicit :class:`TrialFailure` record — surviving
+            as an explicit :class:`WorkFailure` record — surviving
             trials are never lost.
         fault_hook: optional ``hook(trial_index, attempt)`` run at the
             start of every attempt; may raise to inject trial crashes
@@ -477,7 +454,7 @@ def run_trials(n_trials: int,
             :class:`~repro.sim.checkpoint.FingerprintMismatch`.
         timeout_s: per-trial wall-clock deadline.  A trial that
             outlives it is reaped (its worker killed, the pool
-            recycled) and recorded as a :class:`TrialFailure` with
+            recycled) and recorded as a :class:`WorkFailure` with
             ``error_type=TIMEOUT_ERROR_TYPE``; remaining trials
             continue.  Requires ``workers >= 1``.
 
@@ -485,7 +462,7 @@ def run_trials(n_trials: int,
         A :class:`TrialRunResult` (a plain ``list`` plus the
         ``interrupted``/``resumed``/``checkpoint`` markers) holding one
         :class:`TrialResult` — or, in guarded/durable mode, possibly a
-        :class:`TrialFailure` — per completed trial, in trial order.
+        :class:`WorkFailure` — per completed trial, in trial order.
         After an interruption the list covers only the completed
         prefix-set of trials.
     """
@@ -537,7 +514,7 @@ def run_trials(n_trials: int,
         specs.append(_TrialSpec(index=index, scenario_seq=child,
                                 policy_seqs=policy_seqs))
 
-    results: Dict[int, Union[TrialResult, TrialFailure]] = {}
+    results: Dict[int, Union[TrialResult, WorkFailure]] = {}
     resumed = 0
     if store is not None:
         for index, payload in store.records.items():
@@ -546,16 +523,7 @@ def run_trials(n_trials: int,
     pending = [s for s in specs if s.index not in results]
 
     def record(index: int,
-               result: Union[TrialResult, TrialFailure,
-                             WorkFailure]) -> None:
-        if isinstance(result, WorkFailure):
-            # Supervisor-level failures (deadline reap, repeated worker
-            # death) arrive in dispatch's generic shape; re-cast them
-            # into the runner's checkpoint-codec-known record type.
-            result = TrialFailure(trial_index=result.index,
-                                  attempts=result.attempts,
-                                  error_type=result.error_type,
-                                  error=result.error)
+               result: Union[TrialResult, WorkFailure]) -> None:
         results[index] = result
         if store is not None:
             store.append(index, _encode_record(result))

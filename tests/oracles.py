@@ -66,7 +66,8 @@ from repro.core.hungarian import InfeasibleAssignmentError
 from repro.core.phase1 import solve_phase1
 from repro.core.phase2 import (Phase2Result, _BatchGains, _CellState,
                                _relocate)
-from repro.core.problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
+from repro.core.problem import (MIN_USABLE_RATE, UNASSIGNED, Scenario,
+                                fail_extenders)
 from repro.core.wolt import WoltResult, solve_wolt
 from repro.fleet.service import Directive, _servable
 from repro.fleet.sharding import Segment, split_segments
@@ -77,8 +78,7 @@ from repro.net.topology import sample_user_positions
 from repro.plc.sharing import allocate_backhaul
 from repro.sim.dynamics import EpochStats, OnlineSimulation
 from repro.sim.failures import (FailureEpoch, FailureSimulation,
-                                fail_extenders, flip_extenders,
-                                reassociate_orphans)
+                                flip_extenders, reassociate_orphans)
 from repro.wifi.sharing import cell_throughputs
 
 
@@ -578,7 +578,7 @@ class OnlineSimulationReference(OnlineSimulation):
         self._schedule_next_departure()
 
     def run_epoch(self) -> EpochStats:
-        self.queue.run_until(self.queue.now + self.epoch_duration)
+        self._run_until(self.now + self.epoch_duration)
         reassignments = 0
         scenario = self._scenario()
         if self.policy == "wolt" and scenario.n_users > 0:

@@ -3,7 +3,7 @@
 Covers the FaultModel contract, the lossy transport's effect on the
 Central Controller (drops, retries, failed handoffs, graceful
 degradation), the shared control-plane episode runner, the epoch driver
-under brown-outs, and the trial runner's retry-and-TrialFailure path.
+under brown-outs, and the trial runner's retry-and-WorkFailure path.
 """
 
 from __future__ import annotations
@@ -13,15 +13,15 @@ import pytest
 
 from repro.core.controller import (CentralController, ScanReport,
                                    Transport)
-from repro.core.problem import UNASSIGNED
+from repro.core.problem import UNASSIGNED, fail_extenders
 from repro.core.wolt import solve_wolt
 from repro.experiments.common import run_episode
 from repro.net.engine import evaluate
-from repro.sim.failures import (drive_control_plane, fail_extenders,
-                                settle_clients)
+from repro.sim.dispatch import WorkFailure
+from repro.sim.failures import drive_control_plane, settle_clients
 from repro.sim.faults import (CrashSchedule, FaultModel,
                               FaultyTransport, InjectedCrash)
-from repro.sim.runner import TrialFailure, TrialResult, run_trials
+from repro.sim.runner import TrialResult, run_trials
 
 from .conftest import random_scenario
 
@@ -335,8 +335,8 @@ class TestRunTrialsFaultTolerance:
     def test_exhausted_trial_becomes_trial_failure(self):
         results = run_trials(4, policies=("rssi",), max_retries=2,
                              fault_hook=CrashSchedule({2: 99}), **SCALE)
-        assert isinstance(results[2], TrialFailure)
-        assert results[2].trial_index == 2
+        assert isinstance(results[2], WorkFailure)
+        assert results[2].index == 2
         assert results[2].attempts == 3
         assert results[2].error_type == "InjectedCrash"
         for index in (0, 1, 3):
@@ -348,10 +348,10 @@ class TestRunTrialsFaultTolerance:
         serial = run_trials(4, **kwargs)
         parallel = run_trials(4, workers=3, **kwargs)
         assert [type(t) for t in serial] == [type(t) for t in parallel]
-        assert isinstance(serial[2], TrialFailure)
+        assert isinstance(serial[2], WorkFailure)
         assert parallel[2] == serial[2]
         for a, b in zip(serial, parallel):
-            if isinstance(a, TrialFailure):
+            if isinstance(a, WorkFailure):
                 continue
             for policy in a.outcomes:
                 assert np.array_equal(a.outcomes[policy].assignment,
@@ -362,7 +362,7 @@ class TestRunTrialsFaultTolerance:
     def test_max_retries_zero_still_captures_failures(self):
         results = run_trials(2, policies=("rssi",), max_retries=0,
                              fault_hook=CrashSchedule({0: 1}), **SCALE)
-        assert isinstance(results[0], TrialFailure)
+        assert isinstance(results[0], WorkFailure)
         assert results[0].attempts == 1
         assert isinstance(results[1], TrialResult)
 

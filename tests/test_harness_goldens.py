@@ -6,6 +6,9 @@ exactly ``tests/data/chaos_trials3_golden.txt`` and
 loop, the storm's draw order or the controller's rules shows up as a
 diff here.  The chaos golden carries its ``ACCEPTANCE: PASS`` line, so
 the acceptance verdict is pinned too.
+
+``wolt sweeps`` must print ``tests/data/sweeps_golden.txt`` both when
+it journals its sweeps and when it resumes them from the journal.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.experiments import sweeps
 
 DATA = Path(__file__).parent / "data"
 
@@ -26,3 +30,20 @@ DATA = Path(__file__).parent / "data"
 def test_stdout_matches_golden(command, golden, capsys):
     assert main([command, "--trials", "3"]) == 0
     assert capsys.readouterr().out == (DATA / golden).read_text()
+
+
+def test_sweeps_resume_prints_the_golden(tmp_path, capsys, monkeypatch):
+    golden = (DATA / "sweeps_golden.txt").read_text()
+    journal = tmp_path / "sweeps.jsonl"
+    assert main(["sweeps", "--checkpoint", str(journal)]) == 0
+    assert capsys.readouterr().out == golden
+    snapshot = journal.read_bytes()
+
+    def recomputed(**kwargs):
+        raise AssertionError("a journaled sweep was recomputed")
+
+    for name in ("sweep_extenders", "sweep_users", "sweep_plc_quality"):
+        monkeypatch.setattr(sweeps, name, recomputed)
+    assert main(["sweeps", "--checkpoint", str(journal), "--resume"]) == 0
+    assert capsys.readouterr().out == golden
+    assert journal.read_bytes() == snapshot

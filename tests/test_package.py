@@ -46,7 +46,7 @@ def test_subpackage_all_resolves(module):
     "repro.plc.homeplug", "repro.plc.noise",
     "repro.net.engine", "repro.net.topology", "repro.net.metrics",
     "repro.net.estimate", "repro.net.visualize",
-    "repro.sim.events", "repro.sim.dynamics", "repro.sim.runner",
+    "repro.sim.dynamics", "repro.sim.runner",
     "repro.sim.traffic", "repro.sim.mobility", "repro.sim.failures",
     "repro.sim.workload",
     "repro.testbed.devices", "repro.testbed.measurement",

@@ -7,8 +7,8 @@ The contract under test (see ``docs/ROBUSTNESS.md``):
   resumed is **bit-identical** to an uninterrupted run, across worker
   counts;
 * a hung trial is reaped within a bounded wall-clock budget and
-  recorded as an explicit :class:`TrialFailure` without stalling or
-  losing the other trials;
+  recorded as an explicit :class:`~repro.sim.dispatch.WorkFailure`
+  without stalling or losing the other trials;
 * SIGINT/SIGTERM drain gracefully: completed trials are returned with
   an explicit ``interrupted`` marker and the journal stays resumable;
 * argument validation fails fast (duplicate policies, bad trial
@@ -31,9 +31,10 @@ import pytest
 
 from repro.sim.checkpoint import CheckpointExists, FingerprintMismatch
 from repro.sim.faults import CrashSchedule
+from repro.sim.dispatch import WorkFailure
 from repro.sim.runner import (POOL_ERROR_TYPE, TIMEOUT_ERROR_TYPE,
-                              TrialFailure, run_online_comparison,
-                              run_trials, shutdown_warm_pools)
+                              run_online_comparison, run_trials,
+                              shutdown_warm_pools)
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -47,7 +48,7 @@ def _assert_runs_identical(a, b):
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
         assert type(ra) is type(rb)
-        if isinstance(ra, TrialFailure):
+        if isinstance(ra, WorkFailure):
             assert ra == rb
             continue
         assert np.array_equal(ra.scenario.wifi_rates,
@@ -218,7 +219,7 @@ class TestWorkerCrashSupervision:
         hook = KillWorkerOnce(trial=2, flag=str(tmp_path / "flag"))
         survived = run_trials(N_TRIALS, policies=POLICIES, workers=2,
                               max_retries=1, fault_hook=hook, **SCALE)
-        assert not any(isinstance(t, TrialFailure) for t in survived)
+        assert not any(isinstance(t, WorkFailure) for t in survived)
         _assert_runs_identical(_cold_run(), survived)
 
     def test_repeatedly_dying_trial_becomes_explicit_failure(self,
@@ -230,14 +231,33 @@ class TestWorkerCrashSupervision:
         hook = InterruptAt(2, signal.SIGKILL)
         result = run_trials(N_TRIALS, policies=POLICIES, workers=2,
                             max_retries=1, fault_hook=hook, **SCALE)
-        failures = [t for t in result if isinstance(t, TrialFailure)]
-        assert [f.trial_index for f in failures] == [2]
+        failures = [t for t in result if isinstance(t, WorkFailure)]
+        assert [f.index for f in failures] == [2]
         assert failures[0].error_type == POOL_ERROR_TYPE
         cold = _cold_run()
         survivors = [t for t in result
-                     if not isinstance(t, TrialFailure)]
+                     if not isinstance(t, WorkFailure)]
         expected = [t for i, t in enumerate(cold) if i != 2]
         _assert_runs_identical(expected, survivors)
+
+    def test_failure_record_keeps_its_journal_line(self, tmp_path):
+        # A trial that exhausts its retries journals the line the
+        # format has always used (the index under "trial_index") and
+        # resumes as the same WorkFailure.
+        checkpoint = tmp_path / "run.jsonl"
+        run_trials(3, 3, 4, policies=("rssi",), seed=2,
+                   checkpoint=checkpoint, max_retries=1,
+                   fault_hook=CrashSchedule({1: 5}))
+        assert checkpoint.read_text().splitlines()[2] == (
+            '{"index":1,"kind":"record","payload":{"attempts":2,'
+            '"error":"InjectedCrash(\'injected crash: trial 1, '
+            'attempt 1\')","error_type":"InjectedCrash",'
+            '"trial_index":1,"type":"failure"}}')
+        resumed = run_trials(3, 3, 4, policies=("rssi",), seed=2,
+                             checkpoint=checkpoint, resume=True)
+        assert resumed[1] == WorkFailure(
+            index=1, attempts=2, error_type="InjectedCrash",
+            error="InjectedCrash('injected crash: trial 1, attempt 1')")
 
 
 class TestTimeouts:
@@ -252,12 +272,12 @@ class TestTimeouts:
                             timeout_s=1.5, fault_hook=hang, **SCALE)
         elapsed = time.monotonic() - start
         assert elapsed < 60.0  # bounded: deadline + reap, not 300 s
-        failures = [t for t in result if isinstance(t, TrialFailure)]
-        assert [f.trial_index for f in failures] == [2]
+        failures = [t for t in result if isinstance(t, WorkFailure)]
+        assert [f.index for f in failures] == [2]
         assert failures[0].error_type == TIMEOUT_ERROR_TYPE
         cold = run_trials(5, policies=POLICIES, **SCALE)
         survivors = [t for t in result
-                     if not isinstance(t, TrialFailure)]
+                     if not isinstance(t, WorkFailure)]
         expected = [t for i, t in enumerate(cold) if i != 2]
         _assert_runs_identical(expected, survivors)
 
@@ -269,8 +289,8 @@ class TestTimeouts:
         resumed = run_trials(3, policies=POLICIES, checkpoint=checkpoint,
                              resume=True, **SCALE)
         assert resumed.resumed == 3
-        failures = [t for t in resumed if isinstance(t, TrialFailure)]
-        assert [f.trial_index for f in failures] == [1]
+        failures = [t for t in resumed if isinstance(t, WorkFailure)]
+        assert [f.index for f in failures] == [1]
         assert failures[0].error_type == TIMEOUT_ERROR_TYPE
 
     def test_timeout_requires_workers(self):

@@ -604,7 +604,7 @@ class NonAtomicPersistence(Rule):
                             "open(..., 'w') truncates a results/"
                             "checkpoint file in place — a crash here "
                             "tears it; write through "
-                            "atomic_write_text/atomic_write_json"))
+                            "atomic_write_text"))
                 elif tail == "write_text" and len(parts) >= 2:
                     target = node.func.value \
                         if isinstance(node.func, ast.Attribute) else None
@@ -623,7 +623,7 @@ class NonAtomicPersistence(Rule):
                         path, node,
                         "json.dump straight onto a results/checkpoint "
                         "handle is not atomic — serialize first and "
-                        "write through atomic_write_json"))
+                        "write through atomic_write_text"))
 
         Visitor().visit(tree)
         return iter(findings)
