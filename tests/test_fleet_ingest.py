@@ -23,6 +23,7 @@ from repro.fleet.ingest import (DeadLetterJournal, RecordedTelemetry,
                                 _signed_line, read_stream, record_stream,
                                 write_stream)
 from repro.fleet.service import FleetService, format_epoch
+from repro.sim.checkpoint import canonical_json
 from repro.fleet.spec import BuildingSpec, FleetSpec, TelemetryModel
 from scripts.gates.ingest_fuzz import (MUTATION_KINDS, acceptance_failures,
                                        gate_spec, mutate_stream)
@@ -297,6 +298,20 @@ class TestDeadLetter:
         assert summary["kind"] == "summary"
         assert summary["counts"] == {"malformed": 5}
         assert summary["suppressed"] == 3
+
+    def test_lines_are_canonical_and_fsynced(self, tmp_path, monkeypatch):
+        import repro.sim.checkpoint as checkpoint_mod
+
+        synced = []
+        monkeypatch.setattr(checkpoint_mod.os, "fsync", synced.append)
+        path = tmp_path / "dead.jsonl"
+        with DeadLetterJournal(path, capacity=4) as journal:
+            journal.quarantine("malformed", 2, "broken", "raw")
+            journal.quarantine("unknown-building", 3, "phantom", "raw")
+        lines = path.read_text().splitlines()
+        assert lines == [canonical_json(json.loads(line))
+                         for line in lines]
+        assert len(synced) == len(lines) == 3
 
     def test_reader_feeds_the_journal(self, tmp_path):
         spec = small_spec()

@@ -10,7 +10,7 @@ import pytest
 from repro.core.controller import CentralController, ScanReport
 from repro.core.guard import DecisionGuard
 from repro.core.health import HealthMonitor
-from repro.core.problem import Scenario
+from repro.core.problem import Scenario, fail_extenders
 from repro.core.wolt import solve_wolt
 from repro.net.engine import evaluate
 from repro.sim.failures import settle_clients
@@ -290,6 +290,17 @@ class TestQuarantineMasking:
         target = solve_wolt(Scenario(wifi_rates=masked,
                                      plc_rates=plc)).assignment
         assert [cc.associations[u] for u in hearing] == target.tolist()
+
+    def test_solves_see_the_fail_extenders_scenario(self):
+        """A quarantined extender is masked exactly as a dead one: the
+        CC's solve scenario is :func:`fail_extenders` of the reports."""
+        cc, _, sc = self._quarantine_extender_0(DecisionGuard())
+        scenario, ids = cc._scenario()
+        assert ids == list(range(sc.n_users))
+        dead = fail_extenders(
+            Scenario(wifi_rates=sc.wifi_rates, plc_rates=cc.plc_rates), [0])
+        np.testing.assert_array_equal(scenario.wifi_rates, dead.wifi_rates)
+        np.testing.assert_array_equal(scenario.plc_rates, dead.plc_rates)
 
     def _quarantine_extender_0(self, guard):
         """A CC whose user 5 hears only extender 0, which then gets
