@@ -435,8 +435,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     from .fleet.ingest import IngestError
     from .sim.checkpoint import CheckpointError
 
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        # ``serve`` resumes from --journal and checks it in _serve.
+        if ("checkpoint" in vars(args) and args.resume
+                and args.checkpoint is None):
+            parser.error(f"{args.command}: --resume requires "
+                         "--checkpoint")
     except SystemExit as exc:  # argparse: 2 on a usage error, 0 on --help
         return int(exc.code or 0)
     try:

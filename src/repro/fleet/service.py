@@ -54,9 +54,15 @@ loop (Fig. 6b) across a whole campus.  Each epoch:
    (one baseline evaluation per building, then one incremental commit
    per move); ``dry_run`` previews them without applying anything.
 5. **Journal** — applied epochs append one crash-consistent record to
-   the :class:`~repro.sim.checkpoint.TrialStore` journal; resume
-   replays telemetry deterministically and restores assignments, so a
-   resumed service continues bit-identically.
+   the :class:`~repro.sim.checkpoint.TrialStore` journal.  Each
+   building's entry carries everything a restart needs: the
+   assignment, the breaker state, the health monitor's state
+   (:meth:`~repro.core.health.HealthMonitor.state`, with the
+   ``quarantined`` field as its mask) and ``observed_epoch``, the epoch
+   its last real telemetry came from.  Resume restores from the last
+   record alone and rebuilds that telemetry from the (pure) source:
+   one report per building instead of one per building and journaled
+   epoch, and the resumed service continues bit-identically.
 
 Dry-run semantics: the world keeps turning (telemetry is ingested,
 health state advances, the epoch counter increments) but **nothing is
@@ -68,7 +74,8 @@ successive epoch *would* do against the frozen association state.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -78,7 +85,7 @@ from ..core.problem import (MIN_USABLE_RATE, UNASSIGNED, Scenario,
                             fail_extenders)
 from ..core.wolt import solve_wolt
 from ..net.engine import DeltaEvaluator, evaluate
-from ..sim.checkpoint import TrialStore, fingerprint
+from ..sim.checkpoint import CorruptCheckpoint, TrialStore, fingerprint
 from ..sim.dispatch import (TIMEOUT_ERROR_TYPE, InterruptState,
                             WorkFailure, WorkSpec, dispatch_chunked,
                             timeout_failure, uses_pool)
@@ -326,9 +333,11 @@ class _BuildingState:
         self.assignment = np.full(building.n_users, UNASSIGNED,
                                   dtype=int)
         # The last telemetry actually received — what the service
-        # re-decides from when a chaos blackout eats an epoch's report.
+        # re-decides from when a chaos blackout eats an epoch's report
+        # — and the epoch it came from (journaled; see _restore).
         self.last_observed: Optional[
             Tuple[Scenario, Tuple[int, ...]]] = None
+        self.observed_epoch = 0
         # Degraded-mode bookkeeping (journaled; see _encode_epoch).
         self.staleness = 0
         self.fail_streak = 0
@@ -336,6 +345,29 @@ class _BuildingState:
         self.breaker_open_epochs = 0
         # Memo of the last fully clean solve (never journaled).
         self.clean_solve: Optional[_CleanSolve] = None
+
+    def report_or_as_built(
+            self, report: Optional[Tuple[np.ndarray, np.ndarray]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``report``, or the building's as-built rates when it is None."""
+        if report is not None:
+            return report
+        return (self.scenario.wifi_rates,
+                self.scenario.plc_rates.astype(float, copy=True))
+
+    def effective(self, wifi_obs: np.ndarray, plc_obs: np.ndarray
+                  ) -> Tuple[Scenario, Tuple[int, ...]]:
+        """The solve input of a report under the monitor's current state.
+
+        Last-known-good capacities stand in for bad reports, and the
+        quarantined extenders are masked out like dead ones.
+        """
+        scenario = Scenario(wifi_rates=wifi_obs,
+                            plc_rates=self.health.effective_rates(plc_obs))
+        quarantined = self.health.quarantined_extenders()
+        if quarantined:
+            scenario = fail_extenders(scenario, quarantined)
+        return scenario, quarantined
 
 
 class FleetService:
@@ -348,8 +380,9 @@ class FleetService:
         chunk_size: shards per dispatched chunk (``None`` = auto).
         journal: optional path of a crash-consistent JSONL epoch
             journal (:class:`~repro.sim.checkpoint.TrialStore`).
-        resume: recover the journal and replay it so the service
-            continues exactly where it stopped (requires ``journal``).
+        resume: recover the journal and restore the state its last
+            record holds, so the service continues exactly where it
+            stopped (requires ``journal``).
         source: where telemetry comes from
             (:class:`~repro.fleet.ingest.TelemetrySource`); ``None``
             synthesizes it in-process
@@ -414,7 +447,11 @@ class FleetService:
             self._store = TrialStore(journal, fingerprint(params),
                                      params=params, resume=resume)
             if resume and self._store.records:
-                self._replay(self._store.records)
+                try:
+                    self._restore(self._store.records)
+                except BaseException:
+                    self._store.close()
+                    raise
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -457,31 +494,21 @@ class FleetService:
         drift-free report, the least-wrong stand-in that keeps the
         epoch alive.
         """
-        true = state.scenario
         chaos = self.spec.chaos
         if (chaos is not None and state.last_observed is not None
                 and chaos.blackout(self.spec.seed, state.index, epoch)):
             return state.last_observed
         report = self.source.observe(state.index, epoch)
-        if report is None:
-            if state.last_observed is not None:
-                return state.last_observed
-            wifi_obs = true.wifi_rates
-            plc_obs = true.plc_rates.astype(float, copy=True)
-        else:
-            wifi_obs, plc_obs = report
-        carrying = np.zeros(true.n_extenders, dtype=bool)
+        if report is None and state.last_observed is not None:
+            return state.last_observed
+        wifi_obs, plc_obs = state.report_or_as_built(report)
+        carrying = np.zeros(state.scenario.n_extenders, dtype=bool)
         attached = state.assignment[state.assignment != UNASSIGNED]
         carrying[attached] = True
         state.health.observe(plc_obs, carrying_traffic=carrying)
-        scenario = Scenario(wifi_rates=wifi_obs,
-                            plc_rates=state.health.effective_rates(plc_obs))
-        quarantined = state.health.quarantined_extenders()
-        if quarantined:
-            scenario = fail_extenders(scenario, quarantined)
-        result = (scenario, quarantined)
-        state.last_observed = result
-        return result
+        state.last_observed = state.effective(wifi_obs, plc_obs)
+        state.observed_epoch = epoch
+        return state.last_observed
 
     # ------------------------------------------------------------------
     # the epoch
@@ -829,10 +856,10 @@ class FleetService:
                  "n_segments": b.n_segments,
                  "n_shard_timeouts": b.n_shard_timeouts,
                  "quarantined": list(b.quarantined),
-                 # Breaker/staleness state *after* this epoch, so
-                 # resume restores the machine exactly (fail_streak
-                 # and the open-epoch counter have no place in the
-                 # report dataclass but resume needs them).
+                 # State *after* this epoch, so resume restores it
+                 # exactly from this record alone (see _restore).
+                 "health": self._buildings[i].health.state(),
+                 "observed_epoch": self._buildings[i].observed_epoch,
                  "staleness": self._buildings[i].staleness,
                  "fail_streak": self._buildings[i].fail_streak,
                  "breaker_open": self._buildings[i].breaker_open,
@@ -844,46 +871,62 @@ class FleetService:
                 for i, b in enumerate(report.buildings)],
         }
 
-    def _replay(self, records: Dict[int, Any]) -> None:
-        """Restore service state from a recovered epoch journal.
+    def _restore(self, records: Mapping[int, Any]) -> None:
+        """Restore service state from the last record of an epoch journal.
 
-        Telemetry is a pure function of ``(seed, building, epoch)``,
-        so replaying the recorded epochs through each health monitor
-        (with the journaled associations supplying the traffic masks)
-        reconstructs the exact pre-crash state; the continuation is
-        bit-identical to a run that was never interrupted
-        (``tests/test_fleet_service.py``).
+        Each building entry holds the state after its epoch: the
+        assignment, the breaker machine, the health monitor (its mask
+        is the ``quarantined`` field) and ``observed_epoch``.  The last
+        observation is rebuilt by asking the source for that epoch's
+        report again and composing it under the restored monitor, as
+        :meth:`_observe` did: blackouts and missing reports never touch
+        the monitor, so its state has not moved since.  Only the last
+        record is decoded; the continuation is bit-identical to a run
+        that was never interrupted (``tests/test_fleet_resume.py``).
+
+        Raises:
+            CorruptCheckpoint: the epochs are not contiguous from 0, or
+                the last record does not carry a building's state.
         """
         epochs = sorted(records)
         if epochs != list(range(len(epochs))):
-            from ..sim.checkpoint import CorruptCheckpoint
             raise CorruptCheckpoint(
                 f"fleet journal epochs {epochs} are not contiguous "
                 "from 0; refusing to resume")
-        for epoch in epochs:
-            payload = records[epoch]
-            entries = payload.get("buildings", [])
-            if len(entries) != len(self._buildings):
-                from ..sim.checkpoint import CorruptCheckpoint
-                raise CorruptCheckpoint(
-                    f"fleet journal epoch {epoch} covers "
-                    f"{len(entries)} buildings, spec has "
-                    f"{len(self._buildings)}")
-            for bstate, entry in zip(self._buildings, entries):
-                self._observe(bstate, epoch)
+        last = epochs[-1]
+        entries = records[last].get("buildings", [])
+        if len(entries) != len(self._buildings):
+            raise CorruptCheckpoint(
+                f"fleet journal epoch {last} covers {len(entries)} "
+                f"buildings, spec has {len(self._buildings)}")
+        for bstate, entry in zip(self._buildings, entries):
+            try:
+                bstate.health.restore(entry["health"],
+                                      entry["quarantined"])
+                bstate.observed_epoch = int(entry["observed_epoch"])
                 bstate.assignment = np.asarray(entry["assignment"],
                                                dtype=int)
-        # Breaker/staleness state was journaled post-update per epoch;
-        # the final record IS the pre-crash machine state.
-        final = records[epochs[-1]].get("buildings", [])
-        for bstate, entry in zip(self._buildings, final):
-            bstate.staleness = int(entry.get("staleness", 0))
-            bstate.fail_streak = int(entry.get("fail_streak", 0))
-            bstate.breaker_open = bool(entry.get("breaker_open",
-                                                 False))
-            bstate.breaker_open_epochs = int(
-                entry.get("breaker_open_epochs", 0))
-        self.epoch = len(epochs)
+                bstate.staleness = int(entry["staleness"])
+                bstate.fail_streak = int(entry["fail_streak"])
+                bstate.breaker_open = bool(entry["breaker_open"])
+                bstate.breaker_open_epochs = int(
+                    entry["breaker_open_epochs"])
+            except (KeyError, TypeError, ValueError, IndexError) as exc:
+                raise CorruptCheckpoint(
+                    f"fleet journal epoch {last}, building "
+                    f"{bstate.name}: no resumable state ({exc!r}); the "
+                    "journal was written by an older version or is "
+                    "damaged") from exc
+            report = self.source.observe(bstate.index,
+                                         bstate.observed_epoch)
+            if report is None and bstate.observed_epoch > 0:
+                raise CorruptCheckpoint(
+                    f"fleet journal says building {bstate.name} was "
+                    f"observed at epoch {bstate.observed_epoch}, but "
+                    "the telemetry source has no report for it")
+            bstate.last_observed = bstate.effective(
+                *bstate.report_or_as_built(report))
+        self.epoch = last + 1
 
 
 # ---------------------------------------------------------------------------

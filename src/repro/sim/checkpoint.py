@@ -21,6 +21,8 @@ share:
   tolerates a truncated tail record (a crash at any byte boundary
   yields a valid store), and :meth:`TrialStore.snapshot` compacts the
   journal into a canonical, byte-reproducible form via ``os.replace``.
+  The store keeps where each record's line lies in the file, not its
+  payload: a record is decoded from disk when it is read.
 
 The journal stores plain JSON payloads keyed by a non-negative integer
 index; the runner layers :class:`~repro.sim.runner.TrialResult`
@@ -39,8 +41,8 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import (IO, Any, Dict, FrozenSet, List, Mapping, Optional,
-                    Union)
+from typing import (IO, Any, Dict, FrozenSet, Iterator, List, Mapping,
+                    Optional, Set, Tuple, Union)
 
 __all__ = ["CheckpointError", "CheckpointExists", "CorruptCheckpoint",
            "FingerprintMismatch", "TrialStore", "append_line",
@@ -111,16 +113,41 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
         raise
 
 
-def append_line(handle: IO[str], entry: Mapping[str, Any]) -> None:
+def append_line(handle: IO[str], entry: Mapping[str, Any]) -> int:
     """Durably append ``entry`` to ``handle`` as one canonical JSON line.
 
     The line is written whole, flushed and fsynced, so after a crash it
     is either fully on disk or a torn final line (which
     :class:`TrialStore` recovery discards).
+
+    Returns:
+        The line's length in bytes, without its newline (canonical JSON
+        escapes every non-ASCII character, so characters are bytes).
     """
-    handle.write(canonical_json(entry) + "\n")
+    line = canonical_json(entry)
+    handle.write(line + "\n")
     handle.flush()
     os.fsync(handle.fileno())
+    return len(line)
+
+
+class _Records(Mapping[int, Any]):
+    """A :class:`TrialStore`'s payloads by index, decoded on access."""
+
+    def __init__(self, store: "TrialStore") -> None:
+        self._store = store
+
+    def __getitem__(self, index: int) -> Any:
+        return self._store._decode(index)
+
+    def __contains__(self, index: object) -> bool:
+        return index in self._store._lines
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._store._lines)
+
+    def __len__(self) -> int:
+        return len(self._store._lines)
 
 
 class TrialStore:
@@ -149,6 +176,10 @@ class TrialStore:
       :func:`atomic_write_text`, so two runs that completed the same
       trials produce byte-identical snapshots.
 
+    The store holds each record's byte range in the file, never its
+    payload, so what it keeps does not grow with payload size:
+    :attr:`records` decodes a payload from disk each time it is read.
+
     Args:
         path: journal location; parent directories are created.
         fingerprint: the run's :func:`fingerprint` digest.
@@ -166,7 +197,12 @@ class TrialStore:
         self.fingerprint = fingerprint
         self.params: Optional[Dict[str, Any]] = \
             None if params is None else dict(params)
-        self._records: Dict[int, Any] = {}
+        # index -> (offset, length) of the record's line, newline
+        # excluded; ``_recovered`` names the lines this process did not
+        # write, which may not be canonical.
+        self._lines: Dict[int, Tuple[int, int]] = {}
+        self._recovered: Set[int] = set()
+        self._size = 0
         self._events: List[Dict[str, Any]] = []
         self._handle: Optional[IO[str]] = None
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -178,13 +214,13 @@ class TrialStore:
                 "start over")
         if existing:
             self._recover()
-            self._handle = open(self.path, "a", encoding="utf-8")
         else:
             # Write the header through the atomic helper so a crash
             # during creation cannot leave a headerless journal.
-            atomic_write_text(self.path,
-                              canonical_json(self._header()) + "\n")
-            self._handle = open(self.path, "a", encoding="utf-8")
+            header = canonical_json(self._header())
+            atomic_write_text(self.path, header + "\n")
+            self._size = len(header) + 1
+        self._handle = open(self.path, "a", encoding="utf-8")
 
     # -- construction helpers ------------------------------------------
 
@@ -197,37 +233,57 @@ class TrialStore:
         return header
 
     def _recover(self) -> None:
-        """Load an existing journal, healing a truncated tail record."""
-        raw = self.path.read_bytes()
-        lines = raw.split(b"\n")
-        # A file that ends mid-record has a non-empty final chunk with
-        # no trailing newline; a clean file ends with b"".
-        complete, tail = lines[:-1], lines[-1]
-        parsed: List[Dict[str, Any]] = []
+        """Index an existing journal, healing a truncated tail record.
+
+        The file is read one line at a time and each line is parsed to
+        validate it, then dropped: only record locations are kept.
+        """
         good_bytes = 0
-        damaged = tail != b""
-        for pos, line in enumerate(complete):
-            try:
-                entry = json.loads(line.decode("utf-8"))
-                if not isinstance(entry, dict) or "kind" not in entry:
-                    raise ValueError("not a journal entry")
-            except (ValueError, UnicodeDecodeError) as exc:
-                if pos == len(complete) - 1:
-                    # Torn final line (e.g. the crash landed between
-                    # the payload and the newline of the *previous*
-                    # write): drop it like an unterminated tail.
+        damaged = False
+        with open(self.path, "rb") as handle:
+            pos = 0
+            line = handle.readline()
+            while line:
+                if not line.endswith(b"\n"):
+                    # A file that ends mid-record: an unterminated tail.
                     damaged = True
                     break
-                raise CorruptCheckpoint(
-                    f"{self.path}: line {pos + 1} is damaged mid-file "
-                    f"({exc}); refusing to guess at the journal's "
-                    "contents") from exc
-            parsed.append(entry)
-            good_bytes += len(line) + 1
-        if not parsed:
+                body = line[:-1]
+                try:
+                    entry = json.loads(body.decode("utf-8"))
+                    if not isinstance(entry, dict) or "kind" not in entry:
+                        raise ValueError("not a journal entry")
+                except (ValueError, UnicodeDecodeError) as exc:
+                    if not handle.readline().endswith(b"\n"):
+                        # Torn final line (e.g. the crash landed between
+                        # the payload and the newline of the *previous*
+                        # write): drop it like an unterminated tail.
+                        damaged = True
+                        break
+                    raise CorruptCheckpoint(
+                        f"{self.path}: line {pos + 1} is damaged "
+                        f"mid-file ({exc}); refusing to guess at the "
+                        "journal's contents") from exc
+                if pos == 0:
+                    self._check_header(entry)
+                else:
+                    self._index_entry(entry, good_bytes, len(body))
+                good_bytes += len(line)
+                pos += 1
+                line = handle.readline()
+        if pos == 0:
             raise CorruptCheckpoint(
                 f"{self.path}: no intact header record")
-        header = parsed[0]
+        if damaged:
+            # Heal in place: truncate back to the last complete record
+            # so the append handle starts at a clean line boundary.
+            with open(self.path, "r+b") as handle:
+                handle.truncate(good_bytes)
+                handle.flush()
+                os.fsync(handle.fileno())
+        self._size = good_bytes
+
+    def _check_header(self, header: Dict[str, Any]) -> None:
         if header.get("kind") != "header":
             raise CorruptCheckpoint(
                 f"{self.path}: first record is not a header")
@@ -243,36 +299,51 @@ class TrialStore:
                 f"{self.fingerprint!r}); resuming would merge "
                 "incompatible results.  Use the original parameters or "
                 "start a fresh checkpoint.")
-        for entry in parsed[1:]:
-            kind = entry.get("kind")
-            if kind == "record":
+
+    def _index_entry(self, entry: Dict[str, Any], offset: int,
+                     length: int) -> None:
+        """Fold one recovered non-header entry into the store."""
+        kind = entry.get("kind")
+        if kind == "record":
+            try:
                 index = int(entry["index"])
-                # First write wins: records are deterministic, so a
-                # duplicate (possible only after manual edits) is
-                # ignored rather than trusted.
-                self._records.setdefault(index, entry["payload"])
-            elif kind == "event":
-                self._events.append(
-                    {k: v for k, v in entry.items() if k != "kind"})
-            elif kind == "header":
+            except (KeyError, TypeError, ValueError) as exc:
                 raise CorruptCheckpoint(
-                    f"{self.path}: duplicate header record")
-            # Unknown kinds are preserved on disk but not surfaced;
-            # they let future versions add record types.
-        if damaged:
-            # Heal in place: truncate back to the last complete record
-            # so the append handle starts at a clean line boundary.
-            with open(self.path, "r+b") as handle:
-                handle.truncate(good_bytes)
-                handle.flush()
-                os.fsync(handle.fileno())
+                    f"{self.path}: record without an integer index "
+                    f"({exc!r})") from exc
+            if "payload" not in entry:
+                raise CorruptCheckpoint(
+                    f"{self.path}: record {index} has no payload")
+            # First write wins: records are deterministic, so a
+            # duplicate (possible only after manual edits) is ignored
+            # rather than trusted.
+            if index not in self._lines:
+                self._lines[index] = (offset, length)
+                self._recovered.add(index)
+        elif kind == "event":
+            self._events.append(
+                {k: v for k, v in entry.items() if k != "kind"})
+        elif kind == "header":
+            raise CorruptCheckpoint(
+                f"{self.path}: duplicate header record")
+        # Unknown kinds are preserved on disk but not surfaced; they
+        # let future versions add record types.
 
     # -- read API -------------------------------------------------------
 
     @property
-    def records(self) -> Dict[int, Any]:
-        """Recovered/journaled payloads keyed by index (live view)."""
-        return self._records
+    def records(self) -> Mapping[int, Any]:
+        """Journaled payloads keyed by index (a live, read-only view).
+
+        Each read decodes the payload from the journal file afresh.
+        """
+        return _Records(self)
+
+    def _decode(self, index: int) -> Any:
+        offset, length = self._lines[index]
+        with open(self.path, "rb") as handle:
+            handle.seek(offset)
+            return json.loads(handle.read(length))["payload"]
 
     @property
     def events(self) -> List[Dict[str, Any]]:
@@ -281,32 +352,35 @@ class TrialStore:
 
     @property
     def completed(self) -> FrozenSet[int]:
-        return frozenset(self._records)
+        return frozenset(self._lines)
 
     def __contains__(self, index: int) -> bool:
-        return index in self._records
+        return index in self._lines
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._lines)
 
     # -- write API ------------------------------------------------------
 
-    def _append_line(self, entry: Mapping[str, Any]) -> None:
+    def _append_line(self, entry: Mapping[str, Any]) -> Tuple[int, int]:
+        """Append one entry; returns its line's ``(offset, length)``."""
         if self._handle is None:
             raise CheckpointError(f"{self.path}: store is closed")
-        append_line(self._handle, entry)
+        offset = self._size
+        length = append_line(self._handle, entry)
+        self._size += length + 1
+        return offset, length
 
     def append(self, index: int, payload: Any) -> None:
         """Durably journal one record (complete-line write + fsync)."""
         index = int(index)
         if index < 0:
             raise ValueError("record index must be non-negative")
-        if index in self._records:
+        if index in self._lines:
             raise CheckpointError(
                 f"{self.path}: index {index} already journaled")
-        self._append_line({"kind": "record", "index": index,
-                           "payload": payload})
-        self._records[index] = payload
+        self._lines[index] = self._append_line(
+            {"kind": "record", "index": index, "payload": payload})
 
     def append_event(self, event: str, **fields: Any) -> None:
         """Journal a transient event (dropped by :meth:`snapshot`)."""
@@ -323,15 +397,30 @@ class TrialStore:
         index order; transient events are dropped.  Two stores that
         completed the same records therefore snapshot to byte-identical
         files regardless of completion order or crash/resume history.
+        Lines this store appended are canonical already and are copied
+        as they are; recovered ones are re-encoded.
         """
         lines = [canonical_json(self._header())]
-        for index in sorted(self._records):
-            lines.append(canonical_json(
-                {"kind": "record", "index": index,
-                 "payload": self._records[index]}))
+        order = sorted(self._lines)
+        with open(self.path, "rb") as handle:
+            for index in order:
+                offset, length = self._lines[index]
+                handle.seek(offset)
+                line = handle.read(length).decode("utf-8")
+                if index in self._recovered:
+                    line = canonical_json(
+                        {"kind": "record", "index": index,
+                         "payload": json.loads(line)["payload"]})
+                lines.append(line)
         if self._handle is not None:
             self._handle.close()
         atomic_write_text(self.path, "\n".join(lines) + "\n")
+        offset = len(lines[0]) + 1
+        for index, line in zip(order, lines[1:]):
+            self._lines[index] = (offset, len(line))
+            offset += len(line) + 1
+        self._size = offset
+        self._recovered.clear()
         self._events = []
         self._handle = open(self.path, "a", encoding="utf-8")
 

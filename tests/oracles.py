@@ -46,6 +46,9 @@ Further references the tests compare production against:
   split a building one ``scenario.reachable(user)`` call at a time.
 * :func:`score_directives_scalar` scores each fleet directive with one
   full scalar ``evaluate`` of the building per moved user.
+* :func:`replay_fleet_journal` rebuilds a resumed fleet service by
+  re-observing every building at every journaled epoch, in place of
+  restoring the state the last record holds.
 * :class:`SleepSchedule` skews trial durations so dispatch tests can
   force chunks to finish out of submission order.
 """
@@ -55,8 +58,8 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -69,7 +72,7 @@ from repro.core.phase2 import (Phase2Result, _BatchGains, _CellState,
 from repro.core.problem import (MIN_USABLE_RATE, UNASSIGNED, Scenario,
                                 fail_extenders)
 from repro.core.wolt import WoltResult, solve_wolt
-from repro.fleet.service import Directive, _servable
+from repro.fleet.service import Directive, FleetService, _servable
 from repro.fleet.sharding import Segment, split_segments
 from repro.net.engine import (DeltaEvaluator, _record, evaluate,
                               evaluate_batch)
@@ -876,6 +879,35 @@ def score_directives_scalar(scenario: Scenario, old: np.ndarray,
             delta_mbps=float(moved - running)))
         running = moved
     return baseline, running, tuple(directives)
+
+
+def replay_fleet_journal(service: FleetService,
+                         records: Mapping[int, Any]) -> None:
+    """Bring a fresh ``service`` to the state a journal's epochs left.
+
+    Telemetry is a pure function of ``(seed, building, epoch)``, so
+    replaying the journaled epochs through each health monitor (with
+    the journaled associations supplying the traffic masks) rebuilds
+    the pre-crash state; breaker and staleness state come from the
+    last record, which holds it after its epoch.  Reads only the
+    ``assignment`` and breaker fields, so it replays journals of any
+    format.
+    """
+    epochs = sorted(records)
+    assert epochs == list(range(len(epochs))), epochs
+    for epoch in epochs:
+        entries = records[epoch]["buildings"]
+        assert len(entries) == len(service._buildings)
+        for bstate, entry in zip(service._buildings, entries):
+            service._observe(bstate, epoch)
+            bstate.assignment = np.asarray(entry["assignment"], dtype=int)
+    for bstate, entry in zip(service._buildings,
+                             records[epochs[-1]]["buildings"]):
+        bstate.staleness = int(entry["staleness"])
+        bstate.fail_streak = int(entry["fail_streak"])
+        bstate.breaker_open = bool(entry["breaker_open"])
+        bstate.breaker_open_epochs = int(entry["breaker_open_epochs"])
+    service.epoch = len(epochs)
 
 
 # ---------------------------------------------------------------------------

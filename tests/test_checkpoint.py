@@ -10,6 +10,7 @@ is exercised in ``tests/test_runner_durable.py``.
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -255,3 +256,82 @@ class TestEventsAndSnapshot:
             store.append(1, {"v": 1})
         with TrialStore(path, DIGEST, resume=True) as store:
             assert store.completed == frozenset({0, 1})
+
+
+class TestLazyRecords:
+    def test_records_are_decoded_from_disk_on_access(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with TrialStore(path, DIGEST) as store:
+            store.append(0, {"v": [1.5]})
+            first = store.records[0]
+            first["v"].append(2.5)  # a decoded copy, not the store's
+            assert store.records[0] == {"v": [1.5]}
+            assert store.records.get(7) is None
+            assert 0 in store.records and 7 not in store.records
+            assert list(store.records) == [0]
+
+    def test_records_survive_a_snapshot(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with TrialStore(path, DIGEST) as store:
+            store.append(2, {"v": 2})
+            store.append_event("interrupted", signal="SIGINT")
+            store.append(0, {"v": 0})
+            store.snapshot()
+            assert dict(store.records) == {0: {"v": 0}, 2: {"v": 2}}
+            store.append(1, {"v": 1})
+            assert store.records[1] == {"v": 1}
+            assert store.records[2] == {"v": 2}
+
+    def test_snapshot_re_encodes_recovered_lines(self, tmp_path):
+        # A hand-edited journal: spaces, extra keys, a string index and
+        # a duplicate.  The snapshot writes what the parsed payloads
+        # encode to, first write winning.
+        path = tmp_path / "run.jsonl"
+        header = canonical_json({"kind": "header",
+                                 "version": STORE_VERSION,
+                                 "fingerprint": DIGEST})
+        path.write_text(header + "\n"
+                        '{"kind": "record", "index": "1", "note": 0, '
+                        '"payload": {"b": 2, "a": 1.0}}\n'
+                        '{"kind":"record","index":1,"payload":{"x":9}}\n'
+                        '{"kind":"record","index":0,"payload":[]}\n')
+        with TrialStore(path, DIGEST, resume=True) as store:
+            assert store.records[1] == {"a": 1.0, "b": 2}
+            store.snapshot()
+        assert path.read_text() == (
+            header + "\n"
+            '{"index":0,"kind":"record","payload":[]}\n'
+            '{"index":1,"kind":"record","payload":{"a":1.0,"b":2}}\n')
+
+    def test_record_without_payload_is_corrupt(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with TrialStore(path, DIGEST):
+            pass
+        with open(path, "a") as handle:
+            handle.write('{"kind":"record","index":0}\n')
+        with pytest.raises(CorruptCheckpoint, match="no payload"):
+            TrialStore(path, DIGEST, resume=True)
+
+    @staticmethod
+    def _retained_by_recovery(path: Path, payload_bytes: int) -> int:
+        with TrialStore(path, DIGEST) as store:
+            for index in range(40):
+                store.append(index, {"blob": "x" * payload_bytes,
+                                     "values": [0.5] * 8})
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            store = TrialStore(path, DIGEST, resume=True)
+            held = tracemalloc.get_traced_memory()[0] - base
+            store.close()
+        finally:
+            tracemalloc.stop()
+        assert len(store) == 40
+        return held
+
+    def test_recovered_store_does_not_hold_payloads(self, tmp_path):
+        small = self._retained_by_recovery(tmp_path / "small.jsonl", 10)
+        large = self._retained_by_recovery(tmp_path / "large.jsonl",
+                                           20_000)
+        # 40 records x 20 KB more on disk; the store keeps offsets only.
+        assert large - small < 4_000

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
-from repro.experiments import sweeps
+from repro.experiments import faults, sweeps
 from repro.experiments.sweeps import SweepResult
 
 
@@ -230,6 +231,26 @@ class TestSweepsCommand:
         assert main(["sweeps", "--checkpoint", str(journal),
                      "--resume"]) == 1
         assert capsys.readouterr().err.startswith("checkpoint error:")
+
+
+class TestResumeNeedsCheckpoint:
+    @pytest.mark.parametrize("argv", [
+        ["sim", "--trials", "1", "--extenders", "2", "--users", "2"],
+        ["faults", "--trials", "1"],
+        ["sweeps"],
+    ], ids=["sim", "faults", "sweeps"])
+    def test_resume_without_checkpoint_is_usage_error(
+            self, argv, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(faults, "main", must_not_run)
+        monkeypatch.setattr(sweeps, "main", must_not_run)
+        monkeypatch.setattr(cli, "_sim", must_not_run)
+        assert main(argv + ["--resume"]) == 2
+        captured = capsys.readouterr()
+        assert f"{argv[0]}: --resume requires --checkpoint" in captured.err
+        assert captured.out == ""
 
 
 class TestServeFlags:

@@ -4,8 +4,12 @@ sanitation, quarantine masking)."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.controller import CentralController, ScanReport
 from repro.core.guard import DecisionGuard
@@ -15,7 +19,7 @@ from repro.core.wolt import solve_wolt
 from repro.net.engine import evaluate
 from repro.sim.failures import settle_clients
 
-from .conftest import random_scenario
+from .conftest import max_examples, random_scenario
 
 
 class TestQuarantineTriggers:
@@ -145,6 +149,72 @@ class TestEffectiveRates:
             HealthMonitor(2).observe([1.0])
         with pytest.raises(ValueError):
             HealthMonitor(2).effective_rates([1.0, 2.0, 3.0])
+
+
+#: Capacity reports that exercise every branch of the state machine:
+#: probe failures, zeros, and values far enough apart to flap.
+_REPORTS = st.sampled_from([np.nan, np.inf, 0.0, -1.0, 5.0, 40.0, 41.0,
+                            120.0])
+
+
+class TestStateRoundTrip:
+    def _assert_same(self, got: HealthMonitor, want: HealthMonitor) -> None:
+        assert got.epoch == want.epoch
+        for name in ("_quarantined", "_flap_count", "_clean_streak",
+                     "_last_seen", "_last_good"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @given(n=st.integers(2, 4), data=st.data(),
+           flap_strikes=st.integers(1, 3), probation=st.integers(1, 3))
+    @settings(max_examples=max_examples(60), deadline=None)
+    def test_restored_monitor_continues_bit_identically(
+            self, n, data, flap_strikes, probation):
+        epochs = data.draw(st.lists(
+            st.tuples(st.lists(_REPORTS, min_size=n, max_size=n),
+                      st.lists(st.booleans(), min_size=n, max_size=n)),
+            min_size=1, max_size=10))
+        split = data.draw(st.integers(0, len(epochs)))
+
+        def fresh():
+            return HealthMonitor(n, flap_strikes=flap_strikes,
+                                 probation_epochs=probation)
+
+        straight, first = fresh(), fresh()
+        for rates, traffic in epochs[:split]:
+            straight.observe(rates, traffic)
+            first.observe(rates, traffic)
+        # Strict JSON: NaN must travel as null.
+        text = json.dumps(first.state(), allow_nan=False)
+        restored = fresh()
+        restored.restore(json.loads(text), first.quarantined_extenders())
+        self._assert_same(restored, straight)
+        for rates, traffic in epochs[split:]:
+            assert (restored.observe(rates, traffic).tobytes()
+                    == straight.observe(rates, traffic).tobytes())
+            assert (restored.effective_rates(rates).tobytes()
+                    == straight.effective_rates(rates).tobytes())
+        self._assert_same(restored, straight)
+        assert restored.events == straight.events[len(first.events):]
+
+    def test_nan_is_null(self):
+        hm = HealthMonitor(3)
+        hm.observe([np.nan, 10.0, 0.0], carrying_traffic=[False, False,
+                                                          True])
+        state = hm.state()
+        assert state == {"observations": 1, "flap_count": [0, 0, 0],
+                         "clean_streak": [0, 0, 0],
+                         "last_seen": [None, 10.0, 0.0],
+                         "last_good": [None, 10.0, None]}
+        restored = HealthMonitor(3)
+        restored.restore(state, hm.quarantined_extenders())
+        assert restored.quarantined_extenders() == (0, 2)
+        assert np.isnan(restored._last_good[[0, 2]]).all()
+
+    def test_restore_rejects_a_short_state(self):
+        state = HealthMonitor(2).state()
+        with pytest.raises(ValueError, match="every extender"):
+            HealthMonitor(3).restore(state, ())
 
 
 class TestControllerTelemetry:
