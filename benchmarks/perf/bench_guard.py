@@ -5,7 +5,7 @@ decision once, where it applies it: solve, then
 :meth:`~repro.core.guard.DecisionGuard.repair_assignment`.  That
 repair should be effectively free next to the solve (<5% over the
 solver alone).  This benchmark times ``solve_wolt`` and
-``greedy_assignment`` alone, and a fresh guard's repair of each one's
+``greedy_assignment`` alone, and the guard's repair of each one's
 output, on the pinned Fig. 6 workload; solve-then-repair costs the sum.
 It writes ``benchmarks/perf/BENCH_guard.json``:
 
@@ -60,8 +60,9 @@ def _alone_vs_repaired(scenario, solve) -> dict:
     """
     assignment = solve()
     alone_s = _best_of(solve)
-    repair_s = _best_of(lambda: DecisionGuard().repair_assignment(
-        scenario, assignment, source="bench"))
+    guard = DecisionGuard()
+    repair_s = _best_of(lambda: guard.repair_assignment(scenario,
+                                                        assignment))
     overhead = repair_s / alone_s
     return {
         "alone_s": alone_s,

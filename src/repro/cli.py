@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-trial wall-clock deadline; a hung trial "
                           "is reaped and recorded as a WorkFailure "
                           "(requires --workers)")
-    sim.add_argument("--max-retries", type=int, default=None,
+    sim.add_argument("--max-retries", type=_at_least(0), default=None,
                      help="retry budget for crashed trials before an "
                           "explicit WorkFailure is recorded")
 
@@ -174,7 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "is reaped and its users carry their "
                             "previous association forward; overrides "
                             "the spec's health.shard_timeout_s")
-    serve.add_argument("--retry-budget", type=int, default=None,
+    serve.add_argument("--retry-budget", type=_at_least(0),
+                       default=None,
                        help="retries per crashed shard solve before "
                             "an explicit failure (default: the spec's "
                             "health.retry_budget, itself 1)")
@@ -189,9 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="append each applied epoch to this "
                             "crash-consistent JSONL journal")
     serve.add_argument("--resume", action="store_true",
-                       help="replay the journal and continue from the "
-                            "next epoch, bit-identically (requires "
-                            "--journal)")
+                       help="restore every building from the "
+                            "journal's last record and continue from "
+                            "the next epoch, bit-identically "
+                            "(requires --journal)")
     serve.add_argument("--from", dest="from_stream", type=str,
                        default=None, metavar="STREAM",
                        help="serve from a recorded telemetry stream "
@@ -329,25 +331,6 @@ def _serve(args: argparse.Namespace) -> Tuple[str, int]:
     from .fleet.spec import load_fleet_spec
     from .sim.dispatch import InterruptState, SignalGuard
 
-    if args.resume and args.journal is None:
-        return "serve: --resume requires --journal", 2
-    if args.from_stream is None and args.strict:
-        return "serve: --strict requires --from", 2
-    if args.from_stream is None and args.dead_letter is not None:
-        return "serve: --dead-letter requires --from", 2
-    if args.from_stream is not None and args.chaos is not None:
-        return ("serve: --from and --chaos are incompatible (the "
-                "recorded stream already is the fault surface)", 2)
-    if args.timeout_s is not None and args.timeout_s <= 0:
-        return "serve: --timeout-s must be positive", 2
-    if args.timeout_s is not None and (args.workers is None
-                                       or args.workers < 1):
-        return ("serve: --timeout-s requires --workers (a hung "
-                "in-process solve cannot be reaped)", 2)
-    if args.retry_budget is not None and args.retry_budget < 0:
-        return "serve: --retry-budget must be >= 0", 2
-    if args.chaos is not None and not 0.0 <= args.chaos <= 1.0:
-        return "serve: --chaos level must be in [0, 1]", 2
     # The flags are edits of the spec: the service reads only the spec.
     spec = load_fleet_spec(args.spec)
     knobs = {name: value for name, value in (
@@ -430,6 +413,32 @@ def _serve(args: argparse.Namespace) -> Tuple[str, int]:
     return summary, 0
 
 
+def _usage_problem(args: argparse.Namespace) -> Optional[str]:
+    """The first flag combination ``args`` cannot run with, if any."""
+    options = vars(args)
+    if args.command == "serve":
+        if args.resume and args.journal is None:
+            return "--resume requires --journal"
+        if args.from_stream is None and args.strict:
+            return "--strict requires --from"
+        if args.from_stream is None and args.dead_letter is not None:
+            return "--dead-letter requires --from"
+        if args.from_stream is not None and args.chaos is not None:
+            return ("--from and --chaos are incompatible (the recorded "
+                    "stream already is the fault surface)")
+        if args.chaos is not None and not 0.0 <= args.chaos <= 1.0:
+            return "--chaos level must be in [0, 1]"
+    elif options.get("resume") and options.get("checkpoint") is None:
+        return "--resume requires --checkpoint"
+    if options.get("timeout_s") is not None:
+        if args.timeout_s <= 0:
+            return "--timeout-s must be positive"
+        if args.workers is None or args.workers < 1:
+            return ("--timeout-s requires --workers (a hung in-process "
+                    "solve cannot be reaped)")
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     from .fleet.ingest import IngestError
@@ -438,11 +447,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # ``serve`` resumes from --journal and checks it in _serve.
-        if ("checkpoint" in vars(args) and args.resume
-                and args.checkpoint is None):
-            parser.error(f"{args.command}: --resume requires "
-                         "--checkpoint")
+        problem = _usage_problem(args)
+        if problem is not None:
+            parser.error(f"{args.command}: {problem}")
     except SystemExit as exc:  # argparse: 2 on a usage error, 0 on --help
         return int(exc.code or 0)
     try:

@@ -5,7 +5,7 @@ from .baselines import (greedy_assignment, random_assignment,
 from .bnb import BnbResult, branch_and_bound_optimal
 from .controller import CentralController, Transport
 from .fairness import AlphaFairResult, alpha_fair_utility, solve_alpha_fair
-from .guard import DecisionGuard, GuardError, GuardReport, GuardViolation
+from .guard import DecisionGuard
 from .health import HealthEvent, HealthMonitor
 from .hungarian import InfeasibleAssignmentError, solve_assignment
 from .optimal import brute_force_optimal
@@ -28,6 +28,6 @@ __all__ = [
     "solve_alpha_fair", "alpha_fair_utility", "AlphaFairResult",
     "partition_to_scenario", "solve_partition_by_association",
     "branch_and_bound_optimal", "BnbResult",
-    "DecisionGuard", "GuardError", "GuardReport", "GuardViolation",
+    "DecisionGuard",
     "HealthMonitor", "HealthEvent",
 ]

@@ -93,6 +93,9 @@ class ControllerStats:
             association instead of being re-solved.
         sanitized_reports: scan reports containing non-finite or
             negative rates that the guard repaired at receipt.
+        quarantines: extenders the health monitor quarantined.
+        readmits: quarantined extenders it re-admitted after
+            probation.
     """
 
     reassignments: int = 0
@@ -102,6 +105,8 @@ class ControllerStats:
     failed_handoffs: int = 0
     stale_reports: int = 0
     sanitized_reports: int = 0
+    quarantines: int = 0
+    readmits: int = 0
 
 
 class Transport:
@@ -304,7 +309,11 @@ class CentralController:
             for j in self._assignment.values():
                 if j != UNASSIGNED:
                     carrying[j] = True
-            self.health.observe(arr, carrying)
+            for event in self.health.observe(arr, carrying):
+                if event.event == "quarantine":
+                    self.stats.quarantines += 1
+                elif event.event == "readmit":
+                    self.stats.readmits += 1
             self.plc_rates = self.health.effective_rates(arr)
             return
         if not np.all(np.isfinite(arr)) or np.any(arr < 0):
@@ -442,10 +451,9 @@ class CentralController:
                 raise ValueError(
                     f"user {user_id} reported non-finite rates")
             return rates
-        clean, report = self.guard.sanitize_rates(
-            rates, fallback=self._last_good_rates.get(user_id),
-            source="scan-report")
-        if not report.clean:
+        clean, n_replaced = self.guard.sanitize_rates(
+            rates, fallback=self._last_good_rates.get(user_id))
+        if n_replaced:
             self.stats.sanitized_reports += 1
         return clean
 

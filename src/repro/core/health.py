@@ -27,7 +27,8 @@ rate), so no user is ever *commanded* onto one.  The
 monitor never quarantines the last healthy extender — serving users on
 a suspect link beats serving nobody.
 
-Every transition is logged as a :class:`HealthEvent`, and
+:meth:`HealthMonitor.observe` returns each epoch's transitions as
+:class:`HealthEvent` records (the monitor keeps no log of them), and
 :meth:`HealthMonitor.effective_rates` supplies last-known-good
 capacities for solving while telemetry is garbage.
 
@@ -91,7 +92,6 @@ class HealthMonitor:
 
     Attributes:
         epoch: observations processed so far.
-        events: every state-machine transition, in order.
     """
 
     def __init__(self, n_extenders: int, flap_band: float = 0.5,
@@ -109,7 +109,6 @@ class HealthMonitor:
         self.flap_strikes = flap_strikes
         self.probation_epochs = probation_epochs
         self.epoch = 0
-        self.events: List[HealthEvent] = []
         self._quarantined = np.zeros(n_extenders, dtype=bool)
         self._flap_count = np.zeros(n_extenders, dtype=int)
         self._clean_streak = np.zeros(n_extenders, dtype=int)
@@ -160,8 +159,8 @@ class HealthMonitor:
 
         Covers everything :meth:`observe` reads except the quarantine
         mask, which callers already persist as
-        :meth:`quarantined_extenders`, and :attr:`events`, a log
-        nothing decides from.  ``observations`` is :attr:`epoch`.
+        :meth:`quarantined_extenders`.  ``observations`` is
+        :attr:`epoch`.
         """
         return {"observations": self.epoch,
                 "flap_count": self._flap_count.tolist(),
@@ -174,7 +173,7 @@ class HealthMonitor:
         """Load a :meth:`state` plus the quarantined extenders' indices.
 
         The restored monitor observes on bit-identically to the one the
-        state was taken from; :attr:`events` starts empty.
+        state was taken from.
 
         Raises:
             KeyError: a field is missing.
@@ -191,7 +190,6 @@ class HealthMonitor:
         mask = np.zeros(self.n_extenders, dtype=bool)
         mask[np.asarray(quarantined, dtype=int)] = True
         self.epoch = int(state["observations"])
-        self.events = []
         self._quarantined = mask
         self._flap_count = arrays["flap_count"]
         self._clean_streak = arrays["clean_streak"]
@@ -203,7 +201,7 @@ class HealthMonitor:
 
     def observe(self, plc_rates: Sequence[float],
                 carrying_traffic: Optional[Sequence[bool]] = None
-                ) -> np.ndarray:
+                ) -> Tuple[HealthEvent, ...]:
         """Fold in one epoch of capacity telemetry.
 
         Args:
@@ -215,7 +213,8 @@ class HealthMonitor:
                 extender demonstrably carries traffic.
 
         Returns:
-            The updated quarantine mask (a copy).
+            This epoch's transitions, in extender order (empty when
+            nothing changed state).
         """
         rates = np.asarray(plc_rates, dtype=float).ravel()
         if rates.shape[0] != self.n_extenders:
@@ -228,6 +227,7 @@ class HealthMonitor:
                 raise ValueError(
                     "carrying_traffic must cover every extender")
 
+        events: List[HealthEvent] = []
         for j in range(self.n_extenders):
             reason = self._suspect_reason(j, float(rates[j]),
                                           bool(traffic[j]))
@@ -238,7 +238,7 @@ class HealthMonitor:
                         self._quarantined[j] = False
                         self._clean_streak[j] = 0
                         self._flap_count[j] = 0
-                        self.events.append(HealthEvent(
+                        events.append(HealthEvent(
                             epoch=self.epoch, extender=j,
                             event="readmit",
                             reason="probation-complete"))
@@ -246,13 +246,13 @@ class HealthMonitor:
                     self._clean_streak[j] = 0
             elif reason is not None:
                 if np.count_nonzero(~self._quarantined) <= 1:
-                    self.events.append(HealthEvent(
+                    events.append(HealthEvent(
                         epoch=self.epoch, extender=j,
                         event="quarantine-skipped", reason=reason))
                 else:
                     self._quarantined[j] = True
                     self._clean_streak[j] = 0
-                    self.events.append(HealthEvent(
+                    events.append(HealthEvent(
                         epoch=self.epoch, extender=j,
                         event="quarantine", reason=reason))
             if np.isfinite(rates[j]):
@@ -267,7 +267,7 @@ class HealthMonitor:
                 if rates[j] >= 0 and reason is None:
                     self._last_good[j] = float(rates[j])
         self.epoch += 1
-        return self.quarantined
+        return tuple(events)
 
     def _suspect_reason(self, j: int, rate: float,
                         traffic: bool) -> Optional[str]:

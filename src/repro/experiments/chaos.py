@@ -41,7 +41,7 @@ breakers — with its own CI acceptance gate
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,12 +134,11 @@ def _episode(truth: Scenario, level: float, policy: str,
                            guard=DecisionGuard(), health=health,
                            report_ttl_epochs=2)
     aggregate, crashes = run_episode(cc, storm, plc_mode)
-    events = [e.event for e in health.events]
     return aggregate, {"crashes": crashes,
                        "sanitized_reports": cc.stats.sanitized_reports,
                        "stale_reports": cc.stats.stale_reports,
-                       "quarantines": events.count("quarantine"),
-                       "readmits": events.count("readmit")}
+                       "quarantines": cc.stats.quarantines,
+                       "readmits": cc.stats.readmits}
 
 
 def run_chaos_sweep(chaos_levels: Sequence[float] = DEFAULT_CHAOS_LEVELS,
@@ -221,21 +220,33 @@ def quarantine_recovery_check(seed: int = 0,
     cc = CentralController(truth.plc_rates, guard=DecisionGuard(),
                            health=health, report_ttl_epochs=4)
     drive_control_plane(cc, [(truth, truth.wifi_rates, None)])
+
+    def flip_epoch(plc_rates: np.ndarray) -> Optional[int]:
+        """Observe one epoch; its index if extender 0 changed state."""
+        before = health.is_quarantined(0)
+        cc.update_plc_telemetry(plc_rates)
+        if health.is_quarantined(0) == before:
+            return None
+        return health.epoch - 1
+
     bad = truth.plc_rates.copy()
     bad[0] = np.nan
-    cc.update_plc_telemetry(bad)  # -> quarantine
+    quarantine_epoch = flip_epoch(bad)
     last_bad_epoch = health.epoch - 1
+    readmit_epoch: Optional[int] = None
     for _ in range(probation_epochs + 1):
-        cc.update_plc_telemetry(truth.plc_rates)  # clean probation
+        flipped = flip_epoch(truth.plc_rates)  # clean probation
+        if flipped is not None:
+            readmit_epoch = flipped
         cc.reconfigure()
-    events = {e.event: e.epoch for e in health.events}
     return {
-        "quarantine_epoch": events.get("quarantine"),
-        "readmit_epoch": events.get("readmit"),
+        "quarantine_epoch": quarantine_epoch,
+        "readmit_epoch": readmit_epoch,
         "last_bad_epoch": last_bad_epoch,
         "readmitted": not health.is_quarantined(0),
-        "within_probation": (events.get("readmit", np.inf)
-                             - last_bad_epoch <= probation_epochs + 1),
+        "within_probation": (
+            (np.inf if readmit_epoch is None else readmit_epoch)
+            - last_bad_epoch <= probation_epochs + 1),
     }
 
 

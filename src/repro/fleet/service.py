@@ -329,7 +329,6 @@ class _BuildingState:
             flap_band=spec.health.flap_band,
             flap_strikes=spec.health.flap_strikes,
             probation_epochs=spec.health.probation_epochs)
-        self.guard = DecisionGuard()
         self.assignment = np.full(building.n_users, UNASSIGNED,
                                   dtype=int)
         # The last telemetry actually received — what the service
@@ -415,6 +414,7 @@ class FleetService:
         self.spec = spec
         self.workers = workers
         self.chunk_size = chunk_size
+        self.guard = DecisionGuard()
         chaos = spec.chaos
         if (chaos is not None and chaos.hang_prob > 0
                 and workers is not None and workers > 1
@@ -770,8 +770,7 @@ class FleetService:
         Scoring is :func:`score_directives`: one baseline ``evaluate``
         per building, then one ``DeltaEvaluator`` commit per move.
         """
-        new, _ = bstate.guard.repair_assignment(scenario, new,
-                                                source="fleet")
+        new = self.guard.repair_assignment(scenario, new)
         baseline, aggregate, directives = score_directives(
             scenario, bstate.assignment, new, self.spec.plc_mode,
             bstate.name)

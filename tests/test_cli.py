@@ -253,6 +253,29 @@ class TestResumeNeedsCheckpoint:
         assert captured.out == ""
 
 
+class TestSimUsageErrors:
+    """Flag values ``wolt sim`` cannot run with exit 2 at parse time,
+    as the same mistakes do for ``wolt serve``."""
+
+    SIM = ["sim", "--trials", "1", "--extenders", "2", "--users", "2"]
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--max-retries", "-1"], "--max-retries: must be >= 0"),
+        (["--timeout-s", "0", "--workers", "1"],
+         "--timeout-s must be positive"),
+        (["--timeout-s", "5"], "--timeout-s requires --workers"),
+    ], ids=["negative-retries", "zero-timeout", "timeout-no-workers"])
+    def test_usage_error(self, flags, message, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "_sim", must_not_run)
+        assert main(self.SIM + flags) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+
 class TestServeFlags:
     def test_serve_chaos_flags_parse(self):
         args = build_parser().parse_args(

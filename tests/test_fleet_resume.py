@@ -8,10 +8,6 @@ epoch, over random specs, chaos levels and synthetic or recorded
 streams with rejected records, the restored state equals the replayed
 one bit for bit, and the continuation prints and journals what a run
 that never crashed does.
-
-``HealthMonitor.events`` is left out of the comparison: only the
-controller path (``experiments/chaos``) reads it, and the restored
-monitor starts it empty.
 """
 
 from __future__ import annotations

@@ -3,14 +3,16 @@
 The contracts under test (docs/ROBUSTNESS.md, "Self-healing control
 loop"):
 
-* repair is a **no-op** on violation-free assignments (bit-identical),
-  so repairing a solver's or baseline's decision on a clean seed
-  scenario returns that decision unchanged;
+* repair is a **no-op** on violation-free assignments (an equal
+  copy), so repairing a solver's or baseline's decision on a clean
+  seed scenario returns that decision unchanged;
 * repair is **idempotent** — repairing a repaired assignment changes
   nothing;
 * repair output is **never invalid** — every surviving directive
   targets a reachable, within-capacity extender; a dropped or evicted
-  user is left UNASSIGNED, never moved;
+  user is left UNASSIGNED, never moved, and a user who violated
+  nothing keeps their extender (a Hypothesis property over random
+  scenarios and corrupted assignments);
 * solvers and baselines trust their scenario and raise on a user that
   hears no extender; the boundary pattern (solve the hearing subset,
   scatter it back, repair once) leaves exactly that user UNASSIGNED.
@@ -18,20 +20,24 @@ loop"):
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.baselines import (greedy_assignment, random_assignment,
                                   rssi_assignment,
                                   selfish_greedy_assignment)
 from repro.core.bnb import branch_and_bound_optimal
-from repro.core.guard import DecisionGuard, GuardError
+from repro.core.guard import DecisionGuard
 from repro.core.phase1 import solve_phase1
 from repro.core.problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
 from repro.core.wolt import solve_wolt
 from repro.net.engine import evaluate
 
-from .conftest import random_scenario
+from .conftest import max_examples, random_scenario
 
 
 def corrupt(assignment: np.ndarray, rng: np.random.Generator,
@@ -63,24 +69,21 @@ class TestRepairAssignment:
     def test_noop_on_clean(self, rng):
         sc = random_scenario(rng, 12, 4)
         clean = rssi_assignment(sc)
-        guard = DecisionGuard()
-        repaired, report = guard.repair_assignment(sc, clean)
+        before = clean.copy()
+        repaired = DecisionGuard().repair_assignment(sc, clean)
         assert np.array_equal(repaired, clean)
-        assert report.clean
-        assert report.repaired_users == ()
+        assert repaired is not clean
+        assert np.array_equal(clean, before)
 
     def test_drops_out_of_range_directives(self, rng):
         sc = random_scenario(rng, 12, 4)
         bad = corrupt(rssi_assignment(sc), rng, sc.n_extenders)
-        guard = DecisionGuard()
-        repaired, report = guard.repair_assignment(sc, bad)
-        assert not report.clean
-        assert report.codes() == ("out-of-range-extender",)
+        repaired = DecisionGuard().repair_assignment(sc, bad)
         assert_valid(sc, repaired)
         # Broken directives are dropped, never redirected.
         changed = np.flatnonzero(repaired != bad)
+        assert changed.size > 0
         assert np.all(repaired[changed] == UNASSIGNED)
-        assert set(changed) == set(report.repaired_users)
         assert np.array_equal(repaired == UNASSIGNED,
                               (bad == UNASSIGNED) | (bad < 0)
                               | (bad >= sc.n_extenders))
@@ -97,10 +100,9 @@ class TestRepairAssignment:
             pytest.skip("every user hears every extender")
         dead_j = int(np.argmin(sc.wifi_rates[user]))
         bad[user] = dead_j
-        repaired, report = guard.repair_assignment(sc, bad)
-        assert report.codes() == ("unreachable-extender",)
+        repaired = guard.repair_assignment(sc, bad)
         assert repaired[user] == UNASSIGNED
-        assert report.repaired_users == (user,)
+        assert np.flatnonzero(repaired != bad).tolist() == [user]
         assert_valid(sc, repaired)
 
     def test_over_capacity_evicts_weakest(self, rng):
@@ -109,9 +111,7 @@ class TestRepairAssignment:
         sc = Scenario(wifi_rates=sc.wifi_rates, plc_rates=sc.plc_rates,
                       capacities=caps)
         bad = np.zeros(6, dtype=int)  # everyone piled on extender 0
-        guard = DecisionGuard()
-        repaired, report = guard.repair_assignment(sc, bad)
-        assert "over-capacity" in report.codes()
+        repaired = DecisionGuard().repair_assignment(sc, bad)
         survivor = np.flatnonzero(repaired == 0)
         assert survivor.size == 1
         # The strongest link keeps its place.
@@ -124,12 +124,11 @@ class TestRepairAssignment:
         sc = random_scenario(rng, 6, 3, reachable_prob=1.0)
         sc = Scenario(wifi_rates=sc.wifi_rates, plc_rates=sc.plc_rates,
                       capacities=np.array([2, 6, 6]))
-        repaired, report = DecisionGuard().repair_assignment(
+        repaired = DecisionGuard().repair_assignment(
             sc, np.zeros(6, dtype=int))
-        evicted = report.violations[0].users
+        evicted = np.flatnonzero(repaired != 0)
         assert len(evicted) == 4
-        assert report.repaired_users == evicted
-        assert np.all(repaired[list(evicted)] == UNASSIGNED)
+        assert np.all(repaired[evicted] == UNASSIGNED)
         assert np.count_nonzero(repaired == 0) == 2
 
     def test_repair_idempotent(self, rng):
@@ -138,95 +137,147 @@ class TestRepairAssignment:
                                  capacities=bool(trial % 2))
             bad = corrupt(rssi_assignment(sc), rng, sc.n_extenders)
             guard = DecisionGuard()
-            once, _ = guard.repair_assignment(sc, bad)
-            twice, second = guard.repair_assignment(sc, once)
+            once = guard.repair_assignment(sc, bad)
+            twice = guard.repair_assignment(sc, once)
             assert np.array_equal(once, twice)
-            assert second.repaired_users == ()
             assert_valid(sc, once)
 
     def test_detached_users_are_not_a_violation(self, rng):
         sc = random_scenario(rng, 5, 2)
         partial = np.full(5, UNASSIGNED, dtype=int)
-        guard = DecisionGuard()
-        repaired, report = guard.repair_assignment(sc, partial)
+        repaired = DecisionGuard().repair_assignment(sc, partial)
         assert np.array_equal(repaired, partial)
-        assert report.clean
 
     def test_wrong_length_raises(self, rng):
         sc = random_scenario(rng, 5, 2)
-        with pytest.raises(GuardError):
+        with pytest.raises(ValueError):
             DecisionGuard().repair_assignment(sc, [0, 0, 0])
-
-    def test_counters_accumulate(self, rng):
-        sc = random_scenario(rng, 8, 3)
-        guard = DecisionGuard()
-        guard.repair_assignment(sc, rssi_assignment(sc))
-        bad = corrupt(rssi_assignment(sc), rng, sc.n_extenders)
-        guard.repair_assignment(sc, bad)
-        assert guard.checks == 2
-        assert guard.violation_count > 0
-        assert guard.repairs > 0
 
     def test_takes_no_options(self):
         with pytest.raises(TypeError):
             DecisionGuard(strict=True)  # type: ignore[call-arg]
 
     def test_retains_no_history(self, rng):
-        """An online loop repairs every epoch: the guard keeps counters,
-        never a per-call record that grows with the epoch count."""
+        """An online loop repairs every epoch: the guard keeps no
+        state at all, so nothing grows with the epoch count."""
         sc = random_scenario(rng, 8, 3)
         guard = DecisionGuard()
-        guard.repair_assignment(sc, rssi_assignment(sc))
-        state = dict(vars(guard))
         for _ in range(50):
             guard.repair_assignment(
                 sc, corrupt(rssi_assignment(sc), rng, sc.n_extenders))
-        assert vars(guard).keys() == state.keys()
-        assert all(isinstance(v, int) for v in vars(guard).values())
-        assert guard.checks == 51
+            guard.sanitize_rates([np.nan, 1.0, -2.0])
+        assert vars(guard) == {}
 
 
 class TestSanitizeRates:
     def test_clean_rates_pass_through(self):
         guard = DecisionGuard()
         rates = np.array([10.0, 0.0, 33.5])
-        clean, report = guard.sanitize_rates(rates)
+        clean, n_replaced = guard.sanitize_rates(rates)
         assert np.array_equal(clean, rates)
-        assert report.clean
+        assert clean is not rates
+        assert n_replaced == 0
 
     def test_nonfinite_replaced_with_fallback(self):
         guard = DecisionGuard()
         rates = np.array([np.nan, 20.0, np.inf, -5.0])
         fallback = np.array([11.0, 99.0, np.nan, 4.0])
-        clean, report = guard.sanitize_rates(rates, fallback=fallback)
+        clean, n_replaced = guard.sanitize_rates(rates, fallback=fallback)
         # nan -> fallback; inf -> non-finite fallback -> 0; -5 -> 0.
         assert clean.tolist() == [11.0, 20.0, 0.0, 0.0]
-        assert report.sanitized_entries == 3
-        assert "nonfinite-telemetry" in report.codes()
-        assert guard.sanitized_entries == 3
+        assert n_replaced == 3
+        assert np.isnan(rates[0])  # the input is not mutated
 
     def test_nonfinite_without_fallback_zeroed(self):
-        clean, _ = DecisionGuard().sanitize_rates([np.nan, 7.0])
+        clean, n_replaced = DecisionGuard().sanitize_rates([np.nan, 7.0])
         assert clean.tolist() == [0.0, 7.0]
+        assert n_replaced == 1
 
     def test_fallback_shape_mismatch(self):
-        with pytest.raises(GuardError):
+        with pytest.raises(ValueError):
             DecisionGuard().sanitize_rates([np.nan],
                                            fallback=np.ones(3))
 
 
+#: WiFi rates drawn from a few values, so ties between users (the
+#: eviction tie-break) and unreachable links (0) are common.
+_WIFI = st.sampled_from([0.0, 6.5, 24.0, 54.0])
+
+
+@st.composite
+def repair_cases(draw) -> Tuple[Scenario, np.ndarray]:
+    """A random scenario, with or without capacities, and a corrupted
+    assignment: UNASSIGNED, negative garbage, out-of-range, unreachable
+    and valid directives mixed."""
+    n_users = draw(st.integers(1, 9))
+    n_extenders = draw(st.integers(1, 4))
+    wifi = draw(st.lists(
+        st.lists(_WIFI, min_size=n_extenders, max_size=n_extenders),
+        min_size=n_users, max_size=n_users))
+    caps = draw(st.none() | st.lists(
+        st.integers(0, n_users), min_size=n_extenders,
+        max_size=n_extenders))
+    sc = Scenario(wifi_rates=np.array(wifi),
+                  plc_rates=np.full(n_extenders, 50.0), capacities=caps)
+    assignment = draw(st.lists(st.integers(-3, n_extenders + 1),
+                               min_size=n_users, max_size=n_users))
+    return sc, np.array(assignment, dtype=int)
+
+
+class TestRepairProperties:
+    @given(case=repair_cases())
+    @settings(max_examples=max_examples(200), deadline=None)
+    def test_repair_contract(self, case):
+        sc, bad = case
+        before = bad.copy()
+        out = DecisionGuard().repair_assignment(sc, bad)
+        assert np.array_equal(bad, before)  # the input is not mutated
+
+        # Every attached user is in range, reachable, within capacity.
+        assert_valid(sc, out)
+
+        # Users are only ever detached, never moved.
+        changed = out != bad
+        assert np.all(out[changed] == UNASSIGNED)
+
+        # A user who violated nothing keeps their extender: the only
+        # change to an in-range, reachable directive is an eviction
+        # from an extender that was over capacity.
+        in_range = (bad >= 0) & (bad < sc.n_extenders)
+        usable = np.zeros(sc.n_users, dtype=bool)
+        users = np.flatnonzero(in_range)
+        usable[users] = sc.wifi_rates[users, bad[users]] > MIN_USABLE_RATE
+        assert np.all(out[~usable & (bad != UNASSIGNED)] == UNASSIGNED)
+        for j in range(sc.n_extenders):
+            members = np.flatnonzero(usable & (bad == j))
+            cap = (members.size if sc.capacities is None
+                   else int(sc.capacities[j]))
+            kept = [int(u) for u in members if out[u] == j]
+            evicted = [int(u) for u in members if out[u] != j]
+            assert len(kept) == min(cap, members.size)
+            # Evictions take the weakest members; ties go to the
+            # higher index.
+            rates = sc.wifi_rates[:, j]
+            for k in kept:
+                for e in evicted:
+                    assert (rates[k], -k) > (rates[e], -e)
+
+        # Idempotent, and an equal copy on clean input.
+        again = DecisionGuard().repair_assignment(sc, out)
+        assert np.array_equal(again, out)
+        assert again is not out
+
+
 class TestCleanInputBitIdentity:
     """The boundary repair on clean seed scenarios: every solver's and
-    baseline's decision comes back byte for byte, with no violation."""
+    baseline's decision comes back byte for byte."""
 
     @staticmethod
     def _assert_repair_is_identity(sc, assignment):
-        guard = DecisionGuard()
-        repaired, report = guard.repair_assignment(sc, assignment)
-        assert np.array_equal(repaired, assignment)
-        assert report.clean
-        assert guard.violation_count == 0
-        assert guard.repairs == 0
+        repaired = DecisionGuard().repair_assignment(sc, assignment)
+        expected = np.asarray(assignment)
+        assert repaired.dtype == expected.dtype
+        assert repaired.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n_users,n_extenders", [(6, 2), (12, 4),
                                                      (24, 8)])
@@ -284,7 +335,7 @@ class TestGuardedSolversOnDirtyInputs:
     def test_solve_wolt_drops_deaf_user(self, rng):
         sc = _deaf_user_scenario(rng)
         target = _boundary_solve(sc, lambda s: solve_wolt(s).assignment)
-        repaired, _ = DecisionGuard().repair_assignment(sc, target)
+        repaired = DecisionGuard().repair_assignment(sc, target)
         assert repaired[2] == UNASSIGNED
         assert_valid(sc, repaired)
         # The deaf user carries no traffic: the scattered decision
@@ -301,10 +352,9 @@ class TestGuardedSolversOnDirtyInputs:
                    selfish_greedy_assignment, random_assignment):
             with pytest.raises(ValueError):
                 fn(sc)
-            guard = DecisionGuard()
-            out, report = guard.repair_assignment(
-                sc, _boundary_solve(sc, fn))
-            assert report.clean
+            target = _boundary_solve(sc, fn)
+            out = DecisionGuard().repair_assignment(sc, target)
+            assert np.array_equal(out, target)
             assert out[2] == UNASSIGNED
             assert np.count_nonzero(out == UNASSIGNED) == 1
             assert_valid(sc, out)
@@ -315,8 +365,8 @@ class TestGuardedSolversOnDirtyInputs:
             branch_and_bound_optimal(sc)
         exact = _boundary_solve(
             sc, lambda s: branch_and_bound_optimal(s).assignment)
-        repaired, report = DecisionGuard().repair_assignment(sc, exact)
-        assert report.clean
+        repaired = DecisionGuard().repair_assignment(sc, exact)
+        assert np.array_equal(repaired, exact)
         assert repaired[2] == UNASSIGNED
         assert_valid(sc, repaired)
         # The subset optimum must dominate any heuristic on the
@@ -344,9 +394,7 @@ class TestBoundaryPattern:
                       greedy_assignment,
                       lambda s: branch_and_bound_optimal(s).assignment):
             target = _boundary_solve(sc, solve)
-            guard = DecisionGuard()
-            repaired, report = guard.repair_assignment(sc, target)
+            repaired = DecisionGuard().repair_assignment(sc, target)
             assert np.array_equal(repaired, target)
-            assert report.clean
             assert repaired[2] == UNASSIGNED
             assert_valid(sc, repaired)

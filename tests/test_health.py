@@ -5,6 +5,7 @@ sanitation, quarantine masking)."""
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.core.controller import CentralController, ScanReport
 from repro.core.guard import DecisionGuard
-from repro.core.health import HealthMonitor
+from repro.core.health import HealthEvent, HealthMonitor
 from repro.core.problem import Scenario, fail_extenders
 from repro.core.wolt import solve_wolt
 from repro.net.engine import evaluate
@@ -25,28 +26,31 @@ from .conftest import max_examples, random_scenario
 class TestQuarantineTriggers:
     def test_nonfinite_capacity_quarantines(self):
         hm = HealthMonitor(3)
-        mask = hm.observe([100.0, np.nan, 100.0])
-        assert mask.tolist() == [False, True, False]
-        assert hm.events[-1].reason == "nonfinite-capacity"
+        events = hm.observe([100.0, np.nan, 100.0])
+        assert hm.quarantined.tolist() == [False, True, False]
+        assert events == (HealthEvent(epoch=0, extender=1,
+                                      event="quarantine",
+                                      reason="nonfinite-capacity"),)
         assert hm.quarantined_extenders() == (1,)
 
     def test_zero_capacity_only_suspect_under_traffic(self):
         hm = HealthMonitor(2)
         # Zero with no traffic: an idle link, not a sick one.
-        assert not hm.observe([0.0, 50.0],
-                              carrying_traffic=[False, False]).any()
         assert hm.observe([0.0, 50.0],
-                          carrying_traffic=[True, False])[0]
-        assert hm.events[-1].reason == "zero-capacity-under-traffic"
+                          carrying_traffic=[False, False]) == ()
+        assert not hm.quarantined.any()
+        events = hm.observe([0.0, 50.0], carrying_traffic=[True, False])
+        assert hm.is_quarantined(0)
+        assert events[-1].reason == "zero-capacity-under-traffic"
 
     def test_flapping_needs_consecutive_strikes(self):
         hm = HealthMonitor(2, flap_band=0.5, flap_strikes=2)
         hm.observe([100.0, 100.0])
         hm.observe([10.0, 100.0])   # strike 1 for extender 0
         assert not hm.is_quarantined(0)
-        hm.observe([100.0, 100.0])  # strike 2 -> quarantine
+        events = hm.observe([100.0, 100.0])  # strike 2 -> quarantine
         assert hm.is_quarantined(0)
-        assert hm.events[-1].reason == "capacity-flapping"
+        assert events[-1].reason == "capacity-flapping"
         assert not hm.is_quarantined(1)
 
     def test_single_swing_is_not_flapping(self):
@@ -61,9 +65,11 @@ class TestQuarantineTriggers:
         hm = HealthMonitor(2)
         hm.observe([np.nan, 100.0])
         assert hm.quarantined_extenders() == (0,)
-        hm.observe([np.nan, np.nan])
+        events = hm.observe([np.nan, np.nan])
         assert hm.quarantined_extenders() == (0,)
-        assert hm.events[-1].event == "quarantine-skipped"
+        assert events == (HealthEvent(epoch=1, extender=1,
+                                      event="quarantine-skipped",
+                                      reason="nonfinite-capacity"),)
 
 
 class TestProbation:
@@ -72,9 +78,11 @@ class TestProbation:
         hm.observe([np.nan, 100.0])
         hm.observe([80.0, 100.0])
         assert hm.is_quarantined(0)  # one clean epoch is not enough
-        hm.observe([80.0, 100.0])
+        events = hm.observe([80.0, 100.0])
         assert not hm.is_quarantined(0)
-        assert hm.events[-1].event == "readmit"
+        assert events == (HealthEvent(epoch=2, extender=0,
+                                      event="readmit",
+                                      reason="probation-complete"),)
 
     def test_suspect_epoch_resets_probation(self):
         hm = HealthMonitor(2, probation_epochs=2)
@@ -85,6 +93,35 @@ class TestProbation:
         assert hm.is_quarantined(0)  # streak restarted
         hm.observe([80.0, 100.0])
         assert not hm.is_quarantined(0)
+
+
+class TestBoundedMemory:
+    def test_flapping_for_1000_epochs_retains_nothing(self):
+        """A long-lived service observes every epoch: the monitor keeps
+        no per-transition log, so a link flapping in and out of
+        quarantine for 1000 epochs leaves it no bigger than 10 did."""
+        hm = HealthMonitor(2, probation_epochs=1)
+        flapping = ([np.nan, 100.0], [100.0, 100.0])
+
+        def drive(epochs: int) -> None:
+            for epoch in range(epochs):
+                hm.observe(flapping[epoch % 2])
+                assert hm.is_quarantined(0) == (epoch % 2 == 0)
+
+        drive(2)  # first-use allocations
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            drive(10)
+            after_10 = tracemalloc.get_traced_memory()[0] - base
+            drive(990)
+            after_1000 = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        # The slack covers the epoch counter outgrowing Python's
+        # small-int cache; a log of 990 transitions held ~140 KB.
+        assert after_1000 <= max(after_10, 0) + 256, (after_10,
+                                                        after_1000)
 
 
 class TestEffectiveRates:
@@ -111,9 +148,9 @@ class TestEffectiveRates:
         hm.observe([80.0, 60.0, 40.0])
         # The damning epoch: extender 0 reads zero while carrying
         # traffic — quarantined, and the reading must be distrusted.
-        mask = hm.observe([0.0, 60.0, 40.0],
-                          carrying_traffic=[True, False, False])
-        assert mask.tolist() == [True, False, False]
+        hm.observe([0.0, 60.0, 40.0],
+                   carrying_traffic=[True, False, False])
+        assert hm.quarantined.tolist() == [True, False, False]
         rates = hm.effective_rates([np.nan, 60.0, 40.0])
         assert rates.tolist() == [80.0, 60.0, 40.0]
 
@@ -122,9 +159,9 @@ class TestEffectiveRates:
         hm = HealthMonitor(2, flap_band=0.5, flap_strikes=2)
         hm.observe([100.0, 50.0])
         hm.observe([10.0, 50.0])   # strike 1: a single swing is clean
-        hm.observe([100.0, 50.0])  # strike 2: quarantined as flapping
+        events = hm.observe([100.0, 50.0])  # strike 2: flapping
         assert hm.is_quarantined(0)
-        assert hm.events[-1].reason == "capacity-flapping"
+        assert events[-1].reason == "capacity-flapping"
         # The strike-2 reading (judged flapping) must not displace the
         # last clean observation — the strike-1 epoch's 10.0, which the
         # state machine itself deemed a legitimate capacity change.
@@ -190,12 +227,13 @@ class TestStateRoundTrip:
         restored.restore(json.loads(text), first.quarantined_extenders())
         self._assert_same(restored, straight)
         for rates, traffic in epochs[split:]:
-            assert (restored.observe(rates, traffic).tobytes()
-                    == straight.observe(rates, traffic).tobytes())
+            assert (restored.observe(rates, traffic)
+                    == straight.observe(rates, traffic))
+            assert (restored.quarantined.tobytes()
+                    == straight.quarantined.tobytes())
             assert (restored.effective_rates(rates).tobytes()
                     == straight.effective_rates(rates).tobytes())
         self._assert_same(restored, straight)
-        assert restored.events == straight.events[len(first.events):]
 
     def test_nan_is_null(self):
         hm = HealthMonitor(3)
@@ -234,6 +272,16 @@ class TestControllerTelemetry:
         # NaN falls back to last known good; extender quarantined.
         assert cc.plc_rates.tolist() == [40.0, 70.0]
         assert cc.health.is_quarantined(0)
+
+    def test_transitions_are_counted(self):
+        health = HealthMonitor(2, probation_epochs=2)
+        cc = CentralController([50.0, 60.0], health=health)
+        cc.update_plc_telemetry([np.nan, 60.0])   # quarantine
+        cc.update_plc_telemetry([np.nan, np.nan])  # skipped: last one
+        assert (cc.stats.quarantines, cc.stats.readmits) == (1, 0)
+        cc.update_plc_telemetry([50.0, 60.0])
+        cc.update_plc_telemetry([50.0, 60.0])     # probation complete
+        assert (cc.stats.quarantines, cc.stats.readmits) == (1, 1)
 
     def test_health_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
