@@ -14,7 +14,7 @@ from repro.net.engine import evaluate
 from repro.core.baselines import rssi_assignment
 from repro.core.wolt import solve_wolt
 from repro.sim.failures import FailureSimulation
-from repro.sim.runner import sample_floor_plan
+from repro.net.topology import sample_floor_plan
 from repro.sim.workload import hotspot_positions
 
 from .conftest import emit

@@ -18,7 +18,7 @@ from repro import (CentralController, MobilitySimulation, enterprise_floor,
 from repro.core.controller import ScanReport
 from repro.plc.noise import NoiseProcess, TimeVaryingPlc
 from repro.core.problem import Scenario
-from repro.sim.runner import sample_floor_plan
+from repro.net.topology import sample_floor_plan
 
 
 def study_alpha_fairness(seed: int = 2) -> None:

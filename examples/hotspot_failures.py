@@ -18,7 +18,7 @@ from repro import (FloorPlan, build_scenario, evaluate, rssi_assignment,
                    solve_wolt)
 from repro.net.visualize import render_floor
 from repro.sim.failures import FailureSimulation
-from repro.sim.runner import sample_floor_plan
+from repro.net.topology import sample_floor_plan
 from repro.sim.workload import hotspot_positions
 
 

@@ -13,7 +13,7 @@ Run:  python examples/online_dynamics.py
 import numpy as np
 
 from repro import OnlineSimulation
-from repro.sim.runner import sample_floor_plan
+from repro.net.topology import sample_floor_plan
 
 
 def main(seed: int = 11, n_epochs: int = 4) -> None:

@@ -43,6 +43,7 @@ import numpy as np
 
 from .experiments import (chaos, faults, fig2, fig3, fig4, fig5, fig6,
                           robustness, sweeps)
+from .sim.runner import check_policies
 
 __all__ = ["main", "build_parser"]
 
@@ -63,6 +64,18 @@ def _at_least(minimum: int) -> Callable[[str], int]:
                 f"must be >= {minimum}, got {value}")
         return value
     return count
+
+
+def _policy_list(text: str) -> Tuple[str, ...]:
+    """An argparse ``type=`` for ``--policies``: known names, each once."""
+    policies = tuple(p.strip() for p in text.split(",") if p.strip())
+    if not policies:
+        raise argparse.ArgumentTypeError("name at least one policy")
+    try:
+        check_policies(policies)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return policies
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Monte-Carlo trials (default 100)")
     sim.add_argument("--extenders", type=_at_least(1), default=15)
     sim.add_argument("--users", type=_at_least(0), default=36)
-    sim.add_argument("--policies", type=str, default="wolt,greedy,rssi",
+    sim.add_argument("--policies", type=_policy_list,
+                     default="wolt,greedy,rssi",
                      help="comma-separated policy list "
                           "(default wolt,greedy,rssi)")
     sim.add_argument("--seed", type=int, default=0,
@@ -224,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("--epochs", type=_at_least(1), default=1,
                         help="epochs of telemetry to record "
                              "(default 1)")
-    record.add_argument("--start-epoch", type=int, default=0,
+    record.add_argument("--start-epoch", type=_at_least(0), default=0,
                         help="first epoch of the recorded window "
                              "(default 0)")
     record.add_argument("--out", type=str, required=True,
@@ -243,26 +257,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _solve(args: argparse.Namespace) -> str:
-    from .core.baselines import greedy_assignment, rssi_assignment
-    from .core.wolt import solve_wolt
-    from .net.engine import evaluate
     from .net.topology import enterprise_floor
+    from .sim.runner import COMPARED_POLICIES, run_policy
 
     rng = np.random.default_rng(args.seed)
     scenario = enterprise_floor(args.extenders, args.users, rng)
-    wolt = solve_wolt(scenario, plc_mode=args.plc_mode)
-    greedy = evaluate(scenario,
-                      greedy_assignment(scenario,
-                                        rng.permutation(args.users)),
-                      plc_mode=args.plc_mode)
-    rssi = evaluate(scenario, rssi_assignment(scenario),
-                    plc_mode=args.plc_mode)
+    wolt, greedy, rssi = (run_policy(scenario, policy, rng, args.plc_mode)
+                          for policy in COMPARED_POLICIES)
     lines = [
         f"scenario: {args.extenders} extenders, {args.users} users, "
         f"seed {args.seed}, plc_mode={args.plc_mode}",
         f"WOLT   aggregate: {wolt.aggregate_throughput:8.2f} Mbps",
-        f"Greedy aggregate: {greedy.aggregate:8.2f} Mbps",
-        f"RSSI   aggregate: {rssi.aggregate:8.2f} Mbps",
+        f"Greedy aggregate: {greedy.aggregate_throughput:8.2f} Mbps",
+        f"RSSI   aggregate: {rssi.aggregate_throughput:8.2f} Mbps",
         f"WOLT assignment: {wolt.assignment.tolist()}",
     ]
     return "\n".join(lines)
@@ -273,10 +280,8 @@ def _sim(args: argparse.Namespace) -> Tuple[str, int]:
     from .sim.dispatch import WorkFailure
     from .sim.runner import run_trials
 
-    policies = tuple(p.strip() for p in args.policies.split(",")
-                     if p.strip())
     result = run_trials(args.trials, args.extenders, args.users,
-                        policies=policies, seed=args.seed,
+                        policies=args.policies, seed=args.seed,
                         plc_mode=args.plc_mode, workers=args.workers,
                         chunk_size=args.chunk_size,
                         max_retries=args.max_retries,
@@ -289,7 +294,7 @@ def _sim(args: argparse.Namespace) -> Tuple[str, int]:
              f"trials: {len(result)}/{args.trials} finished "
              f"({result.resumed} resumed from checkpoint, "
              f"{len(failures)} failed)"]
-    for policy in policies:
+    for policy in args.policies:
         values = [t.aggregate(policy) for t in completed]
         mean = float(np.mean(values)) if values else float("nan")
         lines.append(f"{policy:>8s} mean aggregate: {mean:8.2f} Mbps "
@@ -313,8 +318,6 @@ def _record(args: argparse.Namespace) -> Tuple[str, int]:
     from .fleet.ingest import write_stream
     from .fleet.spec import load_fleet_spec
 
-    if args.start_epoch < 0:
-        return "record: --start-epoch must be >= 0", 2
     spec = load_fleet_spec(args.spec)
     n_records = write_stream(args.out, spec, args.epochs,
                              start_epoch=args.start_epoch)

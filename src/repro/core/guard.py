@@ -6,13 +6,16 @@ no solver can trust is what reaches an online loop from outside: scan
 reports from real NIC drivers go NaN, and an association decided on a
 stale report can command a user onto a dead BSS.
 
-:class:`DecisionGuard` checks a decision once, where an online loop
-applies it (:class:`repro.core.controller.CentralController` and
-:class:`repro.fleet.service.FleetService`), against the paper's own
-invariants — every directive names an existing extender its user can
-hear, per-extender capacities (constraint (8)) hold, and
-telemetry-derived rates are finite and non-negative — and repairs
-violations deterministically instead of crashing.  A dropped or
+:class:`DecisionGuard` checks against the paper's own invariants —
+every directive names an existing extender its user can hear,
+per-extender capacities (constraint (8)) hold, and telemetry-derived
+rates are finite and non-negative — and repairs violations
+deterministically instead of crashing.  Only
+:class:`repro.core.controller.CentralController` holds one, to sanitize
+scan reports at receipt.  No production loop calls
+:meth:`~DecisionGuard.repair_assignment`: the fleet applies validated
+solves and carry-forwards it has already detached from unusable
+extenders, so a repair there could change nothing.  A dropped or
 evicted user is left :data:`~repro.core.problem.UNASSIGNED`: the guard
 never picks a new extender for anyone.  Malformed input with no
 deterministic repair raises :class:`ValueError`.

@@ -20,7 +20,7 @@ import numpy as np
 from ..core.controller import CentralController
 from ..core.problem import Scenario
 from ..net.engine import evaluate
-from ..net.topology import enterprise_floor
+from ..net.topology import FloorPlan, build_scenario, enterprise_floor
 from ..sim.checkpoint import TrialStore
 from ..sim.failures import EpochInput, drive_control_plane, settle_clients
 from ..testbed.calibration import sample_isolation_capacities
@@ -45,21 +45,16 @@ def lab_scenario(seed: int,
     """One random testbed topology (§V-D): lab-sized floor, random
     outlets with calibrated PLC capacities, random laptop placements."""
     rng = np.random.default_rng(seed)
-    phy = phy or WifiPhy()
     side = PAPER_LAB_SIDE_M
-    extender_xy = rng.uniform(0.0, side, (n_extenders, 2))
-    user_xy = rng.uniform(0.0, side, (n_users, 2))
-    wifi = phy.rate_matrix(user_xy, extender_xy)
-    # Laptops in a lab always hear at least one extender; nudge any dead
-    # row onto its nearest extender at the lowest MCS.
-    lowest = phy.mcs_table[0][1] * phy.spatial_streams
-    for i in range(n_users):
-        if not np.any(wifi[i] > 0):
-            diff = extender_xy - user_xy[i]
-            wifi[i, int(np.argmin(np.einsum("ij,ij->i", diff, diff)))] = \
-                lowest
-    plc = sample_isolation_capacities(n_extenders, rng)
-    return Scenario(wifi_rates=wifi, plc_rates=plc)
+    # Keyword arguments draw in order: extenders, laptops, capacities.
+    plan = FloorPlan(width_m=side, height_m=side,
+                     extender_xy=rng.uniform(0.0, side, (n_extenders, 2)),
+                     user_xy=rng.uniform(0.0, side, (n_users, 2)),
+                     plc_rates=sample_isolation_capacities(n_extenders,
+                                                           rng))
+    # Laptops in a lab always hear at least one extender: build_scenario
+    # nudges a dead row onto its nearest extender at the lowest MCS.
+    return build_scenario(plan, phy=phy)
 
 
 def format_rows(header: Sequence[str],

@@ -21,10 +21,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..core.baselines import greedy_assignment, rssi_assignment
-from ..core.wolt import solve_wolt
+from ..core.baselines import rssi_assignment
 from ..net.engine import evaluate
 from ..net.metrics import compare_per_user
+from ..sim.runner import COMPARED_POLICIES, run_policy
 from ..testbed.devices import EmulatedTestbed, Laptop, PlcExtender
 from .common import format_rows, lab_scenario
 
@@ -38,17 +38,9 @@ PAPER_FIG4A_IMPROVEMENT = {"greedy": 0.26, "rssi": 0.70}
 def _run_topology(seed: int, plc_mode: str) -> Dict[str, float]:
     scenario = lab_scenario(seed)
     rng = np.random.default_rng(seed)
-    wolt = solve_wolt(scenario, plc_mode=plc_mode)
-    greedy = greedy_assignment(scenario,
-                               arrival_order=rng.permutation(
-                                   scenario.n_users))
-    rssi = rssi_assignment(scenario)
-    return {
-        "wolt": wolt.aggregate_throughput,
-        "greedy": evaluate(scenario, greedy,
-                           plc_mode=plc_mode).aggregate,
-        "rssi": evaluate(scenario, rssi, plc_mode=plc_mode).aggregate,
-    }
+    return {policy: run_policy(scenario, policy, rng,
+                               plc_mode).aggregate_throughput
+            for policy in COMPARED_POLICIES}
 
 
 @dataclass(frozen=True)
@@ -76,9 +68,9 @@ def run_fig4a(n_topologies: int = 25, seed: int = 0) -> Fig4aResult:
     physical = [_run_topology(seed + t, "redistribute")
                 for t in range(n_topologies)]
     mean = {p: float(np.mean([r[p] for r in paper_model]))
-            for p in ("wolt", "greedy", "rssi")}
+            for p in COMPARED_POLICIES}
     phys_mean = {p: float(np.mean([r[p] for r in physical]))
-                 for p in ("wolt", "greedy", "rssi")}
+                 for p in COMPARED_POLICIES}
     improvement = {
         p: float(np.mean([r["wolt"] / r[p] - 1.0 for r in paper_model]))
         for p in ("greedy", "rssi")}
@@ -105,27 +97,17 @@ class Fig4bResult:
 def run_fig4b(n_topologies: int = 25, seed: int = 0,
               plc_mode: str = "fixed") -> Fig4bResult:
     """Reproduce Fig. 4b: pooled per-user win/loss fractions."""
-    wolt_all: List[float] = []
-    greedy_all: List[float] = []
-    rssi_all: List[float] = []
+    pooled: Dict[str, List[float]] = {p: [] for p in COMPARED_POLICIES}
     order_seqs = np.random.SeedSequence(seed).spawn(n_topologies)
     for t in range(n_topologies):
         scenario = lab_scenario(seed + t)
         rng = np.random.default_rng(order_seqs[t])
-        wolt = solve_wolt(scenario, plc_mode=plc_mode)
-        greedy = evaluate(scenario,
-                          greedy_assignment(
-                              scenario,
-                              arrival_order=rng.permutation(
-                                  scenario.n_users)),
-                          plc_mode=plc_mode)
-        rssi = evaluate(scenario, rssi_assignment(scenario),
-                        plc_mode=plc_mode)
-        wolt_all.extend(wolt.report.user_throughputs)
-        greedy_all.extend(greedy.user_throughputs)
-        rssi_all.extend(rssi.user_throughputs)
-    vs_greedy = compare_per_user(greedy_all, wolt_all)
-    vs_rssi = compare_per_user(rssi_all, wolt_all)
+        for policy in COMPARED_POLICIES:
+            pooled[policy].extend(run_policy(
+                scenario, policy, rng, plc_mode).user_throughputs)
+    wolt_all = pooled["wolt"]
+    vs_greedy = compare_per_user(pooled["greedy"], wolt_all)
+    vs_rssi = compare_per_user(pooled["rssi"], wolt_all)
     return Fig4bResult(improved_vs_greedy=vs_greedy.improved_fraction,
                        degraded_vs_greedy=vs_greedy.degraded_fraction,
                        improved_vs_rssi=vs_rssi.improved_fraction,

@@ -14,10 +14,8 @@ from typing import Tuple
 
 import numpy as np
 
-from ..core.baselines import greedy_assignment
-from ..core.wolt import solve_wolt
-from ..net.engine import evaluate
 from ..net.metrics import bottom_k_users, top_k_users
+from ..sim.runner import run_policy
 from .common import format_rows, lab_scenario
 
 __all__ = ["Fig5Result", "run_fig5", "main"]
@@ -51,14 +49,9 @@ def run_fig5(seed: int = 3, k: int = 3,
     """Reproduce Fig. 5a/5b on one random testbed topology."""
     scenario = lab_scenario(seed)
     rng = np.random.default_rng(seed)
-    wolt = solve_wolt(scenario, plc_mode=plc_mode)
-    greedy = evaluate(scenario,
-                      greedy_assignment(scenario,
-                                        arrival_order=rng.permutation(
-                                            scenario.n_users)),
-                      plc_mode=plc_mode)
-    wolt_tput = wolt.report.user_throughputs
-    greedy_tput = greedy.user_throughputs
+    wolt_tput, greedy_tput = (
+        run_policy(scenario, policy, rng, plc_mode).user_throughputs
+        for policy in ("wolt", "greedy"))
     worst = bottom_k_users(wolt_tput, k)
     best = top_k_users(wolt_tput, k)
     return Fig5Result(

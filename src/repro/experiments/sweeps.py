@@ -17,16 +17,14 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.baselines import greedy_assignment, rssi_assignment
 from ..core.problem import Scenario
-from ..core.wolt import solve_wolt
-from ..net.engine import evaluate
 from ..net.topology import enterprise_floor
 from ..sim.checkpoint import TrialStore, fingerprint
+from ..sim.runner import COMPARED_POLICIES, run_policy
 from ..testbed.calibration import sample_isolation_capacities
 from ..wifi.phy import WifiPhy
 from .common import format_rows
@@ -52,78 +50,60 @@ class SweepResult:
     ratio_wolt_rssi: Tuple[float, ...]
 
 
-def _spawn_streams(seed: int, n_trials: int
-                   ) -> "Tuple[List[np.random.SeedSequence], List[np.random.SeedSequence]]":
-    """Paired per-trial child streams for scenarios and arrival orders.
+def _sweep(parameter: str, values: Sequence[float],
+           scenario_for: Callable[[Any, np.random.Generator], Scenario],
+           n_trials: int, seed: int) -> SweepResult:
+    """Mean WOLT/Greedy and WOLT/RSSI aggregate ratios per swept value.
 
-    Both sets are spawned from one ``SeedSequence(seed)`` root (spawn
-    state advances between the two calls, so the sets are disjoint).
-    Each sweep reuses the same children across its swept values, keeping
-    the design paired: value ``k`` and value ``k+1`` see the same
-    scenario randomness, so their ratio difference is attributable to
-    the parameter.
+    ``scenario_for(value, rng)`` draws one trial's scenario at
+    ``value``.  Two sets of per-trial child streams, one for scenarios
+    and one for arrival orders, are spawned from one
+    ``SeedSequence(seed)`` root (spawn state advances between the two
+    calls, so the sets are disjoint).  Every value reuses the same
+    children, keeping the design paired: value ``k`` and value ``k+1``
+    see the same scenario randomness, so their ratio difference is
+    attributable to the parameter.
     """
     root = np.random.SeedSequence(seed)
-    return root.spawn(n_trials), root.spawn(n_trials)
-
-
-def _ratios_for(scenarios: "Sequence[Scenario]",
-                order_seqs: "Sequence[np.random.SeedSequence]"
-                ) -> Tuple[float, float]:
-    wg, wr = [], []
-    for scenario, order_seq in zip(scenarios, order_seqs):
-        rng = np.random.default_rng(order_seq)
-        wolt = solve_wolt(scenario, plc_mode="fixed").aggregate_throughput
-        greedy = evaluate(scenario,
-                          greedy_assignment(
-                              scenario,
-                              rng.permutation(scenario.n_users)),
-                          plc_mode="fixed").aggregate
-        rssi = evaluate(scenario, rssi_assignment(scenario),
-                        plc_mode="fixed").aggregate
-        wg.append(wolt / greedy)
-        wr.append(wolt / rssi)
-    return float(np.mean(wg)), float(np.mean(wr))
+    scenario_seqs, order_seqs = root.spawn(n_trials), root.spawn(n_trials)
+    wg_series, wr_series = [], []
+    for value in values:
+        wg, wr = [], []
+        for scenario_seq, order_seq in zip(scenario_seqs, order_seqs):
+            scenario = scenario_for(value,
+                                    np.random.default_rng(scenario_seq))
+            rng = np.random.default_rng(order_seq)
+            wolt, greedy, rssi = (
+                run_policy(scenario, policy, rng,
+                           "fixed").aggregate_throughput
+                for policy in COMPARED_POLICIES)
+            wg.append(wolt / greedy)
+            wr.append(wolt / rssi)
+        wg_series.append(float(np.mean(wg)))
+        wr_series.append(float(np.mean(wr)))
+    return SweepResult(parameter=parameter,
+                       values=tuple(float(x) for x in values),
+                       ratio_wolt_greedy=tuple(wg_series),
+                       ratio_wolt_rssi=tuple(wr_series))
 
 
 def sweep_extenders(extender_counts: Sequence[int] = (3, 6, 9, 12, 15),
                     n_users: int = 36, n_trials: int = 6,
                     seed: int = 0) -> SweepResult:
     """WOLT's advantage vs extender count."""
-    scenario_seqs, order_seqs = _spawn_streams(seed, n_trials)
-    wg_series, wr_series = [], []
-    for n_ext in extender_counts:
-        scenarios = [enterprise_floor(n_ext, n_users,
-                                      np.random.default_rng(
-                                          scenario_seqs[t]))
-                     for t in range(n_trials)]
-        wg, wr = _ratios_for(scenarios, order_seqs)
-        wg_series.append(wg)
-        wr_series.append(wr)
-    return SweepResult(parameter="n_extenders",
-                       values=tuple(float(x) for x in extender_counts),
-                       ratio_wolt_greedy=tuple(wg_series),
-                       ratio_wolt_rssi=tuple(wr_series))
+    return _sweep("n_extenders", extender_counts,
+                  lambda n_ext, rng: enterprise_floor(n_ext, n_users, rng),
+                  n_trials, seed)
 
 
 def sweep_users(user_counts: Sequence[int] = (15, 36, 60, 90, 124),
                 n_extenders: int = 15, n_trials: int = 6,
                 seed: int = 0) -> SweepResult:
     """WOLT's advantage vs population size (generalized Fig. 6b)."""
-    scenario_seqs, order_seqs = _spawn_streams(seed, n_trials)
-    wg_series, wr_series = [], []
-    for n_users in user_counts:
-        scenarios = [enterprise_floor(n_extenders, n_users,
-                                      np.random.default_rng(
-                                          scenario_seqs[t]))
-                     for t in range(n_trials)]
-        wg, wr = _ratios_for(scenarios, order_seqs)
-        wg_series.append(wg)
-        wr_series.append(wr)
-    return SweepResult(parameter="n_users",
-                       values=tuple(float(x) for x in user_counts),
-                       ratio_wolt_greedy=tuple(wg_series),
-                       ratio_wolt_rssi=tuple(wr_series))
+    return _sweep("n_users", user_counts,
+                  lambda n_users, rng: enterprise_floor(n_extenders,
+                                                        n_users, rng),
+                  n_trials, seed)
 
 
 def sweep_plc_quality(capacity_scales: Sequence[float] = (0.5, 1.0, 2.0,
@@ -137,23 +117,14 @@ def sweep_plc_quality(capacity_scales: Sequence[float] = (0.5, 1.0, 2.0,
     backhaul) and the association policies converge toward parity.
     """
     phy = WifiPhy()
-    scenario_seqs, order_seqs = _spawn_streams(seed, n_trials)
-    wg_series, wr_series = [], []
-    for scale in capacity_scales:
-        scenarios = []
-        for t in range(n_trials):
-            rng = np.random.default_rng(scenario_seqs[t])
-            base = enterprise_floor(n_extenders, n_users, rng, phy=phy)
-            caps = sample_isolation_capacities(n_extenders, rng) * scale
-            scenarios.append(Scenario(wifi_rates=base.wifi_rates,
-                                      plc_rates=caps))
-        wg, wr = _ratios_for(scenarios, order_seqs)
-        wg_series.append(wg)
-        wr_series.append(wr)
-    return SweepResult(parameter="plc_capacity_scale",
-                       values=tuple(float(x) for x in capacity_scales),
-                       ratio_wolt_greedy=tuple(wg_series),
-                       ratio_wolt_rssi=tuple(wr_series))
+
+    def scenario_for(scale: float, rng: np.random.Generator) -> Scenario:
+        base = enterprise_floor(n_extenders, n_users, rng, phy=phy)
+        caps = sample_isolation_capacities(n_extenders, rng) * scale
+        return Scenario(wifi_rates=base.wifi_rates, plc_rates=caps)
+
+    return _sweep("plc_capacity_scale", capacity_scales, scenario_for,
+                  n_trials, seed)
 
 
 def main(seed: int = 0, n_trials: int = 6,

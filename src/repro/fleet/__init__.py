@@ -11,8 +11,7 @@ package scales it to an operator's whole building fleet:
   wiring/interference graph, with bit-identical scatter/gather;
 * :mod:`repro.fleet.service` — :class:`~repro.fleet.service.FleetService`,
   the epoch loop behind ``wolt serve``: per-building telemetry,
-  :class:`~repro.core.health.HealthMonitor` quarantine,
-  :class:`~repro.core.guard.DecisionGuard` validation, shard solves
+  :class:`~repro.core.health.HealthMonitor` quarantine, shard solves
   dispatched through :func:`repro.sim.dispatch.dispatch_chunked`, directive
   previews (dry-run) and per-epoch JSONL journaling — plus per-shard
   deadlines, worker retry budgets and per-building circuit breakers

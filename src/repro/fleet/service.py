@@ -79,7 +79,6 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
 
 import numpy as np
 
-from ..core.guard import DecisionGuard
 from ..core.health import HealthMonitor
 from ..core.problem import (MIN_USABLE_RATE, UNASSIGNED, Scenario,
                             fail_extenders)
@@ -414,7 +413,6 @@ class FleetService:
         self.spec = spec
         self.workers = workers
         self.chunk_size = chunk_size
-        self.guard = DecisionGuard()
         chaos = spec.chaos
         if (chaos is not None and chaos.hang_prob > 0
                 and workers is not None and workers > 1
@@ -733,10 +731,10 @@ class FleetService:
                 new[users] = _servable(scenario, old)[users]
                 continue
             local = np.asarray(result, dtype=int).ravel()
-            ext_map = np.asarray(segment.extenders, dtype=int)
-            for pos, user in enumerate(segment.users):
-                if local[pos] != UNASSIGNED:
-                    new[user] = ext_map[local[pos]]
+            users = np.asarray(segment.users, dtype=int)
+            keep = local != UNASSIGNED
+            new[users[keep]] = np.asarray(segment.extenders,
+                                          dtype=int)[local[keep]]
         return self._compose_building_epoch(
             bstate, scenario, quarantined, new,
             n_segments=len(segments), shard_failures=shard_failures,
@@ -749,9 +747,9 @@ class FleetService:
         """An open-breaker epoch: carry the association forward.
 
         No shards are solved; users whose extender is no longer usable
-        under this epoch's effective scenario are detached, and the
-        guard still validates what is kept — a breaker protects the
-        campus from a sick building's solve cost, not from invariants.
+        under this epoch's effective scenario are detached — a breaker
+        protects the campus from a sick building's solve cost, not from
+        invariants.
         """
         return self._compose_building_epoch(
             bstate, scenario, quarantined,
@@ -765,12 +763,11 @@ class FleetService:
                                 shard_failures: int,
                                 shard_timeouts: int,
                                 apply: bool) -> BuildingEpoch:
-        """Guard-repair ``new``, score its directives, optionally apply.
+        """Score ``new``'s directives, optionally apply it.
 
         Scoring is :func:`score_directives`: one baseline ``evaluate``
         per building, then one ``DeltaEvaluator`` commit per move.
         """
-        new = self.guard.repair_assignment(scenario, new)
         baseline, aggregate, directives = score_directives(
             scenario, bstate.assignment, new, self.spec.plc_mode,
             bstate.name)

@@ -6,7 +6,7 @@ from .estimate import noisy_scenario
 from .metrics import (PerUserComparison, bottom_k_users, compare_per_user,
                       jain_fairness, top_k_users)
 from .topology import (FloorPlan, build_scenario, enterprise_floor,
-                       sample_user_positions)
+                       sample_floor_plan, sample_user_positions)
 from .visualize import render_floor
 
 __all__ = [
@@ -15,7 +15,7 @@ __all__ = [
     "jain_fairness", "compare_per_user", "PerUserComparison",
     "bottom_k_users", "top_k_users",
     "FloorPlan", "build_scenario", "enterprise_floor",
-    "sample_user_positions",
+    "sample_floor_plan", "sample_user_positions",
     "noisy_scenario",
     "render_floor",
 ]

@@ -7,8 +7,9 @@ distance, and PLC link capacities calibrated from building outlets.
 
 :class:`FloorPlan` carries the geometry; :func:`build_scenario` turns a
 floor plan into the rate matrices of a
-:class:`~repro.core.problem.Scenario`; :func:`enterprise_floor` samples
-the paper's large-scale setting end to end.
+:class:`~repro.core.problem.Scenario`; :func:`sample_floor_plan` samples
+the paper's large-scale floor and :func:`enterprise_floor` adds its
+users and rates.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from ..plc.channel import PowerlineNetwork, random_building
 from ..wifi.phy import WifiPhy
 
 __all__ = ["FloorPlan", "build_scenario", "enterprise_floor",
-           "sample_user_positions"]
+           "sample_floor_plan", "sample_user_positions"]
 
 
 @dataclass(frozen=True)
@@ -115,30 +116,25 @@ def build_scenario(plan: FloorPlan,
                     user_ids=np.arange(plan.n_users))
 
 
-def enterprise_floor(n_extenders: int,
-                     n_users: int,
-                     rng: np.random.Generator,
-                     width_m: float = 100.0,
-                     height_m: float = 100.0,
-                     building: Optional[PowerlineNetwork] = None,
-                     phy: Optional[WifiPhy] = None) -> Scenario:
-    """Sample the paper's large-scale simulation setting.
+def sample_floor_plan(n_extenders: int, rng: np.random.Generator,
+                      width_m: float = 100.0, height_m: float = 100.0,
+                      building: Optional[PowerlineNetwork] = None
+                      ) -> FloorPlan:
+    """Sample the paper's large-scale floor without its users.
 
-    Extenders land on uniformly random outlet positions of a synthesized
-    wiring plant; users are uniform on the plane.
+    Extenders land on uniformly random outlets of a synthesized wiring
+    plant (their PLC rates) and at uniform positions on the plane.
 
     Args:
         n_extenders: extenders plugged in (paper: up to 15).
-        n_users: users present (paper: up to ~124).
         rng: random generator controlling everything.
         width_m: plane width (paper: 100 m).
         height_m: plane height (paper: 100 m).
         building: optional pre-built wiring plant with at least
             ``n_extenders`` outlets.
-        phy: optional WiFi PHY override.
 
     Returns:
-        A ready-to-solve :class:`Scenario`.
+        A :class:`FloorPlan` with no users.
     """
     if n_extenders < 1:
         raise ValueError("n_extenders must be positive")
@@ -150,10 +146,33 @@ def enterprise_floor(n_extenders: int,
                          f"need {n_extenders}")
     chosen = [outlets[k] for k in
               rng.choice(len(outlets), size=n_extenders, replace=False)]
-    plan = FloorPlan(
+    return FloorPlan(
         width_m=width_m, height_m=height_m,
         extender_xy=np.column_stack([rng.uniform(0, width_m, n_extenders),
                                      rng.uniform(0, height_m, n_extenders)]),
-        user_xy=sample_user_positions(n_users, width_m, height_m, rng),
+        user_xy=np.empty((0, 2)),
         plc_rates=building.rates(chosen))
+
+
+def enterprise_floor(n_extenders: int,
+                     n_users: int,
+                     rng: np.random.Generator,
+                     width_m: float = 100.0,
+                     height_m: float = 100.0,
+                     building: Optional[PowerlineNetwork] = None,
+                     phy: Optional[WifiPhy] = None) -> Scenario:
+    """Sample the paper's large-scale simulation setting.
+
+    The floor is :func:`sample_floor_plan`'s; ``n_users`` users (paper:
+    up to ~124) are then uniform on the plane.  ``phy`` optionally
+    overrides the WiFi PHY; every other argument is
+    :func:`sample_floor_plan`'s.
+
+    Returns:
+        A ready-to-solve :class:`Scenario`.
+    """
+    plan = sample_floor_plan(n_extenders, rng, width_m=width_m,
+                             height_m=height_m, building=building)
+    plan = plan.with_users(
+        sample_user_positions(n_users, width_m, height_m, rng))
     return build_scenario(plan, phy=phy, rng=rng)

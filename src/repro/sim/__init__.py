@@ -12,15 +12,14 @@ from .faults import (CrashSchedule, FaultModel, FaultyTransport,
                      InjectedCrash)
 from .mobility import MobilityEpoch, MobilitySimulation, RandomWaypoint
 from .runner import (PolicyOutcome, TrialResult, TrialRunResult,
-                     run_online_comparison, run_policy, run_trials,
-                     sample_floor_plan)
+                     run_online_comparison, run_policy, run_trials)
 from .workload import hotspot_positions
 from .traffic import DemandReport, evaluate_with_demands
 
 __all__ = [
     "OnlineSimulation", "EpochStats",
     "run_trials", "run_policy", "run_online_comparison",
-    "sample_floor_plan", "PolicyOutcome", "TrialResult",
+    "PolicyOutcome", "TrialResult",
     "evaluate_with_demands", "DemandReport",
     "MobilitySimulation", "MobilityEpoch", "RandomWaypoint",
     "FailureSimulation", "FailureEpoch", "fail_extenders",

@@ -2,7 +2,9 @@
 
 These helpers wrap topology sampling, policy execution, and metric
 collection behind seeded, reproducible entry points used by the
-benchmarks and examples.
+benchmarks and examples.  :func:`run_policy` is the one way a static
+experiment (Figs. 4a, 4b, 5 and 6a, the sweeps, ``wolt solve``) runs
+and scores a policy.
 
 Durability (see ``docs/ROBUSTNESS.md``): ``run_trials`` can journal
 every completed trial to a crash-consistent
@@ -35,8 +37,7 @@ from ..core.problem import Scenario
 from ..core.wolt import solve_wolt
 from ..net.engine import evaluate
 from ..net.metrics import jain_fairness
-from ..net.topology import FloorPlan, enterprise_floor
-from ..plc.channel import random_building
+from ..net.topology import enterprise_floor, sample_floor_plan
 from ..wifi.phy import WifiPhy
 from .checkpoint import TrialStore, fingerprint
 from .dispatch import (POOL_ERROR_TYPE, TIMEOUT_ERROR_TYPE,
@@ -45,11 +46,15 @@ from .dispatch import (POOL_ERROR_TYPE, TIMEOUT_ERROR_TYPE,
 from .dynamics import EpochStats, OnlineSimulation
 
 __all__ = ["PolicyOutcome", "TrialResult", "TrialRunResult",
-           "run_policy", "run_trials", "run_online_comparison",
-           "sample_floor_plan", "shutdown_warm_pools"]
+           "check_policies", "run_policy", "run_trials",
+           "run_online_comparison", "shutdown_warm_pools"]
 
 #: The association policies known to the runner.
 POLICY_NAMES = ("wolt", "greedy", "rssi", "random")
+
+#: The policies the static experiments compare, in run order: greedy's
+#: arrival permutation is then the only draw on a shared generator.
+COMPARED_POLICIES = ("wolt", "greedy", "rssi")
 
 #: A fault hook called as ``hook(trial_index, attempt)`` at the start of
 #: every trial attempt; it may raise to simulate a worker crash (see
@@ -113,6 +118,20 @@ class TrialRunResult(List[Union[TrialResult, WorkFailure]]):
         self.checkpoint = checkpoint
 
 
+def check_policies(policies: Sequence[str]) -> None:
+    """Raise ``ValueError`` unless every name is in
+    :data:`POLICY_NAMES` and none repeats."""
+    unknown = set(policies) - set(POLICY_NAMES)
+    if unknown:
+        raise ValueError(f"unknown policies: {sorted(unknown)}")
+    dupes = sorted(name for name, count in Counter(policies).items()
+                   if count > 1)
+    if dupes:
+        raise ValueError(
+            f"duplicate policies: {dupes} — outcomes are keyed by "
+            "policy name, so a duplicate entry would silently collapse")
+
+
 def run_policy(scenario: Scenario, policy: str,
                rng: Optional[np.random.Generator] = None,
                plc_mode: str = "redistribute") -> PolicyOutcome:
@@ -158,24 +177,6 @@ def run_policy(scenario: Scenario, policy: str,
                              report.user_throughputs),
                          user_throughputs=report.user_throughputs,
                          assignment=np.asarray(assignment))
-
-
-def sample_floor_plan(n_extenders: int, rng: np.random.Generator,
-                      width_m: float = 100.0,
-                      height_m: float = 100.0) -> FloorPlan:
-    """Sample extender placements and PLC rates for an empty floor."""
-    building = random_building(n_extenders, rng)
-    outlets = building.outlets
-    chosen = [outlets[k] for k in rng.choice(len(outlets),
-                                             size=n_extenders,
-                                             replace=False)]
-    return FloorPlan(
-        width_m=width_m, height_m=height_m,
-        extender_xy=np.column_stack([rng.uniform(0, width_m, n_extenders),
-                                     rng.uniform(0, height_m,
-                                                 n_extenders)]),
-        user_xy=np.empty((0, 2)),
-        plc_rates=building.rates(chosen))
 
 
 @dataclass(frozen=True)
@@ -374,7 +375,7 @@ def _run_fingerprint(n_trials: int, n_extenders: int, n_users: int,
 def run_trials(n_trials: int,
                n_extenders: int,
                n_users: int,
-               policies: Sequence[str] = ("wolt", "greedy", "rssi"),
+               policies: Sequence[str] = COMPARED_POLICIES,
                seed: int = 0,
                width_m: float = 100.0,
                height_m: float = 100.0,
@@ -468,15 +469,7 @@ def run_trials(n_trials: int,
     """
     if n_trials < 0:
         raise ValueError("n_trials must be non-negative")
-    unknown = set(policies) - set(POLICY_NAMES)
-    if unknown:
-        raise ValueError(f"unknown policies: {sorted(unknown)}")
-    dupes = sorted(name for name, count in Counter(policies).items()
-                   if count > 1)
-    if dupes:
-        raise ValueError(
-            f"duplicate policies: {dupes} — outcomes are keyed by "
-            "policy name, so a duplicate entry would silently collapse")
+    check_policies(policies)
     if max_retries is not None and max_retries < 0:
         raise ValueError("max_retries must be non-negative")
     if timeout_s is not None and timeout_s <= 0:

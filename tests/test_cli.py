@@ -51,7 +51,7 @@ class TestParser:
              "--max-retries", "1"])
         assert args.command == "sim"
         assert args.trials == 7
-        assert args.policies == "wolt,rssi"
+        assert args.policies == ("wolt", "rssi")
         assert args.checkpoint == "run.jsonl"
         assert args.resume is True
         assert args.timeout_s == 2.5
@@ -94,6 +94,8 @@ SMOKE_SPEC = "tests/data/fleet_smoke.yaml"
     ["solve", "--users", "-2"],
     ["serve", "--spec", SMOKE_SPEC, "--epochs", "0"],
     ["record", "--spec", SMOKE_SPEC, "--out", "t.jsonl", "--epochs", "0"],
+    ["record", "--spec", SMOKE_SPEC, "--out", "t.jsonl",
+     "--start-epoch", "-1"],
     ["fig6", "--workers", "-2"],
     ["all", "--workers", "-1"],
     ["sim", "--workers", "-2"],
@@ -108,6 +110,27 @@ def test_bad_count_is_a_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: wolt {argv[0]}")
     assert "must be >= " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("policies, message", [
+    ("wolt,foo", "unknown policies: ['foo']"),
+    ("wolt,wolt", "duplicate policies: ['wolt']"),
+    (",", "name at least one policy"),
+    (" , ", "name at least one policy"),
+])
+def test_bad_policy_list_is_a_usage_error(policies, message, capsys):
+    """``--policies`` is checked at parse time: exit 2, no traceback."""
+    assert main(["sim", "--trials", "1", "--policies", policies]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: wolt sim")
+    assert message in err and "Traceback" not in err
+
+
+def test_policy_list_is_parsed_into_names():
+    args = build_parser().parse_args(["sim", "--policies", " rssi , wolt"])
+    assert args.policies == ("rssi", "wolt")
+    assert build_parser().parse_args(["sim"]).policies == (
+        "wolt", "greedy", "rssi")
 
 
 def test_zero_users_is_a_valid_floor(capsys):

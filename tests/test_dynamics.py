@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.problem import UNASSIGNED
 from repro.sim.dynamics import OnlineSimulation
-from repro.sim.runner import sample_floor_plan
+from repro.net.topology import sample_floor_plan
 
 
 def _sim(policy="wolt", seed=0, **kwargs) -> OnlineSimulation:

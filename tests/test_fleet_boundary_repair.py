@@ -1,27 +1,26 @@
-"""The fleet's boundary repair never fires.
+"""The fleet's applied associations need no boundary repair.
 
-``FleetService`` runs one ``DecisionGuard.repair_assignment`` per
-building decision.  What it checks are shard solves that
-``solve_wolt`` already validated, or carried-forward assignments, on
-effective scenarios with no capacities, so it should find nothing to
-repair.  These tests check that over seeded specs, chaos levels and
-telemetry models, and over a recorded stream with rejected records:
-every repair, one per building per epoch, returns its input byte for
-byte.
+``FleetService`` applies shard solves that ``solve_wolt`` already
+validated, or carried-forward assignments detached from unusable
+extenders, on effective scenarios.  These tests check what a repair
+would have checked, over seeded specs, chaos levels and telemetry
+models, and over a recorded stream with rejected records: after every
+epoch, each building's applied assignment names only existing
+extenders, puts every attached user on an extender it can reach on
+the scenario the epoch decided on, and keeps any per-extender
+capacity.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import replace
-from typing import Iterator, List, Optional
-from unittest import mock
+from typing import Optional
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.guard import DecisionGuard
+from repro.core.problem import MIN_USABLE_RATE, UNASSIGNED
 from repro.fleet.chaos import FleetFaultModel
 from repro.fleet.ingest import (RecordedTelemetry, TelemetrySource,
                                 read_stream, record_stream)
@@ -35,33 +34,29 @@ from .test_fleet_reuse import CHAOS_LEVELS, TELEMETRY, fleet_spec
 EPOCHS = 5
 
 
-@contextmanager
-def repair_calls() -> Iterator[List[bool]]:
-    """Record each ``repair_assignment`` call: whether its output
-    bytes (and dtype) equal its input's."""
-    calls: List[bool] = []
-    real = DecisionGuard.repair_assignment
-
-    def spy(guard: DecisionGuard, scenario, assignment):
-        out = real(guard, scenario, assignment)
-        before = np.asarray(assignment)
-        calls.append(out.dtype == before.dtype
-                      and out.tobytes() == before.tobytes())
-        return out
-
-    with mock.patch.object(DecisionGuard, "repair_assignment", spy):
-        yield calls
-
-
-def assert_repair_never_fires(spec: FleetSpec,
-                              source: Optional[TelemetrySource] = None
-                              ) -> None:
+def assert_applied_needs_no_repair(spec: FleetSpec,
+                                   source: Optional[TelemetrySource] = None
+                                   ) -> None:
     service = FleetService(spec, source=source)
-    with repair_calls() as calls:
-        for epoch in range(EPOCHS):
-            service.run_epoch()
-            assert all(calls), (epoch, calls)
-    assert len(calls) == EPOCHS * spec.n_buildings
+    attached_total = 0
+    for epoch in range(EPOCHS):
+        service.run_epoch()
+        for bstate in service._buildings:
+            scenario, _ = bstate.last_observed
+            assign = bstate.assignment
+            assert assign.shape == (scenario.n_users,), epoch
+            users = np.flatnonzero(assign != UNASSIGNED)
+            extenders = assign[users]
+            assert np.all((extenders >= 0)
+                          & (extenders < scenario.n_extenders)), epoch
+            assert np.all(scenario.wifi_rates[users, extenders]
+                          > MIN_USABLE_RATE), (epoch, bstate.name)
+            if scenario.capacities is not None:
+                load = np.bincount(extenders,
+                                   minlength=scenario.n_extenders)
+                assert np.all(load <= scenario.capacities), epoch
+            attached_total += users.size
+    assert attached_total > 0
 
 
 @given(seed=st.integers(0, 2**16),
@@ -70,7 +65,7 @@ def assert_repair_never_fires(spec: FleetSpec,
 @settings(max_examples=max_examples(8), deadline=None)
 def test_boundary_repair_never_fires(seed: int, telemetry: str,
                                      level: float) -> None:
-    assert_repair_never_fires(replace(
+    assert_applied_needs_no_repair(replace(
         fleet_spec(seed, telemetry),
         chaos=FleetFaultModel.from_level(level)))
 
@@ -86,4 +81,4 @@ def test_boundary_repair_never_fires_on_a_dirty_stream() -> None:
     records.insert(3 * per_epoch + 1, records[per_epoch])  # stale
     stream = read_stream(rebuild(header, records), spec)
     assert len(stream.counts) >= 3
-    assert_repair_never_fires(spec, RecordedTelemetry(stream, spec))
+    assert_applied_needs_no_repair(spec, RecordedTelemetry(stream, spec))

@@ -9,6 +9,12 @@ the acceptance verdict is pinned too.
 
 ``wolt sweeps`` must print ``tests/data/sweeps_golden.txt`` both when
 it journals its sweeps and when it resumes them from the journal.
+
+``wolt fig4``, ``wolt fig5`` and ``wolt solve --seed 3`` must print
+``tests/data/{fig4,fig5,solve_seed3}_golden.txt``.  They pin the lab
+and enterprise floor samplers and the policy scorer
+(:func:`repro.sim.runner.run_policy`), including the order in which
+the policies draw from a topology's shared generator.
 """
 
 from __future__ import annotations
@@ -29,6 +35,16 @@ DATA = Path(__file__).parent / "data"
 ])
 def test_stdout_matches_golden(command, golden, capsys):
     assert main([command, "--trials", "3"]) == 0
+    assert capsys.readouterr().out == (DATA / golden).read_text()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["fig4"], "fig4_golden.txt"),
+    (["fig5"], "fig5_golden.txt"),
+    (["solve", "--seed", "3"], "solve_seed3_golden.txt"),
+])
+def test_static_experiment_matches_golden(argv, golden, capsys):
+    assert main(argv) == 0
     assert capsys.readouterr().out == (DATA / golden).read_text()
 
 

@@ -16,7 +16,7 @@ from repro.core.controller import ScanReport
 from repro.plc.channel import random_building
 from repro.plc.mac import Ieee1901CsmaSimulator
 from repro.sim.dynamics import OnlineSimulation
-from repro.sim.runner import sample_floor_plan
+from repro.net.topology import sample_floor_plan
 from repro.sim.traffic import evaluate_with_demands
 from repro.wifi.mac import DcfSimulator
 from repro.wifi.phy import WifiPhy

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.sim.mobility import (MobilitySimulation, RandomWaypoint)
-from repro.sim.runner import sample_floor_plan
+from repro.net.topology import sample_floor_plan
 
 
 class TestRandomWaypoint:

@@ -32,7 +32,7 @@ from repro.net.engine import evaluate
 from repro.net.topology import enterprise_floor
 from repro.sim.dynamics import OnlineSimulation
 from repro.sim.failures import FailureSimulation
-from repro.sim.runner import sample_floor_plan
+from repro.net.topology import sample_floor_plan
 
 from .conftest import max_examples, random_scenario
 from .oracles import (FailureSimulationReference, IncrementalWoltReference,

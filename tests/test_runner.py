@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.problem import UNASSIGNED
-from repro.sim.runner import (run_online_comparison, run_policy,
-                              run_trials, sample_floor_plan)
+from repro.sim.runner import run_online_comparison, run_policy, run_trials
 
 from .conftest import random_scenario
 
@@ -66,16 +65,6 @@ class TestRunTrials:
         trials = run_trials(5, 15, 36, seed=0, plc_mode="fixed")
         for trial in trials:
             assert trial.aggregate("wolt") > trial.aggregate("greedy")
-
-
-class TestSampleFloorPlan:
-    def test_dimensions(self, rng):
-        plan = sample_floor_plan(6, rng, width_m=80.0, height_m=40.0)
-        assert plan.n_extenders == 6
-        assert plan.n_users == 0
-        assert np.all(plan.extender_xy[:, 0] <= 80.0)
-        assert np.all(plan.extender_xy[:, 1] <= 40.0)
-        assert np.all(plan.plc_rates >= 0)
 
 
 class TestOnlineComparison:

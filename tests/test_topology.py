@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro.core.problem import Scenario
 from repro.net.topology import (FloorPlan, build_scenario,
-                                enterprise_floor, sample_user_positions)
+                                enterprise_floor, sample_floor_plan,
+                                sample_user_positions)
 from repro.plc.channel import random_building
 from repro.wifi.phy import WifiPhy
 
@@ -102,6 +103,29 @@ class TestBuildScenario:
     def test_user_ids_assigned(self):
         scenario = build_scenario(_plan(2, 4))
         assert scenario.user_ids.tolist() == [0, 1, 2, 3]
+
+
+class TestSampleFloorPlan:
+    def test_dimensions(self, rng):
+        plan = sample_floor_plan(6, rng, width_m=80.0, height_m=40.0)
+        assert plan.n_extenders == 6
+        assert plan.n_users == 0
+        assert np.all(plan.extender_xy[:, 0] <= 80.0)
+        assert np.all(plan.extender_xy[:, 1] <= 40.0)
+        assert np.all(plan.plc_rates >= 0)
+
+    def test_is_the_floor_under_enterprise_floor(self):
+        building = random_building(12, np.random.default_rng(1))
+        for kwargs in ({}, {"building": building}):
+            plan = sample_floor_plan(8, np.random.default_rng(5),
+                                     **kwargs)
+            scenario = enterprise_floor(8, 0, np.random.default_rng(5),
+                                        **kwargs)
+            assert plan.plc_rates.tobytes() == scenario.plc_rates.tobytes()
+
+    def test_too_few_outlets_rejected(self, rng):
+        with pytest.raises(ValueError, match="outlets"):
+            sample_floor_plan(8, rng, building=random_building(3, rng))
 
 
 class TestEnterpriseFloor:
