@@ -13,9 +13,12 @@ Two solvers are provided:
   that operationalizes the shift argument in the proof of Theorem 3:
   users are inserted by best marginal WiFi-throughput gain, then a local
   search alternates single-user relocations with a first-improvement
-  pass of pairwise swaps until neither raises the objective.  The swap
-  pass scores all remaining pairs in one numpy sweep per accepted swap
-  (see :func:`_try_swaps`).  Every iterate is integral.
+  pass of pairwise swaps until neither raises the objective.  Insertion
+  and the swap pass score candidates in numpy sweeps (see
+  :func:`_greedy_insertion` and :func:`_try_swaps`); a relocation scores
+  one user's extenders in a single pass over Python floats, which on
+  floors of up to 15 extenders costs less than a one-row numpy sweep
+  (see :func:`_relocate`).  Every iterate is integral.
 * :func:`solve_phase2_continuous` — the paper's "numerical nonlinear
   program" route: the smooth fractional extension of Problem 2 is solved
   with SLSQP (an interior/SQP method, stopping when the objective
@@ -206,23 +209,32 @@ def _greedy_insertion(scenario: Scenario, state: _CellState,
 
 def _relocate(state: _CellState, gains: _BatchGains,
               assignment: np.ndarray, user: int) -> int:
-    """Best relocation target for one user, gains scored in one batch.
+    """Best relocation target for one user, in one scalar pass.
 
-    Scans extenders in ascending order and moves only on a strict
-    ``> best + 1e-12`` improvement (hysteresis), over a gain vector
-    computed in one sweep.
+    Reads the cell state and the user's row once as Python floats, then
+    scans extenders in ascending order, scoring each reachable one with
+    room by the float operations of :meth:`_BatchGains.gains` in the
+    same order.  The user moves only on a strict ``> best + 1e-12``
+    improvement over staying put (hysteresis).
     """
     cur = int(assignment[user])
     state.remove(user, cur)
-    g = gains.gains(state, np.asarray([user]))[0]
-    room = gains.room(state)
-    best_j, best_gain = cur, g[cur]
-    for j in np.flatnonzero(gains.reach[user]):
-        j = int(j)
-        if j == cur or not room[j]:
+    counts = state.counts.tolist()
+    _record(batch=1, rows=len(counts))
+    inv = state.inv_rate_sums.tolist()
+    inv_u = gains.inv_rates[user].tolist()
+    caps = gains.caps.tolist()
+    c = counts[cur]
+    best_j = cur
+    best_gain = ((c + 1) / (inv[cur] + inv_u[cur])
+                 - (c / inv[cur] if c else 0.0))
+    for j, reachable in enumerate(gains.reach[user].tolist()):
+        c = counts[j]
+        if not reachable or j == cur or c >= caps[j]:
             continue
-        if g[j] > best_gain + 1e-12:
-            best_j, best_gain = j, g[j]
+        gain = (c + 1) / (inv[j] + inv_u[j]) - (c / inv[j] if c else 0.0)
+        if gain > best_gain + 1e-12:
+            best_j, best_gain = j, gain
     state.add(user, best_j)
     return best_j
 
@@ -250,7 +262,7 @@ def solve_phase2(scenario: Scenario,
         raise ValueError("phase1_assignment length must equal n_users")
     anchors = assignment.copy()
     state = _CellState(scenario, assignment)
-    remaining = list(np.flatnonzero(assignment == UNASSIGNED))
+    remaining = np.flatnonzero(assignment == UNASSIGNED).tolist()
     gains = _BatchGains(scenario)
 
     # Greedy insertion: repeatedly place the (user, extender) pair with the
@@ -267,9 +279,9 @@ def solve_phase2(scenario: Scenario,
     while improved and rounds < max_rounds:
         improved = False
         rounds += 1
-        for user in movable:
+        for user in movable.tolist():
             cur = assignment[user]
-            best_j = _relocate(state, gains, assignment, int(user))
+            best_j = _relocate(state, gains, assignment, user)
             assignment[user] = best_j
             if best_j != cur:
                 improved = True

@@ -35,12 +35,23 @@ __all__ = ["Fig4aResult", "run_fig4a", "Fig4bResult", "run_fig4b",
 PAPER_FIG4A_IMPROVEMENT = {"greedy": 0.26, "rssi": 0.70}
 
 
-def _run_topology(seed: int, plc_mode: str) -> Dict[str, float]:
+def _run_topology(seed: int) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """Each policy's aggregate on one lab topology, under both laws.
+
+    Every policy decides once.  Returns ``(paper_model, physical)``: the
+    aggregates scored under ``plc_mode="fixed"`` and the same
+    assignments re-scored under ``"redistribute"``.
+    """
     scenario = lab_scenario(seed)
     rng = np.random.default_rng(seed)
-    return {policy: run_policy(scenario, policy, rng,
-                               plc_mode).aggregate_throughput
-            for policy in COMPARED_POLICIES}
+    paper_model: Dict[str, float] = {}
+    physical: Dict[str, float] = {}
+    for policy in COMPARED_POLICIES:
+        outcome = run_policy(scenario, policy, rng, "fixed")
+        paper_model[policy] = outcome.aggregate_throughput
+        physical[policy] = evaluate(scenario, outcome.assignment,
+                                    plc_mode="redistribute").aggregate
+    return paper_model, physical
 
 
 @dataclass(frozen=True)
@@ -63,10 +74,9 @@ class Fig4aResult:
 
 def run_fig4a(n_topologies: int = 25, seed: int = 0) -> Fig4aResult:
     """Reproduce Fig. 4a over ``n_topologies`` random lab topologies."""
-    paper_model = [_run_topology(seed + t, "fixed")
-                   for t in range(n_topologies)]
-    physical = [_run_topology(seed + t, "redistribute")
-                for t in range(n_topologies)]
+    runs = [_run_topology(seed + t) for t in range(n_topologies)]
+    paper_model = [paper for paper, _ in runs]
+    physical = [phys for _, phys in runs]
     mean = {p: float(np.mean([r[p] for r in paper_model]))
             for p in COMPARED_POLICIES}
     phys_mean = {p: float(np.mean([r[p] for r in physical]))

@@ -1,13 +1,15 @@
 """Reference oracles for the differential test walls.
 
 Each production search in :mod:`repro.core` has one code path.  The
-loops it replaced live here, so the walls in ``test_delta_eval.py`` and
-``test_batching_acceptance.py`` can check that the production path makes
-bit-identical decisions:
+loops it replaced live here, so the walls in ``test_phase2.py``,
+``test_delta_eval.py`` and ``test_batching_acceptance.py`` can check
+that the production path makes bit-identical decisions:
 
 * :func:`solve_phase2_scalar` scores one (user, extender) candidate at a
-  time; :func:`solve_phase2_batch` rebuilds the whole insertion-gains
-  matrix per placement instead of refreshing one column.
+  time through the cell state; :func:`solve_phase2_batch` rebuilds the
+  whole insertion-gains matrix per placement instead of refreshing one
+  column, and scores each relocation as a one-row numpy gains sweep
+  instead of production's scalar pass over Python floats.
 * :func:`solve_wolt_scalar` is Alg. 1 with the scalar Phase II.
 * :func:`shortest_path_assignment_numpy` is Phase I's assignment solver
   with each row relaxed by numpy array operations, on the cost matrix
@@ -28,9 +30,11 @@ bit-identical decisions:
   controller the Central Controller's ``min_gain_mbps`` replaced.
 
 The Phase-II references share :func:`_local_search`, whose swap pass
-:func:`_try_swaps_scalar` tries one pair at a time on the cell state, so
-all three check production's matrix-scored swap pass rather than reuse
-it.  Otherwise they reuse :mod:`repro.core.phase2`'s cell state and
+:func:`_try_swaps_scalar` tries one pair at a time on the cell state,
+and each brings its own relocation (:func:`_relocate_scalar` or
+:func:`_relocate_batch`), so all three check production's matrix-scored
+swap pass and Python-float relocation pass rather than reuse them.
+Otherwise they reuse :mod:`repro.core.phase2`'s cell state and
 batch gains, and differ from production only in the loop they stand
 in for.
 
@@ -67,8 +71,7 @@ from repro.core.baselines import greedy_attach_user, rssi_assignment
 from repro.core.controller import CentralController
 from repro.core.hungarian import InfeasibleAssignmentError
 from repro.core.phase1 import solve_phase1
-from repro.core.phase2 import (Phase2Result, _BatchGains, _CellState,
-                               _relocate)
+from repro.core.phase2 import Phase2Result, _BatchGains, _CellState
 from repro.core.problem import (MIN_USABLE_RATE, UNASSIGNED, Scenario,
                                 fail_extenders)
 from repro.core.wolt import WoltResult, solve_wolt
@@ -158,6 +161,28 @@ def _insert_batch(scenario: Scenario, state: _CellState,
         remaining.remove(user)
 
 
+def _relocate_batch(state: _CellState, gains: _BatchGains,
+                    assignment: np.ndarray, user: int) -> int:
+    """Best relocation target for one user over a one-row gains sweep.
+
+    Scores the ``(1, n_extenders)`` gains row with numpy, then scans it
+    in ascending order with the same ``> best + 1e-12`` hysteresis.
+    """
+    cur = int(assignment[user])
+    state.remove(user, cur)
+    g = gains.gains(state, np.asarray([user]))[0]
+    room = gains.room(state)
+    best_j, best_gain = cur, g[cur]
+    for j in np.flatnonzero(gains.reach[user]):
+        j = int(j)
+        if j == cur or not room[j]:
+            continue
+        if g[j] > best_gain + 1e-12:
+            best_j, best_gain = j, g[j]
+    state.add(user, best_j)
+    return best_j
+
+
 def _try_swaps_scalar(scenario: Scenario, state: _CellState,
                       assignment: np.ndarray, movable: np.ndarray) -> bool:
     """One first-improvement pass of pairwise swaps, one trial at a time.
@@ -222,7 +247,7 @@ def solve_phase2_scalar(scenario: Scenario,
     assignment = np.array(phase1_assignment, dtype=int)
     state = _ScalarCellState(scenario, assignment)
     _insert_scalar(scenario, state, assignment,
-                   list(np.flatnonzero(assignment == UNASSIGNED)))
+                   np.flatnonzero(assignment == UNASSIGNED).tolist())
     return _local_search(
         scenario, phase1_assignment, state, assignment,
         lambda user: _relocate_scalar(state, assignment, user), max_rounds)
@@ -231,15 +256,17 @@ def solve_phase2_scalar(scenario: Scenario,
 def solve_phase2_batch(scenario: Scenario,
                        phase1_assignment: Sequence[int],
                        max_rounds: int = 100) -> Phase2Result:
-    """Phase II with the gains matrix rebuilt for every placement."""
+    """Phase II over numpy gains sweeps: the whole insertion matrix
+    rebuilt per placement, and one gains row per relocation."""
     assignment = np.array(phase1_assignment, dtype=int)
     state = _CellState(scenario, assignment)
     gains = _BatchGains(scenario)
     _insert_batch(scenario, state, gains, assignment,
-                  list(np.flatnonzero(assignment == UNASSIGNED)))
+                  np.flatnonzero(assignment == UNASSIGNED).tolist())
     return _local_search(
         scenario, phase1_assignment, state, assignment,
-        lambda user: _relocate(state, gains, assignment, user), max_rounds)
+        lambda user: _relocate_batch(state, gains, assignment, user),
+        max_rounds)
 
 
 def solve_wolt_scalar(scenario: Scenario,

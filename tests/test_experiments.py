@@ -66,6 +66,21 @@ class TestFig4:
         assert result.mean_mbps["wolt"] > result.mean_mbps["rssi"]
         assert len(result.per_topology) == 6
 
+    def test_fig4a_solves_each_topology_once(self, monkeypatch):
+        """Both scoring laws share one decision per topology."""
+        import repro.sim.runner as runner
+
+        calls = []
+        real = runner.solve_wolt
+
+        def spy(scenario, plc_mode="redistribute"):
+            calls.append(plc_mode)
+            return real(scenario, plc_mode=plc_mode)
+
+        monkeypatch.setattr(runner, "solve_wolt", spy)
+        fig4.run_fig4a(n_topologies=25, seed=0)
+        assert len(calls) == 25
+
     def test_fig4b_fractions_sane(self):
         result = fig4.run_fig4b(n_topologies=6, seed=0)
         for frac in (result.improved_vs_greedy, result.degraded_vs_greedy,

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.phase1 import solve_phase1
@@ -15,7 +15,7 @@ from repro.core.phase2 import (solve_phase2, solve_phase2_continuous,
 from repro.core.problem import UNASSIGNED, Scenario
 
 from .conftest import max_examples, random_scenario
-from .oracles import solve_phase2_scalar
+from .oracles import solve_phase2_batch, solve_phase2_scalar
 
 
 def _exhaustive_phase2_optimum(scenario, phase1_assignment):
@@ -68,6 +68,14 @@ class TestCombinatorialSolver:
         p1 = solve_phase1(sc)
         with pytest.raises(ValueError, match="cannot be attached"):
             solve_phase2(sc, p1.assignment)
+
+    def test_unattachable_message_lists_plain_user_indices(self):
+        wifi = np.array([[10.0, 5.0], [0.0, 0.0]])
+        sc = Scenario(wifi_rates=wifi, plc_rates=np.array([50.0, 50.0]))
+        with pytest.raises(ValueError) as info:
+            solve_phase2(sc, solve_phase1(sc).assignment)
+        assert str(info.value) == (
+            "users [1] cannot be attached to any extender")
 
     def test_capacities_respected(self, rng):
         sc = random_scenario(rng, 9, 3, capacities=True)
@@ -137,39 +145,10 @@ def _assert_same_result(got, ref):
 
 
 class TestSwapPassDifferential:
-    """The matrix-scored swap pass against the one-pair-at-a-time oracle."""
+    """The matrix-scored swap pass against the one-pair-at-a-time oracle.
 
-    @given(st.integers(2, 60), st.integers(2, 12),
-           st.floats(0.3, 0.95), st.sampled_from(["none", "random", "full"]),
-           st.integers(0, 2**31 - 1))
-    @settings(max_examples=max_examples(100), deadline=None)
-    def test_matches_scalar_oracle(self, n_users, n_ext, reachable_prob,
-                                   capacities, seed):
-        """Same assignment, objective and iterations as the oracle.
-
-        ``full`` capacities leave no spare room once every user is placed
-        (each extender keeps room for its Phase-I anchor), so no
-        relocation fits and the swap pass does all the work.
-        """
-        rng = np.random.default_rng(seed)
-        sc = random_scenario(rng, n_users, n_ext,
-                             reachable_prob=reachable_prob,
-                             capacities=capacities == "random")
-        if capacities == "full":
-            caps = np.full(n_ext, n_users // n_ext)
-            caps[:n_users % n_ext] += 1
-            caps = np.maximum(caps, 1)
-            sc = Scenario(wifi_rates=sc.wifi_rates, plc_rates=sc.plc_rates,
-                          capacities=caps)
-        p1 = solve_phase1(sc).assignment
-        try:
-            ref = solve_phase2_scalar(sc, p1)
-        except ValueError:
-            # Capacities left some user nowhere to go.
-            with pytest.raises(ValueError, match="cannot be attached"):
-                solve_phase2(sc, p1)
-            return
-        _assert_same_result(solve_phase2(sc, p1), ref)
+    ``TestOracleDifferential`` checks it on random floors.
+    """
 
     def test_swap_between_single_user_cells(self):
         """Both cells hold one user, so a trial empties and refills each.
@@ -186,6 +165,99 @@ class TestSwapPassDifferential:
         assert res.objective == pytest.approx(189.0)
         assert res.iterations == 2
         _assert_same_result(res, solve_phase2_scalar(sc, start))
+
+
+@st.composite
+def _phase2_cases(draw):
+    """A random scenario and its Phase-I anchors.
+
+    2-60 users on 2-15 extenders, with unreachable links and no, random
+    or full capacities.  ``full`` capacities leave no spare room once
+    every user is placed (each extender keeps room for its Phase-I
+    anchor), so no relocation fits and the swap pass does all the work.
+    """
+    n_ext = draw(st.integers(2, 15))
+    n_users = draw(st.integers(2, 60))
+    capacities = draw(st.sampled_from(["none", "random", "full"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    sc = random_scenario(rng, n_users, n_ext,
+                         reachable_prob=draw(st.floats(0.3, 1.0)),
+                         capacities=capacities == "random")
+    if capacities == "full":
+        caps = np.full(n_ext, n_users // n_ext)
+        caps[:n_users % n_ext] += 1
+        sc = Scenario(wifi_rates=sc.wifi_rates, plc_rates=sc.plc_rates,
+                      capacities=np.maximum(caps, 1))
+    return sc, solve_phase1(sc).assignment
+
+
+#: Staying on extender 2 scores 1/(1/110) == 110.0; moving to the empty
+#: extender 1 scores exactly 110.0 + 1e-12 in floats, the hysteresis
+#: bar itself, so user 1 must stay.  (User 1 reaches extender 2 only
+#: through the first swap pass.)
+_GAIN_AT_THE_BAR = (
+    Scenario(wifi_rates=np.array([[125.0, 20.0, 30.0],
+                                  [130.0, 110.000000000001, 110.0]]),
+             plc_rates=np.full(3, 50.0)),
+    np.full(2, UNASSIGNED))
+
+#: In round 1, extender 0 holds its anchor and user 1, its capacity of
+#: 2.  User 2 would gain by joining it, so it must stay on extender 1
+#: (the swap pass then trades users 1 and 2).
+_DESTINATION_FULL = (
+    Scenario(wifi_rates=np.array([[100.0, 5.0], [1000.0, 50.0],
+                                  [900.0, 10.0]]),
+             plc_rates=np.full(2, 50.0), capacities=np.array([2, 3])),
+    np.array([0, UNASSIGNED, UNASSIGNED]))
+
+#: After the first swap pass user 1 is alone on extender 2; in round 2
+#: it moves to extender 1 and leaves extender 2 empty.
+_MOVE_EMPTIES_CELL = (
+    Scenario(wifi_rates=np.array([[125.0, 20.0, 30.0],
+                                  [130.0, 125.0, 110.0]]),
+             plc_rates=np.full(3, 50.0)),
+    np.full(2, UNASSIGNED))
+
+
+def _outcome(solver, scenario, phase1):
+    """Assignment, objective bits and rounds, or the error message."""
+    try:
+        res = solver(scenario, phase1)
+    except ValueError as exc:
+        return str(exc)
+    return (res.assignment.tolist(), res.objective.hex(), res.iterations)
+
+
+class TestOracleDifferential:
+    """``solve_phase2`` against both Phase-II oracles.
+
+    The oracles relocate over a numpy gains row (batch) or one candidate
+    at a time (scalar) and try swaps one pair at a time, so this checks
+    production's Python-float relocation pass and matrix-scored swap
+    pass.
+    """
+
+    @given(_phase2_cases())
+    @example(_GAIN_AT_THE_BAR)
+    @example(_DESTINATION_FULL)
+    @example(_MOVE_EMPTIES_CELL)
+    @settings(max_examples=max_examples(100), deadline=None)
+    def test_matches_batch_and_scalar_oracles(self, case):
+        scenario, phase1 = case
+        got = _outcome(solve_phase2, scenario, phase1)
+        assert got == _outcome(solve_phase2_batch, scenario, phase1)
+        assert got == _outcome(solve_phase2_scalar, scenario, phase1)
+
+    @pytest.mark.parametrize("case,assignment,iterations", [
+        (_GAIN_AT_THE_BAR, [0, 2], 2),
+        (_DESTINATION_FULL, [0, 1, 0], 2),
+        (_MOVE_EMPTIES_CELL, [0, 1], 3),
+    ])
+    def test_examples_take_the_intended_path(self, case, assignment,
+                                             iterations):
+        res = solve_phase2(*case)
+        assert res.assignment.tolist() == assignment
+        assert res.iterations == iterations
 
 
 class TestContinuousSolver:
