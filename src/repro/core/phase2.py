@@ -29,6 +29,7 @@ Two solvers are provided:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -207,6 +208,18 @@ def _greedy_insertion(scenario: Scenario, state: _CellState,
             matrix[pending, j] = -np.inf
 
 
+def _gain(c: int, inv_j: float, inv_uj: float) -> float:
+    """One cell's gain as :meth:`_BatchGains.gains` scores it.
+
+    A divisor of exactly 0.0 gives numpy's ``inf`` rather than a
+    ``ZeroDivisionError``: an occupied cell's inverse-rate sum can
+    cancel to 0.0 (see :meth:`_CellState.remove`).
+    """
+    d = inv_j + inv_uj
+    new = (c + 1) / d if d else math.inf
+    return new - ((c / inv_j if inv_j else math.inf) if c else 0.0)
+
+
 def _relocate(state: _CellState, gains: _BatchGains,
               assignment: np.ndarray, user: int) -> int:
     """Best relocation target for one user, in one scalar pass.
@@ -216,6 +229,9 @@ def _relocate(state: _CellState, gains: _BatchGains,
     room by the float operations of :meth:`_BatchGains.gains` in the
     same order.  The user moves only on a strict ``> best + 1e-12``
     improvement over staying put (hysteresis).
+
+    A zero divisor falls back to :func:`_gain`, which gives numpy's
+    ``inf`` for it.
     """
     cur = int(assignment[user])
     state.remove(user, cur)
@@ -224,15 +240,16 @@ def _relocate(state: _CellState, gains: _BatchGains,
     inv = state.inv_rate_sums.tolist()
     inv_u = gains.inv_rates[user].tolist()
     caps = gains.caps.tolist()
-    c = counts[cur]
     best_j = cur
-    best_gain = ((c + 1) / (inv[cur] + inv_u[cur])
-                 - (c / inv[cur] if c else 0.0))
+    best_gain = _gain(counts[cur], inv[cur], inv_u[cur])
     for j, reachable in enumerate(gains.reach[user].tolist()):
         c = counts[j]
         if not reachable or j == cur or c >= caps[j]:
             continue
-        gain = (c + 1) / (inv[j] + inv_u[j]) - (c / inv[j] if c else 0.0)
+        try:
+            gain = (c + 1) / (inv[j] + inv_u[j]) - (c / inv[j] if c else 0.0)
+        except ZeroDivisionError:
+            gain = _gain(c, inv[j], inv_u[j])
         if gain > best_gain + 1e-12:
             best_j, best_gain = j, gain
     state.add(user, best_j)

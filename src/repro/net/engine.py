@@ -325,7 +325,14 @@ class DeltaEvaluator:
                 f"plc_mode must be one of {PLC_MODES}, got {plc_mode!r}")
         self._scenario = scenario
         self._rates = np.asarray(scenario.wifi_rates, dtype=float)
-        self._plc_rates = np.asarray(scenario.plc_rates, dtype=float)
+        # One contiguous row of inverse rates per extender, read member
+        # by member on every move (members' rates are positive; a zero
+        # rate is never read and stays inf).
+        cols = np.ascontiguousarray(self._rates.T)
+        self._inv_cols = np.divide(1.0, cols, out=np.full_like(cols, np.inf),
+                                   where=cols > 0)
+        self._plc_rates = np.asarray(scenario.plc_rates,
+                                     dtype=float).tolist()
         self._plc_mode = plc_mode
         self._assignment = assignment
         self._wifi = wifi
@@ -378,10 +385,10 @@ class DeltaEvaluator:
         every move before it lands, so no per-member check is needed on
         this per-move hot path.
         """
-        members = np.flatnonzero(self._assignment == j)
+        members = (self._assignment == j).nonzero()[0]
         if members.size == 0:
             return 0.0
-        return members.size / float(np.sum(1.0 / self._rates[members, j]))
+        return members.size / float(self._inv_cols[j].take(members).sum())
 
     def _check_move(self, user: int, dest: int) -> int:
         """Vet a move of ``user`` to ``dest``; return the user's extender.
@@ -405,10 +412,11 @@ class DeltaEvaluator:
 
     def _full_aggregate(self, wifi: np.ndarray) -> float:
         # backhaul_throughputs is the pre-validated fast path of
-        # allocate_backhaul (bit-identical throughputs).
-        plc = backhaul_throughputs(self._plc_rates, wifi,
-                                   mode=self._plc_mode)
-        return float(np.minimum(wifi, plc).sum())
+        # allocate_backhaul (bit-identical throughputs).  Each is already
+        # capped at its cell's WiFi demand, so it is the extender's
+        # end-to-end throughput, summed as evaluate sums the array.
+        return float(np.add.reduce(backhaul_throughputs(
+            self._plc_rates, wifi.tolist(), mode=self._plc_mode)))
 
     def score_move(self, user: int, dest: int) -> float:
         """Aggregate throughput if ``user`` moved to ``dest`` (no commit).

@@ -20,8 +20,9 @@ and the max-min redistribution used by the end-to-end throughput engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -100,26 +101,34 @@ def max_min_time_shares(demand_fractions: Sequence[float]) -> np.ndarray:
     demands = np.asarray(demand_fractions, dtype=float)
     if np.any(demands < 0) or np.any(np.isnan(demands)):
         raise ValueError("demand fractions must be non-negative numbers")
-    return _progressive_fill(demands)
+    return np.array(_progressive_fill(demands.tolist()))
 
 
-def _progressive_fill(demands: np.ndarray) -> np.ndarray:
-    """Water-filling core of :func:`max_min_time_shares` (pre-validated)."""
-    granted = np.zeros_like(demands)
-    unsatisfied = np.flatnonzero(demands > _EPS)
+def _progressive_fill(demands: List[float]) -> List[float]:
+    """Water-filling core of :func:`max_min_time_shares` (pre-validated).
+
+    Runs on Python floats.  The demands a water level saturates are
+    summed by numpy's ``add.reduce``, in ascending extender order, so
+    every grant is bit-identical to the array form in
+    ``tests/oracles.py``.
+    """
+    granted = [0.0] * len(demands)
+    unsatisfied = [j for j, d in enumerate(demands) if d > _EPS]
     remaining = 1.0
-    while unsatisfied.size > 0 and remaining > _EPS:
-        level = remaining / unsatisfied.size
-        below = unsatisfied[demands[unsatisfied] <= level + _EPS]
-        if below.size == 0:
+    while unsatisfied and remaining > _EPS:
+        level = remaining / len(unsatisfied)
+        bar = level + _EPS
+        below = [j for j in unsatisfied if demands[j] <= bar]
+        if not below:
             # Nobody's demand fits under the water level: split equally.
-            granted[unsatisfied] = level
-            remaining = 0.0
+            for j in unsatisfied:
+                granted[j] = level
             break
-        granted[below] = demands[below]
-        remaining -= float(demands[below].sum())
-        keep = demands[unsatisfied] > level + _EPS
-        unsatisfied = unsatisfied[keep]
+        saturated = [demands[j] for j in below]
+        for j, d in zip(below, saturated):
+            granted[j] = d
+        remaining -= float(np.add.reduce(saturated))
+        unsatisfied = [j for j in unsatisfied if demands[j] > bar]
     return granted
 
 
@@ -233,60 +242,50 @@ def allocate_backhaul(plc_rates: Sequence[float],
     load = np.asarray(demands, dtype=float)
     if rates.shape != load.shape:
         raise ValueError("plc_rates and demands must have the same shape")
-    if np.any(rates < 0) or np.any(load < 0):
-        raise ValueError("rates and demands must be non-negative")
+    if not (np.all(rates >= 0) and np.all(load >= 0)):
+        raise ValueError("rates and demands must be non-negative numbers")
 
-    shares = _time_shares(rates, load, mode)
+    shares = np.array(_time_shares(rates.tolist(), load.tolist(), mode))
     throughputs = np.minimum(shares * rates, load)
     saturated = (load > _EPS) & (throughputs + _EPS < load)
     return PlcAllocation(time_shares=shares, throughputs=throughputs,
                          saturated=saturated)
 
 
-def _time_shares(rates: np.ndarray, load: np.ndarray,
-                 mode: str) -> np.ndarray:
-    """Per-extender time shares for pre-validated float arrays."""
-    active = load > _EPS
-    with np.errstate(divide="ignore", invalid="ignore"):
-        needed = np.where(active & (rates > 0), load / np.maximum(rates, _EPS),
-                          0.0)
-    # An active extender with a dead PLC link (rate 0) needs infinite time
-    # but can never carry traffic; give it an unbounded demand so it still
-    # takes part in contention (it occupies the medium without progress).
-    needed = np.where(active & (rates <= _EPS), np.inf, needed)
-
+def _time_shares(rates: List[float], load: List[float],
+                 mode: str) -> List[float]:
+    """Per-extender time shares for pre-validated rates and loads."""
     if mode == "redistribute":
-        return _progressive_fill(needed)
-    if mode == "active":
-        shares = np.zeros_like(rates)
-        n_active = int(active.sum())
-        if n_active > 0:
-            shares[active] = 1.0 / n_active
-        return shares
-    # fixed
-    shares = np.zeros_like(rates)
-    if rates.size > 0:
-        shares[active] = 1.0 / rates.size
-    return shares
+        # An active extender with a dead PLC link (rate 0) needs infinite
+        # time but can never carry traffic; give it an unbounded demand
+        # so it still takes part in contention (it occupies the medium
+        # without progress).
+        return _progressive_fill([
+            (math.inf if r <= _EPS else x / r) if x > _EPS else 0.0
+            for r, x in zip(rates, load)])
+    active = [x > _EPS for x in load]
+    # "active" shares among the loaded extenders, "fixed" among all.
+    n = sum(active) if mode == "active" else len(rates)
+    return [1.0 / n if on else 0.0 for on in active]
 
 
-def backhaul_throughputs(plc_rates: np.ndarray, demands: np.ndarray,
-                         mode: str = "redistribute") -> np.ndarray:
+def backhaul_throughputs(plc_rates: List[float], demands: List[float],
+                         mode: str = "redistribute") -> List[float]:
     """Fast path: per-extender backhaul throughputs only, no validation.
 
     Bit-identical to ``allocate_backhaul(plc_rates, demands, mode)
     .throughputs`` — it runs the exact same share computation
-    (:func:`_time_shares`) and cap — but skips input validation, the
-    saturation mask, and the :class:`PlcAllocation` construction.  The
-    caller must guarantee what :func:`allocate_backhaul` would have
-    checked: both arguments are float ndarrays of the same shape with
-    non-negative entries, and ``mode`` is one of :data:`PLC_MODES`.
-    This is the per-move hot path of
+    (:func:`_time_shares`) and cap — but takes and returns lists of
+    Python floats and skips input validation, the saturation mask, and
+    the :class:`PlcAllocation` construction.  The caller must guarantee
+    what :func:`allocate_backhaul` would have checked: both arguments
+    have the same length and finite non-negative entries, and ``mode``
+    is one of :data:`PLC_MODES`.  This is the per-move hot path of
     :class:`repro.net.engine.DeltaEvaluator`, where those invariants
     are established once at construction instead of on every move.
     """
     shares = _time_shares(plc_rates, demands, mode)
-    return np.minimum(shares * plc_rates, demands)
+    return [min(s * r, x) for s, r, x in zip(shares, plc_rates, demands)]
 
 
 @dataclass(frozen=True)

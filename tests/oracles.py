@@ -50,6 +50,10 @@ Further references the tests compare production against:
   split a building one ``scenario.reachable(user)`` call at a time.
 * :func:`score_directives_scalar` scores each fleet directive with one
   full scalar ``evaluate`` of the building per moved user.
+* :func:`time_shares_numpy` is the PLC step (the per-extender medium
+  time grants under each sharing law, with the max-min water-filling
+  of :func:`progressive_fill_numpy`) in numpy array operations, where
+  production runs it on Python floats.
 * :func:`replay_fleet_journal` rebuilds a resumed fleet service by
   re-observing every building at every journaled epoch, in place of
   restoring the state the last record holds.
@@ -81,7 +85,7 @@ from repro.net.engine import (DeltaEvaluator, _record, evaluate,
                               evaluate_batch)
 from repro.net.metrics import jain_fairness
 from repro.net.topology import sample_user_positions
-from repro.plc.sharing import allocate_backhaul
+from repro.plc.sharing import _EPS, allocate_backhaul
 from repro.sim.dynamics import EpochStats, OnlineSimulation
 from repro.sim.failures import (FailureEpoch, FailureSimulation,
                                 flip_extenders, reassociate_orphans)
@@ -965,3 +969,37 @@ class SleepSchedule:
         delay = self.delays.get(trial_index, 0.0)
         if delay > 0:
             time.sleep(delay)
+
+
+def progressive_fill_numpy(demands: np.ndarray) -> np.ndarray:
+    """Max-min water-filling of the unit medium time over numpy arrays."""
+    granted = np.zeros_like(demands)
+    unsatisfied = np.flatnonzero(demands > _EPS)
+    remaining = 1.0
+    while unsatisfied.size > 0 and remaining > _EPS:
+        level = remaining / unsatisfied.size
+        below = unsatisfied[demands[unsatisfied] <= level + _EPS]
+        if below.size == 0:
+            granted[unsatisfied] = level
+            break
+        granted[below] = demands[below]
+        remaining -= float(demands[below].sum())
+        unsatisfied = unsatisfied[demands[unsatisfied] > level + _EPS]
+    return granted
+
+
+def time_shares_numpy(rates: np.ndarray, load: np.ndarray,
+                      mode: str) -> np.ndarray:
+    """Per-extender PLC time shares under ``mode``, over numpy arrays."""
+    active = load > _EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        needed = np.where(active & (rates > 0),
+                          load / np.maximum(rates, _EPS), 0.0)
+    needed = np.where(active & (rates <= _EPS), np.inf, needed)
+    if mode == "redistribute":
+        return progressive_fill_numpy(needed)
+    shares = np.zeros_like(rates)
+    n_active = int(active.sum()) if mode == "active" else rates.size
+    if n_active > 0:
+        shares[active] = 1.0 / n_active
+    return shares

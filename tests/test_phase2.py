@@ -219,6 +219,17 @@ _MOVE_EMPTIES_CELL = (
     np.full(2, UNASSIGNED))
 
 
+#: User 2's inverse rate (1e8) swamps anchor 0's (1e-9), so taking
+#: user 2 off extender 0 leaves an inverse-rate sum of exactly 0.0 on
+#: a cell that still holds its anchor.  Staying then scores
+#: ``2/1e8 - inf`` and user 2 moves to extender 1 (where the same
+#: happens).  In round 2 the scan divides by extender 0's 0.0 sum.
+_EMPTY_SUM_OCCUPIED_CELL = (
+    Scenario(wifi_rates=np.array([[1e9, 0.0], [0.0, 2e9], [1e-8, 1e-8]]),
+             plc_rates=np.full(2, 50.0)),
+    np.array([0, 1, UNASSIGNED]))
+
+
 def _outcome(solver, scenario, phase1):
     """Assignment, objective bits and rounds, or the error message."""
     try:
@@ -228,6 +239,8 @@ def _outcome(solver, scenario, phase1):
     return (res.assignment.tolist(), res.objective.hex(), res.iterations)
 
 
+# The numpy divisions by _EMPTY_SUM_OCCUPIED_CELL's zero sums warn.
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 class TestOracleDifferential:
     """``solve_phase2`` against both Phase-II oracles.
 
@@ -241,6 +254,7 @@ class TestOracleDifferential:
     @example(_GAIN_AT_THE_BAR)
     @example(_DESTINATION_FULL)
     @example(_MOVE_EMPTIES_CELL)
+    @example(_EMPTY_SUM_OCCUPIED_CELL)
     @settings(max_examples=max_examples(100), deadline=None)
     def test_matches_batch_and_scalar_oracles(self, case):
         scenario, phase1 = case
@@ -252,6 +266,7 @@ class TestOracleDifferential:
         (_GAIN_AT_THE_BAR, [0, 2], 2),
         (_DESTINATION_FULL, [0, 1, 0], 2),
         (_MOVE_EMPTIES_CELL, [0, 1], 3),
+        (_EMPTY_SUM_OCCUPIED_CELL, [0, 1, 1], 2),
     ])
     def test_examples_take_the_intended_path(self, case, assignment,
                                              iterations):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.plc.sharing import (_EPS, allocate_backhaul, max_min_time_shares,
+from repro.plc.sharing import (_EPS, PLC_MODES, allocate_backhaul,
+                               backhaul_throughputs, max_min_time_shares,
                                max_min_time_shares_batch,
                                time_fair_throughputs)
 
 from .conftest import max_examples
+from .oracles import progressive_fill_numpy, time_shares_numpy
 
 
 class TestTimeFairThroughputs:
@@ -174,6 +176,12 @@ class TestAllocateBackhaul:
         with pytest.raises(ValueError):
             allocate_backhaul([60.0], [-15.0])
 
+    def test_nan_inputs_rejected(self):
+        with pytest.raises(ValueError, match="non-negative numbers"):
+            allocate_backhaul([np.nan], [15.0])
+        with pytest.raises(ValueError, match="non-negative numbers"):
+            allocate_backhaul([60.0], [np.nan])
+
     @given(st.integers(min_value=1, max_value=10), st.integers(0, 2**31 - 1))
     @settings(max_examples=100)
     def test_throughput_never_exceeds_demand_or_share(self, n, seed):
@@ -197,3 +205,52 @@ class TestAllocateBackhaul:
         without = allocate_backhaul(rates, demands, mode="active")
         assert (with_redist.throughputs.sum()
                 >= without.throughputs.sum() - 1e-9)
+
+
+#: Rates and loads around the thresholds the PLC step compares with:
+#: dead links, demands at and just above ``_EPS``, and ordinary values.
+_PLC_VALUES = st.one_of(
+    st.sampled_from([0.0, _EPS, 2 * _EPS, 1e-9, 1.0, 60.0]),
+    st.floats(0.0, 500.0))
+
+
+@st.composite
+def _plc_loads(draw):
+    n = draw(st.integers(0, 15))
+    rates = draw(st.lists(_PLC_VALUES, min_size=n, max_size=n))
+    loads = draw(st.lists(_PLC_VALUES, min_size=n, max_size=n))
+    return np.array(rates, dtype=float), np.array(loads, dtype=float)
+
+
+class TestArrayOracle:
+    """The Python-float PLC step against its numpy array form.
+
+    Asserts ``==`` on the bits, so any change to an operation or to
+    the order of a sum shows.
+    """
+
+    @given(_plc_loads(), st.sampled_from(PLC_MODES))
+    @example((np.array([60.0, 30.0, 20.0, 90.0]),
+              np.array([10.0, 10.0, 10.0, 300.0])), "redistribute")
+    @example((np.array([60.0, 0.0, 1e-13]), np.array([30.0, 5.0, 5.0])),
+             "redistribute")
+    @settings(max_examples=max_examples(300), deadline=None)
+    def test_allocation_matches_numpy_oracle(self, case, mode):
+        rates, loads = case
+        alloc = allocate_backhaul(rates, loads, mode=mode)
+        shares = time_shares_numpy(rates, loads, mode)
+        want = np.minimum(shares * rates, loads)
+        assert alloc.time_shares.tobytes() == shares.tobytes()
+        assert alloc.throughputs.tobytes() == want.tobytes()
+        assert backhaul_throughputs(rates.tolist(), loads.tolist(),
+                                    mode) == want.tolist()
+
+    @given(st.lists(st.one_of(_PLC_VALUES, st.just(np.inf),
+                              st.floats(0.0, 0.3)), max_size=15))
+    @example([0.1] * 9 + [np.inf])
+    @example([0.5 + _EPS, np.inf])  # a demand exactly at the water level
+    @settings(max_examples=max_examples(300), deadline=None)
+    def test_fill_matches_numpy_oracle(self, demands):
+        demands = np.array(demands, dtype=float)
+        got = max_min_time_shares(demands)
+        assert got.tobytes() == progressive_fill_numpy(demands).tobytes()
