@@ -18,7 +18,10 @@ Two solvers are provided:
   :func:`_greedy_insertion` and :func:`_try_swaps`); a relocation scores
   one user's extenders in a single pass over Python floats, which on
   floors of up to 15 extenders costs less than a one-row numpy sweep
-  (see :func:`_relocate`).  Every iterate is integral.
+  (see :func:`_relocate`).  Every iterate is integral.  The solver
+  reads only the WiFi rates, the capacities and the anchors, so a
+  :class:`Phase2Memo` keeps results for re-solves whose PLC rates moved
+  and :func:`repro.core.wolt.solve_wolt` reuses one whose anchors match.
 * :func:`solve_phase2_continuous` — the paper's "numerical nonlinear
   program" route: the smooth fractional extension of Problem 2 is solved
   with SLSQP (an interior/SQP method, stopping when the objective
@@ -30,16 +33,16 @@ Two solvers are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..net.engine import _record
-from .problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
+from .problem import MIN_USABLE_RATE, UNASSIGNED, Scenario, same_bits
 
-__all__ = ["Phase2Result", "solve_phase2", "solve_phase2_continuous",
-           "wifi_objective"]
+__all__ = ["Phase2Memo", "Phase2Result", "solve_phase2",
+           "solve_phase2_continuous", "wifi_objective"]
 
 #: Stopping threshold for the numerical solver, as quoted in §IV-B.
 SOLVER_TOLERANCE = 1e-5
@@ -63,6 +66,53 @@ class Phase2Result:
     objective: float
     iterations: int
     was_integral: bool
+
+
+@dataclass(frozen=True)
+class Phase2Memo:
+    """Phase-II results on one WiFi side, keyed by their Phase-I anchors.
+
+    :func:`solve_phase2` reads only the WiFi rates, the capacities
+    (constraint (8)) and the anchors ``U1``.  A stored result therefore
+    answers any scenario whose ``wifi_rates`` and ``capacities`` are
+    bit for bit this memo's, whatever its PLC rates, once Phase I
+    returns the same anchors.  Every key compares bits
+    (:func:`~repro.core.problem.same_bits`), so ``-0.0`` against
+    ``0.0`` is a miss.
+
+    Attributes:
+        wifi_rates: the WiFi rates the entries were solved on.
+        capacities: the capacities they were solved on.
+        entries: ``(anchors, result)`` pairs with distinct anchors, the
+            most recently remembered first.
+    """
+
+    wifi_rates: np.ndarray
+    capacities: Optional[np.ndarray]
+    entries: Tuple[Tuple[np.ndarray, Phase2Result], ...] = ()
+
+    def lookup(self, scenario: Scenario,
+               anchors: np.ndarray) -> Optional[Phase2Result]:
+        """The stored result for ``anchors`` on ``scenario``, if any."""
+        if not (same_bits(self.wifi_rates, scenario.wifi_rates)
+                and same_bits(self.capacities, scenario.capacities)):
+            return None
+        for stored, result in self.entries:
+            if same_bits(stored, anchors):
+                return result
+        return None
+
+    def remember(self, anchors: np.ndarray, result: Phase2Result,
+                 keep: int) -> "Phase2Memo":
+        """This memo with ``(anchors, result)`` first, at most ``keep`` long.
+
+        An older entry with the same anchors is dropped, and past
+        ``keep`` the least recently remembered ones go.
+        """
+        older = tuple(entry for entry in self.entries
+                      if not same_bits(entry[0], anchors))
+        return replace(self,
+                       entries=((anchors, result),) + older[:keep - 1])
 
 
 def wifi_objective(scenario: Scenario, assignment: Sequence[int]) -> float:
@@ -231,12 +281,12 @@ def _relocate(state: _CellState, gains: _BatchGains,
     improvement over staying put (hysteresis).
 
     A zero divisor falls back to :func:`_gain`, which gives numpy's
-    ``inf`` for it.
+    ``inf`` for it.  No numpy sweep runs, so the engine counters
+    (:func:`repro.net.engine.count_engine_calls`) record nothing.
     """
     cur = int(assignment[user])
     state.remove(user, cur)
     counts = state.counts.tolist()
-    _record(batch=1, rows=len(counts))
     inv = state.inv_rate_sums.tolist()
     inv_u = gains.inv_rates[user].tolist()
     caps = gains.caps.tolist()

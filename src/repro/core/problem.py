@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["UNASSIGNED", "Scenario", "fail_extenders",
+__all__ = ["UNASSIGNED", "Scenario", "fail_extenders", "same_bits",
            "validate_assignment", "validate_assignment_batch"]
 
 #: Sentinel extender index for an unattached user.
@@ -119,6 +119,18 @@ class Scenario:
                         capacities=self.capacities, user_ids=ids)
 
 
+def same_bits(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
+    """Whether two optional arrays hold the same dtype, shape and bytes.
+
+    A lossless key, unlike :func:`numpy.array_equal`, which calls
+    ``-0.0`` and ``0.0`` equal.
+    """
+    if a is None or b is None:
+        return a is b
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
+
+
 def fail_extenders(scenario: Scenario,
                    failed: Sequence[int],
                    allow_all_failed: bool = False) -> Scenario:
@@ -136,8 +148,11 @@ def fail_extenders(scenario: Scenario,
     if failed_idx.size and (failed_idx.min() < 0
                             or failed_idx.max() >= scenario.n_extenders):
         raise ValueError("failed extender index out of range")
-    if (not allow_all_failed and failed_idx.size
-            and np.unique(failed_idx).size >= scenario.n_extenders):
+    # A mask counts distinct extenders without np.unique, whose first
+    # call imports numpy.ma.
+    dead = np.zeros(scenario.n_extenders, dtype=bool)
+    dead[failed_idx] = True
+    if not allow_all_failed and failed_idx.size and dead.all():
         raise ValueError(
             f"all {scenario.n_extenders} extenders would be dead — no "
             "user can associate anywhere; pass allow_all_failed=True "

@@ -6,19 +6,24 @@
 The solver returns the full assignment together with the per-phase
 artifacts.  Its end-to-end throughput ``report`` is lazy, evaluated on
 first access, so callers that read only the assignment pay for none.
+A caller that re-solves a network whose PLC side moved but whose WiFi
+side did not can hand in the Phase-II results it already has
+(:class:`~repro.core.phase2.Phase2Memo`); Phase I still runs, and a
+stored result stands in for Phase II when its anchors match.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from ..net.engine import ThroughputReport, evaluate
 from ..plc.sharing import PLC_MODES
 from .phase1 import Phase1Result, phase1_utilities, solve_phase1
-from .phase2 import Phase2Result, solve_phase2
+from .phase2 import Phase2Memo, Phase2Result, solve_phase2
 from .problem import Scenario, validate_assignment
 
 __all__ = ["WoltResult", "solve_wolt"]
@@ -59,7 +64,8 @@ class WoltResult:
 
 
 def solve_wolt(scenario: Scenario,
-               plc_mode: str = "redistribute") -> WoltResult:
+               plc_mode: str = "redistribute",
+               reuse: Optional[Phase2Memo] = None) -> WoltResult:
     """Run the full WOLT association algorithm (Alg. 1 of the paper).
 
     Args:
@@ -67,6 +73,12 @@ def solve_wolt(scenario: Scenario,
         plc_mode: PLC sharing law of the result's lazy ``report`` (the
             algorithm itself is model-free; see
             :func:`repro.net.engine.evaluate`).
+        reuse: Phase-II results solved earlier.  Phase I always runs;
+            when ``reuse`` holds a result for exactly its anchors on
+            exactly this scenario's WiFi rates and capacities
+            (:meth:`Phase2Memo.lookup`), that result is Phase II.
+            Problem 2 reads nothing else, so the outcome is the one
+            :func:`~repro.core.phase2.solve_phase2` would return.
 
     Returns:
         A :class:`WoltResult`.
@@ -82,7 +94,10 @@ def solve_wolt(scenario: Scenario,
         raise ValueError(f"mode must be one of {PLC_MODES}, got {plc_mode!r}")
     utilities = phase1_utilities(scenario)
     phase1 = solve_phase1(scenario, utilities)
-    phase2 = solve_phase2(scenario, phase1.assignment)
+    phase2 = (None if reuse is None
+              else reuse.lookup(scenario, phase1.assignment))
+    if phase2 is None:
+        phase2 = solve_phase2(scenario, phase1.assignment)
     validate_assignment(scenario, phase2.assignment, require_complete=False)
     return WoltResult(assignment=phase2.assignment, phase1=phase1,
                       phase2=phase2, scenario=scenario, plc_mode=plc_mode)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -39,6 +42,32 @@ class TestFailExtenders:
         # Duplicate indices covering every extender count too.
         with pytest.raises(ValueError, match="allow_all_failed"):
             fail_extenders(sc, [0, 1, 2, 2, 0])
+
+    def test_duplicates_count_distinct_extenders(self, rng):
+        sc = random_scenario(rng, 4, 3)
+        # Four indices, two extenders: one survives, so no error.
+        dead = fail_extenders(sc, [2, 0, 2, 0])
+        assert np.all(dead.wifi_rates[:, [0, 2]] == 0.0)
+        assert np.array_equal(dead.wifi_rates[:, 1], sc.wifi_rates[:, 1])
+        with pytest.raises(ValueError, match="allow_all_failed"):
+            fail_extenders(sc, [1, 1, 0, 2, 2, 1])
+
+    def test_leaves_numpy_ma_unimported(self):
+        # The first quarantine of a fleet epoch calls fail_extenders;
+        # a lazy numpy.ma import there costs that epoch ~10 ms.
+        code = ("import sys, numpy as np\n"
+                "from repro.core.problem import Scenario, fail_extenders\n"
+                "sc = Scenario(wifi_rates=np.ones((3, 3)),"
+                " plc_rates=np.ones(3))\n"
+                "fail_extenders(sc, [1, 1])\n"
+                "try:\n"
+                "    fail_extenders(sc, [0, 1, 2, 2])\n"
+                "except ValueError:\n"
+                "    pass\n"
+                "else:\n"
+                "    raise AssertionError('all dead must raise')\n"
+                "assert 'numpy.ma' not in sys.modules\n")
+        subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_all_dead_opt_in(self, rng):
         sc = random_scenario(rng, 4, 3)

@@ -1,13 +1,15 @@
-"""Tests for the fleet service's clean-solve memo.
+"""Tests for the fleet service's clean-solve memo and its Phase-II level.
 
 A building whose effective scenario is bit-identical to the one of its
 last fully clean solve reuses that solve instead of re-splitting and
-re-dispatching it.  The differential wall runs every case twice, once
-as shipped and once with the memo defeated (its key comparison patched
-to always miss), and requires byte-identical epoch text and journals.
-The semantics tests count the work a hit skips, and the fleet
-invariant is checked over seeded specs and chaos levels, memo-served
-epochs included.
+re-dispatching it.  A building whose PLC side moved but whose WiFi
+side did not ships each shard its segment's Phase-II memo, so Phase II
+is skipped whenever Phase I repeats the anchors.  The differential
+wall runs every case twice, once as shipped and once with both levels
+defeated (their key comparisons patched to always miss), and requires
+byte-identical epoch text and journals.  The semantics tests count the
+work a hit skips, and the fleet invariant is checked over seeded specs
+and chaos levels, memo-served epochs included.
 """
 
 from __future__ import annotations
@@ -24,8 +26,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.wolt as wolt_module
 import repro.fleet.service as service_module
+from repro.core.phase2 import Phase2Memo
 from repro.core.problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
+from repro.fleet import load_fleet_spec
 from repro.fleet.chaos import FleetFaultModel, ShardFaultPlan
 from repro.fleet.ingest import (RecordedTelemetry, SyntheticTelemetry,
                                 TelemetryRecord, TelemetrySource,
@@ -39,15 +44,29 @@ from .conftest import max_examples
 
 #: Telemetry models the specs draw from: ``steady`` repeats every
 #: report bit for bit, ``dropout`` loses PLC probes (so quarantine
-#: comes and goes between repeats), ``jitter`` never repeats.
+#: comes and goes between repeats), ``plc`` repeats the scans but
+#: never the PLC capacities (the Phase-II level's workload),
+#: ``jitter`` never repeats.
 TELEMETRY = {
     "steady": TelemetryModel(),
     "dropout": TelemetryModel(dropout=0.3),
+    "plc": TelemetryModel(plc_jitter=0.08),
     "jitter": TelemetryModel(wifi_jitter=0.03, plc_jitter=0.08),
 }
 
+#: The service's memo keys, each patched to always miss to defeat it.
+MEMO_KEYS = ("_same_scenario", "_same_wifi_side")
+
+#: The lookup (see :func:`memo_lookups`) a serial run of each
+#: repeating telemetry model must hit for its wall not to be vacuous.
+HIT_BY = {"steady": "_same_scenario", "dropout": "_same_scenario",
+          "plc": "phase2"}
+
 #: The chaos levels of the fleet invariant.
 CHAOS_LEVELS = (0.0, 0.4)
+
+#: The PLC-only smoke fleet whose serial and pooled journals CI compares.
+PLC_SMOKE = Path(__file__).parent / "data" / "fleet_smoke_plc.yaml"
 
 
 def fleet_spec(seed: int, telemetry: str = "steady") -> FleetSpec:
@@ -80,25 +99,37 @@ def _serve(spec: FleetSpec, epochs: int, workdir: Path,
 
 
 @contextmanager
-def memo_lookups() -> Iterator[List[bool]]:
-    """Record whether each memo lookup hit."""
-    hits: List[bool] = []
-    real = service_module._same_scenario
+def memo_lookups() -> Iterator[Dict[str, List[bool]]]:
+    """Record whether each memo lookup hit, per kind of lookup.
 
-    def spy(a: Scenario, b: Scenario) -> bool:
-        same = real(a, b)
-        hits.append(same)
-        return same
+    ``_same_scenario`` is the clean-solve memo, ``_same_wifi_side``
+    ships a building's Phase-II memos, and ``phase2`` is each
+    in-process :meth:`Phase2Memo.lookup` (pooled ones run in workers).
+    """
+    hits: Dict[str, List[bool]] = {name: [] for name in MEMO_KEYS}
+    hits["phase2"] = []
 
-    with mock.patch.object(service_module, "_same_scenario", spy):
+    def spy(name: str, real: Callable[..., Any]) -> Callable[..., Any]:
+        def spied(*args: Any) -> Any:
+            found = real(*args)
+            hits[name].append(bool(found))
+            return found
+        return spied
+
+    with mock.patch.multiple(service_module, **{
+            name: spy(name, getattr(service_module, name))
+            for name in MEMO_KEYS}), \
+            mock.patch.object(Phase2Memo, "lookup",
+                              spy("phase2", Phase2Memo.lookup)):
         yield hits
 
 
-def memo_is_invisible(run: Run) -> int:
-    """Assert ``run`` is byte-identical with the memo defeated.
+def memo_is_invisible(run: Run) -> Dict[str, int]:
+    """Assert ``run`` is byte-identical with both memo levels defeated.
 
-    Returns how many memo lookups hit in the shipped run, so a caller
-    can check the wall is not vacuous.
+    Returns how many lookups of each kind hit in the shipped run (see
+    :func:`memo_lookups`), so a caller can check the wall is not
+    vacuous.
     """
     with tempfile.TemporaryDirectory() as tmp:
         shipped_dir, defeated_dir = Path(tmp, "memo"), Path(tmp, "none")
@@ -106,12 +137,12 @@ def memo_is_invisible(run: Run) -> int:
         defeated_dir.mkdir()
         with memo_lookups() as hits:
             shipped = run(shipped_dir)
-        with mock.patch.object(service_module, "_same_scenario",
-                               lambda a, b: False):
+        with mock.patch.multiple(service_module, **{
+                name: lambda a, b: False for name in MEMO_KEYS}):
             defeated = run(defeated_dir)
     assert shipped[0] == defeated[0]
     assert shipped[1] == defeated[1]
-    return sum(hits)
+    return {name: sum(found) for name, found in hits.items()}
 
 
 @contextmanager
@@ -149,38 +180,48 @@ class TestMemoIsInvisible:
         hits = memo_is_invisible(lambda workdir: _serve(
             replace(spec, chaos=model), 5, workdir, dry_run=dry_run))
         if telemetry == "steady" and level == 0.0:
-            assert hits == 4 * spec.n_buildings
+            assert hits["_same_scenario"] == 4 * spec.n_buildings
 
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_pooled_runs_match(self, seed: int) -> None:
+    @pytest.mark.parametrize("seed, telemetry", [
+        (3, "steady"), (11, "steady"), (3, "plc")])
+    def test_pooled_runs_match(self, seed: int, telemetry: str) -> None:
         # Crashes only: a planned hang on the pool costs a real
         # deadline, and the serial wall above covers hang synthesis.
+        # Pooled Phase-II lookups run in the workers, so a PLC-only
+        # fleet counts the memos the parent ships.
         storm = FleetFaultModel(blackout_prob=0.1, crash_prob=0.3,
                                 crash_attempts=2)
-        spec = fleet_spec(seed)
+        spec = fleet_spec(seed, telemetry)
+        key = "_same_wifi_side" if telemetry == "plc" else "_same_scenario"
         assert memo_is_invisible(lambda workdir: _serve(
-            spec, 4, workdir, workers=2, chunk_size=1)) > 0
+            spec, 4, workdir, workers=2, chunk_size=1))[key] > 0
         assert memo_is_invisible(lambda workdir: _serve(
-            replace(spec, chaos=storm), 4, workdir, workers=2)) > 0
+            replace(spec, chaos=storm), 4, workdir, workers=2))[key] > 0
 
     @pytest.mark.parametrize("seed, telemetry, level, dry_run", [
         (5, "steady", 0.4, False),
         (8, "dropout", 0.0, True),
-    ], ids=["chaos-storm", "dry-run"])
+        (2, "plc", 0.0, False),
+        (5, "plc", 0.4, False),
+        (8, "plc", 0.0, True),
+    ], ids=["chaos-storm", "dry-run", "plc", "plc-chaos-storm",
+            "plc-dry-run"])
     def test_seeded_runs_hit_and_match(self, seed: int, telemetry: str,
                                        level: float,
                                        dry_run: bool) -> None:
         spec = fleet_spec(seed, telemetry)
         model = FleetFaultModel.from_level(level)
         assert memo_is_invisible(lambda workdir: _serve(
-            replace(spec, chaos=model), 6, workdir, dry_run=dry_run)) > 0
+            replace(spec, chaos=model), 6, workdir,
+            dry_run=dry_run))[HIT_BY[telemetry]] > 0
 
+    @pytest.mark.parametrize("telemetry", ["steady", "plc"])
     @pytest.mark.parametrize("level", CHAOS_LEVELS)
     def test_crash_and_resume_matches_a_straight_run(
-            self, level: float) -> None:
+            self, level: float, telemetry: str) -> None:
         # The memo is never journaled: the resumed service starts
         # empty and re-solves once, and still writes the same bytes.
-        spec = replace(fleet_spec(13),
+        spec = replace(fleet_spec(13, telemetry),
                        chaos=FleetFaultModel.from_level(level))
 
         def crash_and_resume(workdir: Path
@@ -199,7 +240,7 @@ class TestMemoIsInvisible:
             texts += [format_epoch(report) for report in reports]
             return texts, Path(journal).read_bytes()
 
-        assert memo_is_invisible(crash_and_resume) > 0
+        assert memo_is_invisible(crash_and_resume)[HIT_BY[telemetry]] > 0
         with tempfile.TemporaryDirectory() as tmp:
             resumed, straight = Path(tmp, "resumed"), Path(tmp, "straight")
             resumed.mkdir()
@@ -226,7 +267,7 @@ class TestMemoIsInvisible:
         hits = memo_is_invisible(lambda workdir: _serve(
             spec, epochs, workdir,
             source=RecordedTelemetry(stream, spec)))
-        assert hits == 2 * (epochs - 1)
+        assert hits["_same_scenario"] == 2 * (epochs - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +275,8 @@ class TestMemoIsInvisible:
 
 
 class _EditedTelemetry(TelemetrySource):
-    """Drift-free telemetry with ``edit(building, epoch, wifi, plc)``
-    applied in place to a copy of each report."""
+    """The spec's synthetic telemetry with ``edit(building, epoch, wifi,
+    plc)`` applied in place to a copy of each report."""
 
     def __init__(self, spec: FleetSpec,
                  edit: Callable[[int, int, np.ndarray, np.ndarray],
@@ -364,6 +405,88 @@ class TestReuseSemantics:
         assert not service_module._same_scenario(other, base)
 
 
+class TestPhase2Reuse:
+    def test_plc_only_fleet_runs_phase2_less_often(self) -> None:
+        service = FleetService(fleet_spec(2, "plc"))
+        phase2 = [0]
+        real = wolt_module.solve_phase2
+
+        def counted(*args: Any, **kwargs: Any) -> Any:
+            phase2[0] += 1
+            return real(*args, **kwargs)
+
+        with counting("solve_wolt", "split_segments") as calls, \
+                mock.patch.object(wolt_module, "solve_phase2", counted):
+            for _ in range(8):
+                service.run_epoch()
+        # Every epoch re-splits and re-runs Phase I (the PLC side
+        # moved), but Phase II runs only on anchors not seen before.
+        assert calls["split_segments"] == 8 * service.spec.n_buildings
+        assert 0 < phase2[0] < calls["solve_wolt"]
+
+    def test_plc_smoke_spec_reuses_phase2(self) -> None:
+        spec = load_fleet_spec(str(PLC_SMOKE))
+        assert spec.telemetry == TelemetryModel(plc_jitter=0.05)
+        with memo_lookups() as hits:
+            FleetService(spec).run(8)
+        assert any(hits["phase2"])
+
+    @staticmethod
+    def _memos(service: FleetService) -> List[Tuple[Any, ...]]:
+        return [() if b.clean_solve is None else b.clean_solve.phase2
+                for b in service._buildings]
+
+    def test_memos_stay_bounded_and_feed_from_workers(self) -> None:
+        keys: Dict[Optional[int], List[List[Any]]] = {}
+        for workers in (None, 2):
+            with FleetService(fleet_spec(2, "plc"),
+                              workers=workers) as service:
+                service.run(10)
+                keys[workers] = [
+                    [None if m is None
+                     else [anchors.tobytes() for anchors, _ in m.entries]
+                     for m in memos] for memos in self._memos(service)]
+        # Pooled shards return their anchors and Phase-II results, so
+        # the parent's memos hold the same keys as serial ones.
+        assert keys[2] == keys[None]
+        sizes = [len(k) for memos in keys[None] for k in memos if k]
+        assert max(sizes) > 1
+        assert all(n <= service_module.PHASE2_ENTRIES for n in sizes)
+
+    @pytest.mark.parametrize("change", ["wifi", "quarantine"])
+    def test_wifi_side_change_starts_the_memos_afresh(
+            self, change: str) -> None:
+        spec = fleet_spec(2, "plc")
+
+        def edit(building: int, epoch: int, wifi: np.ndarray,
+                 plc: np.ndarray) -> None:
+            if building != 1 or epoch != 5:
+                return
+            if change == "wifi":
+                wifi[0, 0] = np.nextafter(wifi[0, 0], np.inf)
+            else:
+                plc[1] = np.nan
+
+        service = FleetService(spec, source=_EditedTelemetry(spec, edit))
+        for _ in range(5):
+            service.run_epoch()
+        before = self._memos(service)
+        # The lab's one segment has met more than one anchor set.
+        assert [len(m.entries) for m in before[1]] == [2]
+        report = service.run_epoch()
+        if change == "quarantine":
+            assert report.buildings[1].quarantined == (1,)
+        after = self._memos(service)
+        lab = service._buildings[1].clean_solve
+        assert lab is not None
+        assert [len(m.entries) for m in after[1]] == [1]
+        assert lab.phase2[0].wifi_rates is lab.segments[0].scenario.wifi_rates
+        # The other buildings kept theirs.
+        for b in (0, 2):
+            assert all(len(m.entries) >= len(o.entries)
+                       for m, o in zip(after[b], before[b]) if m)
+
+
 # ---------------------------------------------------------------------------
 # the fleet invariant
 
@@ -395,4 +518,4 @@ def test_no_user_is_applied_onto_an_unusable_extender(
                 assert np.all(scenario.wifi_rates[users, extenders]
                               > MIN_USABLE_RATE)
     if telemetry == "steady" and level == 0.0:
-        assert sum(hits) == 5 * service.spec.n_buildings
+        assert sum(hits["_same_scenario"]) == 5 * service.spec.n_buildings

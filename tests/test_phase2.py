@@ -10,9 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.phase1 import solve_phase1
-from repro.core.phase2 import (solve_phase2, solve_phase2_continuous,
+from repro.core.phase2 import (_BatchGains, _CellState, _relocate,
+                               solve_phase2, solve_phase2_continuous,
                                wifi_objective)
 from repro.core.problem import UNASSIGNED, Scenario
+from repro.net.engine import EngineCallStats, count_engine_calls
 
 from .conftest import max_examples, random_scenario
 from .oracles import solve_phase2_batch, solve_phase2_scalar
@@ -49,6 +51,17 @@ class TestCombinatorialSolver:
         res = solve_phase2(sc, p1.assignment)
         for user in p1.anchored_users:
             assert res.assignment[user] == p1.assignment[user]
+
+    def test_relocation_records_no_engine_call(self, rng):
+        # A relocation scores one user on Python floats: no numpy
+        # sweep, so nothing for the engine counters to record.
+        sc = random_scenario(rng, 10, 4)
+        assignment = solve_phase2(sc, solve_phase1(sc).assignment).assignment
+        state = _CellState(sc, assignment)
+        gains = _BatchGains(sc)
+        with count_engine_calls() as stats:
+            _relocate(state, gains, assignment, 0)
+        assert stats == EngineCallStats()
 
     def test_objective_matches_recomputation(self, rng):
         sc = random_scenario(rng, 10, 3)
