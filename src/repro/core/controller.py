@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..net.engine import DeltaEvaluator, evaluate
+from ..net.engine import DeltaEvaluator
 from .baselines import greedy_attach_user
 from .problem import MIN_USABLE_RATE, Scenario, UNASSIGNED, fail_extenders
 from .wolt import solve_wolt
@@ -390,8 +390,7 @@ class CentralController:
         # extender its newest report cannot hear: score it as detached.
         current[scenario.wifi_rates[np.arange(len(ids)), current]
                 <= 0] = UNASSIGNED
-        evaluator = DeltaEvaluator.from_report(
-            scenario, evaluate(scenario, current))
+        evaluator = DeltaEvaluator(scenario, current)
         pending = {idx for idx in range(len(ids))
                    if target[idx] != current[idx]
                    and target[idx] != UNASSIGNED}

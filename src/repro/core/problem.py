@@ -190,27 +190,24 @@ def validate_assignment(scenario: Scenario,
         raise ValueError(
             f"assignment has {assign.shape[0]} entries for "
             f"{scenario.n_users} users")
-    bad = (assign != UNASSIGNED) & ((assign < 0) |
-                                    (assign >= scenario.n_extenders))
-    if np.any(bad):
+    attached = assign != UNASSIGNED
+    bad = attached & ((assign < 0) | (assign >= scenario.n_extenders))
+    if bad.any():
         raise ValueError(f"extender index out of range for users "
-                         f"{np.flatnonzero(bad).tolist()}")
-    if require_complete and np.any(assign == UNASSIGNED):
+                         f"{bad.nonzero()[0].tolist()}")
+    if require_complete and not attached.all():
         raise ValueError(
             f"constraint (7) violated: users "
-            f"{np.flatnonzero(assign == UNASSIGNED).tolist()} unassigned")
-    attached = assign != UNASSIGNED
-    if np.any(attached):
-        rates = scenario.wifi_rates[np.flatnonzero(attached),
-                                    assign[attached]]
-        if np.any(rates <= MIN_USABLE_RATE):
-            bad_users = np.flatnonzero(attached)[rates <= MIN_USABLE_RATE]
-            raise ValueError(f"users {bad_users.tolist()} assigned to an "
+            f"{(~attached).nonzero()[0].tolist()} unassigned")
+    users = attached.nonzero()[0]
+    if users.size:
+        low = scenario.wifi_rates[users, assign[users]] <= MIN_USABLE_RATE
+        if low.any():
+            raise ValueError(f"users {users[low].tolist()} assigned to an "
                              "unreachable extender")
     if enforce_capacity and scenario.capacities is not None:
-        counts = np.bincount(assign[attached],
-                             minlength=scenario.n_extenders)
-        over = np.flatnonzero(counts > scenario.capacities)
+        counts = np.bincount(assign[users], minlength=scenario.n_extenders)
+        over = (counts > scenario.capacities).nonzero()[0]
         if over.size:
             raise ValueError(
                 f"constraint (8) violated at extenders {over.tolist()}")

@@ -28,9 +28,10 @@ loop (Fig. 6b) across a whole campus.  Each epoch:
    same association.  Its shards keep their batch indices (and still
    count in ``n_shards``), but only the ones the epoch's chaos plan
    crashes or hangs are dispatched.  A building whose PLC side moved
-   but whose WiFi rates and capacities did not is split again, and
-   each of its shards carries that segment's
-   :class:`~repro.core.phase2.Phase2Memo`: the last
+   but whose WiFi rates and capacities did not keeps its segments
+   (the partition depends on the WiFi side only) with each segment's
+   PLC rates sliced afresh.  Each of its shards carries that
+   segment's :class:`~repro.core.phase2.Phase2Memo`: the last
    :data:`PHASE2_ENTRIES` Phase-II results since the WiFi side last
    changed, keyed by their Phase-I anchors.  Phase I re-runs and a
    stored result stands in for Phase II when its anchors match.  Any
@@ -59,8 +60,9 @@ loop (Fig. 6b) across a whole campus.  Each epoch:
    bit-identical.
 4. **Directives** — the per-building diff old → new is emitted as
    :class:`Directive` records with per-move expected aggregate deltas
-   (one baseline evaluation per building, then one incremental commit
-   per move); ``dry_run`` previews them without applying anything.
+   (one :class:`~repro.net.engine.DeltaEvaluator` seeded per building
+   with its old association, then one incremental commit per move);
+   ``dry_run`` previews them without applying anything.
 5. **Journal** — applied epochs append one crash-consistent record to
    the :class:`~repro.sim.checkpoint.TrialStore` journal.  Each
    building's entry carries everything a restart needs: the
@@ -92,7 +94,11 @@ from ..core.phase2 import Phase2Memo, Phase2Result
 from ..core.problem import (MIN_USABLE_RATE, UNASSIGNED, Scenario,
                             fail_extenders, same_bits)
 from ..core.wolt import solve_wolt
-from ..net.engine import DeltaEvaluator, evaluate
+from ..net.engine import DeltaEvaluator
+# Not called here.  fleetbench's tracer rebinds ``service.evaluate``
+# by name, so it stays importable until ROADMAP item 2 retires that
+# tracer.
+from ..net.engine import evaluate  # noqa: F401
 from ..sim.checkpoint import CorruptCheckpoint, TrialStore, fingerprint
 from ..sim.dispatch import (TIMEOUT_ERROR_TYPE, InterruptState,
                             WorkFailure, WorkSpec, dispatch_chunked,
@@ -280,6 +286,25 @@ def _same_wifi_side(a: Scenario, b: Scenario) -> bool:
             and same_bits(a.capacities, b.capacities))
 
 
+def _resliced(segments: Sequence[Segment],
+              scenario: Scenario) -> Tuple[Segment, ...]:
+    """``segments``, split from a scenario with ``scenario``'s WiFi
+    side, over ``scenario``'s PLC rates.
+
+    The partition and each segment's WiFi rates and capacities depend
+    on the WiFi side alone, so only the PLC slices are taken afresh.
+    Effective scenarios carry no ``user_ids``.  A whole-building
+    segment takes ``scenario`` itself, as in :func:`split_segments`.
+    """
+    if len(segments) == 1 and len(segments[0].users) == scenario.n_users:
+        return (replace(segments[0], scenario=scenario),)
+    return tuple(
+        replace(segment, scenario=replace(
+            segment.scenario,
+            plc_rates=scenario.plc_rates[list(segment.extenders)]))
+        for segment in segments)
+
+
 @dataclass(frozen=True)
 class _CleanSolve:
     """A building's last solve in which every shard succeeded.
@@ -335,24 +360,24 @@ def score_directives(scenario: Scenario, old: np.ndarray,
                      ) -> Tuple[float, float, Tuple[Directive, ...]]:
     """The directives of ``old -> new`` and the aggregates around them.
 
-    The baseline is one scalar :func:`evaluate` of ``old`` as servable
-    this epoch (users whose extender vanished contribute nothing).
-    Moved users are then committed in ascending user order to a
-    :class:`~repro.net.engine.DeltaEvaluator` seeded from that report;
-    each commit recomputes only the two cells it touches and is
-    bit-identical to a full ``evaluate`` of the intermediate
-    assignment.  Unlike ``evaluate``, a commit does not re-check
-    constraint (8); none is lost, because the effective scenarios
-    :meth:`FleetService._observe` builds carry no capacities.
+    A :class:`~repro.net.engine.DeltaEvaluator` is seeded with ``old``
+    as servable this epoch (users whose extender vanished contribute
+    nothing); its aggregate is the baseline, bit-identical to a full
+    ``evaluate`` of that assignment.  Moved users are then committed in
+    ascending user order; each commit recomputes only the two cells it
+    touches and is bit-identical to a full ``evaluate`` of the
+    intermediate assignment.  Unlike ``evaluate``, a commit does not
+    re-check constraint (8); none is lost, because the effective
+    scenarios :meth:`FleetService._observe` builds carry no capacities.
 
     Returns:
         ``(baseline, aggregate, directives)`` — the aggregate before
         the first and after the last move, and one
         :class:`Directive` per moved user carrying its delta.
     """
-    report = evaluate(scenario, _servable(scenario, old), plc_mode=plc_mode)
-    scorer = DeltaEvaluator.from_report(scenario, report, plc_mode=plc_mode)
-    baseline = running = report.aggregate
+    scorer = DeltaEvaluator(scenario, _servable(scenario, old),
+                            plc_mode=plc_mode)
+    baseline = running = scorer.aggregate
     directives: List[Directive] = []
     for user in np.flatnonzero(new != old).tolist():
         moved = scorer.commit(user, int(new[user]))
@@ -599,14 +624,13 @@ class FleetService:
                     memo.scenario, scenario):
                 segments, memos = memo.segments, memo.phase2
                 reused.update(enumerate(memo.results, start=n_shards))
+            elif solve and memo is not None and _same_wifi_side(
+                    memo.scenario, scenario):
+                segments = _resliced(memo.segments, scenario)
+                memos = memo.phase2
             elif solve:
                 segments = tuple(
                     split_segments(scenario, circuits=bstate.circuits))
-                # An unchanged WiFi side splits the same way, so the
-                # memos line up with the segments.
-                if memo is not None and _same_wifi_side(memo.scenario,
-                                                        scenario):
-                    memos = memo.phase2
             segments_of.append(segments)
             memos_of.append(memos)
             n_shards += len(segments)
@@ -827,8 +851,9 @@ class FleetService:
                                 apply: bool) -> BuildingEpoch:
         """Score ``new``'s directives, optionally apply it.
 
-        Scoring is :func:`score_directives`: one baseline ``evaluate``
-        per building, then one ``DeltaEvaluator`` commit per move.
+        Scoring is :func:`score_directives`: one ``DeltaEvaluator``
+        seeded with the old association per building (its aggregate is
+        the baseline), then one commit per move.
         """
         baseline, aggregate, directives = score_directives(
             scenario, bstate.assignment, new, self.spec.plc_mode,

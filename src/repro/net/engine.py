@@ -54,9 +54,9 @@ class EngineCallStats:
             invocations plus Phase-II batched gain sweeps.
         batch_rows: total candidates scored across all batched
             evaluations.
-        delta_moves: single-move candidates scored incrementally by a
-            :class:`DeltaEvaluator` (only the touched cells were
-            recomputed).
+        delta_moves: single-user moves scored or committed
+            incrementally by a :class:`DeltaEvaluator` (only the
+            touched cells were recomputed).
     """
 
     scalar_calls: int = 0
@@ -298,28 +298,20 @@ class DeltaEvaluator:
     O(n_extenders) and always recomputed in full; cheap next to the
     O(n_users · n_extenders) WiFi pass it replaces).
 
-    The cache is seeded by one full scalar pass at construction, or
-    taken as-is from a scalar :class:`ThroughputReport` via
-    :meth:`from_report`.  Like :func:`evaluate`, the seed may be
-    partial (``UNASSIGNED`` users); moves then attach, detach or
-    relocate single users.  The differential test wall checks the
-    cache against a full :func:`evaluate` after random move sequences.
+    The cache is seeded by one pass over the cells at construction,
+    with the same per-cell expression a move uses.  Like
+    :func:`evaluate`, the seed may be partial (``UNASSIGNED`` users);
+    moves then attach, detach or relocate single users.  The
+    differential test wall checks the cache against a full
+    :func:`evaluate` after random move sequences.
 
     Not thread-safe; one evaluator per search loop.
     """
 
     def __init__(self, scenario: Scenario, assignment: Sequence[int],
                  plc_mode: str = "redistribute") -> None:
-        assign = validate_assignment(scenario, assignment,
-                                     require_complete=False).copy()
-        # cell_throughputs rejects members with non-positive rates, so
-        # from here on per-move validation narrows to the moved user.
-        self._seed(scenario, plc_mode, assign,
-                   cell_throughputs(scenario.wifi_rates, assign,
-                                    scenario.n_extenders))
-
-    def _seed(self, scenario: Scenario, plc_mode: str,
-              assignment: np.ndarray, wifi: np.ndarray) -> None:
+        self._assignment = validate_assignment(
+            scenario, assignment, require_complete=False).copy()
         if plc_mode not in PLC_MODES:
             raise ValueError(
                 f"plc_mode must be one of {PLC_MODES}, got {plc_mode!r}")
@@ -334,33 +326,14 @@ class DeltaEvaluator:
         self._plc_rates = np.asarray(scenario.plc_rates,
                                      dtype=float).tolist()
         self._plc_mode = plc_mode
-        self._assignment = assignment
-        self._wifi = wifi
+        # cell_throughputs would also reject a member rate <= 1e-12;
+        # validate_assignment has already rejected every attached rate
+        # <= MIN_USABLE_RATE (1e-9), so no member can fail that check
+        # and each cell is _cell_wifi's value, bit for bit.
+        self._wifi = np.array([self._cell_wifi(j)
+                               for j in range(scenario.n_extenders)],
+                              dtype=float)
         self._aggregate = self._full_aggregate(self._wifi)
-
-    @classmethod
-    def from_report(cls, scenario: Scenario, report: ThroughputReport,
-                    plc_mode: str = "redistribute") -> "DeltaEvaluator":
-        """Seed from a scalar :class:`ThroughputReport`, with no second pass.
-
-        ``report.assignment`` and ``report.wifi_throughputs`` are exactly
-        the cache the constructor would build (:func:`evaluate` computes
-        both with the same :func:`cell_throughputs` call), so they are
-        copied as-is; only the O(n_extenders) PLC step is recomputed,
-        under this evaluator's own ``plc_mode``.  The report must come
-        from ``evaluate(scenario, ...)``: only its shapes are checked.
-        """
-        assignment = np.array(report.assignment, dtype=int)
-        wifi = np.array(report.wifi_throughputs, dtype=float)
-        if (assignment.shape != (scenario.n_users,)
-                or wifi.shape != (scenario.n_extenders,)):
-            raise ValueError(
-                f"report shapes {assignment.shape}/{wifi.shape} do not "
-                f"match a scenario of {scenario.n_users} users and "
-                f"{scenario.n_extenders} extenders")
-        ev = cls.__new__(cls)
-        ev._seed(scenario, plc_mode, assignment, wifi)
-        return ev
 
     @property
     def assignment(self) -> np.ndarray:
@@ -388,7 +361,8 @@ class DeltaEvaluator:
         members = (self._assignment == j).nonzero()[0]
         if members.size == 0:
             return 0.0
-        return members.size / float(self._inv_cols[j].take(members).sum())
+        return members.size / float(
+            np.add.reduce(self._inv_cols[j].take(members)))
 
     def _check_move(self, user: int, dest: int) -> int:
         """Vet a move of ``user`` to ``dest``; return the user's extender.
@@ -443,6 +417,7 @@ class DeltaEvaluator:
         src = self._check_move(user, dest)
         if dest == src:
             return self._aggregate
+        _record(delta=1)
         self._assignment[user] = dest
         for j in (src, dest):
             if j != UNASSIGNED:

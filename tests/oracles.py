@@ -50,6 +50,9 @@ Further references the tests compare production against:
   split a building one ``scenario.reachable(user)`` call at a time.
 * :func:`score_directives_scalar` scores each fleet directive with one
   full scalar ``evaluate`` of the building per moved user.
+* :func:`validate_assignment_reference` checks Problem 1's constraints
+  through the ``np.any``/``np.flatnonzero`` wrappers, where production
+  calls the ndarray methods.
 * :func:`time_shares_numpy` is the PLC step (the per-extender medium
   time grants under each sharing law, with the max-min water-filling
   of :func:`progressive_fill_numpy`) in numpy array operations, where
@@ -493,7 +496,6 @@ class IncrementalWoltReference:
             wifi_rates=np.vstack([self._rates[uid] for uid in ids]),
             plc_rates=self.plc_rates)
         current = np.array([self.assignment[uid] for uid in ids])
-        baseline = evaluate(scenario, current, require_complete=True)
         target = solve_wolt(scenario).assignment
         pending = {idx for idx in range(len(ids))
                    if target[idx] != current[idx]
@@ -501,8 +503,8 @@ class IncrementalWoltReference:
         applied: List[Tuple[int, int, int]] = []
         gains: List[float] = []
         working = current.copy()
-        evaluator = DeltaEvaluator.from_report(scenario, baseline)
-        best = baseline.aggregate
+        evaluator = DeltaEvaluator(scenario, current)
+        best = evaluator.aggregate
         while pending:
             gain, idx = max((evaluator.score_move(idx, int(target[idx]))
                              - best, idx) for idx in sorted(pending))
@@ -910,6 +912,46 @@ def score_directives_scalar(scenario: Scenario, old: np.ndarray,
             delta_mbps=float(moved - running)))
         running = moved
     return baseline, running, tuple(directives)
+
+
+def validate_assignment_reference(scenario: Scenario,
+                                  assignment: Sequence[int],
+                                  require_complete: bool = True,
+                                  enforce_capacity: bool = True
+                                  ) -> np.ndarray:
+    """``repro.core.problem.validate_assignment`` on numpy's wrapper
+    functions: the same checks, in the same order, with the same
+    messages."""
+    assign = np.asarray(assignment, dtype=int).ravel()
+    if assign.shape[0] != scenario.n_users:
+        raise ValueError(
+            f"assignment has {assign.shape[0]} entries for "
+            f"{scenario.n_users} users")
+    bad = (assign != UNASSIGNED) & ((assign < 0) |
+                                    (assign >= scenario.n_extenders))
+    if np.any(bad):
+        raise ValueError(f"extender index out of range for users "
+                         f"{np.flatnonzero(bad).tolist()}")
+    if require_complete and np.any(assign == UNASSIGNED):
+        raise ValueError(
+            f"constraint (7) violated: users "
+            f"{np.flatnonzero(assign == UNASSIGNED).tolist()} unassigned")
+    attached = assign != UNASSIGNED
+    if np.any(attached):
+        rates = scenario.wifi_rates[np.flatnonzero(attached),
+                                    assign[attached]]
+        if np.any(rates <= MIN_USABLE_RATE):
+            bad_users = np.flatnonzero(attached)[rates <= MIN_USABLE_RATE]
+            raise ValueError(f"users {bad_users.tolist()} assigned to an "
+                             "unreachable extender")
+    if enforce_capacity and scenario.capacities is not None:
+        counts = np.bincount(assign[attached],
+                             minlength=scenario.n_extenders)
+        over = np.flatnonzero(counts > scenario.capacities)
+        if over.size:
+            raise ValueError(
+                f"constraint (8) violated at extenders {over.tolist()}")
+    return assign
 
 
 def replay_fleet_journal(service: FleetService,

@@ -1,11 +1,13 @@
 """Fleet directive scoring: the incremental path against a scalar oracle.
 
 ``repro.fleet.service.score_directives`` scores each epoch's directives
-with one baseline ``evaluate`` per building and one
-:class:`~repro.net.engine.DeltaEvaluator` commit per moved user.
+with one :class:`~repro.net.engine.DeltaEvaluator` per building, seeded
+with the old association (its aggregate is the baseline, with no
+scalar ``evaluate``), and one commit per moved user.
 ``tests.oracles.score_directives_scalar`` is the loop it replaced (one
 full ``evaluate`` per moved user); the property below asserts ``==`` on
-the baseline, the final aggregate and every directive.
+the baseline, the final aggregate and every directive, and the engine
+counters show no scalar pass and one delta move per moved user.
 
 The service-level test then checks the fleet invariants the scoring
 feeds, over seeded specs with quarantine and chaos shard failures: each
@@ -20,6 +22,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +30,7 @@ from repro.core.problem import UNASSIGNED, Scenario
 from repro.fleet import parse_fleet_spec
 from repro.fleet.chaos import FleetFaultModel
 from repro.fleet.service import FleetService, score_directives
-from repro.net.engine import evaluate
+from repro.net.engine import count_engine_calls, evaluate
 from repro.plc.sharing import PLC_MODES
 
 from .conftest import max_examples, random_scenario
@@ -80,6 +83,22 @@ class TestScoreDirectivesOracle:
             np.flatnonzero(new != old).tolist()
         assert aggregate == evaluate(scenario, new,
                                      plc_mode=plc_mode).aggregate
+
+    @pytest.mark.parametrize("plc_mode", PLC_MODES)
+    def test_no_scalar_pass_and_one_delta_move_per_moved_user(
+            self, rng, plc_mode):
+        scenario = random_scenario(rng, n_users=12, n_extenders=4,
+                                   reachable_prob=0.7)
+        old = _draw(rng, scenario, 0.3)
+        new = _draw(rng, scenario, 0.0)
+        moved = int(np.count_nonzero(new != old))
+        assert moved > 0
+        with count_engine_calls() as stats:
+            _, _, directives = score_directives(scenario, old, new,
+                                                plc_mode, "b")
+        assert len(directives) == moved
+        assert (stats.scalar_calls, stats.batch_calls,
+                stats.delta_moves) == (0, 0, moved)
 
     def test_no_moves_scores_the_servable_baseline(self, rng):
         scenario = random_scenario(rng, n_users=6, n_extenders=3)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import tempfile
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from unittest import mock
@@ -29,13 +29,15 @@ from hypothesis import strategies as st
 import repro.core.wolt as wolt_module
 import repro.fleet.service as service_module
 from repro.core.phase2 import Phase2Memo
-from repro.core.problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
+from repro.core.problem import (MIN_USABLE_RATE, UNASSIGNED, Scenario,
+                                same_bits)
 from repro.fleet import load_fleet_spec
 from repro.fleet.chaos import FleetFaultModel, ShardFaultPlan
 from repro.fleet.ingest import (RecordedTelemetry, SyntheticTelemetry,
                                 TelemetryRecord, TelemetrySource,
                                 read_stream, record_stream)
 from repro.fleet.service import FleetService, format_epoch
+from repro.fleet.sharding import Segment, split_segments
 from repro.fleet.spec import (BuildingSpec, FleetSpec, HealthSettings,
                               TelemetryModel)
 from repro.sim.faults import CrashSchedule
@@ -161,6 +163,19 @@ def counting(*names: str) -> Iterator[Dict[str, int]]:
     with mock.patch.multiple(service_module,
                              **{name: wrap(name) for name in names}):
         yield calls
+
+
+def _same_segment(a: Segment, b: Segment) -> bool:
+    """Whether two segments match field for field, arrays bit for bit."""
+    for field in fields(Segment):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name != "scenario":
+            if x != y:
+                return False
+        elif not all(same_bits(getattr(x, f.name), getattr(y, f.name))
+                     for f in fields(Scenario)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +388,37 @@ class TestReuseSemantics:
         # Epochs 1 and 2 each flip dorm's sign; epoch 3 repeats 2.
         assert calls["split_segments"] == spec.n_buildings + 2
 
+    @pytest.mark.parametrize("telemetry", [
+        TELEMETRY["plc"], TelemetryModel(plc_jitter=0.08, dropout=0.3)],
+        ids=["plc", "plc-quarantine"])
+    def test_unchanged_partition_is_resliced_not_resplit(
+            self, telemetry: TelemetryModel) -> None:
+        spec = replace(fleet_spec(4), telemetry=telemetry)
+        service = FleetService(spec)
+        quarantines = set()
+        with counting("split_segments", "_resliced") as calls:
+            for _ in range(8):
+                report = service.run_epoch()
+                quarantines |= {b.quarantined for b in report.buildings}
+                for bstate in service._buildings:
+                    memo = bstate.clean_solve
+                    assert memo is not None
+                    scenario = memo.scenario
+                    assert scenario is bstate.last_observed[0]
+                    want = split_segments(scenario, bstate.circuits)
+                    assert len(memo.segments) == len(want)
+                    for got, ref in zip(memo.segments, want):
+                        assert _same_segment(got, ref)
+                        assert ((got.scenario is scenario)
+                                == (ref.scenario is scenario))
+        assert calls["_resliced"] > 0
+        # Epoch 0 splits every building; a quarantine change (a WiFi
+        # side change) splits one again.
+        assert (calls["split_segments"] > spec.n_buildings) == (
+            len(quarantines) > 1)
+        if telemetry.dropout:
+            assert len(quarantines) > 1
+
     @pytest.mark.parametrize("change", [
         "wifi_sign", "plc_sign", "quarantine", "shape", "capacities",
         "user_ids"])
@@ -419,9 +465,10 @@ class TestPhase2Reuse:
                 mock.patch.object(wolt_module, "solve_phase2", counted):
             for _ in range(8):
                 service.run_epoch()
-        # Every epoch re-splits and re-runs Phase I (the PLC side
-        # moved), but Phase II runs only on anchors not seen before.
-        assert calls["split_segments"] == 8 * service.spec.n_buildings
+        # Only epoch 0 splits (the WiFi side never moves) and every
+        # epoch re-runs Phase I (the PLC side does), but Phase II runs
+        # only on anchors not seen before.
+        assert calls["split_segments"] == service.spec.n_buildings
         assert 0 < phase2[0] < calls["solve_wolt"]
 
     def test_plc_smoke_spec_reuses_phase2(self) -> None:

@@ -4,11 +4,14 @@ fleetbench times a layer by rebinding the name the service calls it
 through (``benchmarks/fleetbench/runpass.py:_install``).  Code that
 stops calling through that name is silently timed as zero, so this
 serves a tiny recorded fleet with the tracer installed and requires
-every layer to fire.  Two spans must stay silent instead.
+every layer to fire.  Three spans must stay silent instead.
 ``solve.final_evaluate``: a shard solve reads only the assignment, so
 ``WoltResult.report`` is never evaluated on the serve path.
 ``guard.repair``: the service no longer repairs its decisions
 (``tests/test_fleet_boundary_repair.py`` checks them directly).
+``directives.evaluate``: directive scoring seeds a ``DeltaEvaluator``
+instead of running a scalar ``evaluate``, so its time is in
+``service.self_ms``.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ def test_every_traced_layer_fires(tmp_path):
     finally:
         tracer.restore()
     fired = {span.name for span in tracer.spans}
-    silent = {"solve.final_evaluate", "guard.repair"}
+    silent = {"solve.final_evaluate", "guard.repair",
+              "directives.evaluate"}
     expected = (set(runpass.EPOCH_SPANS) - {"dispatch.wall"} - silent) | {
         "ingest.load"}
     assert not expected - fired, sorted(expected - fired)

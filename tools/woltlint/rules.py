@@ -204,8 +204,8 @@ class ScalarEvalInLoop(Rule):
                    "core/, sim/ or fleet/ hot paths")
     rationale = ("One full evaluate() per loop iteration re-scores the "
                  "whole network each time.  Score a sequence of "
-                 "single-user moves with a DeltaEvaluator seeded from "
-                 "one baseline report, and independent candidates with "
+                 "single-user moves with a DeltaEvaluator seeded with "
+                 "the baseline assignment, and independent candidates with "
                  "one evaluate_batch call (both bit-identical by "
                  "contract); suppress with a justification only if the "
                  "loop is a reference oracle.")
