@@ -47,9 +47,7 @@ class FloorPlan:
 
     def __post_init__(self) -> None:
         ext = np.atleast_2d(np.asarray(self.extender_xy, dtype=float))
-        usr = (np.asarray(self.user_xy, dtype=float).reshape(-1, 2)
-               if np.asarray(self.user_xy).size else
-               np.empty((0, 2)))
+        usr = np.asarray(self.user_xy, dtype=float).reshape(-1, 2)
         plc = np.asarray(self.plc_rates, dtype=float).ravel()
         object.__setattr__(self, "extender_xy", ext)
         object.__setattr__(self, "user_xy", usr)
@@ -106,12 +104,10 @@ def build_scenario(plan: FloorPlan,
     phy = phy or WifiPhy()
     wifi = phy.rate_matrix(plan.user_xy, plan.extender_xy, rng)
     if ensure_reachable and plan.n_users:
-        lowest = phy.mcs_table[0][1] * phy.spatial_streams
-        for i in range(plan.n_users):
-            if not np.any(wifi[i] > 0):
-                diff = plan.extender_xy - plan.user_xy[i]
-                nearest = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
-                wifi[i, nearest] = float(lowest)
+        for i in np.flatnonzero(~(wifi > 0).any(axis=1)):
+            diff = plan.extender_xy - plan.user_xy[i]
+            nearest = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+            wifi[i, nearest] = phy.mcs_table[0][1] * phy.spatial_streams
     return Scenario(wifi_rates=wifi, plc_rates=plan.plc_rates.copy(),
                     user_ids=np.arange(plan.n_users))
 

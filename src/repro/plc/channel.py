@@ -66,20 +66,26 @@ class PowerlineNetwork:
         return sorted(n for n, d in self.graph.nodes(data=True)
                       if d.get("kind") == "outlet")
 
+    def path_attenuations_db(self, outlets: Sequence[str]) -> List[float]:
+        """Attenuation of the wiring path from the panel to each outlet.
+
+        One single-source Dijkstra from the panel finds every path.  Of
+        equal-length paths, a node keeps the one through the neighbour
+        that first gave it its final distance; nodes at equal distance
+        settle in the order they reached it, edges in insertion order.
+        An outlet the panel does not reach raises ``KeyError``.
+        """
+        lengths, paths = nx.single_source_dijkstra(self.graph, PANEL,
+                                                   weight="length_m")
+        kinds = nx.get_node_attributes(self.graph, "kind")
+        return [lengths[o] * self.cable_loss_db_per_m
+                + sum(kinds.get(n) == "junction" for n in paths[o][1:-1])
+                * self.junction_loss_db + 2 * self.outlet_loss_db
+                for o in outlets]
+
     def path_attenuation_db(self, outlet: str) -> float:
         """Attenuation of the wiring path from the panel to an outlet."""
-        if outlet not in self.graph:
-            raise KeyError(f"unknown outlet {outlet!r}")
-        path = nx.shortest_path(self.graph, PANEL, outlet,
-                                weight="length_m")
-        length = sum(self.graph[u][v]["length_m"]
-                     for u, v in zip(path[:-1], path[1:]))
-        junctions = sum(
-            1 for node in path[1:-1]
-            if self.graph.nodes[node].get("kind") == "junction")
-        return (length * self.cable_loss_db_per_m
-                + junctions * self.junction_loss_db
-                + 2 * self.outlet_loss_db)
+        return self.path_attenuations_db([outlet])[0]
 
     def rate_of(self, outlet: str) -> float:
         """MAC-layer PLC rate (Mbps) of the link panel -> ``outlet``."""
@@ -87,8 +93,8 @@ class PowerlineNetwork:
 
     def rates(self, outlets: Optional[Sequence[str]] = None) -> np.ndarray:
         """Vector of PLC rates for the given (or all) outlets."""
-        names = list(outlets) if outlets is not None else self.outlets
-        return np.array([self.rate_of(name) for name in names])
+        return self.phy.rates_for_attenuations(self.path_attenuations_db(
+            self.outlets if outlets is None else list(outlets)))
 
 
 def random_building(n_outlets: int,
@@ -131,5 +137,4 @@ def random_building(n_outlets: int,
         graph.add_node(outlet, kind="outlet")
         drop = float(rng.gamma(3.0, mean_drop_length_m / 3.0))
         graph.add_edge(junction, outlet, length_m=drop)
-    kwargs = {} if phy is None else {"phy": phy}
-    return PowerlineNetwork(graph=graph, **kwargs)
+    return PowerlineNetwork(graph=graph, phy=phy or DEFAULT_AV2)

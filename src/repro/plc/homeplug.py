@@ -20,12 +20,17 @@ This module implements a compact tone-map model:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = ["Av2Phy", "DEFAULT_AV2"]
+
+#: ``np.linspace`` memoised for the carrier tilt; callers only read it.
+_carrier_tilt = functools.lru_cache(maxsize=16)(np.linspace)
 
 
 @dataclass(frozen=True)
@@ -79,27 +84,17 @@ class Av2Phy:
 
         Bits are ``floor(log2(1 + snr/gap))`` clipped to
         ``[0, max_bits_per_carrier]`` — the standard gap-approximation
-        water-filling integer bit loading.
+        water-filling integer bit loading (of each row of a stack).
         """
         snr = np.asarray(snr_db, dtype=float)
-        if snr.shape[0] != self.n_carriers:
+        if snr.shape[-1] != self.n_carriers:
             raise ValueError(
                 f"snr profile must have {self.n_carriers} entries")
         effective = 10.0 ** ((snr - self.snr_gap_db) / 10.0)
         bits = np.floor(np.log2(1.0 + effective))
         return np.clip(bits, 0, self.max_bits_per_carrier).astype(int)
 
-    def phy_rate_mbps(self, snr_db: Sequence[float]) -> float:
-        """Raw PHY rate (Mbps) for a per-carrier SNR profile."""
-        bits = self.bit_loading(snr_db)
-        return float(bits.sum() * self.symbol_rate_khz * 1e3
-                     * self.fec_efficiency / 1e6)
-
-    def mac_rate_mbps(self, snr_db: Sequence[float]) -> float:
-        """Achievable MAC throughput (Mbps) — the paper's PLC "rate"."""
-        return self.phy_rate_mbps(snr_db) * self.mac_efficiency
-
-    def snr_profile(self, attenuation_db: float,
+    def snr_profile(self, attenuation_db: ArrayLike,
                     tx_psd_dbm_per_carrier: float = -22.0,
                     noise_dbm_per_carrier: float = -105.0,
                     selectivity_db: float = 12.0) -> np.ndarray:
@@ -110,7 +105,8 @@ class Av2Phy:
         to the last carrier on top of the flat ``attenuation_db``.
 
         Args:
-            attenuation_db: flat (wiring-path) attenuation of the link.
+            attenuation_db: flat (wiring-path) attenuation of the link
+                (of each link, one profile row each, for a vector).
             tx_psd_dbm_per_carrier: transmit power per carrier.
             noise_dbm_per_carrier: powerline noise floor per carrier.
             selectivity_db: extra attenuation at the top of the band.
@@ -118,15 +114,23 @@ class Av2Phy:
         Returns:
             Per-carrier SNR in dB.
         """
-        if attenuation_db < 0:
+        att = np.asarray(attenuation_db, dtype=float)
+        if np.any(att < 0):
             raise ValueError("attenuation must be non-negative")
-        tilt = np.linspace(0.0, selectivity_db, self.n_carriers)
-        rx = tx_psd_dbm_per_carrier - attenuation_db - tilt
-        return rx - noise_dbm_per_carrier
+        return ((tx_psd_dbm_per_carrier - att)[..., np.newaxis]
+                - _carrier_tilt(0.0, selectivity_db, self.n_carriers)
+                - noise_dbm_per_carrier)
+
+    def rates_for_attenuations(self, attenuations_db: ArrayLike) -> np.ndarray:
+        """MAC throughput (Mbps) — the paper's PLC "rate" — of each link,
+        from one tone-map row (``n_carriers`` floats) per link."""
+        bits = self.bit_loading(self.snr_profile(attenuations_db))
+        return (bits.sum(axis=-1) * self.symbol_rate_khz * 1e3
+                * self.fec_efficiency / 1e6 * self.mac_efficiency)
 
     def rate_for_attenuation(self, attenuation_db: float) -> float:
         """MAC throughput (Mbps) of a link with a given flat attenuation."""
-        return self.mac_rate_mbps(self.snr_profile(attenuation_db))
+        return float(self.rates_for_attenuations(attenuation_db))
 
 
 #: A shared default AV2 PHY instance.

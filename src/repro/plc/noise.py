@@ -115,15 +115,12 @@ class TimeVaryingPlc:
 
     def capacities(self) -> np.ndarray:
         """Current per-link capacities (Mbps) under the present noise."""
-        return np.array([
-            self.phy.rate_for_attenuation(
-                float(att + proc.excess_noise_db))
-            for att, proc in zip(self.attenuations, self.noise)])
+        return self.phy.rates_for_attenuations(
+            self.attenuations + [proc.excess_noise_db for proc in self.noise])
 
     def best_case_capacities(self) -> np.ndarray:
         """Capacities with zero excess noise (the offline calibration)."""
-        return np.array([self.phy.rate_for_attenuation(float(att))
-                         for att in self.attenuations])
+        return self.phy.rates_for_attenuations(self.attenuations)
 
     def step(self) -> np.ndarray:
         """Advance every link's noise one epoch; return new capacities."""

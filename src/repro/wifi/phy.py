@@ -15,11 +15,13 @@ building or radio without touching the code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Tuple, TypeVar, cast
 
 import numpy as np
 
 __all__ = ["MCS_TABLE_80211N_20MHZ", "WifiPhy"]
+
+_D = TypeVar("_D", float, np.ndarray)
 
 #: 802.11n, 20 MHz, long guard interval, single spatial stream:
 #: (minimum SNR in dB, PHY rate in Mbps).  Thresholds follow common
@@ -72,49 +74,48 @@ class WifiPhy:
         if snrs != sorted(snrs):
             raise ValueError("mcs_table must be sorted by SNR")
 
-    def path_loss_db(self, distance_m: float,
-                     rng: Optional[np.random.Generator] = None) -> float:
+    def path_loss_db(self, distance_m: _D,
+                     rng: Optional[np.random.Generator] = None) -> _D:
         """Log-distance path loss (dB) at ``distance_m`` metres.
 
         Distances under 1 m clamp to the reference distance.  When ``rng``
         is given and shadowing is enabled, a log-normal shadowing term is
-        added.
+        added, row-major over an array (arrays map elementwise).
         """
-        if distance_m < 0:
+        d = np.asarray(distance_m, dtype=float)
+        if not np.all(d >= 0):
             raise ValueError("distance must be non-negative")
-        d = max(distance_m, 1.0)
-        loss = (self.reference_loss_db
-                + 10.0 * self.path_loss_exponent * np.log10(d))
+        loss = (self.reference_loss_db + 10.0 * self.path_loss_exponent
+                * np.log10(np.maximum(d, 1.0)))
         if rng is not None and self.shadowing_sigma_db > 0:
-            loss += rng.normal(0.0, self.shadowing_sigma_db)
-        return float(loss)
+            loss = loss + rng.normal(0.0, self.shadowing_sigma_db, d.shape)
+        return cast(_D, loss if d.ndim else float(loss))
 
-    def rssi_dbm(self, distance_m: float,
-                 rng: Optional[np.random.Generator] = None) -> float:
+    def rssi_dbm(self, distance_m: _D,
+                 rng: Optional[np.random.Generator] = None) -> _D:
         """Received signal strength (dBm) at a distance."""
         return self.tx_power_dbm - self.path_loss_db(distance_m, rng)
 
-    def snr_db(self, distance_m: float,
-               rng: Optional[np.random.Generator] = None) -> float:
+    def snr_db(self, distance_m: _D,
+               rng: Optional[np.random.Generator] = None) -> _D:
         """Signal-to-noise ratio (dB) at a distance."""
         return self.rssi_dbm(distance_m, rng) - self.noise_floor_dbm
 
-    def rate_for_snr(self, snr_db: float) -> float:
+    def rate_for_snr(self, snr_db: _D) -> _D:
         """PHY rate (Mbps) the MCS ladder sustains at a given SNR.
 
         Returns 0 when the SNR is below the lowest MCS threshold (the
-        extender is unreachable).
+        extender is unreachable); an SNR on a threshold takes its rung.
         """
-        rate = 0.0
-        for threshold, mcs_rate in self.mcs_table:
-            if snr_db >= threshold:
-                rate = mcs_rate
-            else:
-                break
-        return rate * self.spatial_streams
+        ladder = np.array([0.0] + [rate for _, rate in self.mcs_table])
+        thresholds = np.array([threshold for threshold, _ in self.mcs_table])
+        # The thresholds passed, as the ladder is sorted; NaN passes none.
+        rung = (np.asarray(snr_db)[..., np.newaxis] >= thresholds).sum(-1)
+        rate = ladder[rung] * self.spatial_streams
+        return cast(_D, rate if np.ndim(snr_db) else float(rate))
 
-    def rate_at_distance(self, distance_m: float,
-                         rng: Optional[np.random.Generator] = None) -> float:
+    def rate_at_distance(self, distance_m: _D,
+                         rng: Optional[np.random.Generator] = None) -> _D:
         """PHY rate (Mbps) at a distance (0 = unreachable)."""
         return self.rate_for_snr(self.snr_db(distance_m, rng))
 
@@ -126,7 +127,7 @@ class WifiPhy:
             user_xy: ``(n_users, 2)`` coordinates in metres.
             extender_xy: ``(n_extenders, 2)`` coordinates in metres.
             rng: optional generator for shadowing draws (one independent
-                draw per link).
+                draw per link, row-major).
 
         Returns:
             ``(n_users, n_extenders)`` matrix of PHY rates in Mbps, with
@@ -137,9 +138,5 @@ class WifiPhy:
         if users.shape[1] != 2 or exts.shape[1] != 2:
             raise ValueError("coordinates must be (n, 2) arrays")
         diff = users[:, np.newaxis, :] - exts[np.newaxis, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=2))
-        rates = np.zeros(dist.shape)
-        for i in range(dist.shape[0]):
-            for j in range(dist.shape[1]):
-                rates[i, j] = self.rate_at_distance(dist[i, j], rng)
-        return rates
+        return self.rate_at_distance(np.sqrt(np.sum(diff * diff, axis=2)),
+                                     rng)

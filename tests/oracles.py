@@ -60,6 +60,14 @@ Further references the tests compare production against:
 * :func:`replay_fleet_journal` rebuilds a resumed fleet service by
   re-observing every building at every journaled epoch, in place of
   restoring the state the last record holds.
+* :func:`rate_matrix_scalar`, :func:`tone_map_rate_scalar`,
+  :class:`PowerlineNetworkScalar` and :func:`build_scenario_scalar`
+  build an as-built floor one link at a time (a scalar path-loss and
+  MCS-ladder walk per user-extender pair, one tone map and one path
+  search per outlet), where production scores each floor in array
+  passes;
+  :func:`build_building_scenario_scalar` builds a fleet building's
+  floor through them.
 * :class:`SleepSchedule` skews trial durations so dispatch tests can
   force chunks to finish out of submission order.
 """
@@ -72,6 +80,7 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
 
+import networkx as nx
 import numpy as np
 
 from repro.core.baselines import greedy_attach_user, rssi_assignment
@@ -84,14 +93,19 @@ from repro.core.problem import (MIN_USABLE_RATE, UNASSIGNED, Scenario,
 from repro.core.wolt import WoltResult, solve_wolt
 from repro.fleet.service import Directive, FleetService, _servable
 from repro.fleet.sharding import Segment, split_segments
+from repro.fleet.spec import FleetSpec
 from repro.net.engine import (DeltaEvaluator, _record, evaluate,
                               evaluate_batch)
 from repro.net.metrics import jain_fairness
-from repro.net.topology import sample_user_positions
+from repro.net.topology import (FloorPlan, sample_floor_plan,
+                                sample_user_positions)
+from repro.plc.channel import PANEL, PowerlineNetwork, random_building
+from repro.plc.homeplug import Av2Phy
 from repro.plc.sharing import _EPS, allocate_backhaul
 from repro.sim.dynamics import EpochStats, OnlineSimulation
 from repro.sim.failures import (FailureEpoch, FailureSimulation,
                                 flip_extenders, reassociate_orphans)
+from repro.wifi.phy import WifiPhy
 from repro.wifi.sharing import cell_throughputs
 
 
@@ -1045,3 +1059,150 @@ def time_shares_numpy(rates: np.ndarray, load: np.ndarray,
     if n_active > 0:
         shares[active] = 1.0 / n_active
     return shares
+
+
+# ---------------------------------------------------------------------------
+# As-built floors, one link at a time.
+
+
+def rate_at_distance_scalar(phy: WifiPhy, distance_m: float,
+                            rng: Optional[np.random.Generator] = None
+                            ) -> float:
+    """``WifiPhy.rate_at_distance`` of one link on Python floats: the
+    log-distance loss, one shadowing draw, and a walk up the MCS ladder
+    that stops at the first threshold the SNR misses."""
+    if distance_m < 0:
+        raise ValueError("distance must be non-negative")
+    loss = (phy.reference_loss_db
+            + 10.0 * phy.path_loss_exponent * np.log10(max(distance_m, 1.0)))
+    if rng is not None and phy.shadowing_sigma_db > 0:
+        loss += rng.normal(0.0, phy.shadowing_sigma_db)
+    snr = (phy.tx_power_dbm - float(loss)) - phy.noise_floor_dbm
+    rate = 0.0
+    for threshold, mcs_rate in phy.mcs_table:
+        if snr >= threshold:
+            rate = mcs_rate
+        else:
+            break
+    return rate * phy.spatial_streams
+
+
+def rate_matrix_scalar(phy: WifiPhy, user_xy: np.ndarray,
+                       extender_xy: np.ndarray,
+                       rng: Optional[np.random.Generator] = None
+                       ) -> np.ndarray:
+    """``WifiPhy.rate_matrix`` with one :func:`rate_at_distance_scalar`
+    per link.
+
+    Links are scored row-major, so with shadowing on each link takes
+    the next draw of ``rng``.
+    """
+    users = np.atleast_2d(np.asarray(user_xy, dtype=float))
+    exts = np.atleast_2d(np.asarray(extender_xy, dtype=float))
+    diff = users[:, np.newaxis, :] - exts[np.newaxis, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    rates = np.zeros(dist.shape)
+    for i in range(dist.shape[0]):
+        for j in range(dist.shape[1]):
+            rates[i, j] = rate_at_distance_scalar(phy, dist[i, j], rng)
+    return rates
+
+
+def snr_profile_scalar(phy: Av2Phy, attenuation_db: float,
+                       tx_psd_dbm_per_carrier: float = -22.0,
+                       noise_dbm_per_carrier: float = -105.0,
+                       selectivity_db: float = 12.0) -> np.ndarray:
+    """One link's SNR profile, its carrier tilt rebuilt on each call."""
+    tilt = np.linspace(0.0, selectivity_db, phy.n_carriers)
+    rx = tx_psd_dbm_per_carrier - attenuation_db - tilt
+    return rx - noise_dbm_per_carrier
+
+
+def tone_map_rate_scalar(phy: Av2Phy, attenuation_db: float) -> float:
+    """``Av2Phy.rate_for_attenuation`` on one link's own tone map."""
+    snr = snr_profile_scalar(phy, attenuation_db)
+    effective = 10.0 ** ((snr - phy.snr_gap_db) / 10.0)
+    bits = np.clip(np.floor(np.log2(1.0 + effective)), 0,
+                   phy.max_bits_per_carrier).astype(int)
+    rate = float(bits.sum() * phy.symbol_rate_khz * 1e3
+                 * phy.fec_efficiency / 1e6)
+    return rate * phy.mac_efficiency
+
+
+class PowerlineNetworkScalar(PowerlineNetwork):
+    """A wiring plant that searches each outlet's path on its own.
+
+    Each outlet gets one ``nx.shortest_path`` (a bidirectional search)
+    and one tone map.  On a tree every search finds the one path, so
+    the rates are production's; where equal-length paths tie, the
+    bidirectional search may pick another one.
+    """
+
+    @classmethod
+    def of(cls, network: PowerlineNetwork) -> "PowerlineNetworkScalar":
+        return cls(graph=network.graph,
+                   cable_loss_db_per_m=network.cable_loss_db_per_m,
+                   junction_loss_db=network.junction_loss_db,
+                   outlet_loss_db=network.outlet_loss_db, phy=network.phy)
+
+    def path_attenuation_db(self, outlet: str) -> float:
+        if outlet not in self.graph:
+            raise KeyError(f"unknown outlet {outlet!r}")
+        path = nx.shortest_path(self.graph, PANEL, outlet,
+                                weight="length_m")
+        length = sum(self.graph[u][v]["length_m"]
+                     for u, v in zip(path[:-1], path[1:]))
+        junctions = sum(
+            1 for node in path[1:-1]
+            if self.graph.nodes[node].get("kind") == "junction")
+        return (length * self.cable_loss_db_per_m
+                + junctions * self.junction_loss_db
+                + 2 * self.outlet_loss_db)
+
+    def rates(self, outlets: Optional[Sequence[str]] = None) -> np.ndarray:
+        names = list(outlets) if outlets is not None else self.outlets
+        return np.array([
+            tone_map_rate_scalar(self.phy, self.path_attenuation_db(name))
+            for name in names])
+
+
+def build_scenario_scalar(plan: FloorPlan,
+                          phy: Optional[WifiPhy] = None,
+                          rng: Optional[np.random.Generator] = None,
+                          ensure_reachable: bool = True) -> Scenario:
+    """``build_scenario`` with the scalar rate matrix and a per-user
+    reachability check."""
+    phy = phy or WifiPhy()
+    wifi = rate_matrix_scalar(phy, plan.user_xy, plan.extender_xy, rng)
+    if ensure_reachable and plan.n_users:
+        lowest = phy.mcs_table[0][1] * phy.spatial_streams
+        for i in range(plan.n_users):
+            if not np.any(wifi[i] > 0):
+                diff = plan.extender_xy - plan.user_xy[i]
+                nearest = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))
+                wifi[i, nearest] = float(lowest)
+    return Scenario(wifi_rates=wifi, plc_rates=plan.plc_rates.copy(),
+                    user_ids=np.arange(plan.n_users))
+
+
+def enterprise_floor_scalar(n_extenders: int, n_users: int,
+                            rng: np.random.Generator) -> Scenario:
+    """``enterprise_floor`` on the scalar wiring plant and rate matrix.
+
+    Draws from ``rng`` in production's order: the wiring plant first,
+    then the outlet choice and the extender and user positions.
+    """
+    wiring = PowerlineNetworkScalar.of(random_building(n_extenders, rng))
+    plan = sample_floor_plan(n_extenders, rng, building=wiring)
+    plan = plan.with_users(sample_user_positions(
+        n_users, plan.width_m, plan.height_m, rng))
+    return build_scenario_scalar(plan, rng=rng)
+
+
+def build_building_scenario_scalar(spec: FleetSpec,
+                                   building: int) -> Scenario:
+    """``build_building_scenario`` through :func:`enterprise_floor_scalar`."""
+    b = spec.buildings[building]
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=spec.seed, spawn_key=(building, 0)))
+    return enterprise_floor_scalar(b.n_extenders, b.n_users, rng)

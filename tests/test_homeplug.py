@@ -51,9 +51,9 @@ class TestRates:
         assert worst <= 60.0
 
     def test_mac_rate_below_phy_rate(self):
-        profile = DEFAULT_AV2.snr_profile(30.0)
-        assert (DEFAULT_AV2.mac_rate_mbps(profile)
-                < DEFAULT_AV2.phy_rate_mbps(profile))
+        # The PHY rate is the MAC rate at a MAC efficiency of 1.
+        phy_rate = Av2Phy(mac_efficiency=1.0).rate_for_attenuation(30.0)
+        assert DEFAULT_AV2.rate_for_attenuation(30.0) < phy_rate
 
     def test_dead_link_has_zero_rate(self):
         assert DEFAULT_AV2.rate_for_attenuation(200.0) == 0.0
