@@ -117,22 +117,22 @@ def solve_phase1(scenario: Scenario,
 
 
 def _max_matchable_extenders(utilities: np.ndarray) -> np.ndarray:
-    """Columns that admit a simultaneous matching to distinct rows.
+    """Columns that admit a simultaneous matching to distinct rows:
+    those of a maximum matching of the finite-utility pairs, found by
+    augmenting paths from each row in turn (any maximum matching will
+    do)."""
+    feasible = np.isfinite(utilities)
+    owner = np.full(utilities.shape[1], -1)
 
-    Uses Hopcroft-Karp maximum bipartite matching on the feasibility graph
-    (finite-utility pairs) and returns the matched column indices.
-    """
-    import networkx as nx
+    def augment(row: int, seen: np.ndarray) -> bool:
+        for col in np.flatnonzero(feasible[row]):
+            if not seen[col]:
+                seen[col] = True
+                if owner[col] < 0 or augment(owner[col], seen):
+                    owner[col] = row
+                    return True
+        return False
 
-    n_users, n_ext = utilities.shape
-    graph = nx.Graph()
-    user_nodes = [("u", i) for i in range(n_users)]
-    ext_nodes = [("e", j) for j in range(n_ext)]
-    graph.add_nodes_from(user_nodes, bipartite=0)
-    graph.add_nodes_from(ext_nodes, bipartite=1)
-    for i in range(n_users):
-        for j in np.flatnonzero(np.isfinite(utilities[i])):
-            graph.add_edge(("u", i), ("e", int(j)))
-    matching = nx.bipartite.maximum_matching(graph, top_nodes=user_nodes)
-    matched = sorted(j for kind, j in matching if kind == "e")
-    return np.asarray(matched, dtype=int)
+    for row in range(utilities.shape[0]):
+        augment(row, np.zeros(utilities.shape[1], dtype=bool))
+    return np.flatnonzero(owner >= 0)

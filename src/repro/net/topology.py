@@ -132,6 +132,14 @@ def sample_floor_plan(n_extenders: int, rng: np.random.Generator,
     Returns:
         A :class:`FloorPlan` with no users.
     """
+    return _sample_floor(n_extenders, 0, rng, width_m, height_m, building)
+
+
+def _sample_floor(n_extenders: int, n_users: int, rng: np.random.Generator,
+                  width_m: float, height_m: float,
+                  building: Optional[PowerlineNetwork]) -> FloorPlan:
+    """The floor with ``n_users`` uniform users, drawn in the order
+    plant, outlet choice, extender positions, user positions."""
     if n_extenders < 1:
         raise ValueError("n_extenders must be positive")
     if building is None:
@@ -142,12 +150,13 @@ def sample_floor_plan(n_extenders: int, rng: np.random.Generator,
                          f"need {n_extenders}")
     chosen = [outlets[k] for k in
               rng.choice(len(outlets), size=n_extenders, replace=False)]
-    return FloorPlan(
-        width_m=width_m, height_m=height_m,
-        extender_xy=np.column_stack([rng.uniform(0, width_m, n_extenders),
-                                     rng.uniform(0, height_m, n_extenders)]),
-        user_xy=np.empty((0, 2)),
-        plc_rates=building.rates(chosen))
+    extender_xy = np.column_stack([rng.uniform(0, width_m, n_extenders),
+                                   rng.uniform(0, height_m, n_extenders)])
+    return FloorPlan(width_m=width_m, height_m=height_m,
+                     extender_xy=extender_xy,
+                     user_xy=sample_user_positions(n_users, width_m,
+                                                   height_m, rng),
+                     plc_rates=building.rates(chosen))
 
 
 def enterprise_floor(n_extenders: int,
@@ -167,8 +176,6 @@ def enterprise_floor(n_extenders: int,
     Returns:
         A ready-to-solve :class:`Scenario`.
     """
-    plan = sample_floor_plan(n_extenders, rng, width_m=width_m,
-                             height_m=height_m, building=building)
-    plan = plan.with_users(
-        sample_user_positions(n_users, width_m, height_m, rng))
+    plan = _sample_floor(n_extenders, n_users, rng, width_m, height_m,
+                         building)
     return build_scenario(plan, phy=phy, rng=rng)

@@ -1,17 +1,19 @@
-"""Power-line wiring topology and per-outlet PLC link quality.
+"""Power-line wiring plant and per-outlet PLC link quality.
 
 The paper calibrates its simulator "with PLC link capacities measured
 from different outlets in a university building" (§V-A).  Lacking that
-building, we model the electrical plant explicitly: outlets hang off
-branch circuits that join at junction boxes and meet at the distribution
-panel where the PLC central unit sits.  Signal attenuation accumulates
-along the wiring path (per-metre cable loss plus a penalty per junction
-crossed), and the HomePlug AV2 tone-map model in
-:mod:`repro.plc.homeplug` converts path attenuation into the link's MAC
-throughput — the paper's PLC "rate" ``c_j``.
+building, we model the electrical plant explicitly: the distribution
+panel, where the PLC central unit sits, feeds branch circuits; each
+circuit's trunk runs to a junction box from which outlet drops hang.
+Signal attenuation accumulates along an outlet's panel-junction-outlet
+path (per-metre cable loss plus a junction-box penalty), and the
+HomePlug AV2 tone-map model in :mod:`repro.plc.homeplug` converts path
+attenuation into the link's MAC throughput — the paper's PLC "rate"
+``c_j``.
 
-:class:`PowerlineNetwork` builds the wiring graph with :mod:`networkx`
-and exposes ``rate_of(outlet)``; :func:`random_building` synthesizes a
+:class:`PowerlineNetwork` holds the plant as arrays (a trunk length per
+circuit, a junction index and drop length per outlet) and scores every
+outlet in one array pass; :func:`random_building` synthesizes a
 building whose outlet-rate distribution spans the 60-160 Mbps range of
 Fig. 2b.
 """
@@ -21,80 +23,71 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .homeplug import Av2Phy, DEFAULT_AV2
 
 __all__ = ["PowerlineNetwork", "random_building"]
 
-#: Node name of the distribution panel (PLC central unit location).
-PANEL = "panel"
-
 
 @dataclass
 class PowerlineNetwork:
-    """An electrical wiring graph with PLC propagation semantics.
+    """A two-level wiring plant with PLC propagation semantics.
+
+    Outlet ``k`` is named ``"outlet-<k>"``; its path runs from the
+    panel along trunk ``junction[k]`` to a junction box, then along
+    its own drop.
 
     Attributes:
-        graph: undirected wiring graph.  Every edge carries a
-            ``length_m`` attribute; nodes are the panel, junction boxes
-            (``kind="junction"``) and outlets (``kind="outlet"``).
+        trunk_m: panel-to-junction trunk length of each circuit.
+        junction: circuit (index into ``trunk_m``) of each outlet.
+        drop_m: junction-to-outlet drop length of each outlet.
         cable_loss_db_per_m: attenuation per metre of cable.
-        junction_loss_db: attenuation per junction box traversed.
+        junction_loss_db: attenuation of the junction box traversed.
         outlet_loss_db: coupling loss at the two end outlets.
         phy: HomePlug AV2 PHY used to map attenuation to rate.
     """
 
-    graph: nx.Graph
+    trunk_m: np.ndarray
+    junction: np.ndarray
+    drop_m: np.ndarray
     cable_loss_db_per_m: float = 0.7
     junction_loss_db: float = 5.0
     outlet_loss_db: float = 3.0
     phy: Av2Phy = field(default_factory=lambda: DEFAULT_AV2)
 
     def __post_init__(self) -> None:
-        if PANEL not in self.graph:
-            raise ValueError(f"wiring graph must contain a {PANEL!r} node")
-        for u, v, data in self.graph.edges(data=True):
-            if data.get("length_m", -1.0) < 0:
-                raise ValueError(f"edge ({u}, {v}) needs a non-negative "
-                                 "length_m attribute")
+        self.trunk_m = np.asarray(self.trunk_m, dtype=float).ravel()
+        self.junction = np.asarray(self.junction, dtype=np.intp).ravel()
+        self.drop_m = np.asarray(self.drop_m, dtype=float).ravel()
+        if self.junction.shape != self.drop_m.shape:
+            raise ValueError("need one junction index per drop length")
+        if not ((self.trunk_m >= 0).all() and (self.drop_m >= 0).all()):
+            raise ValueError("cable lengths must be non-negative")
+        if ((self.junction < 0) | (self.junction >= self.trunk_m.size)).any():
+            raise ValueError("junction indices must index trunk_m")
 
     @property
     def outlets(self) -> List[str]:
-        """All outlet node names, sorted for determinism."""
-        return sorted(n for n, d in self.graph.nodes(data=True)
-                      if d.get("kind") == "outlet")
+        """All outlet names, sorted for determinism."""
+        return sorted(f"outlet-{k}" for k in range(self.drop_m.size))
 
-    def path_attenuations_db(self, outlets: Sequence[str]) -> List[float]:
-        """Attenuation of the wiring path from the panel to each outlet.
-
-        One single-source Dijkstra from the panel finds every path.  Of
-        equal-length paths, a node keeps the one through the neighbour
-        that first gave it its final distance; nodes at equal distance
-        settle in the order they reached it, edges in insertion order.
-        An outlet the panel does not reach raises ``KeyError``.
-        """
-        lengths, paths = nx.single_source_dijkstra(self.graph, PANEL,
-                                                   weight="length_m")
-        kinds = nx.get_node_attributes(self.graph, "kind")
-        return [lengths[o] * self.cable_loss_db_per_m
-                + sum(kinds.get(n) == "junction" for n in paths[o][1:-1])
-                * self.junction_loss_db + 2 * self.outlet_loss_db
-                for o in outlets]
-
-    def path_attenuation_db(self, outlet: str) -> float:
-        """Attenuation of the wiring path from the panel to an outlet."""
-        return self.path_attenuations_db([outlet])[0]
-
-    def rate_of(self, outlet: str) -> float:
-        """MAC-layer PLC rate (Mbps) of the link panel -> ``outlet``."""
-        return self.phy.rate_for_attenuation(self.path_attenuation_db(outlet))
+    def path_attenuations_db(self, outlets: Optional[Sequence[str]] = None
+                             ) -> np.ndarray:
+        """Attenuation of the wiring path from the panel to each of the
+        given (or all) outlets; an unknown name raises ``KeyError``."""
+        index = {f"outlet-{k}": k for k in range(self.drop_m.size)}
+        k = np.array([index[name] for name in
+                      (self.outlets if outlets is None else outlets)],
+                     dtype=np.intp)
+        length = self.trunk_m[self.junction[k]] + self.drop_m[k]
+        return (length * self.cable_loss_db_per_m + self.junction_loss_db
+                + 2 * self.outlet_loss_db)
 
     def rates(self, outlets: Optional[Sequence[str]] = None) -> np.ndarray:
         """Vector of PLC rates for the given (or all) outlets."""
-        return self.phy.rates_for_attenuations(self.path_attenuations_db(
-            self.outlets if outlets is None else list(outlets)))
+        return self.phy.rates_for_attenuations(
+            self.path_attenuations_db(outlets))
 
 
 def random_building(n_outlets: int,
@@ -106,8 +99,8 @@ def random_building(n_outlets: int,
     """Synthesize a building's wiring plant.
 
     The panel feeds ``n_circuits`` branch circuits; each circuit runs a
-    random trunk to a junction box from which outlet drops hang.  Outlet
-    names are ``"outlet-<k>"``.
+    random trunk to a junction box, and each outlet's drop hangs off a
+    uniformly drawn circuit's box.
 
     Args:
         n_outlets: number of outlets to create.
@@ -124,17 +117,11 @@ def random_building(n_outlets: int,
         raise ValueError("n_outlets must be positive")
     if n_circuits is None:
         n_circuits = max(1, int(np.ceil(n_outlets / 4)))
-    graph = nx.Graph()
-    graph.add_node(PANEL, kind="panel")
-    for c in range(n_circuits):
-        junction = f"junction-{c}"
-        graph.add_node(junction, kind="junction")
-        trunk = float(rng.gamma(4.0, mean_branch_length_m / 4.0))
-        graph.add_edge(PANEL, junction, length_m=trunk)
-    for k in range(n_outlets):
-        junction = f"junction-{rng.integers(n_circuits)}"
-        outlet = f"outlet-{k}"
-        graph.add_node(outlet, kind="outlet")
-        drop = float(rng.gamma(3.0, mean_drop_length_m / 3.0))
-        graph.add_edge(junction, outlet, length_m=drop)
-    return PowerlineNetwork(graph=graph, phy=phy or DEFAULT_AV2)
+    trunk_m = rng.gamma(4.0, mean_branch_length_m / 4.0, size=n_circuits)
+    junction = np.empty(n_outlets, dtype=np.intp)
+    drop_m = np.empty(n_outlets)
+    for k in range(n_outlets):  # floors depend on this draw order
+        junction[k] = rng.integers(n_circuits)
+        drop_m[k] = rng.gamma(3.0, mean_drop_length_m / 3.0)
+    return PowerlineNetwork(trunk_m=trunk_m, junction=junction,
+                            drop_m=drop_m, phy=phy or DEFAULT_AV2)

@@ -6,11 +6,12 @@ interference free; thus, we assume that each extender operates on an
 non-overlapping channel relative to its neighbor extenders."
 
 This module makes that assumption checkable: it builds the interference
-graph between extenders (two extenders interfere when closer than an
-interference radius) and greedily colors it with the non-overlapping
-channel set (1/6/11 in 2.4 GHz).  Experiments can then verify that a
-deployment satisfies the paper's interference-free assumption — or
-detect where it breaks at high extender density.
+graph between extenders as a boolean adjacency array (two extenders
+interfere when closer than an interference radius) and colors it
+largest-first greedily with the non-overlapping channel set (1/6/11 in
+2.4 GHz).  Experiments can then verify that a deployment satisfies the
+paper's interference-free assumption — or detect where it breaks at
+high extender density.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 __all__ = ["NON_OVERLAPPING_2_4GHZ", "ChannelPlan", "assign_channels",
@@ -29,8 +29,8 @@ NON_OVERLAPPING_2_4GHZ = (1, 6, 11)
 
 
 def interference_graph(extender_xy: np.ndarray,
-                       interference_radius_m: float) -> nx.Graph:
-    """Graph with an edge between every pair of interfering extenders.
+                       interference_radius_m: float) -> np.ndarray:
+    """``(n, n)`` boolean adjacency of interfering extender pairs.
 
     Args:
         extender_xy: ``(n, 2)`` extender coordinates (metres).
@@ -42,13 +42,10 @@ def interference_graph(extender_xy: np.ndarray,
         raise ValueError("extender_xy must be an (n, 2) array")
     if interference_radius_m <= 0:
         raise ValueError("interference radius must be positive")
-    graph = nx.Graph()
-    graph.add_nodes_from(range(xy.shape[0]))
-    for a in range(xy.shape[0]):
-        for b in range(a + 1, xy.shape[0]):
-            if np.hypot(*(xy[a] - xy[b])) < interference_radius_m:
-                graph.add_edge(a, b)
-    return graph
+    diff = xy[:, np.newaxis, :] - xy[np.newaxis, :, :]
+    adjacent = np.hypot(diff[..., 0], diff[..., 1]) < interference_radius_m
+    np.fill_diagonal(adjacent, False)
+    return adjacent
 
 
 @dataclass(frozen=True)
@@ -73,9 +70,11 @@ def assign_channels(extender_xy: np.ndarray,
                     ) -> ChannelPlan:
     """Greedy graph-coloring channel assignment.
 
-    Uses networkx's largest-first greedy coloring; when the interference
-    graph needs more colors than available channels, colors wrap around
-    modulo the channel set and the residual conflicts are reported.
+    Colors the interference graph largest-first: extenders in order of
+    decreasing degree (ties by index), each taking the lowest color no
+    colored neighbour holds.  When the graph needs more colors than
+    available channels, colors wrap around modulo the channel set and
+    the residual conflicts are reported.
 
     Args:
         extender_xy: ``(n, 2)`` extender coordinates.
@@ -88,12 +87,15 @@ def assign_channels(extender_xy: np.ndarray,
     channel_list = list(channel_set)
     if not channel_list:
         raise ValueError("channel_set must not be empty")
-    graph = interference_graph(extender_xy, interference_radius_m)
-    coloring = nx.greedy_color(graph, strategy="largest_first")
-    channels = tuple(channel_list[coloring[i] % len(channel_list)]
-                     for i in range(graph.number_of_nodes()))
-    conflicts = tuple(sorted(
-        (a, b) for a, b in graph.edges if channels[a] == channels[b]))
+    adjacent = interference_graph(extender_xy, interference_radius_m)
+    color = np.full(adjacent.shape[0], -1)
+    for node in np.argsort(-adjacent.sum(axis=1), kind="stable"):
+        color[node] = min(set(range(color.size))
+                          - set(color[adjacent[node]].tolist()))
+    channels = tuple(channel_list[c % len(channel_list)]
+                     for c in color.tolist())
+    pairs = np.argwhere(np.triu(adjacent, 1)).tolist()
+    conflicts = tuple((a, b) for a, b in pairs if channels[a] == channels[b])
     return ChannelPlan(channels=channels,
                        conflict_free=not conflicts,
                        conflicts=conflicts)

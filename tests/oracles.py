@@ -63,11 +63,16 @@ Further references the tests compare production against:
 * :func:`rate_matrix_scalar`, :func:`tone_map_rate_scalar`,
   :class:`PowerlineNetworkScalar` and :func:`build_scenario_scalar`
   build an as-built floor one link at a time (a scalar path-loss and
-  MCS-ladder walk per user-extender pair, one tone map and one path
-  search per outlet), where production scores each floor in array
-  passes;
+  MCS-ladder walk per user-extender pair, one tone map and one
+  networkx path search per outlet of the wiring graph), where
+  production scores each floor in array passes;
   :func:`build_building_scenario_scalar` builds a fleet building's
   floor through them.
+* :func:`assign_channels_networkx` colors the interference graph with
+  networkx's largest-first greedy coloring, and
+  :func:`max_matchable_extenders_networkx` runs Phase I's Hall
+  fallback as networkx's Hopcroft-Karp, where production does both in
+  a few lines of its own.
 * :class:`SleepSchedule` skews trial durations so dispatch tests can
   force chunks to finish out of submission order.
 """
@@ -99,12 +104,13 @@ from repro.net.engine import (DeltaEvaluator, _record, evaluate,
 from repro.net.metrics import jain_fairness
 from repro.net.topology import (FloorPlan, sample_floor_plan,
                                 sample_user_positions)
-from repro.plc.channel import PANEL, PowerlineNetwork, random_building
+from repro.plc.channel import PowerlineNetwork, random_building
 from repro.plc.homeplug import Av2Phy
 from repro.plc.sharing import _EPS, allocate_backhaul
 from repro.sim.dynamics import EpochStats, OnlineSimulation
 from repro.sim.failures import (FailureEpoch, FailureSimulation,
                                 flip_extenders, reassociate_orphans)
+from repro.wifi.channels import ChannelPlan
 from repro.wifi.phy import WifiPhy
 from repro.wifi.sharing import cell_throughputs
 
@@ -1129,24 +1135,48 @@ def tone_map_rate_scalar(phy: Av2Phy, attenuation_db: float) -> float:
     return rate * phy.mac_efficiency
 
 
-class PowerlineNetworkScalar(PowerlineNetwork):
-    """A wiring plant that searches each outlet's path on its own.
+#: Node name of the distribution panel in a wiring graph.
+PANEL = "panel"
 
-    Each outlet gets one ``nx.shortest_path`` (a bidirectional search)
-    and one tone map.  On a tree every search finds the one path, so
-    the rates are production's; where equal-length paths tie, the
-    bidirectional search may pick another one.
+
+class PowerlineNetworkScalar(PowerlineNetwork):
+    """A wiring plant searched as a general graph, one outlet at a time.
+
+    ``graph`` is the plant's ``nx.Graph``: the panel, a ``junction-<c>``
+    box per circuit and an ``outlet-<k>`` per outlet, every edge
+    carrying its ``length_m``.  Each outlet gets one
+    ``nx.shortest_path`` (a bidirectional search), whose edge lengths
+    are summed along the path, and one tone map.
     """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.graph = nx.Graph()
+        self.graph.add_node(PANEL, kind="panel")
+        for c, trunk in enumerate(self.trunk_m.tolist()):
+            self.graph.add_node(f"junction-{c}", kind="junction")
+            self.graph.add_edge(PANEL, f"junction-{c}", length_m=trunk)
+        for k, (c, drop) in enumerate(zip(self.junction.tolist(),
+                                          self.drop_m.tolist())):
+            self.graph.add_node(f"outlet-{k}", kind="outlet")
+            self.graph.add_edge(f"junction-{c}", f"outlet-{k}",
+                                length_m=drop)
 
     @classmethod
     def of(cls, network: PowerlineNetwork) -> "PowerlineNetworkScalar":
-        return cls(graph=network.graph,
+        return cls(trunk_m=network.trunk_m, junction=network.junction,
+                   drop_m=network.drop_m,
                    cable_loss_db_per_m=network.cable_loss_db_per_m,
                    junction_loss_db=network.junction_loss_db,
                    outlet_loss_db=network.outlet_loss_db, phy=network.phy)
 
+    @property
+    def outlets(self) -> List[str]:
+        return sorted(n for n, d in self.graph.nodes(data=True)
+                      if d["kind"] == "outlet")
+
     def path_attenuation_db(self, outlet: str) -> float:
-        if outlet not in self.graph:
+        if self.graph.nodes.get(outlet, {}).get("kind") != "outlet":
             raise KeyError(f"unknown outlet {outlet!r}")
         path = nx.shortest_path(self.graph, PANEL, outlet,
                                 weight="length_m")
@@ -1154,16 +1184,60 @@ class PowerlineNetworkScalar(PowerlineNetwork):
                      for u, v in zip(path[:-1], path[1:]))
         junctions = sum(
             1 for node in path[1:-1]
-            if self.graph.nodes[node].get("kind") == "junction")
+            if self.graph.nodes[node]["kind"] == "junction")
         return (length * self.cable_loss_db_per_m
                 + junctions * self.junction_loss_db
                 + 2 * self.outlet_loss_db)
+
+    def path_attenuations_db(self, outlets: Optional[Sequence[str]] = None
+                             ) -> np.ndarray:
+        names = list(outlets) if outlets is not None else self.outlets
+        return np.array([self.path_attenuation_db(name) for name in names])
 
     def rates(self, outlets: Optional[Sequence[str]] = None) -> np.ndarray:
         names = list(outlets) if outlets is not None else self.outlets
         return np.array([
             tone_map_rate_scalar(self.phy, self.path_attenuation_db(name))
             for name in names])
+
+
+def assign_channels_networkx(extender_xy: np.ndarray,
+                             interference_radius_m: float = 40.0,
+                             channel_set: Sequence[int] = (1, 6, 11)
+                             ) -> ChannelPlan:
+    """``assign_channels`` on an ``nx.Graph`` built one pair at a time
+    and colored by ``nx.greedy_color(strategy="largest_first")``."""
+    xy = np.atleast_2d(np.asarray(extender_xy, dtype=float))
+    channel_list = list(channel_set)
+    graph = nx.Graph()
+    graph.add_nodes_from(range(xy.shape[0]))
+    for a in range(xy.shape[0]):
+        for b in range(a + 1, xy.shape[0]):
+            if np.hypot(*(xy[a] - xy[b])) < interference_radius_m:
+                graph.add_edge(a, b)
+    coloring = nx.greedy_color(graph, strategy="largest_first")
+    channels = tuple(channel_list[coloring[i] % len(channel_list)]
+                     for i in range(graph.number_of_nodes()))
+    conflicts = tuple(sorted(
+        (a, b) for a, b in graph.edges if channels[a] == channels[b]))
+    return ChannelPlan(channels=channels, conflict_free=not conflicts,
+                       conflicts=conflicts)
+
+
+def max_matchable_extenders_networkx(utilities: np.ndarray) -> np.ndarray:
+    """Phase I's Hall fallback by Hopcroft-Karp on an ``nx.Graph`` of
+    the finite-utility pairs: the matched column indices, sorted."""
+    n_users, n_ext = utilities.shape
+    graph = nx.Graph()
+    user_nodes = [("u", i) for i in range(n_users)]
+    graph.add_nodes_from(user_nodes, bipartite=0)
+    graph.add_nodes_from((("e", j) for j in range(n_ext)), bipartite=1)
+    for i in range(n_users):
+        for j in np.flatnonzero(np.isfinite(utilities[i])):
+            graph.add_edge(("u", i), ("e", int(j)))
+    matching = nx.bipartite.maximum_matching(graph, top_nodes=user_nodes)
+    return np.asarray(sorted(j for kind, j in matching if kind == "e"),
+                      dtype=int)
 
 
 def build_scenario_scalar(plan: FloorPlan,

@@ -4,26 +4,27 @@ Production scores a floor's links in array passes: ``WifiPhy.rate_matrix``
 runs the path-loss, SNR and MCS-ladder arithmetic over the whole
 distance matrix, ``Av2Phy.rates_for_attenuations`` loads the bits of
 every link's tone map in one ``(links, carriers)`` array, and
-``PowerlineNetwork.rates`` reads every outlet's path from one
-single-source Dijkstra.  The loops they replaced are in
-:mod:`tests.oracles`; the properties here compare bytes with them:
+``PowerlineNetwork.rates`` sums every outlet's trunk and drop from the
+plant's arrays.  The loops they replaced are in :mod:`tests.oracles`;
+the properties here compare bytes with them:
 
 * the rate matrix over distances under 1 m, SNRs exactly on an MCS
   threshold, several spatial streams and seeded shadowing (which must
   also leave the generator where the per-link draws leave it);
 * the tone map over attenuations on bit-load boundaries, 1 to 3455
   carriers, and non-default coding gap and band tilt;
-* ``PowerlineNetwork.rates`` on ``random_building`` trees, where the
-  one path per outlet makes every search agree.
+* ``PowerlineNetwork`` attenuations and rates on ``random_building``
+  plants, against a per-outlet ``nx.shortest_path`` over the plant's
+  wiring graph.
 
-Two tie graphs pin the documented rule for equal-length wiring paths,
-and a spied ``FleetService`` construction checks that every floor of
-the smoke fleet has the oracle builder's bytes while no link is scored
-on its own.
+A spied ``FleetService`` construction checks that every floor of the
+smoke fleet has the oracle builder's bytes while no link is scored on
+its own and nothing calls into networkx.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from hypothesis import strategies as st
 from repro.fleet.service import FleetService
 from repro.fleet.spec import load_fleet_spec
 from repro.net.topology import FloorPlan, build_scenario
-from repro.plc.channel import PANEL, PowerlineNetwork, random_building
+from repro.plc.channel import PowerlineNetwork, random_building
 from repro.plc.homeplug import Av2Phy
 from repro.plc.noise import NoiseProcess, TimeVaryingPlc
 from repro.wifi.phy import MCS_TABLE_80211N_20MHZ, WifiPhy
@@ -256,105 +257,51 @@ class TestWiring:
         net = random_building(n_outlets, np.random.default_rng(seed),
                               n_circuits=n_circuits)
         slow = PowerlineNetworkScalar.of(net)
+        assert net.outlets == slow.outlets
+        assert _same(net.path_attenuations_db(), slow.path_attenuations_db())
         assert _same(net.rates(), slow.rates())
         picked = list(reversed(net.outlets))[::2]
+        assert _same(net.path_attenuations_db(picked),
+                     slow.path_attenuations_db(picked))
         assert _same(net.rates(picked), slow.rates(picked))
-        for outlet in picked:
-            assert (net.path_attenuation_db(outlet)
-                    == slow.path_attenuation_db(outlet))
-            assert net.rate_of(outlet) == slow.rate_of(outlet)
-
-    @pytest.mark.parametrize("first, junctions", [
-        ("junction-a", 1),   # reached 10 m first, so outlet-0 hangs off it
-        ("outlet-1", 0),     # a daisy-chained outlet reached first instead
-    ])
-    def test_equal_distances_settle_in_the_order_reached(self, first,
-                                                         junctions):
-        # Two 15 m paths to outlet-0: through a junction box, or
-        # through the receptacle outlet-1.  Both neighbours are 10 m
-        # from the panel, so the panel's edge order decides.
-        graph = nx.Graph()
-        graph.add_node(PANEL, kind="panel")
-        graph.add_node("junction-a", kind="junction")
-        graph.add_node("outlet-0", kind="outlet")
-        graph.add_node("outlet-1", kind="outlet")
-        second = "outlet-1" if first == "junction-a" else "junction-a"
-        graph.add_edge(PANEL, first, length_m=10.0)
-        graph.add_edge(PANEL, second, length_m=10.0)
-        graph.add_edge("junction-a", "outlet-0", length_m=5.0)
-        graph.add_edge("outlet-1", "outlet-0", length_m=5.0)
-        self._check_tie(PowerlineNetwork(graph=graph), junctions)
-
-    @pytest.mark.parametrize("j3_first", [False, True])
-    def test_a_node_keeps_the_neighbour_that_reached_it_first(self,
-                                                              j3_first):
-        # Two 15 m paths to outlet-0: panel-j1-j2 (4 + 6 + 5 m, two
-        # junctions) and panel-j3 (10 + 5 m, one).  j3 reaches 10 m
-        # when the panel is scanned, j2 only once j1 settles, so j3
-        # settles first and outlet-0 keeps it, whatever the edge order.
-        graph = nx.Graph()
-        graph.add_node(PANEL, kind="panel")
-        for name in ("j1", "j2", "j3"):
-            graph.add_node(name, kind="junction")
-        graph.add_node("outlet-0", kind="outlet")
-        if j3_first:
-            graph.add_edge(PANEL, "j3", length_m=10.0)
-        graph.add_edge(PANEL, "j1", length_m=4.0)
-        graph.add_edge("j1", "j2", length_m=6.0)
-        graph.add_edge("j2", "outlet-0", length_m=5.0)
-        graph.add_edge(PANEL, "j3", length_m=10.0)
-        graph.add_edge("j3", "outlet-0", length_m=5.0)
-        self._check_tie(PowerlineNetwork(graph=graph), 1)
-
-    @staticmethod
-    def _check_tie(net: PowerlineNetwork, junctions: int) -> None:
-        expected = (15.0 * net.cable_loss_db_per_m
-                    + junctions * net.junction_loss_db
-                    + 2 * net.outlet_loss_db)
-        assert net.path_attenuation_db("outlet-0") == expected
-        assert net.path_attenuations_db(["outlet-0"]) == [expected]
-        rate = net.phy.rate_for_attenuation(expected)
-        assert net.rate_of("outlet-0") == rate
-        assert net.rates(["outlet-0"]).tolist() == [rate]
 
     def test_unwired_outlet_is_rejected(self):
-        graph = nx.Graph()
-        graph.add_node(PANEL, kind="panel")
-        graph.add_node("outlet-0", kind="outlet")
-        with pytest.raises(KeyError, match="outlet-0"):
-            PowerlineNetwork(graph=graph).rates()
+        # outlet-1 names a circuit the panel does not feed.
+        with pytest.raises(ValueError, match="junction"):
+            PowerlineNetwork(trunk_m=[10.0], junction=[0, 1],
+                             drop_m=[5.0, 5.0])
 
 
 class TestFleetFloors:
     def _spied_service(self, monkeypatch, **kwargs):
-        calls = {"rate_at_distance": [], "dijkstra": 0, "shortest_path": 0}
+        calls = {"rate_at_distance": [], "networkx": 0}
         scored = WifiPhy.rate_at_distance
+        networkx_dir = str(Path(nx.__file__).parent)
 
         def rate_at_distance(self, distance_m, rng=None):
             calls["rate_at_distance"].append(np.ndim(distance_m))
             return scored(self, distance_m, rng)
 
-        def count(name, fn):
-            def spy(*args, **kw):
-                calls[name] += 1
-                return fn(*args, **kw)
-            return spy
+        def profile(frame, event, arg):
+            if (event == "call"
+                    and frame.f_code.co_filename.startswith(networkx_dir)):
+                calls["networkx"] += 1
 
         spec = load_fleet_spec(SMOKE)
         with monkeypatch.context() as m:
             m.setattr(WifiPhy, "rate_at_distance", rate_at_distance)
-            m.setattr(nx, "single_source_dijkstra",
-                      count("dijkstra", nx.single_source_dijkstra))
-            m.setattr(nx, "shortest_path",
-                      count("shortest_path", nx.shortest_path))
-            service = FleetService(spec, **kwargs)
+            sys.setprofile(profile)
+            try:
+                service = FleetService(spec, **kwargs)
+            finally:
+                sys.setprofile(None)
         return spec, service, calls
 
     def _check(self, spec, service, calls) -> None:
-        # One matrix call per building and no per-link call; one
-        # Dijkstra per building and no per-outlet search.
+        # One matrix call per building, no per-link call, and no call
+        # into networkx.
         assert calls == {"rate_at_distance": [2] * spec.n_buildings,
-                         "dijkstra": spec.n_buildings, "shortest_path": 0}
+                         "networkx": 0}
         for index, bstate in enumerate(service._buildings):
             oracle = build_building_scenario_scalar(spec, index)
             for field in ("wifi_rates", "plc_rates", "user_ids"):

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from repro.core.phase1 import phase1_utilities, solve_phase1
+from repro.core.hungarian import InfeasibleAssignmentError, solve_assignment
+from repro.core.phase1 import (_max_matchable_extenders, phase1_utilities,
+                               solve_phase1)
 from repro.core.problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
 
 from .conftest import max_examples, random_scenario
+from .oracles import max_matchable_extenders_networkx
 
 
 class TestUtilities:
@@ -69,6 +75,33 @@ class TestSolvePhase1:
         res = solve_phase1(sc)
         attached = res.assignment[res.assignment != UNASSIGNED]
         assert len(attached) == 1  # only user 0 can anchor anything
+
+    @given(st.integers(1, 9), st.integers(2, 9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=max_examples(200), deadline=None)
+    def test_hall_fallback_is_a_maximum_matching(self, n_users, n_ext,
+                                                 seed):
+        """The fallback's column set is as large as Hopcroft-Karp's and
+        matchable; which maximum matching it picks may differ."""
+        rng = np.random.default_rng(seed)
+        feasible = rng.random((n_users, n_ext)) < rng.uniform(0.2, 0.9)
+        # Squeeze k extenders onto at most k - 1 users: a Hall
+        # violation whenever the matrix is at least as tall as wide.
+        k = int(rng.integers(2, n_ext + 1))
+        users = rng.choice(n_users, min(k - 1, n_users), replace=False)
+        blocked = np.setdiff1d(np.arange(n_users), users)
+        feasible[np.ix_(blocked, rng.choice(n_ext, k, replace=False))] = False
+        utilities = np.where(feasible, rng.uniform(1.0, 50.0, feasible.shape),
+                             -np.inf)
+        if n_users >= n_ext:
+            with pytest.raises(InfeasibleAssignmentError):
+                solve_assignment(utilities)
+        matched = _max_matchable_extenders(utilities)
+        assert matched.tolist() == sorted(set(matched.tolist()))
+        assert matched.size == max_matchable_extenders_networkx(
+            utilities).size
+        if matched.size:
+            _, cols = solve_assignment(utilities[:, matched])
+            assert cols.size == matched.size
 
     def test_no_users(self):
         sc = Scenario(wifi_rates=np.empty((0, 2)),
@@ -155,3 +188,25 @@ class TestLemma2:
         res = solve_phase1(sc)
         assert res.assignment.tolist() == [2, 0]
         assert res.unmatched_extenders.tolist() == [1]
+
+
+def test_runtime_imports_no_networkx():
+    """The service, a channel plan and Phase I's Hall fallback run on
+    numpy alone: none of them loads networkx or scipy."""
+    code = ("import sys, numpy as np\n"
+            "import repro, repro.fleet.service\n"
+            "import repro.core.phase1 as phase1\n"
+            "from repro.core.problem import UNASSIGNED, Scenario\n"
+            "from repro.wifi.channels import assign_channels\n"
+            "assign_channels(np.array([[0., 0.], [10., 0.], [99., 0.]]))\n"
+            "calls = []\n"
+            "fallback = phase1._max_matchable_extenders\n"
+            "phase1._max_matchable_extenders = ("
+            "lambda u: calls.append(u.shape) or fallback(u))\n"
+            "res = phase1.solve_phase1(Scenario(wifi_rates=np.array("
+            "[[10., 10.], [0., 0.], [0., 0.]]), "
+            "plc_rates=np.array([50., 50.])))\n"
+            "assert calls and (res.assignment != UNASSIGNED).sum() == 1\n"
+            "loaded = {m.split('.')[0] for m in sys.modules}\n"
+            "assert not loaded & {'networkx', 'scipy'}\n")
+    subprocess.run([sys.executable, "-c", code], check=True)

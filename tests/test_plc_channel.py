@@ -1,72 +1,75 @@
-"""Tests for the power-line wiring topology model."""
+"""Tests for the power-line wiring plant model."""
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.plc.channel import PANEL, PowerlineNetwork, random_building
+from repro.plc.channel import PowerlineNetwork, random_building
 
 
 def _tiny_network() -> PowerlineNetwork:
-    graph = nx.Graph()
-    graph.add_node(PANEL, kind="panel")
-    graph.add_node("junction-0", kind="junction")
-    graph.add_node("outlet-0", kind="outlet")
-    graph.add_node("outlet-1", kind="outlet")
-    graph.add_edge(PANEL, "junction-0", length_m=20.0)
-    graph.add_edge("junction-0", "outlet-0", length_m=5.0)
-    graph.add_edge("junction-0", "outlet-1", length_m=30.0)
-    return PowerlineNetwork(graph=graph)
+    # One 20 m trunk; outlet-0 hangs 5 m off its junction, outlet-1 30 m.
+    return PowerlineNetwork(trunk_m=[20.0], junction=[0, 0],
+                            drop_m=[5.0, 30.0])
 
 
 class TestPowerlineNetwork:
     def test_outlets_sorted(self):
         net = _tiny_network()
         assert net.outlets == ["outlet-0", "outlet-1"]
+        wide = PowerlineNetwork(trunk_m=[1.0], junction=[0] * 11,
+                                drop_m=[1.0] * 11)
+        assert wide.outlets[:3] == ["outlet-0", "outlet-1", "outlet-10"]
 
     def test_path_attenuation_accumulates(self):
         net = _tiny_network()
-        att = net.path_attenuation_db("outlet-0")
+        att = net.path_attenuations_db(["outlet-0"])
         expected = (25.0 * net.cable_loss_db_per_m
                     + net.junction_loss_db + 2 * net.outlet_loss_db)
-        assert att == pytest.approx(expected)
+        assert att.tolist() == [pytest.approx(expected)]
 
     def test_longer_drop_attenuates_more(self):
-        net = _tiny_network()
-        assert (net.path_attenuation_db("outlet-1")
-                > net.path_attenuation_db("outlet-0"))
+        near, far = _tiny_network().path_attenuations_db(
+            ["outlet-0", "outlet-1"])
+        assert far > near
 
     def test_nearer_outlet_has_better_rate(self):
-        net = _tiny_network()
-        assert net.rate_of("outlet-0") >= net.rate_of("outlet-1")
+        near, far = _tiny_network().rates(["outlet-0", "outlet-1"])
+        assert near >= far
 
     def test_rates_vector_matches_scalars(self):
         net = _tiny_network()
         rates = net.rates()
-        assert rates[0] == pytest.approx(net.rate_of("outlet-0"))
-        assert rates[1] == pytest.approx(net.rate_of("outlet-1"))
+        for k, att in enumerate(net.path_attenuations_db()):
+            assert rates[k] == net.phy.rate_for_attenuation(att)
 
     def test_unknown_outlet_rejected(self):
-        with pytest.raises(KeyError):
-            _tiny_network().path_attenuation_db("outlet-99")
+        with pytest.raises(KeyError, match="outlet-99"):
+            _tiny_network().rates(["outlet-99"])
 
     def test_missing_panel_rejected(self):
-        graph = nx.Graph()
-        graph.add_node("outlet-0", kind="outlet")
-        with pytest.raises(ValueError, match="panel"):
-            PowerlineNetwork(graph=graph)
+        # With no circuit leaving the panel, no outlet reaches it.
+        with pytest.raises(ValueError, match="junction"):
+            PowerlineNetwork(trunk_m=[], junction=[0], drop_m=[5.0])
 
     def test_missing_length_rejected(self):
-        graph = nx.Graph()
-        graph.add_node(PANEL, kind="panel")
-        graph.add_node("outlet-0", kind="outlet")
-        graph.add_edge(PANEL, "outlet-0")
-        with pytest.raises(ValueError, match="length_m"):
-            PowerlineNetwork(graph=graph)
+        with pytest.raises(ValueError, match="drop length"):
+            PowerlineNetwork(trunk_m=[20.0], junction=[0, 0], drop_m=[5.0])
+
+    @pytest.mark.parametrize("trunk, drop", [
+        (-1.0, 5.0), (20.0, -0.5), (np.nan, 5.0), (20.0, np.nan)])
+    def test_negative_or_nan_length_rejected(self, trunk, drop):
+        with pytest.raises(ValueError, match="non-negative"):
+            PowerlineNetwork(trunk_m=[trunk], junction=[0], drop_m=[drop])
+
+    @pytest.mark.parametrize("junction", [-1, 2])
+    def test_junction_out_of_range_rejected(self, junction):
+        with pytest.raises(ValueError, match="junction"):
+            PowerlineNetwork(trunk_m=[20.0, 10.0], junction=[0, junction],
+                             drop_m=[5.0, 5.0])
 
 
 class TestRandomBuilding:
@@ -96,11 +99,9 @@ class TestRandomBuilding:
     @settings(max_examples=30, deadline=None)
     def test_every_outlet_connected_to_panel(self, n, seed):
         building = random_building(n, np.random.default_rng(seed))
-        for outlet in building.outlets:
-            assert building.path_attenuation_db(outlet) > 0
+        assert (building.path_attenuations_db() > 0).all()
 
     def test_custom_circuit_count(self, rng):
         building = random_building(9, rng, n_circuits=3)
-        junctions = [node for node, data in building.graph.nodes(data=True)
-                     if data.get("kind") == "junction"]
-        assert len(junctions) == 3
+        assert building.trunk_m.shape == (3,)
+        assert set(building.junction.tolist()) <= {0, 1, 2}
