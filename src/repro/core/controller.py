@@ -13,8 +13,9 @@ drive it, and Fig. 6c's re-assignments are its counted handoffs.  An
 optional hysteresis bar (``min_gain_mbps``) trades a little aggregate
 throughput for fewer of those handoffs.  The solvers it calls trust
 their scenario, so the CC hands them only the users that hear a live
-extender; an optional :class:`repro.core.guard.DecisionGuard`
-sanitizes scan reports at receipt.
+extender.  :func:`repro.core.problem.servable` decides who may stay on
+an extender, and an attached :class:`repro.core.health.HealthMonitor`
+has all telemetry sanitized at receipt (without one, NaN raises).
 
 Messages travel through an injectable :class:`Transport`.  The default
 transport is lossless (the paper's assumption); the fault-injection
@@ -28,18 +29,16 @@ strongest-RSSI extender it used to reach the CC).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..net.engine import DeltaEvaluator
 from .baselines import greedy_attach_user
-from .problem import MIN_USABLE_RATE, Scenario, UNASSIGNED, fail_extenders
+from .health import HealthMonitor, sanitize_rates
+from .problem import (MIN_USABLE_RATE, Scenario, UNASSIGNED, fail_extenders,
+                      servable)
 from .wolt import solve_wolt
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .guard import DecisionGuard
-    from .health import HealthMonitor
 
 __all__ = ["ScanReport", "AssociationDirective", "ControllerStats",
            "Transport", "CentralController", "POLICIES"]
@@ -92,7 +91,7 @@ class ControllerStats:
             reconfiguration; their users kept their last-known-good
             association instead of being re-solved.
         sanitized_reports: scan reports containing non-finite or
-            negative rates that the guard repaired at receipt.
+            negative rates that were repaired at receipt.
         quarantines: extenders the health monitor quarantined.
         readmits: quarantined extenders it re-admitted after
             probation.
@@ -150,18 +149,18 @@ class CentralController:
         policy: one of :data:`POLICIES`.
         transport: control-plane message channel; defaults to the
             lossless :class:`Transport`.
-        guard: optional :class:`repro.core.guard.DecisionGuard`.  When
-            set, non-finite scan-report rates are sanitized at receipt
-            (falling back to the user's last known-good rates) instead
-            of raising.  Without it a non-finite report raises
-            ``ValueError`` — telemetry this controller cannot trust is
-            rejected loudly.
-        health: optional :class:`repro.core.health.HealthMonitor`.
-            Quarantined extenders are masked out of every solve and of
+        health: optional :class:`repro.core.health.HealthMonitor`, the
+            controller's one telemetry-trust switch.  When set,
+            quarantined extenders are masked out of every solve and of
             admission parking (every solve goes through
             :func:`~repro.core.problem.fail_extenders`: zero WiFi
-            column, zero PLC rate); feed it capacity telemetry through
-            :meth:`update_plc_telemetry`.
+            column, zero PLC rate), capacity telemetry fed through
+            :meth:`update_plc_telemetry` drives the quarantine, and
+            non-finite or negative scan-report rates are sanitized at
+            receipt (:func:`~repro.core.health.sanitize_rates`, falling
+            back to the user's last known-good rates).  Without it a
+            non-finite report or reading raises ``ValueError`` —
+            telemetry this controller cannot trust is rejected loudly.
         report_ttl_epochs: optional scan-report time-to-live, counted
             in reconfiguration epochs.  A user whose newest report is
             older than this many epochs is *stale*: it is excluded
@@ -175,26 +174,27 @@ class CentralController:
             Above 0 only target moves that each gain at least this
             much aggregate throughput (``redistribute`` law) are
             issued; see :meth:`_hysteresis`.  Not combinable with
-            ``guard`` or ``health``.
+            ``health``.
     """
 
     def __init__(self, plc_rates: Sequence[float], policy: str = "wolt",
                  transport: Optional[Transport] = None,
-                 guard: "Optional[DecisionGuard]" = None,
-                 health: "Optional[HealthMonitor]" = None,
+                 health: Optional[HealthMonitor] = None,
                  report_ttl_epochs: Optional[int] = None,
                  min_gain_mbps: float = 0.0) -> None:
         if policy not in POLICIES:
             raise ValueError(f"unsupported policy {policy!r}")
         if min_gain_mbps < 0:
             raise ValueError("min_gain_mbps must be non-negative")
-        if min_gain_mbps > 0 and (guard is not None or health is not None):
+        if min_gain_mbps > 0 and health is not None:
             raise ValueError(
-                "min_gain_mbps cannot be combined with a guard or a "
-                "health monitor")
+                "min_gain_mbps cannot be combined with a health monitor")
         self.plc_rates = np.asarray(plc_rates, dtype=float)
         if self.plc_rates.ndim != 1 or self.plc_rates.size == 0:
             raise ValueError("plc_rates must be a non-empty vector")
+        if (not np.all(np.isfinite(self.plc_rates))
+                or np.any(self.plc_rates < 0)):
+            raise ValueError("plc_rates must be finite and non-negative")
         if report_ttl_epochs is not None and report_ttl_epochs < 1:
             raise ValueError("report_ttl_epochs must be positive")
         if health is not None and health.n_extenders != self.plc_rates.size:
@@ -202,7 +202,6 @@ class CentralController:
                 "health monitor must watch one extender per PLC link")
         self.policy = policy
         self.transport = transport if transport is not None else Transport()
-        self.guard = guard
         self.health = health
         self.report_ttl_epochs = report_ttl_epochs
         self.min_gain_mbps = min_gain_mbps
@@ -233,10 +232,11 @@ class CentralController:
         strongest extender (WOLT re-optimizes everyone at the next
         :meth:`reconfigure`).  A *refreshed* report from an
         already-connected client only updates the CC's rate table — its
-        association is kept as long as its current extender is still
-        reachable, so an optimized WOLT placement survives re-reports.
-        A client is re-parked only when its extender became unreachable
-        (e.g. the extender browned out).
+        association is kept as long as the report still rates its
+        current extender as usable (:func:`~repro.core.problem.servable`),
+        so an optimized WOLT placement survives re-reports.  A client is
+        re-parked only when its extender became unusable (e.g. the
+        extender browned out).
 
         A lost report changes nothing.  A new client whose directive
         never arrives stays on the strongest-RSSI extender it used to
@@ -246,8 +246,8 @@ class CentralController:
         if rates.shape != (self.n_extenders,):
             raise ValueError("scan report must cover every extender")
         rates = self._checked_rates(report.user_id, rates)
-        if not np.any(rates > 0):
-            if self.guard is not None:
+        if not np.any(rates > MIN_USABLE_RATE):
+            if self.health is not None:
                 # Nothing usable survived sanitation and there is no
                 # last-known-good fallback: ignore the report (the
                 # client physically stays wherever it is).
@@ -263,7 +263,9 @@ class CentralController:
         self._report_epoch[report.user_id] = self._epoch
         self._last_good_rates[report.user_id] = seen.copy()
         current = self._assignment.get(report.user_id)
-        if current is not None and seen[current] > 0:
+        if current is not None and servable(
+                Scenario(wifi_rates=seen, plc_rates=self.plc_rates),
+                [current])[0] == current:
             return
         if self.policy == "greedy":
             scenario, ids = self._scenario()
@@ -273,7 +275,7 @@ class CentralController:
             try:
                 extender = greedy_attach_user(scenario, vec, idx)
             except ValueError:
-                if self.guard is None:
+                if self.health is None:
                     raise
                 extender = int(np.argmax(self._admission_rates(seen)))
         else:
@@ -333,7 +335,7 @@ class CentralController:
         extender; the solve is scattered back onto the full user list,
         and a user left out keeps its last-known-good association.
         The solve's output is validated by :func:`solve_wolt` itself,
-        so no guard repair follows it.
+        so no repair follows it.
 
         Each user whose extender changes gets a directive, in ascending
         user order (a directive lost on every attempt is counted in
@@ -385,11 +387,9 @@ class CentralController:
         :func:`~repro.net.engine.evaluate`; the bar is re-read from the
         evaluator after every commit, so rounding never accumulates.
         """
-        current = self._assignment_vector(ids)
         # A client whose re-park handoff failed may still sit on an
-        # extender its newest report cannot hear: score it as detached.
-        current[scenario.wifi_rates[np.arange(len(ids)), current]
-                <= 0] = UNASSIGNED
+        # extender its newest report cannot use: score it as detached.
+        current = servable(scenario, self._assignment_vector(ids))
         evaluator = DeltaEvaluator(scenario, current)
         pending = {idx for idx in range(len(ids))
                    if target[idx] != current[idx]
@@ -440,17 +440,18 @@ class CentralController:
                        rates: np.ndarray) -> np.ndarray:
         """Finiteness gate on telemetry-derived rates (the W009 seam).
 
-        Unguarded, non-finite telemetry is rejected loudly — better a
-        clear error at receipt than a poisoned solve later.  Guarded,
-        non-finite entries fall back to the user's last known-good
-        rates (or 0 = unreachable) and the repair is counted.
+        Without a health monitor, non-finite telemetry is rejected
+        loudly — better a clear error at receipt than a poisoned solve
+        later.  With one, non-finite entries fall back to the user's
+        last known-good rates (or 0 = unreachable), negative ones are
+        clamped to 0, and the repair is counted.
         """
-        if self.guard is None:
+        if self.health is None:
             if not np.all(np.isfinite(rates)):
                 raise ValueError(
                     f"user {user_id} reported non-finite rates")
             return rates
-        clean, n_replaced = self.guard.sanitize_rates(
+        clean, n_replaced = sanitize_rates(
             rates, fallback=self._last_good_rates.get(user_id))
         if n_replaced:
             self.stats.sanitized_reports += 1
@@ -465,7 +466,7 @@ class CentralController:
         if self.health is None:
             return seen
         masked = np.where(self.health.quarantined, 0.0, seen)
-        return masked if np.any(masked > 0) else seen
+        return masked if np.any(masked > MIN_USABLE_RATE) else seen
 
     def _fresh_ids(self) -> List[int]:
         """Reported users whose newest report is within the TTL."""

@@ -30,7 +30,8 @@ a suspect link beats serving nobody.
 :meth:`HealthMonitor.observe` returns each epoch's transitions as
 :class:`HealthEvent` records (the monitor keeps no log of them), and
 :meth:`HealthMonitor.effective_rates` supplies last-known-good
-capacities for solving while telemetry is garbage.
+capacities for solving while telemetry is garbage;
+:func:`sanitize_rates` does the same for a client's scan report.
 
 :meth:`HealthMonitor.state` and :meth:`HealthMonitor.restore` carry the
 machine across a process restart as strict JSON (NaN becomes ``null``);
@@ -45,11 +46,45 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["HealthEvent", "HealthMonitor"]
+__all__ = ["HealthEvent", "HealthMonitor", "sanitize_rates"]
 
 #: Relative swing below which two finite capacity observations are
 #: considered consistent (no flap strike, clean probation epoch).
 _EPS = 1e-12
+
+
+def sanitize_rates(rates: Sequence[float],
+                   fallback: Optional[np.ndarray] = None
+                   ) -> Tuple[np.ndarray, int]:
+    """Replace non-finite / negative telemetry entries.
+
+    Non-finite entries take the corresponding ``fallback``
+    (last-known-good) value when one is provided and finite, else
+    ``0.0`` (unreachable); negative entries are clamped to ``0.0``.
+
+    Returns:
+        ``(clean_rates, n_replaced)`` — a new array (the input is not
+        mutated) and the number of entries replaced.
+
+    Raises:
+        ValueError: ``fallback`` does not match the shape of ``rates``.
+    """
+    arr = np.array(rates, dtype=float)
+    nonfinite = ~np.isfinite(arr)
+    negative = np.isfinite(arr) & (arr < 0)
+    n_replaced = int(nonfinite.sum() + negative.sum())
+    if n_replaced == 0:
+        return arr, 0
+    if fallback is not None:
+        fb = np.asarray(fallback, dtype=float)
+        if fb.shape != arr.shape:
+            raise ValueError("fallback shape must match rates")
+        safe_fb = np.where(np.isfinite(fb) & (fb >= 0), fb, 0.0)
+        arr[nonfinite] = safe_fb[nonfinite]
+    else:
+        arr[nonfinite] = 0.0
+    arr[negative] = 0.0
+    return arr, n_replaced
 
 
 def _floats_or_null(values: np.ndarray) -> List[Optional[float]]:

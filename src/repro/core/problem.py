@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 __all__ = ["UNASSIGNED", "Scenario", "fail_extenders", "same_bits",
-           "validate_assignment", "validate_assignment_batch"]
+           "servable", "validate_assignment", "validate_assignment_batch"]
 
 #: Sentinel extender index for an unattached user.
 UNASSIGNED = -1
@@ -164,6 +164,22 @@ def fail_extenders(scenario: Scenario,
     return Scenario(wifi_rates=wifi, plc_rates=plc,
                     capacities=scenario.capacities,
                     user_ids=scenario.user_ids)
+
+
+def servable(scenario: Scenario, assignment: Sequence[int]) -> np.ndarray:
+    """A copy of ``assignment`` with users on unusable links detached.
+
+    The one keep-or-detach rule of both online loops: a user stays on
+    its extender only while ``scenario`` rates the link above
+    :data:`MIN_USABLE_RATE`, the bar :func:`validate_assignment`
+    applies.  Entries must be :data:`UNASSIGNED` or in range.
+    """
+    kept = np.array(assignment, dtype=int)
+    attached = np.flatnonzero(kept != UNASSIGNED)
+    if attached.size:
+        rates = scenario.wifi_rates[attached, kept[attached]]
+        kept[attached[rates <= MIN_USABLE_RATE]] = UNASSIGNED
+    return kept
 
 
 def validate_assignment(scenario: Scenario,

@@ -11,9 +11,9 @@ garbage a real driver emits mid-reset.
 
 Three control loops face the same seeded storm:
 
-* ``wolt`` — the guarded loop: a :class:`repro.core.DecisionGuard`
-  sanitizes poisoned scan reports, a :class:`repro.core.HealthMonitor`
-  quarantines suspect extenders, and a report TTL expires stale
+* ``wolt`` — the guarded loop: a :class:`repro.core.HealthMonitor`
+  quarantines suspect extenders and, being attached, has the
+  controller sanitize poisoned scan reports; a report TTL expires stale
   telemetry.
 * ``wolt_unguarded`` — the same controller with every safety net
   removed.  Its first poisoned message raises; the harness records the
@@ -46,7 +46,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.controller import CentralController
-from ..core.guard import DecisionGuard
 from ..core.health import HealthMonitor
 from ..core.problem import Scenario, fail_extenders
 from ..net.estimate import noisy_scenario
@@ -131,8 +130,7 @@ def _episode(truth: Scenario, level: float, policy: str,
         return aggregate, {"unguarded_crashes": crashes}
     health = HealthMonitor(truth.n_extenders, probation_epochs=2)
     cc = CentralController(truth.plc_rates, transport=transport,
-                           guard=DecisionGuard(), health=health,
-                           report_ttl_epochs=2)
+                           health=health, report_ttl_epochs=2)
     aggregate, crashes = run_episode(cc, storm, plc_mode)
     return aggregate, {"crashes": crashes,
                        "sanitized_reports": cc.stats.sanitized_reports,
@@ -217,8 +215,8 @@ def quarantine_recovery_check(seed: int = 0,
     """
     truth = enterprise_floor(5, 12, np.random.default_rng(seed))
     health = HealthMonitor(5, probation_epochs=probation_epochs)
-    cc = CentralController(truth.plc_rates, guard=DecisionGuard(),
-                           health=health, report_ttl_epochs=4)
+    cc = CentralController(truth.plc_rates, health=health,
+                           report_ttl_epochs=4)
     drive_control_plane(cc, [(truth, truth.wifi_rates, None)])
 
     def flip_epoch(plc_rates: np.ndarray) -> Optional[int]:

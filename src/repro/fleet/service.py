@@ -91,8 +91,8 @@ import numpy as np
 
 from ..core.health import HealthMonitor
 from ..core.phase2 import Phase2Memo, Phase2Result
-from ..core.problem import (MIN_USABLE_RATE, UNASSIGNED, Scenario,
-                            fail_extenders, same_bits)
+from ..core.problem import (UNASSIGNED, Scenario, fail_extenders,
+                            same_bits, servable)
 from ..core.wolt import solve_wolt
 from ..net.engine import DeltaEvaluator
 # Not called here.  fleetbench's tracer rebinds ``service.evaluate``
@@ -341,20 +341,6 @@ def _remember(segments: Sequence[Segment], results: Sequence[Any],
     return tuple(remembered)
 
 
-def _servable(scenario: Scenario, assignment: np.ndarray) -> np.ndarray:
-    """A copy of ``assignment`` with users on unusable extenders detached.
-
-    An extender is unusable for a user when this epoch's effective
-    ``scenario`` rates the link at or below :data:`MIN_USABLE_RATE`.
-    """
-    servable = assignment.copy()
-    attached = np.flatnonzero(servable != UNASSIGNED)
-    if attached.size:
-        rates = scenario.wifi_rates[attached, servable[attached]]
-        servable[attached[rates <= MIN_USABLE_RATE]] = UNASSIGNED
-    return servable
-
-
 def score_directives(scenario: Scenario, old: np.ndarray,
                      new: np.ndarray, plc_mode: str, building: str
                      ) -> Tuple[float, float, Tuple[Directive, ...]]:
@@ -375,7 +361,7 @@ def score_directives(scenario: Scenario, old: np.ndarray,
         the first and after the last move, and one
         :class:`Directive` per moved user carrying its delta.
     """
-    scorer = DeltaEvaluator(scenario, _servable(scenario, old),
+    scorer = DeltaEvaluator(scenario, servable(scenario, old),
                             plc_mode=plc_mode)
     baseline = running = scorer.aggregate
     directives: List[Directive] = []
@@ -812,7 +798,7 @@ class FleetService:
                         building=bstate.name, segment=segment.index,
                         error_type=result.error_type)
                 users = list(segment.users)
-                new[users] = _servable(scenario, old)[users]
+                new[users] = servable(scenario, old)[users]
                 continue
             if result is None:  # an empty segment: nobody to place
                 continue
@@ -839,7 +825,7 @@ class FleetService:
         """
         return self._compose_building_epoch(
             bstate, scenario, quarantined,
-            _servable(scenario, bstate.assignment), n_segments=0,
+            servable(scenario, bstate.assignment), n_segments=0,
             shard_failures=0, shard_timeouts=0, apply=apply)
 
     def _compose_building_epoch(self, bstate: _BuildingState,

@@ -26,7 +26,8 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.controller import CentralController, ScanReport
-from ..core.problem import Scenario, UNASSIGNED, fail_extenders
+from ..core.problem import (MIN_USABLE_RATE, Scenario, UNASSIGNED,
+                            fail_extenders, servable)
 from ..net.engine import evaluate
 
 __all__ = ["flip_extenders", "reassociate_orphans",
@@ -54,22 +55,19 @@ def reassociate_orphans(scenario: Scenario,
                         assignment: Sequence[int]) -> np.ndarray:
     """Move users off dead extenders onto their strongest survivor.
 
-    Users whose current extender is unreachable (rate 0, e.g. after
-    :func:`fail_extenders`) re-associate RSSI-style; everyone else
-    stays put.  Users who hear no survivor are left UNASSIGNED
-    (offline).
+    Users that :func:`~repro.core.problem.servable` detaches (their
+    link is unusable, e.g. after :func:`fail_extenders`) and unattached
+    users re-associate RSSI-style, to the first strongest link above
+    :data:`~repro.core.problem.MIN_USABLE_RATE`; everyone else stays
+    put.  Users who hear no survivor are left UNASSIGNED (offline).
     """
-    assign = np.array(assignment, dtype=int)
-    for user in range(scenario.n_users):
-        j = assign[user]
-        if j != UNASSIGNED and scenario.wifi_rates[user, j] > 0:
-            continue
-        reachable = scenario.reachable(user)
-        if reachable.size == 0:
-            assign[user] = UNASSIGNED
-        else:
-            assign[user] = int(reachable[np.argmax(
-                scenario.wifi_rates[user, reachable])])
+    assign = servable(scenario, assignment)
+    orphans = np.flatnonzero(assign == UNASSIGNED)
+    rates = scenario.wifi_rates[orphans]
+    usable = rates > MIN_USABLE_RATE
+    hears = usable.any(axis=1)
+    strongest = np.argmax(np.where(usable, rates, -np.inf), axis=1)
+    assign[orphans[hears]] = strongest[hears]
     return assign
 
 
@@ -181,10 +179,8 @@ class FailureSimulation:
         self.down = flip_extenders(self.down, self.rng, self.fail_prob,
                                    self.recover_prob)
         live = fail_extenders(self.healthy, np.flatnonzero(self.down))
-        orphaned = int(np.sum([
-            self.assignment[u] != UNASSIGNED
-            and live.wifi_rates[u, self.assignment[u]] <= 0
-            for u in range(live.n_users)]))
+        orphaned = int(np.count_nonzero(
+            servable(live, self.assignment) != self.assignment))
         drive_control_plane(self.cc,
                             [(live, live.wifi_rates, live.plc_rates)])
         self.assignment = settle_clients(live, self.cc.associations)

@@ -48,6 +48,9 @@ Further references the tests compare production against:
   that sharded fleet dispatch must match bit for bit.
 * :func:`split_segments_per_user` and :func:`coupling_components_per_user`
   split a building one ``scenario.reachable(user)`` call at a time.
+* :func:`reassociate_orphans_per_user` re-parks failure orphans one
+  user at a time, where production detaches them with ``servable`` and
+  parks them in one array pass.
 * :func:`score_directives_scalar` scores each fleet directive with one
   full scalar ``evaluate`` of the building per moved user.
 * :func:`validate_assignment_reference` checks Problem 1's constraints
@@ -94,9 +97,9 @@ from repro.core.hungarian import InfeasibleAssignmentError
 from repro.core.phase1 import solve_phase1
 from repro.core.phase2 import Phase2Result, _BatchGains, _CellState
 from repro.core.problem import (MIN_USABLE_RATE, UNASSIGNED, Scenario,
-                                fail_extenders)
+                                fail_extenders, servable)
 from repro.core.wolt import WoltResult, solve_wolt
-from repro.fleet.service import Directive, FleetService, _servable
+from repro.fleet.service import Directive, FleetService
 from repro.fleet.sharding import Segment, split_segments
 from repro.fleet.spec import FleetSpec
 from repro.net.engine import (DeltaEvaluator, _record, evaluate,
@@ -109,7 +112,7 @@ from repro.plc.homeplug import Av2Phy
 from repro.plc.sharing import _EPS, allocate_backhaul
 from repro.sim.dynamics import EpochStats, OnlineSimulation
 from repro.sim.failures import (FailureEpoch, FailureSimulation,
-                                flip_extenders, reassociate_orphans)
+                                flip_extenders)
 from repro.wifi.channels import ChannelPlan
 from repro.wifi.phy import WifiPhy
 from repro.wifi.sharing import cell_throughputs
@@ -543,6 +546,29 @@ class IncrementalWoltReference:
                                   aggregate_after=after)
 
 
+def reassociate_orphans_per_user(scenario: Scenario,
+                                 assignment: Sequence[int]) -> np.ndarray:
+    """``repro.sim.failures.reassociate_orphans`` one user at a time.
+
+    A user stays while its link rates above 0; any other user moves to
+    the first strongest of ``scenario.reachable(user)``, or goes
+    offline.  Production keeps a user only above ``MIN_USABLE_RATE``;
+    the two agree wherever no link is rated in ``(0, MIN_USABLE_RATE]``.
+    """
+    assign = np.array(assignment, dtype=int)
+    for user in range(scenario.n_users):
+        j = assign[user]
+        if j != UNASSIGNED and scenario.wifi_rates[user, j] > 0:
+            continue
+        reachable = scenario.reachable(user)
+        if reachable.size == 0:
+            assign[user] = UNASSIGNED
+        else:
+            assign[user] = int(reachable[np.argmax(
+                scenario.wifi_rates[user, reachable])])
+    return assign
+
+
 class FailureSimulationReference(FailureSimulation):
     """:class:`FailureSimulation` deciding associations itself.
 
@@ -577,7 +603,8 @@ class FailureSimulationReference(FailureSimulation):
                 assignment[np.flatnonzero(reachable)] = solved.assignment
             self.assignment = assignment
         else:
-            self.assignment = reassociate_orphans(live, self.assignment)
+            self.assignment = reassociate_orphans_per_user(
+                live, self.assignment)
         report = evaluate(live, self.assignment, plc_mode=self.plc_mode)
         stats = FailureEpoch(
             epoch=len(self.history) + 1,
@@ -917,7 +944,7 @@ def score_directives_scalar(scenario: Scenario, old: np.ndarray,
     """``repro.fleet.service.score_directives`` with one full
     ``evaluate`` of the building per moved user, in ascending user
     order, against ``old`` as servable under ``scenario``."""
-    working = _servable(scenario, old)
+    working = servable(scenario, old)
     running = evaluate(scenario, working, plc_mode=plc_mode).aggregate
     baseline = running
     directives: List[Directive] = []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.controller import CentralController, ScanReport
-from repro.core.guard import DecisionGuard
+from repro.core.health import HealthMonitor
 from repro.core.problem import Scenario
 from repro.core.wolt import solve_wolt
 from repro.net.engine import evaluate
@@ -121,13 +121,14 @@ class TestReconfigure:
         assert cc.associations == {}
 
     def test_guarded_cc_issues_the_unguarded_directives(self):
-        """On clean reports the boundary repair changes nothing: a
-        guarded CC lands every user where an unguarded one does, which
-        is where solve_wolt puts it."""
+        """On clean reports telemetry sanitation changes nothing: a CC
+        with a health monitor lands every user where one without does,
+        which is where solve_wolt puts it."""
         sc = random_scenario(np.random.default_rng(3), 10, 4,
                              reachable_prob=0.6)
         plain = CentralController(sc.plc_rates)
-        guarded = CentralController(sc.plc_rates, guard=DecisionGuard())
+        guarded = CentralController(sc.plc_rates,
+                                    health=HealthMonitor(sc.n_extenders))
         for cc in (plain, guarded):
             for user in range(sc.n_users):
                 cc.receive_scan_report(_report(user, sc.wifi_rates[user]))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.controller import CentralController, ScanReport, Transport
-from repro.core.guard import DecisionGuard
 from repro.core.health import HealthMonitor
 from repro.core.problem import UNASSIGNED, Scenario
 from repro.core.wolt import solve_wolt
@@ -284,13 +283,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             CentralController([], min_gain_mbps=1.0)
 
-    def test_hysteresis_excludes_guard_and_health(self):
-        with pytest.raises(ValueError, match="min_gain_mbps"):
-            CentralController([100.0], min_gain_mbps=1.0,
-                              guard=DecisionGuard())
+    @pytest.mark.parametrize("policy", ["rssi", "greedy", "wolt"])
+    @pytest.mark.parametrize("plc", [[-1.0, 20.0], [np.nan, 20.0]])
+    def test_bad_plc_rates_rejected_at_construction(self, policy, plc):
+        """The offline PLC measurements meet the bar every solve
+        scenario applies, for every policy, before any report."""
+        with pytest.raises(ValueError, match="plc_rates"):
+            CentralController(plc, policy=policy)
+
+    def test_hysteresis_excludes_health(self):
         with pytest.raises(ValueError, match="min_gain_mbps"):
             CentralController([100.0], min_gain_mbps=1.0,
                               health=HealthMonitor(1))
-        # At the zero threshold both stay available.
-        CentralController([100.0], guard=DecisionGuard(),
-                          health=HealthMonitor(1))
+        # At the zero threshold the monitor stays available.
+        CentralController([100.0], health=HealthMonitor(1))

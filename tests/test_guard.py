@@ -15,7 +15,9 @@ loop"):
   scenarios and corrupted assignments);
 * solvers and baselines trust their scenario and raise on a user that
   hears no extender; the boundary pattern (solve the hearing subset,
-  scatter it back, repair once) leaves exactly that user UNASSIGNED.
+  scatter it back, repair once) leaves exactly that user UNASSIGNED;
+* :func:`repro.core.health.sanitize_rates`, the controller's scan-report
+  sanitation, falls back to last-known-good and clamps negatives.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.core.baselines import (greedy_assignment, random_assignment,
                                   selfish_greedy_assignment)
 from repro.core.bnb import branch_and_bound_optimal
 from repro.core.guard import DecisionGuard
+from repro.core.health import sanitize_rates
 from repro.core.phase1 import solve_phase1
 from repro.core.problem import MIN_USABLE_RATE, UNASSIGNED, Scenario
 from repro.core.wolt import solve_wolt
@@ -165,38 +168,34 @@ class TestRepairAssignment:
         for _ in range(50):
             guard.repair_assignment(
                 sc, corrupt(rssi_assignment(sc), rng, sc.n_extenders))
-            guard.sanitize_rates([np.nan, 1.0, -2.0])
         assert vars(guard) == {}
 
 
 class TestSanitizeRates:
     def test_clean_rates_pass_through(self):
-        guard = DecisionGuard()
         rates = np.array([10.0, 0.0, 33.5])
-        clean, n_replaced = guard.sanitize_rates(rates)
+        clean, n_replaced = sanitize_rates(rates)
         assert np.array_equal(clean, rates)
         assert clean is not rates
         assert n_replaced == 0
 
     def test_nonfinite_replaced_with_fallback(self):
-        guard = DecisionGuard()
         rates = np.array([np.nan, 20.0, np.inf, -5.0])
         fallback = np.array([11.0, 99.0, np.nan, 4.0])
-        clean, n_replaced = guard.sanitize_rates(rates, fallback=fallback)
+        clean, n_replaced = sanitize_rates(rates, fallback=fallback)
         # nan -> fallback; inf -> non-finite fallback -> 0; -5 -> 0.
         assert clean.tolist() == [11.0, 20.0, 0.0, 0.0]
         assert n_replaced == 3
         assert np.isnan(rates[0])  # the input is not mutated
 
     def test_nonfinite_without_fallback_zeroed(self):
-        clean, n_replaced = DecisionGuard().sanitize_rates([np.nan, 7.0])
+        clean, n_replaced = sanitize_rates([np.nan, 7.0])
         assert clean.tolist() == [0.0, 7.0]
         assert n_replaced == 1
 
     def test_fallback_shape_mismatch(self):
         with pytest.raises(ValueError):
-            DecisionGuard().sanitize_rates([np.nan],
-                                           fallback=np.ones(3))
+            sanitize_rates([np.nan], fallback=np.ones(3))
 
 
 #: WiFi rates drawn from a few values, so ties between users (the

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.controller import CentralController, ScanReport
-from repro.core.guard import DecisionGuard
 from repro.core.health import HealthEvent, HealthMonitor
 from repro.core.problem import Scenario, fail_extenders
 from repro.core.wolt import solve_wolt
@@ -296,7 +295,7 @@ class TestControllerScanSanitation:
                 ScanReport(0, np.array([np.nan, 30.0])))
 
     def test_guarded_sanitizes_with_last_known_good(self):
-        cc = CentralController([50.0, 60.0], guard=DecisionGuard())
+        cc = CentralController([50.0, 60.0], health=HealthMonitor(2))
         cc.receive_scan_report(ScanReport(0, np.array([20.0, 30.0])))
         cc.receive_scan_report(
             ScanReport(0, np.array([np.nan, 35.0])))
@@ -306,7 +305,7 @@ class TestControllerScanSanitation:
         assert cached.tolist() == [20.0, 35.0]
 
     def test_guarded_ignores_fully_poisoned_first_report(self):
-        cc = CentralController([50.0, 60.0], guard=DecisionGuard())
+        cc = CentralController([50.0, 60.0], health=HealthMonitor(2))
         out = cc.receive_scan_report(
             ScanReport(0, np.array([np.nan, np.nan])))
         assert out is None
@@ -317,7 +316,8 @@ class TestReportTTL:
     def _drive(self, ttl):
         rng = np.random.default_rng(3)
         sc = random_scenario(rng, 6, 3)
-        cc = CentralController(sc.plc_rates, guard=DecisionGuard(),
+        cc = CentralController(sc.plc_rates,
+                               health=HealthMonitor(sc.n_extenders),
                                report_ttl_epochs=ttl)
         for user in range(sc.n_users):
             cc.receive_scan_report(
@@ -365,8 +365,7 @@ class TestQuarantineMasking:
         rng = np.random.default_rng(11)
         sc = random_scenario(rng, 8, 3)
         health = HealthMonitor(3, probation_epochs=2)
-        cc = CentralController(sc.plc_rates, guard=DecisionGuard(),
-                               health=health)
+        cc = CentralController(sc.plc_rates, health=health)
         for user in range(sc.n_users):
             cc.receive_scan_report(
                 ScanReport(user, sc.wifi_rates[user]))
@@ -380,7 +379,7 @@ class TestQuarantineMasking:
         assert all(j != 0 for j in cc.associations.values())
 
     def test_user_hearing_only_quarantined_extenders_stays_put(self):
-        """The guarded CC solves the hearing users alone: a user whose
+        """The CC solves the hearing users alone: a user whose
         only extender is quarantined keeps its association, and every
         other user gets the subset solve's target."""
         rng = np.random.default_rng(11)
@@ -388,8 +387,7 @@ class TestQuarantineMasking:
         wifi = sc.wifi_rates.copy()
         wifi[5] = [70.0, 0.0, 0.0]  # user 5 hears only extender 0
         health = HealthMonitor(3, probation_epochs=2)
-        cc = CentralController(sc.plc_rates, guard=DecisionGuard(),
-                               health=health)
+        cc = CentralController(sc.plc_rates, health=health)
         for user in range(sc.n_users):
             cc.receive_scan_report(ScanReport(user, wifi[user]))
         cc.reconfigure()
@@ -412,7 +410,7 @@ class TestQuarantineMasking:
     def test_solves_see_the_fail_extenders_scenario(self):
         """A quarantined extender is masked exactly as a dead one: the
         CC's solve scenario is :func:`fail_extenders` of the reports."""
-        cc, _, sc = self._quarantine_extender_0(DecisionGuard())
+        cc, _, sc = self._quarantine_extender_0()
         scenario, ids = cc._scenario()
         assert ids == list(range(sc.n_users))
         dead = fail_extenders(
@@ -420,7 +418,7 @@ class TestQuarantineMasking:
         np.testing.assert_array_equal(scenario.wifi_rates, dead.wifi_rates)
         np.testing.assert_array_equal(scenario.plc_rates, dead.plc_rates)
 
-    def _quarantine_extender_0(self, guard):
+    def _quarantine_extender_0(self):
         """A CC whose user 5 hears only extender 0, which then gets
         quarantined; returns the CC, its monitor and the scan rates."""
         rng = np.random.default_rng(11)
@@ -428,7 +426,7 @@ class TestQuarantineMasking:
         wifi = sc.wifi_rates.copy()
         wifi[5] = [70.0, 0.0, 0.0]
         health = HealthMonitor(3, probation_epochs=2)
-        cc = CentralController(sc.plc_rates, guard=guard, health=health)
+        cc = CentralController(sc.plc_rates, health=health)
         for user in range(sc.n_users):
             cc.receive_scan_report(ScanReport(user, wifi[user]))
         cc.reconfigure()
@@ -438,19 +436,8 @@ class TestQuarantineMasking:
         assert health.is_quarantined(0)
         return cc, health, Scenario(wifi_rates=wifi, plc_rates=sc.plc_rates)
 
-    def test_unguarded_cc_solves_around_a_deaf_user(self):
-        """Without a guard the CC still solves only the hearing users:
-        the user whose only extender is quarantined is not handed to
-        solve_wolt (which would raise) and keeps its association."""
-        cc, _, sc = self._quarantine_extender_0(guard=None)
-        before = dict(cc.associations)
-        cc.reconfigure()
-        assert cc.associations[5] == before[5] == 0
-        assert all(cc.associations[u] != 0
-                   for u in range(sc.n_users) if u != 5)
-
     def test_user_rejoins_the_solve_after_readmission(self):
-        cc, health, sc = self._quarantine_extender_0(DecisionGuard())
+        cc, health, sc = self._quarantine_extender_0()
         cc.reconfigure()
         for _ in range(2):
             cc.update_plc_telemetry(sc.plc_rates)
@@ -461,8 +448,7 @@ class TestQuarantineMasking:
 
     def test_admission_avoids_quarantined_extender(self):
         health = HealthMonitor(2, probation_epochs=2)
-        cc = CentralController([50.0, 60.0], guard=DecisionGuard(),
-                               health=health)
+        cc = CentralController([50.0, 60.0], health=health)
         cc.update_plc_telemetry([np.nan, 60.0])
         assert health.is_quarantined(0)
         # Extender 0 has the stronger link, but it is quarantined.
@@ -471,8 +457,7 @@ class TestQuarantineMasking:
 
     def test_readmitted_extender_usable_again(self):
         health = HealthMonitor(2, probation_epochs=2)
-        cc = CentralController([50.0, 60.0], guard=DecisionGuard(),
-                               health=health)
+        cc = CentralController([50.0, 60.0], health=health)
         cc.update_plc_telemetry([np.nan, 60.0])
         cc.update_plc_telemetry([50.0, 60.0])
         cc.update_plc_telemetry([50.0, 60.0])
@@ -484,8 +469,7 @@ class TestQuarantineMasking:
         """Measurement is physics: a client still parked on a
         quarantined extender must be measurable."""
         health = HealthMonitor(2, probation_epochs=5)
-        cc = CentralController([50.0, 60.0], guard=DecisionGuard(),
-                               health=health)
+        cc = CentralController([50.0, 60.0], health=health)
         cc.receive_scan_report(ScanReport(0, np.array([90.0, 30.0])))
         assert cc.associations[0] == 0
         cc.update_plc_telemetry([50.0, 60.0])  # seed last-known-good

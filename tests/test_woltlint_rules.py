@@ -417,10 +417,11 @@ class TestW009UnsanitizedTelemetryScenario:
 
     def test_sanitize_helper_clean(self):
         src = """
+        from repro.core.health import sanitize_rates
         from repro.core.problem import Scenario
 
-        def scenario_from_report(guard, report_rates, plc):
-            clean = guard.sanitize_rates(report_rates)
+        def scenario_from_report(report_rates, plc):
+            clean, _ = sanitize_rates(report_rates)
             return Scenario(wifi_rates=clean, plc_rates=plc)
         """
         assert codes(src) == []

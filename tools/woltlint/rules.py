@@ -673,8 +673,8 @@ class UnsanitizedTelemetryScenario(Rule):
                  "construction time — far from the telemetry that "
                  "caused it.  A function that turns telemetry into a "
                  "Scenario must gate it first (np.isfinite / "
-                 "nan_to_num / DecisionGuard.sanitize_rates / an "
-                 "explicit validate step).")
+                 "nan_to_num / repro.core.health.sanitize_rates / "
+                 "an explicit validate step).")
 
     def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
         for node in ast.walk(tree):
@@ -707,7 +707,7 @@ class UnsanitizedTelemetryScenario(Rule):
                         "Scenario built from telemetry-derived data "
                         "with no finiteness gate in sight — check "
                         "np.isfinite (or route through "
-                        "DecisionGuard.sanitize_rates) before "
+                        "repro.core.health.sanitize_rates) before "
                         "construction, or a NaN report crashes the "
                         "control loop here")
 
