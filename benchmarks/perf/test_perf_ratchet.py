@@ -17,6 +17,11 @@ asserts two kinds of bound on every ``speedup`` field:
   an optimization legitimately advances a number, re-pin its baseline
   here in the same PR that regenerates the JSON.
 
+``evaluate_reference_vs_batch`` divides a frozen scalar yardstick
+(``tests.oracles.evaluate_aggregate_reference``) by one
+``evaluate_batch`` call, so it falls only when the batch path slows
+down; a faster production scalar ``evaluate`` no longer moves it.
+
 CI runs this in the ``perf-smoke`` job *after* regenerating the JSON
 on the runner, so the bounds are checked against fresh measurements,
 not just the committed file.  The file lives under ``benchmarks/``
@@ -43,7 +48,7 @@ TOLERANCE = 0.10
 #: committed measurements so runner-to-runner noise does not flake).
 #: Re-pin upward when an optimization moves a number for real.
 RATCHET = {
-    "evaluate_scalar_vs_batch": 35.0,
+    "evaluate_reference_vs_batch": 20.0,
     "delta_eval_vs_full_rescore": 6.0,
 }
 

@@ -10,7 +10,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import (Scenario, brute_force_optimal, evaluate,
+from repro import (Scenario, branch_and_bound_optimal, evaluate,
                    greedy_assignment, rssi_assignment, solve_wolt)
 
 
@@ -28,7 +28,7 @@ def main() -> None:
     for name, assignment in [
             ("RSSI", rssi_assignment(scenario)),
             ("Greedy", greedy_assignment(scenario)),
-            ("Optimal", brute_force_optimal(scenario).assignment)]:
+            ("Optimal", branch_and_bound_optimal(scenario).assignment)]:
         report = evaluate(scenario, assignment)
         print(f"{name:10s}  {assignment.tolist()}        "
               f"{report.aggregate:6.2f}")

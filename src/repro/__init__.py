@@ -25,9 +25,9 @@ paper-vs-reproduced numbers.
 
 from .core.baselines import (greedy_assignment, random_assignment,
                              rssi_assignment, selfish_greedy_assignment)
+from .core.bnb import branch_and_bound_optimal
 from .core.controller import CentralController
 from .core.fairness import solve_alpha_fair
-from .core.optimal import brute_force_optimal
 from .core.phase1 import phase1_utilities, solve_phase1
 from .core.phase2 import solve_phase2, solve_phase2_continuous
 from .core.problem import (UNASSIGNED, Scenario, validate_assignment,
@@ -56,7 +56,7 @@ __all__ = [
     "solve_wolt", "WoltResult", "solve_phase1", "solve_phase2",
     "solve_phase2_continuous", "phase1_utilities",
     "rssi_assignment", "greedy_assignment", "selfish_greedy_assignment",
-    "random_assignment", "brute_force_optimal", "CentralController",
+    "random_assignment", "branch_and_bound_optimal", "CentralController",
     "solve_alpha_fair",
     # network model
     "evaluate", "evaluate_batch",

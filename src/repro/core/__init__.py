@@ -8,7 +8,6 @@ from .fairness import AlphaFairResult, alpha_fair_utility, solve_alpha_fair
 from .guard import DecisionGuard
 from .health import HealthEvent, HealthMonitor
 from .hungarian import InfeasibleAssignmentError, solve_assignment
-from .optimal import brute_force_optimal
 from .partition import (partition_to_scenario,
                         solve_partition_by_association)
 from .phase1 import Phase1Result, phase1_utilities, solve_phase1
@@ -23,11 +22,10 @@ __all__ = [
     "solve_phase2", "solve_phase2_continuous", "Phase2Result",
     "solve_wolt", "WoltResult",
     "rssi_assignment", "greedy_assignment", "selfish_greedy_assignment",
-    "random_assignment", "brute_force_optimal", "CentralController",
-    "Transport",
+    "random_assignment", "branch_and_bound_optimal", "BnbResult",
+    "CentralController", "Transport",
     "solve_alpha_fair", "alpha_fair_utility", "AlphaFairResult",
     "partition_to_scenario", "solve_partition_by_association",
-    "branch_and_bound_optimal", "BnbResult",
     "DecisionGuard",
     "HealthMonitor", "HealthEvent",
 ]

@@ -1,7 +1,10 @@
-"""Branch-and-bound exact solver for Problem 1 (beyond brute force).
+"""Exact Problem-1 optimum for small instances, by branch and bound.
 
-Problem 1 stays NP-hard, but the exponential search can be pruned with
-an admissible completion bound: for any partial assignment, extender
+Problem 1 is NP-hard (Theorem 1), so the paper reports optimal
+assignments only on toy scenarios (Fig. 3).  This is the repository's
+one exact solver: it reproduces the Fig. 3 case study and certifies
+WOLT on small instances.  The exponential search is pruned with an
+admissible completion bound: for any partial assignment, extender
 ``j``'s final end-to-end throughput is at most
 
     bound_j = min(cap_j, max r_ij over current members and all
@@ -15,13 +18,14 @@ cannot beat the incumbent are cut.
 
 On fixed-law instances the pruning is dramatic (the bound is tight
 there); on redistribute-law instances it degrades gracefully toward
-brute force.  Certified identical to
-:func:`repro.core.optimal.brute_force_optimal` by the test-suite.
+exhaustive search.  The test-suite pins the optimum's aggregate to an
+exhaustive enumeration (``tests/oracles.exhaustive_optimum``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -63,8 +67,8 @@ def branch_and_bound_optimal(scenario: Scenario,
         A :class:`BnbResult` certificate.
 
     Raises:
-        ValueError: if some user is unattachable or the node limit is
-            exceeded.
+        ValueError: if some user is unattachable, no complete assignment
+            respects the capacities, or the node limit is exceeded.
     """
     n_users, n_ext = scenario.n_users, scenario.n_extenders
     for user in range(n_users):
@@ -76,11 +80,17 @@ def branch_and_bound_optimal(scenario: Scenario,
         caps = scenario.plc_rates.copy()
 
     # Warm start: the greedy baseline's value seeds the incumbent so
-    # pruning bites from the first branch.
-    incumbent = greedy_assignment(scenario, plc_mode=plc_mode)
-    best_value = evaluate(scenario, incumbent, plc_mode=plc_mode,
-                          require_complete=True).aggregate
-    best_assignment = np.asarray(incumbent, dtype=int)
+    # pruning bites from the first branch.  Capacities can dead-end the
+    # greedy order; the search then starts with no incumbent.
+    best_value = -np.inf
+    best_assignment: Optional[np.ndarray] = None
+    try:
+        best_assignment = greedy_assignment(scenario, plc_mode=plc_mode)
+    except ValueError:
+        pass
+    else:
+        best_value = evaluate(scenario, best_assignment, plc_mode=plc_mode,
+                              require_complete=True).aggregate
 
     # Branch on users in order of decreasing best rate: the impactful
     # decisions happen high in the tree, where pruning saves the most.
@@ -155,6 +165,8 @@ def branch_and_bound_optimal(scenario: Scenario,
             assignment[user] = UNASSIGNED
 
     dfs(0)
+    if best_assignment is None:
+        raise ValueError("no capacity-feasible complete assignment exists")
     return BnbResult(assignment=best_assignment,
                      aggregate_throughput=float(best_value),
                      nodes_expanded=stats["expanded"],

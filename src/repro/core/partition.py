@@ -19,7 +19,7 @@ PARTITION weight.  This module builds that bridge in both directions:
 * :func:`balanced_partition_value` recovers the partition imbalance
   from an association;
 * :func:`solve_partition_by_association` runs the reduction end to end
-  with the brute-force Problem-1 solver on small instances.
+  on small instances, enumerating every two-sided association.
 
 It exists to *test* the hardness construction, and as documentation of
 why no polynomial exact algorithm should be expected.

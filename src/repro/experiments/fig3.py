@@ -20,7 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from ..core.baselines import rssi_assignment, selfish_greedy_assignment
-from ..core.optimal import brute_force_optimal
+from ..core.bnb import branch_and_bound_optimal
 from ..core.problem import Scenario
 from ..core.wolt import solve_wolt
 from ..net.engine import evaluate
@@ -60,7 +60,7 @@ def run_fig3() -> Fig3Result:
     # Fig. 3c is the *self-interested* greedy: user 1 then user 2, each
     # maximizing its own end-to-end throughput.
     greedy = evaluate(scenario, selfish_greedy_assignment(scenario))
-    optimal = brute_force_optimal(scenario)
+    optimal = branch_and_bound_optimal(scenario)
     optimal_report = evaluate(scenario, optimal.assignment)
     wolt = solve_wolt(scenario)
     return Fig3Result(

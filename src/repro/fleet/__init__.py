@@ -35,7 +35,7 @@ from .ingest import (DeadLetterJournal, IngestError, RecordedTelemetry,
                      write_stream)
 from .service import (BuildingEpoch, Directive, EpochReport, FleetService,
                       format_epoch)
-from .sharding import Segment, coupling_components, split_segments
+from .sharding import Segment, split_segments
 from .spec import (BuildingSpec, FleetSpec, HealthSettings,
                    TelemetryModel, load_fleet_spec, parse_fleet_spec)
 
@@ -59,7 +59,6 @@ __all__ = [
     "TelemetryModel",
     "TelemetryRecord",
     "TelemetrySource",
-    "coupling_components",
     "format_epoch",
     "load_fleet_spec",
     "parse_fleet_spec",

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..core.problem import MIN_USABLE_RATE, Scenario
 
-__all__ = ["Segment", "coupling_components", "split_segments"]
+__all__ = ["Segment", "split_segments"]
 
 
 @dataclass(frozen=True)
@@ -61,32 +61,19 @@ class Segment:
     scenario: Scenario
 
 
-def coupling_components(scenario: Scenario,
-                        circuits: Optional[Sequence[object]] = None
-                        ) -> List[Tuple[int, ...]]:
+def _components(n_ext: int, circuits: Optional[Sequence[object]],
+                users: np.ndarray, cols: np.ndarray
+                ) -> List[Tuple[int, ...]]:
     """Connected components of the wiring/interference graph.
 
-    Args:
-        scenario: the building snapshot.
-        circuits: optional per-extender powerline-circuit labels; any
-            two extenders with equal labels get a wiring edge.  When
-            omitted, every extender shares one circuit (the
-            conservative default: one building, one medium), so the
-            graph has a single component.
+    ``users``/``cols`` are the row-major ``np.nonzero`` of the
+    reachability mask.  Without ``circuits`` every extender shares one
+    circuit (one building, one medium), so there is one component.
 
     Returns:
         Extender-index tuples, each sorted ascending, ordered by their
         smallest member.
     """
-    users, cols = np.nonzero(scenario.wifi_rates > MIN_USABLE_RATE)
-    return _components(scenario.n_extenders, circuits, users, cols)
-
-
-def _components(n_ext: int, circuits: Optional[Sequence[object]],
-                users: np.ndarray, cols: np.ndarray
-                ) -> List[Tuple[int, ...]]:
-    """:func:`coupling_components` from the row-major ``np.nonzero``
-    of the reachability mask."""
     if circuits is None:
         return [tuple(range(n_ext))] if n_ext else []
     labels = list(circuits)
@@ -124,6 +111,11 @@ def split_segments(scenario: Scenario,
     Every user with at least one reachable extender lands in exactly
     one segment (reaching two would have merged them into one
     component); users hearing nothing belong to no segment.
+
+    Args:
+        scenario: the building snapshot.
+        circuits: optional per-extender powerline-circuit labels; any
+            two extenders with equal labels get a wiring edge.
 
     Returns:
         Segments in canonical order (by smallest extender index).  A

@@ -40,6 +40,13 @@ in for.
 
 Further references the tests compare production against:
 
+* :func:`exhaustive_optimum` enumerates every complete assignment, in
+  chunked ``evaluate_batch`` calls, where production's exact solver
+  (``repro.core.bnb``) prunes with a completion bound.
+* :func:`evaluate_aggregate_reference` is the scalar ``evaluate``
+  aggregate on the numpy forms below; the engine benchmark times
+  ``evaluate_batch`` against it, a yardstick that does not move when
+  production's scalar path gets faster.
 * :func:`certify` bounds any assignment's distance from the (unknown)
   Problem-1 optimum with polynomial upper bounds.
 * :func:`optimal_tdma_weights` derives the TDMA reservation a PLC
@@ -83,6 +90,7 @@ Further references the tests compare production against:
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Mapping, Optional,
@@ -694,6 +702,65 @@ class OnlineSimulationReference(OnlineSimulation):
 
 
 # ---------------------------------------------------------------------------
+# Problem 1's exact optimum by exhaustive search.
+
+#: Candidate assignments scored per batched engine call.
+EXHAUSTIVE_CHUNK = 1024
+
+
+def exhaustive_optimum(scenario: Scenario,
+                       plc_mode: str = "redistribute"
+                       ) -> Tuple[np.ndarray, float]:
+    """The first optimal complete assignment in ``itertools.product``
+    order over each user's reachable extenders, and its aggregate.
+
+    Capacity-infeasible candidates are skipped; the rest are scored in
+    chunks of :data:`EXHAUSTIVE_CHUNK` by one ``evaluate_batch`` call
+    each, whose first-occurrence argmax matches a strict ``>`` scan.
+    The search space is ``prod_i |reachable(i)|``: keep instances small.
+
+    Raises:
+        ValueError: if some user has no reachable extender, or no
+            complete assignment respects the capacities.
+    """
+    choices = [scenario.reachable(user).tolist()
+               for user in range(scenario.n_users)]
+    for user, options in enumerate(choices):
+        if not options:
+            raise ValueError(f"user {user} has no reachable extender")
+    best_assignment: Optional[np.ndarray] = None
+    best_value = -np.inf
+    chunk: List[Tuple[int, ...]] = []
+
+    def flush() -> None:
+        nonlocal best_assignment, best_value
+        if not chunk:
+            return
+        batch = np.asarray(chunk, dtype=int)
+        values = evaluate_batch(scenario, batch,
+                                plc_mode=plc_mode).aggregates
+        k = int(np.argmax(values))
+        if values[k] > best_value:
+            best_value = float(values[k])
+            best_assignment = batch[k].copy()
+        chunk.clear()
+
+    for combo in itertools.product(*choices):
+        if scenario.capacities is not None:
+            counts = np.bincount(np.asarray(combo, dtype=int),
+                                 minlength=scenario.n_extenders)
+            if np.any(counts > scenario.capacities):
+                continue
+        chunk.append(combo)
+        if len(chunk) >= EXHAUSTIVE_CHUNK:
+            flush()
+    flush()
+    if best_assignment is None:
+        raise ValueError("no capacity-feasible complete assignment exists")
+    return best_assignment, best_value
+
+
+# ---------------------------------------------------------------------------
 # Optimality-gap certificates for Problem 1.
 
 
@@ -860,8 +927,9 @@ class _UnionFind:
 def coupling_components_per_user(scenario: Scenario,
                                  circuits: Optional[Sequence[object]] = None
                                  ) -> List[Tuple[int, ...]]:
-    """``coupling_components`` with one ``scenario.reachable`` call and
-    one union per reachable extender of each user."""
+    """The extender sets of ``split_segments``'s segments, with one
+    ``scenario.reachable`` call and one union per reachable extender of
+    each user."""
     n_ext = scenario.n_extenders
     uf = _UnionFind(n_ext)
     if circuits is None:
@@ -1092,6 +1160,26 @@ def time_shares_numpy(rates: np.ndarray, load: np.ndarray,
     if n_active > 0:
         shares[active] = 1.0 / n_active
     return shares
+
+
+def evaluate_aggregate_reference(scenario: Scenario,
+                                 assignment: Sequence[int],
+                                 plc_mode: str = "redistribute") -> float:
+    """``evaluate(scenario, assignment, plc_mode).aggregate`` from the
+    numpy forms in this module: :func:`validate_assignment_reference`,
+    one harmonic mean (Eq. (1)) per cell and :func:`time_shares_numpy`.
+    """
+    assign = validate_assignment_reference(scenario, assignment,
+                                           require_complete=False)
+    wifi = np.zeros(scenario.n_extenders)
+    for j in range(scenario.n_extenders):
+        members = np.flatnonzero(assign == j)
+        if members.size:
+            wifi[j] = members.size / float(
+                np.sum(1.0 / scenario.wifi_rates[members, j]))
+    shares = time_shares_numpy(scenario.plc_rates, wifi, plc_mode)
+    backhaul = np.minimum(shares * scenario.plc_rates, wifi)
+    return float(np.minimum(wifi, backhaul).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.optimal import brute_force_optimal
 from repro.core.partition import (balanced_partition_value,
                                   partition_to_scenario,
                                   solve_partition_by_association)
 from repro.core.wolt import solve_wolt
 
 from .conftest import random_scenario
-from .oracles import (certify, plc_capacity_bound, relaxation_bound,
-                      wifi_ceiling_bound)
+from .oracles import (certify, exhaustive_optimum, plc_capacity_bound,
+                      relaxation_bound, wifi_ceiling_bound)
 
 
 class TestBounds:
@@ -27,14 +26,11 @@ class TestBounds:
         rng = np.random.default_rng(seed)
         sc = random_scenario(rng, n_users, n_ext)
         for mode in ("redistribute", "active", "fixed"):
-            opt = brute_force_optimal(sc, plc_mode=mode)
-            assert plc_capacity_bound(sc, mode) >= \
-                opt.aggregate_throughput - 1e-6
-            assert wifi_ceiling_bound(sc) >= \
-                opt.aggregate_throughput - 1e-6
+            _, opt = exhaustive_optimum(sc, plc_mode=mode)
+            assert plc_capacity_bound(sc, mode) >= opt - 1e-6
+            assert wifi_ceiling_bound(sc) >= opt - 1e-6
             if mode == "fixed":
-                assert relaxation_bound(sc) >= \
-                    opt.aggregate_throughput - 1e-6
+                assert relaxation_bound(sc) >= opt - 1e-6
 
     def test_certify_wolt(self, rng):
         sc = random_scenario(rng, 10, 4)

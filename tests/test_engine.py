@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from repro.core.problem import UNASSIGNED, Scenario
 from repro.net.engine import evaluate
+from repro.plc.sharing import PLC_MODES
 
 from .conftest import random_scenario
+from .oracles import evaluate_aggregate_reference
 
 
 class TestFig3CaseStudy:
@@ -118,6 +120,20 @@ class TestEngineInvariants:
             if members.size > 1:
                 shares = report.user_throughputs[members]
                 assert np.allclose(shares, shares[0])
+
+    @given(st.integers(2, 10), st.integers(1, 6), st.integers(0, 2**31 - 1),
+           st.sampled_from(PLC_MODES))
+    @settings(max_examples=100, deadline=None)
+    def test_aggregate_reference_is_bit_identical(self, n_users, n_ext,
+                                                  seed, mode):
+        """The scalar yardstick of the engine benchmark scores what
+        ``evaluate`` scores, unassigned users included."""
+        rng = np.random.default_rng(seed)
+        sc = random_scenario(rng, n_users, n_ext, reachable_prob=0.7)
+        best = np.argmax(sc.wifi_rates, axis=1)
+        assignment = np.where(rng.random(n_users) < 0.2, UNASSIGNED, best)
+        assert evaluate_aggregate_reference(sc, assignment, mode) == \
+            evaluate(sc, assignment, plc_mode=mode).aggregate
 
 
 class TestFixedSharingMode:

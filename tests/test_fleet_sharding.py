@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core.problem import UNASSIGNED, Scenario
 from repro.core.wolt import solve_wolt
-from repro.fleet.sharding import (Segment, coupling_components,
-                                  split_segments)
+from repro.fleet.sharding import Segment, split_segments
 from repro.net.engine import evaluate
 from repro.net.topology import enterprise_floor
 from repro.plc.sharing import PLC_MODES
@@ -50,15 +49,19 @@ def block_scenario(seed, sizes):
     return Scenario(wifi_rates=wifi, plc_rates=plc), blocks, circuits
 
 
+def components(scenario, circuits=None):
+    """The extender sets of ``split_segments``, in segment order."""
+    return [s.extenders for s in split_segments(scenario, circuits)]
+
+
 class TestCouplingComponents:
     def test_no_circuits_is_one_component(self):
         scenario, _, _ = block_scenario(0, [(3, 5), (2, 4)])
-        assert coupling_components(scenario) == [(0, 1, 2, 3, 4)]
+        assert components(scenario) == [(0, 1, 2, 3, 4)]
 
     def test_blocks_split_along_circuits(self):
         scenario, _, circuits = block_scenario(1, [(3, 5), (2, 4)])
-        assert (coupling_components(scenario, circuits)
-                == [(0, 1, 2), (3, 4)])
+        assert components(scenario, circuits) == [(0, 1, 2), (3, 4)]
 
     def test_interference_edge_merges_circuits(self):
         scenario, _, circuits = block_scenario(2, [(2, 3), (2, 3)])
@@ -66,8 +69,7 @@ class TestCouplingComponents:
         wifi[0, 2] = 10.0  # user 0 (block 0) now hears extender 2
         bridged = Scenario(wifi_rates=wifi,
                            plc_rates=scenario.plc_rates)
-        assert (coupling_components(bridged, circuits)
-                == [(0, 1, 2, 3)])
+        assert components(bridged, circuits) == [(0, 1, 2, 3)]
 
     def test_shared_circuit_merges_isolated_cells(self):
         # No user hears both extenders, but they share a powerline
@@ -75,15 +77,13 @@ class TestCouplingComponents:
         scenario = Scenario(
             wifi_rates=np.array([[50.0, 0.0], [0.0, 50.0]]),
             plc_rates=np.array([100.0, 100.0]))
-        assert (coupling_components(scenario, ["a", "a"])
-                == [(0, 1)])
-        assert (coupling_components(scenario, ["a", "b"])
-                == [(0,), (1,)])
+        assert components(scenario, ["a", "a"]) == [(0, 1)]
+        assert components(scenario, ["a", "b"]) == [(0,), (1,)]
 
     def test_circuit_length_mismatch_rejected(self):
         scenario, _, _ = block_scenario(3, [(2, 3)])
         with pytest.raises(ValueError, match="circuits"):
-            coupling_components(scenario, ["a"])
+            split_segments(scenario, ["a"])
 
 
 class TestSplitSegments:
@@ -170,7 +170,7 @@ class TestMaskSplitMatchesPerUserLoop:
             wifi_rates=wifi, plc_rates=rng.uniform(20.0, 200.0, n_ext),
             capacities=(rng.integers(1, 5, n_ext) if extras else None),
             user_ids=(np.arange(100, 100 + n_users) if extras else None))
-        assert (coupling_components(scenario, circuits)
+        assert (components(scenario, circuits)
                 == coupling_components_per_user(scenario, circuits))
         got = split_segments(scenario, circuits)
         want = split_segments_per_user(scenario, circuits)

@@ -24,6 +24,18 @@ class TestTopLevelApi:
                      "OnlineSimulation", "jain_fairness"):
             assert name in repro.__all__
 
+    def test_one_exact_solver(self):
+        """Branch and bound is the package's one exact Problem-1
+        solver; the exhaustive search is a test oracle."""
+        import repro.core
+        assert "branch_and_bound_optimal" in repro.__all__
+        for name in ("brute_force_optimal", "OptimalResult",
+                     "search_space_size"):
+            assert not hasattr(repro, name)
+            assert not hasattr(repro.core, name)
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.optimal")
+
 
 @pytest.mark.parametrize("module", [
     "repro.core", "repro.wifi", "repro.plc", "repro.net", "repro.sim",
@@ -38,7 +50,7 @@ def test_subpackage_all_resolves(module):
 @pytest.mark.parametrize("module", [
     "repro.core.problem", "repro.core.hungarian", "repro.core.phase1",
     "repro.core.phase2", "repro.core.wolt", "repro.core.baselines",
-    "repro.core.optimal", "repro.core.controller",
+    "repro.core.bnb", "repro.core.controller",
     "repro.core.fairness", "repro.core.partition",
     "repro.wifi.phy", "repro.wifi.mac", "repro.wifi.sharing",
     "repro.wifi.channels",

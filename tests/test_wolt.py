@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.baselines import greedy_assignment, rssi_assignment
-from repro.core.optimal import brute_force_optimal
 import repro.core.wolt as wolt_module
 from repro.core.phase2 import Phase2Result
 from repro.core.problem import UNASSIGNED, Scenario
@@ -18,6 +17,7 @@ from repro.core.wolt import solve_wolt
 from repro.net.engine import count_engine_calls, evaluate
 
 from .conftest import random_scenario
+from .oracles import exhaustive_optimum
 
 
 class TestFig3:
@@ -122,7 +122,7 @@ class TestAlgorithmContract:
         rng = np.random.default_rng(seed)
         sc = random_scenario(rng, n_users, n_ext)
         wolt = solve_wolt(sc).aggregate_throughput
-        opt = brute_force_optimal(sc).aggregate_throughput
+        _, opt = exhaustive_optimum(sc)
         assert wolt <= opt + 1e-6
         assert wolt >= 0.45 * opt
 
@@ -134,7 +134,7 @@ class TestAlgorithmContract:
             sc = random_scenario(rng, int(rng.integers(3, 8)),
                                  int(rng.integers(2, 4)))
             wolt = solve_wolt(sc).aggregate_throughput
-            opt = brute_force_optimal(sc).aggregate_throughput
+            _, opt = exhaustive_optimum(sc)
             ratios.append(wolt / opt)
         assert np.mean(ratios) > 0.8
 
