@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.faults import (DEFAULT_FAULT_LEVELS, run_fault_sweep,
-                                     wolt_retention)
+from repro.experiments.common import wolt_retention
+from repro.experiments.faults import DEFAULT_FAULT_LEVELS, run_fault_sweep
 
 from .conftest import emit
 
@@ -29,7 +29,8 @@ def test_wolt_survives_lossy_control_plane(benchmark):
         assert (result.mean_mbps["wolt"][li]
                 >= result.mean_mbps["rssi"][li])
     # And keeps most of its fault-free throughput at every level.
-    assert min(wolt_retention(result)) >= 0.8
+    assert min(wolt_retention(result.levels,
+                              result.mean_mbps["wolt"])) >= 0.8
     # The sweep is bit-reproducible for a fixed seed.
     again = run_fault_sweep(fault_levels=DEFAULT_FAULT_LEVELS,
                             n_trials=10, seed=0)

@@ -23,12 +23,14 @@ checkpointed ``wolt sim``, ``wolt faults`` or ``wolt sweeps`` resumed
 after a crash is bit-identical to an uninterrupted run, and ``wolt
 serve --from`` replaying a clean ``wolt record`` stream is
 byte-identical (journal included) to the synthetic run of the same
-spec.  Exit codes: 0 success, 1 on checkpoint or telemetry-ingest
-errors (fingerprint mismatch, corruption, an existing checkpoint
-without ``--resume``, damaged stream header, ``--strict`` integrity
-failures), 2 on a usage error (such as a count below its minimum),
-130/143 when a run was interrupted by SIGINT/SIGTERM after flushing
-its checkpoint.
+spec.  Worker pools size their own chunks (about two waves per
+worker), and ``--workers`` never changes a result.  Exit codes: 0
+success, 1 on checkpoint or telemetry-ingest errors (fingerprint
+mismatch, corruption, an existing checkpoint without ``--resume``,
+damaged stream header, ``--strict`` integrity failures), 2 on a usage
+error (such as a count below its minimum or an unknown flag), 130/143
+when a run was interrupted by SIGINT/SIGTERM after flushing its
+checkpoint.
 """
 
 from __future__ import annotations
@@ -142,12 +144,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="PLC sharing law for scoring (default fixed, "
                           "the paper's simulator model)")
     sim.add_argument("--workers", type=_at_least(0), default=None,
-                     help="worker processes (default: serial; results "
-                          "are bit-identical for any worker count)")
-    sim.add_argument("--chunk-size", type=_at_least(1), default=None,
-                     help="trials dispatched per worker task (default: "
-                          "auto, about two waves per worker; results "
-                          "are bit-identical for any chunk size)")
+                     help="worker processes (default: serial; trials "
+                          "ship in chunks of about two waves per "
+                          "worker; results are bit-identical for any "
+                          "worker count)")
     sim.add_argument("--checkpoint", type=str, default=None,
                      help="journal every completed trial to this "
                           "crash-consistent JSONL file")
@@ -177,10 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for shard solves "
                             "(default: serial; results are "
                             "bit-identical for any worker count)")
-    serve.add_argument("--chunk-size", type=_at_least(1), default=None,
-                       help="shards dispatched per worker task "
-                            "(default: auto; results are bit-identical "
-                            "for any chunk size)")
     serve.add_argument("--timeout-s", type=float, default=None,
                        help="per-shard solve deadline in seconds "
                             "(requires --workers: a hung in-process "
@@ -283,7 +279,6 @@ def _sim(args: argparse.Namespace) -> Tuple[str, int]:
     result = run_trials(args.trials, args.extenders, args.users,
                         policies=args.policies, seed=args.seed,
                         plc_mode=args.plc_mode, workers=args.workers,
-                        chunk_size=args.chunk_size,
                         max_retries=args.max_retries,
                         checkpoint=args.checkpoint, resume=args.resume,
                         timeout_s=args.timeout_s)
@@ -384,9 +379,8 @@ def _serve(args: argparse.Namespace) -> Tuple[str, int]:
               f"{storm.hang_prob:.4f}")
     state = InterruptState()
     with SignalGuard(state), FleetService(
-            spec, workers=args.workers, chunk_size=args.chunk_size,
-            journal=args.journal, resume=args.resume,
-            source=source) as service:
+            spec, workers=args.workers, journal=args.journal,
+            resume=args.resume, source=source) as service:
         if args.resume and service.epoch:
             print(f"resumed from {args.journal} at epoch "
                   f"{service.epoch}")

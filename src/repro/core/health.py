@@ -212,7 +212,8 @@ class HealthMonitor:
 
         Raises:
             KeyError: a field is missing.
-            ValueError: a field does not cover every extender.
+            ValueError: a field does not cover every extender, or a
+                quarantined index is not an extender's.
         """
         arrays: Dict[str, np.ndarray] = {}
         for name, dtype in (("flap_count", int), ("clean_streak", int),
@@ -222,8 +223,12 @@ class HealthMonitor:
                 raise ValueError(f"{name} must cover every extender")
             arrays[name] = np.array(
                 [np.nan if v is None else v for v in values], dtype=dtype)
+        indices = np.asarray(quarantined, dtype=int)
+        if np.any((indices < 0) | (indices >= self.n_extenders)):
+            raise ValueError(f"quarantined extenders {indices.tolist()} "
+                             f"out of range for {self.n_extenders}")
         mask = np.zeros(self.n_extenders, dtype=bool)
-        mask[np.asarray(quarantined, dtype=int)] = True
+        mask[indices] = True
         self.epoch = int(state["observations"])
         self._quarantined = mask
         self._flap_count = arrays["flap_count"]

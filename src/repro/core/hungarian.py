@@ -10,9 +10,9 @@ Hungarian method (Jonker-Volgenant style) for *rectangular* cost matrices
 as a scalar loop (Phase-I matrices are small), without scipy — although
 the test-suite cross-checks the two on random instances.
 
-The solver minimizes cost; :func:`solve_assignment` exposes both
-orientations through a ``maximize`` flag and understands forbidden pairs
-(``+inf`` cost / ``-inf`` utility).
+The solver minimizes cost; :func:`solve_assignment` maximizes utility
+(Phase I's orientation) by negating it, and understands forbidden pairs
+(``-inf`` utility).  A caller that wants a minimum passes negated costs.
 """
 
 from __future__ import annotations
@@ -28,19 +28,16 @@ class InfeasibleAssignmentError(ValueError):
     """Raised when no complete matching avoids forbidden pairs."""
 
 
-def solve_assignment(weights: np.ndarray,
-                     maximize: bool = True) -> Tuple[np.ndarray, np.ndarray]:
-    """Solve the rectangular linear assignment problem.
+def solve_assignment(weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Solve the rectangular linear assignment problem (maximum utility).
 
     Every column (task) of the smaller dimension is matched to a distinct
     row (agent); with an ``n x m`` matrix, ``min(n, m)`` pairs are
     produced.
 
     Args:
-        weights: 2-D matrix of utilities (``maximize=True``) or costs
-            (``maximize=False``).  ``-inf`` utility / ``+inf`` cost marks a
-            forbidden pair; NaN is rejected.
-        maximize: orientation of the objective.
+        weights: 2-D matrix of utilities.  ``-inf`` marks a forbidden
+            pair; NaN is rejected.
 
     Returns:
         ``(rows, cols)`` index arrays of the matched pairs, sorted by
@@ -55,13 +52,12 @@ def solve_assignment(weights: np.ndarray,
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.size == 0:
         raise ValueError("weights must be a non-empty 2-D matrix")
-    cost = -w if maximize else w
+    cost = -w
     lowest, highest = float(cost.min()), float(cost.max())
     if lowest != lowest:  # min() propagates NaN
         raise ValueError("weights must not contain NaN")
     if lowest == -np.inf:
-        raise ValueError("utilities must not be +inf" if maximize
-                         else "costs must not be -inf")
+        raise ValueError("utilities must not be +inf")
 
     transposed = cost.shape[0] > cost.shape[1]
     if transposed:

@@ -93,7 +93,7 @@ def solve_phase1(scenario: Scenario,
 
     sub = utilities[:, candidate_ext]
     try:
-        rows, cols = solve_assignment(sub, maximize=True)
+        rows, cols = solve_assignment(sub)
     except InfeasibleAssignmentError:
         # Reachability prevents a perfect matching on all candidate
         # extenders (a Hall-condition violation).  Restrict to a maximum
@@ -101,7 +101,7 @@ def solve_phase1(scenario: Scenario,
         matchable = _max_matchable_extenders(sub)
         candidate_ext = candidate_ext[matchable]
         sub = utilities[:, candidate_ext]
-        rows, cols = solve_assignment(sub, maximize=True)
+        rows, cols = solve_assignment(sub)
 
     users = rows
     extenders = candidate_ext[cols]

@@ -184,16 +184,16 @@ def servable(scenario: Scenario, assignment: Sequence[int]) -> np.ndarray:
 
 def validate_assignment(scenario: Scenario,
                         assignment: Sequence[int],
-                        require_complete: bool = True,
-                        enforce_capacity: bool = True) -> np.ndarray:
+                        require_complete: bool = True) -> np.ndarray:
     """Check an assignment against the constraints of Problem 1.
+
+    Constraint (8) — at most ``B_j`` users per extender — is enforced
+    whenever the scenario defines capacities.
 
     Args:
         scenario: the network snapshot.
         assignment: per-user extender index (or :data:`UNASSIGNED`).
         require_complete: enforce constraint (7) — every user attached.
-        enforce_capacity: enforce constraint (8) — at most ``B_j`` users
-            per extender (only when the scenario defines capacities).
 
     Returns:
         The assignment as a validated integer numpy array.
@@ -221,7 +221,7 @@ def validate_assignment(scenario: Scenario,
         if low.any():
             raise ValueError(f"users {users[low].tolist()} assigned to an "
                              "unreachable extender")
-    if enforce_capacity and scenario.capacities is not None:
+    if scenario.capacities is not None:
         counts = np.bincount(assign[users], minlength=scenario.n_extenders)
         over = (counts > scenario.capacities).nonzero()[0]
         if over.size:
@@ -232,8 +232,7 @@ def validate_assignment(scenario: Scenario,
 
 def validate_assignment_batch(scenario: Scenario,
                               assignments: Sequence[Sequence[int]],
-                              require_complete: bool = True,
-                              enforce_capacity: bool = True) -> np.ndarray:
+                              require_complete: bool = True) -> np.ndarray:
     """Vectorized :func:`validate_assignment` for a batch of candidates.
 
     Args:
@@ -241,8 +240,9 @@ def validate_assignment_batch(scenario: Scenario,
         assignments: ``(B, n_users)`` matrix of per-user extender indices
             (or :data:`UNASSIGNED`); a 1-D assignment is promoted to a
             batch of one.
-        require_complete: enforce constraint (7) on every row.
-        enforce_capacity: enforce constraint (8) on every row.
+        require_complete: enforce constraint (7) on every row;
+            constraint (8) is enforced on every row whenever the
+            scenario defines capacities.
 
     Returns:
         The assignments as a validated ``(B, n_users)`` integer array.
@@ -275,7 +275,7 @@ def validate_assignment_batch(scenario: Scenario,
             raise ValueError(
                 f"users assigned to an unreachable extender in batch rows "
                 f"{sorted(set(np.nonzero(unreachable)[0].tolist()))}")
-    if enforce_capacity and scenario.capacities is not None:
+    if scenario.capacities is not None:
         n_batch = assign.shape[0]
         n_ext = scenario.n_extenders
         flat = (np.arange(n_batch)[:, np.newaxis] * n_ext

@@ -28,7 +28,8 @@ from ..wifi.phy import WifiPhy
 
 __all__ = ["lab_scenario", "format_rows", "PAPER_LAB_SIDE_M",
            "TESTBED_EXTENDERS", "TESTBED_LAPTOPS", "SweepResult",
-           "Episode", "run_episode", "run_sweep", "sweep_levels"]
+           "Episode", "run_episode", "run_sweep", "sweep_levels",
+           "wolt_retention"]
 
 #: The paper's lab is 2408 m^2; we use a square of the same area.
 PAPER_LAB_SIDE_M = float(np.sqrt(2408.0))
@@ -131,6 +132,15 @@ def sweep_levels(levels: Sequence[float],
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
     return swept
+
+
+def wolt_retention(levels: Sequence[float],
+                   wolt_mbps: Sequence[float]) -> Tuple[float, ...]:
+    """Per-level WOLT throughput relative to the level-0 one (the
+    first level if 0 was not swept); 1.0 = fully robust."""
+    baseline = (wolt_mbps[levels.index(0.0)] if 0.0 in levels
+                else wolt_mbps[0])
+    return tuple(value / baseline for value in wolt_mbps)
 
 
 def _run_trial(trial_seq: np.random.SeedSequence,

@@ -26,10 +26,9 @@ from ..core.problem import Scenario
 from ..sim.checkpoint import TrialStore, fingerprint
 from ..sim.faults import FaultModel, FaultyTransport
 from .common import (SweepResult, format_rows, run_episode, run_sweep,
-                     sweep_levels)
+                     sweep_levels, wolt_retention)
 
-__all__ = ["run_fault_sweep", "wolt_retention", "main",
-           "DEFAULT_FAULT_LEVELS"]
+__all__ = ["run_fault_sweep", "main", "DEFAULT_FAULT_LEVELS"]
 
 #: The documented default fault levels swept by ``wolt faults``.
 DEFAULT_FAULT_LEVELS = (0.0, 0.1, 0.2, 0.4)
@@ -111,15 +110,6 @@ def run_fault_sweep(fault_levels: Sequence[float] = DEFAULT_FAULT_LEVELS,
                      n_extenders, n_users, seed, store=store)
 
 
-def wolt_retention(result: SweepResult) -> Tuple[float, ...]:
-    """Per-level WOLT throughput relative to the fault-free level
-    (the first level if 0 was not swept); 1.0 = fully robust."""
-    wolt = result.mean_mbps["wolt"]
-    baseline = (wolt[result.levels.index(0.0)] if 0.0 in result.levels
-                else wolt[0])
-    return tuple(value / baseline for value in wolt)
-
-
 def main(seed: int = 0, n_trials: int = 10,
          checkpoint: Optional[Union[str, Path]] = None,
          resume: bool = False) -> str:
@@ -128,7 +118,8 @@ def main(seed: int = 0, n_trials: int = 10,
                              checkpoint=checkpoint, resume=resume)
     levels = [f"{level:.0%}" for level in result.levels]
     mean = result.mean_mbps
-    retention = [f"{value:.0%}" for value in wolt_retention(result)]
+    retention = [f"{value:.0%}"
+                 for value in wolt_retention(result.levels, mean["wolt"])]
     per_trial = ([total / n_trials for total in result.totals[name]]
                  for name in _STAT_NAMES)
     return "\n".join([

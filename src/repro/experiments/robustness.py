@@ -24,7 +24,7 @@ from ..core.wolt import solve_wolt
 from ..net.engine import evaluate
 from ..net.estimate import noisy_scenario
 from ..net.topology import enterprise_floor
-from .common import format_rows
+from .common import format_rows, wolt_retention
 
 __all__ = ["RobustnessResult", "run_robustness", "main"]
 
@@ -51,10 +51,19 @@ def run_robustness(noise_levels: Sequence[float] = (0.0, 0.1, 0.2, 0.4),
                    n_users: int = 36,
                    seed: int = 0,
                    plc_mode: str = "fixed") -> RobustnessResult:
-    """Sweep estimation-noise levels at the paper's simulation scale."""
+    """Sweep estimation-noise levels at the paper's simulation scale.
+
+    Raises:
+        ValueError: ``noise_levels`` is empty or has a negative level
+            (levels above 1 are valid), or ``n_trials`` is not
+            positive.
+    """
     levels = tuple(float(x) for x in noise_levels)
-    if any(x < 0 for x in levels):
-        raise ValueError("noise levels must be non-negative")
+    if not levels or any(x < 0 for x in levels):
+        raise ValueError("noise levels must be non-empty and "
+                         "non-negative")
+    if n_trials < 1:
+        raise ValueError("n_trials must be positive")
     sums = {policy: np.zeros(len(levels))
             for policy in ("wolt", "greedy", "rssi")}
     trial_seqs = np.random.SeedSequence(seed).spawn(n_trials)
@@ -78,11 +87,9 @@ def run_robustness(noise_levels: Sequence[float] = (0.0, 0.1, 0.2, 0.4),
                     require_complete=True).aggregate
     mean = {policy: tuple(values / n_trials)
             for policy, values in sums.items()}
-    baseline = mean["wolt"][levels.index(0.0)] if 0.0 in levels \
-        else mean["wolt"][0]
-    retention = tuple(value / baseline for value in mean["wolt"])
     return RobustnessResult(noise_levels=levels, mean_mbps=mean,
-                            wolt_retention=retention)
+                            wolt_retention=wolt_retention(levels,
+                                                          mean["wolt"]))
 
 
 def main(seed: int = 0, n_trials: int = 10) -> str:

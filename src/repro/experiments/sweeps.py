@@ -63,7 +63,14 @@ def _sweep(parameter: str, values: Sequence[float],
     children, keeping the design paired: value ``k`` and value ``k+1``
     see the same scenario randomness, so their ratio difference is
     attributable to the parameter.
+
+    Raises:
+        ValueError: ``values`` is empty or ``n_trials`` is not positive.
     """
+    if len(values) == 0:
+        raise ValueError(f"sweep over {parameter} needs at least one value")
+    if n_trials < 1:
+        raise ValueError("n_trials must be positive")
     root = np.random.SeedSequence(seed)
     scenario_seqs, order_seqs = root.spawn(n_trials), root.spawn(n_trials)
     wg_series, wr_series = [], []
@@ -142,6 +149,8 @@ def main(seed: int = 0, n_trials: int = 6,
     trial count is rejected with
     :class:`~repro.sim.checkpoint.FingerprintMismatch`.
     """
+    if n_trials < 1:  # before any write
+        raise ValueError("n_trials must be positive")
     store: Optional[TrialStore] = None
     if checkpoint is not None:
         params = {"kind": "sweeps", "seed": int(seed),

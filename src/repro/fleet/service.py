@@ -41,7 +41,7 @@ loop (Fig. 6b) across a whole campus.  Each epoch:
 3. **Dispatch** — shard solves run through the chunked warm-pool
    dispatch layer (:func:`repro.sim.dispatch.dispatch_chunked`, the
    machinery behind ``run_trials``), bit-identical to the serial
-   reference for any worker/chunk count.  Every shard runs under the
+   reference for any worker count.  Every shard runs under the
    spec's deadline (``health.shard_timeout_s``) and worker retry
    budget: a hung solve is *reaped* past its deadline and a crashed
    one retried up to ``retry_budget`` times, after which either
@@ -436,7 +436,6 @@ class FleetService:
         spec: the parsed fleet specification.
         workers: worker processes for shard dispatch (``None``/0/1 =
             serial in-process; results are bit-identical either way).
-        chunk_size: shards per dispatched chunk (``None`` = auto).
         journal: optional path of a crash-consistent JSONL epoch
             journal (:class:`~repro.sim.checkpoint.TrialStore`).
         resume: recover the journal and restore the state its last
@@ -463,17 +462,13 @@ class FleetService:
 
     def __init__(self, spec: FleetSpec,
                  workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
                  journal: Optional[str] = None,
                  resume: bool = False,
                  source: Optional[TelemetrySource] = None) -> None:
         if resume and journal is None:
             raise ValueError("resume requires a journal path")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         self.spec = spec
         self.workers = workers
-        self.chunk_size = chunk_size
         chaos = spec.chaos
         if (chaos is not None and chaos.hang_prob > 0
                 and workers is not None and workers > 1
@@ -766,7 +761,6 @@ class FleetService:
         specs = [spec for spec in specs if spec.index not in results]
         dispatch_chunked(specs, config, _solve_shard,
                          workers=self.workers,
-                         chunk_size=self.chunk_size,
                          retry_budget=health.retry_budget,
                          timeout_s=health.shard_timeout_s,
                          record=record, state=state)
@@ -955,7 +949,9 @@ class FleetService:
 
         Raises:
             CorruptCheckpoint: the epochs are not contiguous from 0, or
-                the last record does not carry a building's state.
+                the last record does not carry a building's state, or
+                carries an assignment or quarantine that does not fit
+                the building.
         """
         epochs = sorted(records)
         if epochs != list(range(len(epochs))):
@@ -973,8 +969,16 @@ class FleetService:
                 bstate.health.restore(entry["health"],
                                       entry["quarantined"])
                 bstate.observed_epoch = int(entry["observed_epoch"])
-                bstate.assignment = np.asarray(entry["assignment"],
-                                               dtype=int)
+                assignment = np.asarray(entry["assignment"], dtype=int)
+                n_extenders = bstate.scenario.n_extenders
+                if (assignment.shape != bstate.assignment.shape
+                        or np.any(assignment < UNASSIGNED)
+                        or np.any(assignment >= n_extenders)):
+                    raise ValueError(
+                        f"assignment {assignment.tolist()} does not fit "
+                        f"{bstate.assignment.size} users on "
+                        f"{n_extenders} extenders")
+                bstate.assignment = assignment
                 bstate.staleness = int(entry["staleness"])
                 bstate.fail_streak = int(entry["fail_streak"])
                 bstate.breaker_open = bool(entry["breaker_open"])

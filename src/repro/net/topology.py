@@ -83,19 +83,18 @@ def sample_user_positions(n_users: int, width_m: float, height_m: float,
 
 def build_scenario(plan: FloorPlan,
                    phy: Optional[WifiPhy] = None,
-                   rng: Optional[np.random.Generator] = None,
-                   ensure_reachable: bool = True) -> Scenario:
+                   rng: Optional[np.random.Generator] = None) -> Scenario:
     """Convert a floor plan into a rate-matrix :class:`Scenario`.
+
+    A user out of range of every extender is attached to the nearest
+    one at the lowest MCS instead of being left unattachable (a real
+    client still hears beacons at the cell edge).
 
     Args:
         plan: the floor geometry.
         phy: WiFi PHY/propagation model (defaults to :class:`WifiPhy`).
         rng: generator for shadowing draws (only used when the PHY has
             shadowing enabled).
-        ensure_reachable: when a user is out of range of every extender,
-            attach it to the nearest one at the lowest MCS instead of
-            producing an unattachable user (a real client would still
-            hear beacons at the cell edge).
 
     Returns:
         A :class:`Scenario` whose WiFi rates follow the distance model
@@ -103,7 +102,7 @@ def build_scenario(plan: FloorPlan,
     """
     phy = phy or WifiPhy()
     wifi = phy.rate_matrix(plan.user_xy, plan.extender_xy, rng)
-    if ensure_reachable and plan.n_users:
+    if plan.n_users:
         for i in np.flatnonzero(~(wifi > 0).any(axis=1)):
             diff = plan.extender_xy - plan.user_xy[i]
             nearest = int(np.argmin(np.einsum("ij,ij->i", diff, diff)))

@@ -147,7 +147,7 @@ def _run_chunk(task: _ChunkTask) -> List[Any]:
     return [task.fn(task.config, spec) for spec in task.specs]
 
 
-#: Cap on the automatic chunk size; beyond this the IPC amortization is
+#: Cap on the chunk size; beyond this the IPC amortization is
 #: negligible and large chunks only hurt load balance and durability
 #: granularity (a completed chunk journals all its items at once).
 _MAX_AUTO_CHUNK = 16
@@ -159,9 +159,7 @@ _CHUNK_WAVES = 2
 
 
 def _auto_chunk_size(n_pending: int, workers: int) -> int:
-    """Default chunk size: ``_CHUNK_WAVES`` chunks per worker, capped."""
-    if n_pending <= 0:
-        return 1
+    """The chunk size: ``_CHUNK_WAVES`` chunks per worker, capped."""
     per_wave = -(-n_pending // (max(workers, 1) * _CHUNK_WAVES))
     return max(1, min(per_wave, _MAX_AUTO_CHUNK))
 
@@ -295,7 +293,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _run_supervised(pending: Sequence[Any], config: Any,
-                    lease: _PoolLease, chunk_size: int,
+                    lease: _PoolLease,
                     fn: Callable[[Any, Any], Any],
                     retry_budget: int, timeout_s: Optional[float],
                     record: Callable[[int, Any], None],
@@ -304,8 +302,8 @@ def _run_supervised(pending: Sequence[Any], config: Any,
 
     Unlike a blind ``pool.map``, the supervisor:
 
-    * submits work in *chunks* of ``chunk_size`` (one future per
-      chunk), amortizing the submit/result IPC and the config pickle
+    * submits work in *chunks* sized by :func:`_auto_chunk_size` (one
+      future per chunk), amortizing the submit/result IPC and the config pickle
       over the whole batch; a chunk's results map positionally onto its
       specs, and that mapping is asserted so chunk completion order can
       never mis-attribute a result;
@@ -340,9 +338,9 @@ def _run_supervised(pending: Sequence[Any], config: Any,
     expected to journal durably.  The caller re-emits the collected
     results in submission order regardless of completion order.
     """
+    size = _auto_chunk_size(len(pending), lease.workers)
     queue: Deque[Tuple[Any, ...]] = deque(
-        tuple(pending[i:i + chunk_size])
-        for i in range(0, len(pending), chunk_size))
+        tuple(pending[i:i + size]) for i in range(0, len(pending), size))
     pool_attempts: Dict[int, int] = {}
     quarantine: set = set()
     inflight: Dict[Any, Tuple[Tuple[Any, ...],
@@ -500,7 +498,6 @@ def uses_pool(workers: Optional[int], timeout_s: Optional[float]) -> bool:
 def dispatch_chunked(specs: Sequence[Any], config: Any,
                      fn: Callable[[Any, Any], Any], *,
                      workers: Optional[int],
-                     chunk_size: Optional[int] = None,
                      retry_budget: int = 0,
                      timeout_s: Optional[float] = None,
                      record: Callable[[int, Any], None],
@@ -511,10 +508,15 @@ def dispatch_chunked(specs: Sequence[Any], config: Any,
     failures arrive as :class:`WorkFailure`.  When :func:`uses_pool`
     says so, the batch is supervised through a leased warm pool and
     results are recorded in chunk completion order.  Otherwise each
-    item runs in-process, in spec order, and ``timeout_s``,
-    ``chunk_size`` and ``retry_budget`` are checked but not used:
-    there is no process boundary to reap across or to die.  Item
-    exceptions propagate to the caller on both paths.
+    item runs in-process, in spec order, and ``timeout_s`` and
+    ``retry_budget`` are checked but not used: there is no process
+    boundary to reap across or to die.  Item exceptions propagate to
+    the caller on both paths.
+
+    Chunks are sized by :func:`_auto_chunk_size` (≈ two waves per
+    worker, capped at 16).  A deadline does not change the size; a
+    chunk that overruns one is split into single-item chunks
+    (:func:`_run_supervised`).
 
     Args:
         specs: per-item work specs; each must expose ``index``.
@@ -523,10 +525,6 @@ def dispatch_chunked(specs: Sequence[Any], config: Any,
         fn: module-level callable run as ``fn(config, spec)``; must be
             picklable when a pool is used.
         workers: worker process count; see :func:`uses_pool`.
-        chunk_size: items per dispatched chunk; ``None`` sizes chunks
-            automatically (≈ two waves per worker, capped at 16).
-            A deadline does not change it; a chunk that overruns one
-            is split into single-item chunks (:func:`_run_supervised`).
         retry_budget: pool-death retries per item before recording a
             :class:`WorkFailure` (at least one probe is always made).
         timeout_s: optional per-item wall-clock deadline; a chunk of
@@ -537,8 +535,6 @@ def dispatch_chunked(specs: Sequence[Any], config: Any,
             in-process loop stops after the current item and the
             supervisor drains promptly, abandoning queued work.
     """
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     if timeout_s is not None and timeout_s <= 0:
         raise ValueError("timeout_s must be positive")
     state = state if state is not None else InterruptState()
@@ -549,7 +545,5 @@ def dispatch_chunked(specs: Sequence[Any], config: Any,
             record(spec.index, fn(config, spec))
         return
     assert workers is not None  # uses_pool() guarantees it
-    effective_chunk = (chunk_size if chunk_size is not None
-                       else _auto_chunk_size(len(specs), workers))
-    _run_supervised(specs, config, _PoolLease(workers), effective_chunk,
-                    fn, retry_budget, timeout_s, record, state)
+    _run_supervised(specs, config, _PoolLease(workers), fn, retry_budget,
+                    timeout_s, record, state)

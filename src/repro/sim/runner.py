@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (Any, Callable, Dict, List, Optional, Sequence,
                     Tuple, Union)
@@ -38,7 +38,6 @@ from ..core.wolt import solve_wolt
 from ..net.engine import evaluate
 from ..net.metrics import jain_fairness
 from ..net.topology import enterprise_floor, sample_floor_plan
-from ..wifi.phy import WifiPhy
 from .checkpoint import TrialStore, fingerprint
 from .dispatch import (POOL_ERROR_TYPE, TIMEOUT_ERROR_TYPE,
                        InterruptState, SignalGuard, WorkFailure,
@@ -192,9 +191,6 @@ class _RunConfig:
     n_extenders: int
     n_users: int
     policies: Tuple[str, ...]
-    width_m: float
-    height_m: float
-    phy: Optional[WifiPhy]
     plc_mode: str
     # woltlint: disable=W013 — operational: a fault hook injects faults
     # that the retry machinery must converge through to bit-identical
@@ -250,10 +246,7 @@ def _run_single_trial(config: _RunConfig, spec: _TrialSpec,
     if config.fault_hook is not None:
         config.fault_hook(spec.index, attempt)
     rng = np.random.default_rng(spec.scenario_seq)
-    scenario = enterprise_floor(config.n_extenders, config.n_users,
-                                rng, width_m=config.width_m,
-                                height_m=config.height_m,
-                                phy=config.phy)
+    scenario = enterprise_floor(config.n_extenders, config.n_users, rng)
     outcomes = {}
     for policy in config.policies:
         policy_rng = np.random.default_rng(spec.policy_seqs[policy])
@@ -349,26 +342,23 @@ def _decode_record(payload: Dict[str, Any]
 
 
 def _run_fingerprint(n_trials: int, n_extenders: int, n_users: int,
-                     policies: Sequence[str], seed: int, width_m: float,
-                     height_m: float, phy: Optional[WifiPhy],
+                     policies: Sequence[str], seed: int,
                      plc_mode: str) -> Tuple[str, Dict[str, Any]]:
     """The checkpoint fingerprint over the run's scientific parameters.
 
     Operational knobs (workers, retries, timeouts, fault hooks) are
     deliberately excluded: they never change what a completed trial's
     *result* is, so a sweep may be resumed with a different worker
-    count or deadline.
+    count or deadline.  Every trial draws the paper's 100 m x 100 m
+    floor with the default PHY; the ``width_m``, ``height_m`` and
+    ``phy`` keys still record it, so journals written while those were
+    settable resume unchanged.
     """
-    phy_params: Optional[Dict[str, Any]] = None
-    if phy is not None:
-        phy_params = asdict(phy)
-        phy_params["mcs_table"] = [list(row)
-                                   for row in phy_params["mcs_table"]]
     params = {"kind": "run_trials", "n_trials": int(n_trials),
               "n_extenders": int(n_extenders), "n_users": int(n_users),
               "policies": list(policies), "seed": int(seed),
-              "width_m": float(width_m), "height_m": float(height_m),
-              "phy": phy_params, "plc_mode": plc_mode}
+              "width_m": 100.0, "height_m": 100.0,
+              "phy": None, "plc_mode": plc_mode}
     return fingerprint(params), params
 
 
@@ -377,12 +367,8 @@ def run_trials(n_trials: int,
                n_users: int,
                policies: Sequence[str] = COMPARED_POLICIES,
                seed: int = 0,
-               width_m: float = 100.0,
-               height_m: float = 100.0,
-               phy: Optional[WifiPhy] = None,
                plc_mode: str = "redistribute",
                workers: Optional[int] = None,
-               chunk_size: Optional[int] = None,
                max_retries: Optional[int] = None,
                fault_hook: Optional[FaultHook] = None,
                checkpoint: Optional[Union[str, Path]] = None,
@@ -391,7 +377,8 @@ def run_trials(n_trials: int,
     """Monte-Carlo policy comparison over random floors (Fig. 6a).
 
     Each trial samples a fresh enterprise floor (wiring plant, extender
-    and user placement) and runs every policy on the same scenario.
+    and user placement) on the paper's 100 m x 100 m plane with the
+    default WiFi PHY, and runs every policy on the same scenario.
 
     Trials are seeded with per-trial children of
     ``numpy.random.SeedSequence(seed)`` (trial ``t`` gets the ``t``-th
@@ -414,8 +401,6 @@ def run_trials(n_trials: int,
         n_users: users per floor (paper: 36).
         policies: subset of :data:`POLICY_NAMES` to run (no duplicates).
         seed: master seed for the :class:`~numpy.random.SeedSequence`.
-        width_m / height_m: floor dimensions (paper: 100 m x 100 m).
-        phy: optional WiFi PHY override.
         plc_mode: PLC sharing law used for scoring (the paper's
             simulator corresponds to ``"fixed"``).
         workers: number of worker processes; ``None``, 0, or 1 run
@@ -424,14 +409,10 @@ def run_trials(n_trials: int,
             deadline needs a process boundary to reap across).  Pools
             are kept warm and reused by later ``run_trials`` calls with
             the same worker count (see :func:`shutdown_warm_pools`).
-        chunk_size: trials per dispatched chunk.  ``None`` (default)
-            sizes chunks automatically (≈ two waves per worker, capped
-            at 16) so submit/result IPC is amortized; results are
+            Trials ship in chunks of about two waves per worker
+            (:func:`repro.sim.dispatch.dispatch_chunked`); results are
             always re-emitted in trial order regardless of chunk
-            completion order.  Under ``timeout_s`` a chunk gets one
-            trial's deadline and is split into single-trial chunks if
-            it overruns it, so the deadline contract stays per trial.
-            Ignored on serial runs.
+            completion order.
         max_retries: when ``None`` (default), a trial exception
             propagates to the caller unchanged (unless durable mode is
             active, which implies a budget of 0).  When an int, a
@@ -457,7 +438,10 @@ def run_trials(n_trials: int,
             outlives it is reaped (its worker killed, the pool
             recycled) and recorded as a :class:`WorkFailure` with
             ``error_type=TIMEOUT_ERROR_TYPE``; remaining trials
-            continue.  Requires ``workers >= 1``.
+            continue.  A chunk gets one trial's deadline and is split
+            into single-trial chunks if it overruns it, so the
+            deadline contract stays per trial.  Requires
+            ``workers >= 1``.
 
     Returns:
         A :class:`TrialRunResult` (a plain ``list`` plus the
@@ -478,16 +462,13 @@ def run_trials(n_trials: int,
         raise ValueError(
             "timeout_s requires workers >= 1: reaping a hung trial "
             "needs a worker process boundary to kill across")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint path")
 
     store: Optional[TrialStore] = None
     if checkpoint is not None:
         digest, params = _run_fingerprint(
-            n_trials, n_extenders, n_users, policies, seed, width_m,
-            height_m, phy, plc_mode)
+            n_trials, n_extenders, n_users, policies, seed, plc_mode)
         store = TrialStore(checkpoint, digest, params=params,
                            resume=resume)
 
@@ -495,8 +476,8 @@ def run_trials(n_trials: int,
     guarded = max_retries is not None or durable
     config = _RunConfig(
         n_extenders=n_extenders, n_users=n_users,
-        policies=tuple(policies), width_m=width_m, height_m=height_m,
-        phy=phy, plc_mode=plc_mode, fault_hook=fault_hook,
+        policies=tuple(policies), plc_mode=plc_mode,
+        fault_hook=fault_hook,
         max_retries=0 if max_retries is None else max_retries)
     children = np.random.SeedSequence(seed).spawn(n_trials)
     specs = []
@@ -527,8 +508,7 @@ def run_trials(n_trials: int,
             dispatch_chunked(
                 pending, config,
                 _run_trial_guarded if guarded else _run_single_trial,
-                workers=workers, chunk_size=chunk_size,
-                retry_budget=max_retries or 0, timeout_s=timeout_s,
+                workers=workers, retry_budget=max_retries or 0, timeout_s=timeout_s,
                 record=record, state=state)
         if store is not None:
             if state.interrupted:

@@ -1031,8 +1031,7 @@ def score_directives_scalar(scenario: Scenario, old: np.ndarray,
 
 def validate_assignment_reference(scenario: Scenario,
                                   assignment: Sequence[int],
-                                  require_complete: bool = True,
-                                  enforce_capacity: bool = True
+                                  require_complete: bool = True
                                   ) -> np.ndarray:
     """``repro.core.problem.validate_assignment`` on numpy's wrapper
     functions: the same checks, in the same order, with the same
@@ -1059,7 +1058,7 @@ def validate_assignment_reference(scenario: Scenario,
             bad_users = np.flatnonzero(attached)[rates <= MIN_USABLE_RATE]
             raise ValueError(f"users {bad_users.tolist()} assigned to an "
                              "unreachable extender")
-    if enforce_capacity and scenario.capacities is not None:
+    if scenario.capacities is not None:
         counts = np.bincount(assign[attached],
                              minlength=scenario.n_extenders)
         over = np.flatnonzero(counts > scenario.capacities)
@@ -1357,13 +1356,13 @@ def max_matchable_extenders_networkx(utilities: np.ndarray) -> np.ndarray:
 
 def build_scenario_scalar(plan: FloorPlan,
                           phy: Optional[WifiPhy] = None,
-                          rng: Optional[np.random.Generator] = None,
-                          ensure_reachable: bool = True) -> Scenario:
+                          rng: Optional[np.random.Generator] = None
+                          ) -> Scenario:
     """``build_scenario`` with the scalar rate matrix and a per-user
     reachability check."""
     phy = phy or WifiPhy()
     wifi = rate_matrix_scalar(phy, plan.user_xy, plan.extender_xy, rng)
-    if ensure_reachable and plan.n_users:
+    if plan.n_users:
         lowest = phy.mcs_table[0][1] * phy.spatial_streams
         for i in range(plan.n_users):
             if not np.any(wifi[i] > 0):

@@ -99,10 +99,7 @@ SMOKE_SPEC = "tests/data/fleet_smoke.yaml"
     ["fig6", "--workers", "-2"],
     ["all", "--workers", "-1"],
     ["sim", "--workers", "-2"],
-    ["sim", "--chunk-size", "0"],
     ["serve", "--spec", SMOKE_SPEC, "--workers", "-2"],
-    ["serve", "--spec", SMOKE_SPEC, "--workers", "2", "--chunk-size", "0"],
-    ["serve", "--spec", SMOKE_SPEC, "--workers", "2", "--chunk-size", "-3"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
 def test_bad_count_is_a_usage_error(argv, capsys):
     """Counts are checked at parse time: exit 2 with a usage message."""
@@ -110,6 +107,16 @@ def test_bad_count_is_a_usage_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: wolt {argv[0]}")
     assert "must be >= " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sim", "--trials", "1", "--chunk-size", "2"],
+    ["serve", "--spec", SMOKE_SPEC, "--workers", "2", "--chunk-size", "2"],
+], ids=lambda argv: argv[0])
+def test_chunk_size_is_not_a_flag(argv, capsys):
+    """Dispatch sizes its own chunks: ``--chunk-size`` is a usage error."""
+    assert main(argv) == 2
+    assert "unrecognized arguments: --chunk-size 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("policies, message", [

@@ -166,13 +166,11 @@ class TestInvalidSeeds:
 class TestValidateAssignment:
     @given(n_users=st.integers(0, 12), n_ext=st.integers(1, 5),
            seed=st.integers(0, 2**31 - 1),
-           require_complete=st.booleans(), enforce_capacity=st.booleans(),
-           capacities=st.booleans(), reachable_only=st.booleans(),
+           require_complete=st.booleans(), capacities=st.booleans(), reachable_only=st.booleans(),
            length_offset=st.sampled_from([0, 0, 0, -1, 1]))
     @settings(max_examples=max_examples(300), deadline=None)
     def test_matches_the_reference(self, n_users: int, n_ext: int,
                                    seed: int, require_complete: bool,
-                                   enforce_capacity: bool,
                                    capacities: bool, reachable_only: bool,
                                    length_offset: int) -> None:
         rng = np.random.default_rng(seed)
@@ -193,8 +191,7 @@ class TestValidateAssignment:
         for check in (validate_assignment, validate_assignment_reference):
             try:
                 out = check(scenario, assignment,
-                            require_complete=require_complete,
-                            enforce_capacity=enforce_capacity)
+                            require_complete=require_complete)
             except ValueError as exc:
                 outcomes.append(("raised", str(exc)))
             else:

@@ -5,8 +5,11 @@ dispatch layer: callers hand it a worker count and it applies
 :func:`~repro.sim.dispatch.uses_pool` — a pool exactly when
 ``workers >= 1`` and either ``workers > 1`` or a deadline is set —
 otherwise running the items in-process through the same ``record``
-callback.  On a pool, a deadline keeps the chunking: a chunk gets one
-item's deadline and is split into single-item chunks on overrun.
+callback.  On a pool, chunks hold about two waves per worker, so the
+tests pick the batch size and worker count to get the chunk sizes they
+need (eight items on one worker ship as two 4-item chunks).  A deadline
+keeps the chunking: a chunk gets one item's deadline and is split into
+single-item chunks on overrun.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ import pytest
 
 from repro.sim import dispatch
 from repro.sim.dispatch import (TIMEOUT_ERROR_TYPE, InterruptState,
-                                WorkFailure, WorkSpec, dispatch_chunked,
-                                shutdown_warm_pools, uses_pool)
+                                WorkFailure, WorkSpec, _auto_chunk_size,
+                                dispatch_chunked, shutdown_warm_pools,
+                                uses_pool)
 from repro.sim.faults import CrashSchedule
 from tests.oracles import SleepSchedule
 
@@ -146,10 +150,18 @@ def chunk_sizes(monkeypatch) -> Iterator[List[int]]:
     shutdown_warm_pools()
 
 
+class TestChunkSize:
+    @pytest.mark.parametrize("n_pending, workers, size", [
+        (0, 2, 1), (1, 4, 1), (3, 2, 1), (6, 4, 1), (4, 1, 2), (6, 2, 2),
+        (8, 1, 4), (32, 1, 16), (1000, 2, 16)])
+    def test_two_waves_per_worker_capped_at_16(self, n_pending, workers,
+                                               size):
+        assert _auto_chunk_size(n_pending, workers) == size
+
+
 class TestChunksUnderADeadline:
     def test_a_deadline_keeps_the_chunk_size(self, chunk_sizes):
-        results = _collect(_affine, 7, workers=2, chunk_size=4,
-                           timeout_s=30.0)
+        results = _collect(_affine, 7, workers=1, timeout_s=30.0)
         assert chunk_sizes == [4, 4]
         assert results == _collect(_affine, 7, workers=None,
                                    timeout_s=None)
@@ -158,7 +170,7 @@ class TestChunksUnderADeadline:
         hang = CrashSchedule(crashes={}, hangs={5: 1})
         started = time.monotonic()
         results = _collect(_hooked_affine, (hang, 7), workers=2,
-                           chunk_size=4, timeout_s=1.0)
+                           timeout_s=1.0)
         assert time.monotonic() - started < 30
         failure = results.pop(5)
         assert isinstance(failure, WorkFailure)
@@ -166,16 +178,18 @@ class TestChunksUnderADeadline:
         serial = _collect(_affine, 7, workers=None, timeout_s=None)
         del serial[5]
         assert results == serial
-        # The overrun chunk's items re-ran one per chunk; the hung one
-        # then ran alone past its deadline.
-        assert chunk_sizes[:2] == [4, 4]
-        assert set(chunk_sizes[2:]) == {1}
+        # Two-item chunks ran until one overran; its items and every
+        # chunk left then ran one per chunk, and the hung one ran alone
+        # past its deadline.
+        split = chunk_sizes.index(1)
+        assert split >= 2 and set(chunk_sizes[:split]) == {2}
+        assert set(chunk_sizes[split:]) == {1}
 
     def test_after_an_overrun_every_chunk_left_is_one_item(
             self, chunk_sizes):
         hang = CrashSchedule(crashes={}, hangs={1: 1})
         results = _collect(_hooked_affine, (hang, 7), workers=1,
-                           chunk_size=4, timeout_s=1.0)
+                           timeout_s=1.0)
         # The queued chunk [4..7] is split too, not only the overrun one.
         assert chunk_sizes == [4] + [1] * 8
         assert [i for i, r in results.items()
@@ -185,21 +199,21 @@ class TestChunksUnderADeadline:
             self, chunk_sizes):
         # Each item takes 0.6 of the deadline: a pair overruns it, but
         # no item does alone, so nothing is recorded as a timeout.
+        # Four items on one worker ship as two 2-item chunks.
         slow = SleepSchedule({i: 0.6 for i in range(4)})
         specs = SPECS[:4]
         results: Dict[int, Any] = {}
-        dispatch_chunked(specs, (slow, 7), _hooked_affine, workers=2,
-                         chunk_size=2, timeout_s=1.0,
-                         record=results.__setitem__)
+        dispatch_chunked(specs, (slow, 7), _hooked_affine, workers=1,
+                         timeout_s=1.0, record=results.__setitem__)
         assert results == {spec.index: _affine(7, spec)
                            for spec in specs}
-        assert chunk_sizes == [2, 2, 1, 1, 1, 1]
+        assert chunk_sizes == [2, 1, 1, 1, 1]
 
 
 class TestArgumentChecks:
     @pytest.mark.parametrize("workers", [None, 2])
     @pytest.mark.parametrize("options, message", [
-        ({"chunk_size": 0}, "chunk_size"),
+        ({"timeout_s": 0.0}, "timeout_s"),
         ({"timeout_s": -3.0}, "timeout_s")])
     def test_bad_options_fail_on_both_paths(self, monkeypatch, workers,
                                             options, message):

@@ -10,7 +10,8 @@ from repro.experiments.faults import run_fault_sweep
 from repro.experiments.robustness import run_robustness
 from repro.experiments.sweeps import (SweepResult, sweep_extenders,
                                       sweep_plc_quality, sweep_users)
-from repro.experiments import robustness, sweeps
+from repro.experiments import faults, robustness, sweeps
+from repro.experiments.common import wolt_retention
 from repro.sim.checkpoint import CheckpointExists, FingerprintMismatch
 
 
@@ -31,6 +32,33 @@ class TestRobustness:
     def test_negative_levels_rejected(self):
         with pytest.raises(ValueError):
             run_robustness(noise_levels=(-0.1,), n_trials=1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"noise_levels": ()}, {"n_trials": 0}, {"n_trials": -2}])
+    def test_empty_sweep_rejected_up_front(self, kwargs):
+        with pytest.raises(ValueError):
+            run_robustness(**kwargs)
+
+    def test_levels_above_one_are_valid(self):
+        result = run_robustness(noise_levels=(0.0, 1.5), n_trials=1,
+                                n_extenders=3, n_users=6, seed=0)
+        assert result.noise_levels == (0.0, 1.5)
+
+    @pytest.mark.parametrize("levels, wolt, want", [
+        ((0.0, 0.2), (80.0, 60.0), (1.0, 0.75)),
+        ((0.2, 0.0, 0.4), (60.0, 80.0, 40.0), (0.75, 1.0, 0.5)),
+        ((0.1, 0.3), (50.0, 25.0), (1.0, 0.5))],
+        ids=["zero-first", "zero-inside", "no-zero"])
+    def test_retention_is_relative_to_level_zero(self, levels, wolt, want):
+        assert wolt_retention(levels, wolt) == want
+
+    def test_retention_is_the_fault_sweeps_rule(self):
+        result = run_robustness(noise_levels=(0.1, 0.0), n_trials=1,
+                                n_extenders=3, n_users=6, seed=0)
+        assert faults.wolt_retention is wolt_retention
+        assert result.wolt_retention == wolt_retention(
+            result.noise_levels, result.mean_mbps["wolt"])
+        assert result.wolt_retention[1] == 1.0
 
     def test_main_formats(self):
         # Patch a tiny run through the module-level main for coverage.
@@ -59,6 +87,18 @@ class TestSweeps:
                                    n_trials=3, seed=0)
         assert result.ratio_wolt_greedy[0] >= \
             result.ratio_wolt_greedy[1] - 0.2
+
+    @pytest.mark.parametrize("kwargs", [
+        {"extender_counts": ()}, {"n_trials": 0}])
+    def test_empty_sweep_rejected_up_front(self, kwargs):
+        with pytest.raises(ValueError):
+            sweep_extenders(**kwargs)
+
+    def test_bad_trial_count_writes_no_journal(self, tmp_path):
+        path = tmp_path / "sweeps.jsonl"
+        with pytest.raises(ValueError, match="n_trials"):
+            sweeps.main(n_trials=0, checkpoint=path)
+        assert not path.exists()
 
     def test_main_formats(self):
         text = sweeps.main(seed=0, n_trials=1)

@@ -271,6 +271,35 @@ class TestJournalFormat:
             FleetService(load_fleet_spec(str(spec)), journal=str(journal),
                          resume=True)
 
+    @pytest.mark.parametrize("field, damage", [
+        ("assignment", lambda a, n_ext: a[:-1]),
+        ("assignment", lambda a, n_ext: a + [0]),
+        ("assignment", lambda a, n_ext: [n_ext] + a[1:]),
+        ("assignment", lambda a, n_ext: [-2] + a[1:]),
+        ("quarantined", lambda q, n_ext: [-1]),
+        ("quarantined", lambda q, n_ext: [n_ext]),
+    ], ids=["short-assignment", "long-assignment", "past-last-extender",
+            "below-unassigned", "negative-quarantine",
+            "past-last-quarantine"])
+    def test_damaged_building_state_is_refused(
+            self, tmp_path: Path, field: str,
+            damage: Callable[[List[int], int], List[int]]) -> None:
+        # Resumed, each damage would kill the next epoch with a
+        # traceback or serve with the wrong extender masked out.
+        path = tmp_path / "fleet.jsonl"
+        spec = fleet_spec(3)
+        with FleetService(spec, journal=str(path)) as service:
+            service.run(2)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[-1])
+        building = record["payload"]["buildings"][0]
+        building[field] = damage(building[field],
+                                 spec.buildings[0].n_extenders)
+        lines[-1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptCheckpoint, match="no resumable state"):
+            FleetService(spec, journal=str(path), resume=True)
+
     def test_gap_in_the_epochs_is_refused(self, tmp_path: Path) -> None:
         path = tmp_path / "fleet.jsonl"
         spec = fleet_spec(3)

@@ -209,7 +209,7 @@ class TestMemoIsInvisible:
         spec = fleet_spec(seed, telemetry)
         key = "_same_wifi_side" if telemetry == "plc" else "_same_scenario"
         assert memo_is_invisible(lambda workdir: _serve(
-            spec, 4, workdir, workers=2, chunk_size=1))[key] > 0
+            spec, 4, workdir, workers=2))[key] > 0
         assert memo_is_invisible(lambda workdir: _serve(
             replace(spec, chaos=storm), 4, workdir, workers=2))[key] > 0
 

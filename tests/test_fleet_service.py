@@ -64,7 +64,7 @@ class TestEpochLoop:
 
     def test_parallel_dispatch_is_bit_identical(self):
         serial = FleetService(smoke_spec())
-        parallel = FleetService(smoke_spec(), workers=2, chunk_size=2)
+        parallel = FleetService(smoke_spec(), workers=2)
         for _ in range(2):
             assert (format_epoch(serial.run_epoch())
                     == format_epoch(parallel.run_epoch()))
@@ -72,13 +72,6 @@ class TestEpochLoop:
     def test_run_validates_epochs(self):
         with pytest.raises(ValueError, match="epochs"):
             FleetService(smoke_spec()).run(0)
-
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_bad_chunk_size_is_rejected_before_any_epoch(self, workers):
-        # It must fail before an epoch has fed any telemetry to the
-        # health monitors, or a retry would observe that epoch twice.
-        with pytest.raises(ValueError, match="chunk_size"):
-            FleetService(smoke_spec(), workers=workers, chunk_size=0)
 
 
 class TestDryRun:
@@ -363,18 +356,20 @@ class TestDeadlinesAndRetries:
         assert second.n_shard_failures == 0
         assert second.n_degraded_buildings == 0
 
-    @pytest.mark.parametrize("chunk_size", [1, 2])
-    def test_serial_hang_synthesis_matches_the_pool(self, chunk_size):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_serial_hang_synthesis_matches_the_pool(self, workers):
         # The serial path never sleeps: planned hangs are synthesized
         # as the same timeout failure the pool supervisor reaps, so
-        # serial and pooled chaos stay bit-identical.  Chunks of 2
-        # hold two hung shards, so they overrun and are split first.
+        # serial and pooled chaos stay bit-identical.  The three shards
+        # ship as one-shard chunks on two workers; on one worker the
+        # first chunk holds two hung shards, so it overruns and is
+        # split first.
         from repro.fleet.chaos import FleetFaultModel
         storm = FleetFaultModel(hang_prob=1.0, hang_s=3600.0,
                                 until_epoch=1)
         serial = FleetService(tuned_spec(chaos=storm))
         pooled = FleetService(tuned_spec(chaos=storm, shard_timeout_s=1.0),
-                              workers=2, chunk_size=chunk_size)
+                              workers=workers)
         for _ in range(2):
             assert (format_epoch(serial.run_epoch())
                     == format_epoch(pooled.run_epoch()))

@@ -156,18 +156,16 @@ class TestRateMatrix:
 
 class TestReachability:
     @settings(max_examples=max_examples(60), deadline=None)
-    @given(_wifi_floors(), st.booleans())
-    def test_build_scenario_matches_per_user_fill(self, floor, reachable):
+    @given(_wifi_floors())
+    def test_build_scenario_matches_per_user_fill(self, floor):
         phy, users, exts, seed = floor
         # A short-range PHY leaves most users hearing nothing, so the
         # nearest-extender fill runs on many rows.
         phy = replace(phy, tx_power_dbm=-40.0)
         plan = FloorPlan(width_m=100.0, height_m=100.0, extender_xy=exts,
                          user_xy=users, plc_rates=np.ones(len(exts)))
-        fast = build_scenario(plan, phy, np.random.default_rng(seed),
-                              ensure_reachable=reachable)
-        slow = build_scenario_scalar(plan, phy, np.random.default_rng(seed),
-                                     ensure_reachable=reachable)
+        fast = build_scenario(plan, phy, np.random.default_rng(seed))
+        slow = build_scenario_scalar(plan, phy, np.random.default_rng(seed))
         for field in ("wifi_rates", "plc_rates", "user_ids"):
             assert _same(getattr(fast, field), getattr(slow, field))
 

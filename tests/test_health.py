@@ -253,6 +253,14 @@ class TestStateRoundTrip:
         with pytest.raises(ValueError, match="every extender"):
             HealthMonitor(3).restore(state, ())
 
+    @pytest.mark.parametrize("quarantined", [[-1], [3], [0, -3]])
+    def test_restore_rejects_a_stranger_in_quarantine(self, quarantined):
+        # A negative index would silently quarantine from the end.
+        monitor = HealthMonitor(3)
+        with pytest.raises(ValueError, match="out of range"):
+            monitor.restore(HealthMonitor(3).state(), quarantined)
+        assert monitor.quarantined_extenders() == ()
+
 
 class TestControllerTelemetry:
     """update_plc_telemetry with and without a HealthMonitor."""

@@ -62,9 +62,9 @@ class TestScipyDifferential:
         feasible, best = _scipy_reference(weights)
         if not feasible:
             with pytest.raises(InfeasibleAssignmentError):
-                solve_assignment(weights, maximize=True)
+                solve_assignment(weights)
             return
-        rows, cols = solve_assignment(weights, maximize=True)
+        rows, cols = solve_assignment(weights)
         assert rows.size == cols.size == min(n_rows, n_cols)
         assert len(set(rows.tolist())) == rows.size
         assert len(set(cols.tolist())) == cols.size
@@ -77,7 +77,7 @@ class TestScipyDifferential:
     def test_minimize_orientation(self, n_rows, n_cols, seed):
         rng = np.random.default_rng(seed)
         costs = rng.uniform(0.0, 100.0, size=(n_rows, n_cols))
-        rows, cols = solve_assignment(costs, maximize=False)
+        rows, cols = solve_assignment(-costs)
         ref_rows, ref_cols = linear_sum_assignment(costs)
         assert float(costs[rows, cols].sum()) == pytest.approx(
             float(costs[ref_rows, ref_cols].sum()))
@@ -89,34 +89,34 @@ class TestFullyForbiddenRows:
                             [-np.inf, -np.inf, -np.inf],
                             [5.0, 15.0, 25.0]])
         with pytest.raises(InfeasibleAssignmentError):
-            solve_assignment(weights, maximize=True)
+            solve_assignment(weights)
 
     def test_wide_matrix_with_dead_row_is_infeasible(self):
         # Fewer rows than columns: every row must still be matched.
         weights = np.array([[-np.inf, -np.inf, -np.inf, -np.inf],
                             [1.0, 2.0, 3.0, 4.0]])
         with pytest.raises(InfeasibleAssignmentError):
-            solve_assignment(weights, maximize=True)
+            solve_assignment(weights)
 
     def test_tall_matrix_skips_dead_row(self):
         # More rows than columns: a dead row can simply stay unmatched.
         weights = np.array([[10.0, 1.0],
                             [-np.inf, -np.inf],
                             [2.0, 20.0]])
-        rows, cols = solve_assignment(weights, maximize=True)
+        rows, cols = solve_assignment(weights)
         assert 1 not in rows.tolist()
         assert float(weights[rows, cols].sum()) == pytest.approx(30.0)
 
     def test_all_forbidden_matrix_is_infeasible(self):
         weights = np.full((2, 2), -np.inf)
         with pytest.raises(InfeasibleAssignmentError):
-            solve_assignment(weights, maximize=True)
+            solve_assignment(weights)
 
     def test_minimize_dead_row_is_infeasible(self):
         costs = np.array([[np.inf, np.inf],
                           [1.0, 2.0]])
         with pytest.raises(InfeasibleAssignmentError):
-            solve_assignment(costs, maximize=False)
+            solve_assignment(-costs)
 
     @given(st.integers(2, 6), st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)
@@ -127,7 +127,7 @@ class TestFullyForbiddenRows:
         dead = int(rng.integers(n))
         weights[dead, :] = -np.inf
         with pytest.raises(InfeasibleAssignmentError):
-            solve_assignment(weights, maximize=True)
+            solve_assignment(weights)
 
 
 def _assert_same_anchors(weights: np.ndarray) -> None:

@@ -113,8 +113,3 @@ class TestValidateAssignment:
         with pytest.raises(ValueError, match="constraint \\(8\\)"):
             validate_assignment(sc, [0, 0, 1])
         validate_assignment(sc, [0, 1, 1])  # fits
-
-    def test_capacity_check_can_be_disabled(self):
-        sc = Scenario(wifi_rates=np.ones((3, 2)), plc_rates=np.ones(2),
-                      capacities=[1, 3])
-        validate_assignment(sc, [0, 0, 1], enforce_capacity=False)

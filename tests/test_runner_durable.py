@@ -33,8 +33,8 @@ from repro.sim.checkpoint import CheckpointExists, FingerprintMismatch
 from repro.sim.faults import CrashSchedule
 from repro.sim.dispatch import WorkFailure
 from repro.sim.runner import (POOL_ERROR_TYPE, TIMEOUT_ERROR_TYPE,
-                              run_online_comparison, run_trials,
-                              shutdown_warm_pools)
+                              _run_fingerprint, run_online_comparison,
+                              run_trials, shutdown_warm_pools)
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -342,65 +342,88 @@ def baseline_journal(tmp_path_factory):
     return path.read_bytes()
 
 
+def _pin_chunk_size(monkeypatch, chunk_size):
+    """Make the dispatcher ship ``chunk_size``-trial chunks.
+
+    ``None`` leaves the automatic size (about two waves per worker).
+    """
+    if chunk_size is not None:
+        monkeypatch.setattr("repro.sim.dispatch._auto_chunk_size",
+                            lambda n_pending, workers: chunk_size)
+
+
 class TestDispatchBitIdentityMatrix:
     """Dispatch shape must never leak into the journal bytes.
 
-    The PR-6 matrix: workers x chunk size x {cold, checkpoint+resume}
-    x {clean, fault-injected} all compact to the byte-identical
-    canonical snapshot of the serial reference run.  Chunking, warm
+    The matrix: workers x chunk size x {cold, checkpoint+resume} x
+    {clean, fault-injected} all compact to the byte-identical canonical
+    snapshot of the serial reference run.  The chunk size is the
+    dispatcher's own choice, pinned here to 1 or 3 trials or left
+    automatic (six trials ship as 2-trial chunks on two workers and as
+    single trials on four; one worker runs in-process).  Chunking, warm
     pools, retries and resume are *operational* concerns; the journal
     is science.
     """
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("chunk_size", [1, 3, None])
-    def test_cold_clean_runs(self, tmp_path, baseline_journal, workers,
-                             chunk_size):
+    def test_cold_clean_runs(self, tmp_path, monkeypatch,
+                             baseline_journal, workers, chunk_size):
+        _pin_chunk_size(monkeypatch, chunk_size)
         path = tmp_path / "run.jsonl"
         run_trials(N_TRIALS, policies=POLICIES, checkpoint=path,
-                   workers=workers, chunk_size=chunk_size, **SCALE)
+                   workers=workers, **SCALE)
         assert path.read_bytes() == baseline_journal
 
     @pytest.mark.parametrize("workers,chunk_size",
                              [(1, 1), (2, 3), (4, None)])
-    def test_resumed_runs(self, tmp_path, baseline_journal, workers,
-                          chunk_size):
+    def test_resumed_runs(self, tmp_path, monkeypatch, baseline_journal,
+                          workers, chunk_size):
+        _pin_chunk_size(monkeypatch, chunk_size)
         path = tmp_path / "run.jsonl"
         _run_killed_sweep(path)  # journals trials 0-2, then SIGKILL
         run_trials(N_TRIALS, policies=POLICIES, checkpoint=path,
-                   resume=True, workers=workers, chunk_size=chunk_size,
-                   **SCALE)
+                   resume=True, workers=workers, **SCALE)
         assert path.read_bytes() == baseline_journal
 
     @pytest.mark.parametrize("workers,chunk_size", [(2, 2), (4, 3)])
-    def test_fault_injected_runs(self, tmp_path, baseline_journal,
-                                 workers, chunk_size):
+    def test_fault_injected_runs(self, tmp_path, monkeypatch,
+                                 baseline_journal, workers, chunk_size):
         # Trials 1 and 4 crash once each; the retried attempts rerun
         # with the same SeedSequence children, so the compacted journal
         # still matches the clean serial baseline byte for byte.
+        _pin_chunk_size(monkeypatch, chunk_size)
         hook = CrashSchedule(crashes={1: 1, 4: 1})
         path = tmp_path / "run.jsonl"
         run_trials(N_TRIALS, policies=POLICIES, checkpoint=path,
-                   workers=workers, chunk_size=chunk_size,
-                   max_retries=2, fault_hook=hook, **SCALE)
+                   workers=workers, max_retries=2, fault_hook=hook,
+                   **SCALE)
         assert path.read_bytes() == baseline_journal
 
     @pytest.mark.parametrize("workers,chunk_size", [(2, 3), (2, None)])
-    def test_resumed_fault_injected_runs(self, tmp_path,
+    def test_resumed_fault_injected_runs(self, tmp_path, monkeypatch,
                                          baseline_journal, workers,
                                          chunk_size):
+        _pin_chunk_size(monkeypatch, chunk_size)
         hook = CrashSchedule(crashes={4: 1})
         path = tmp_path / "run.jsonl"
         _run_killed_sweep(path)
         run_trials(N_TRIALS, policies=POLICIES, checkpoint=path,
-                   resume=True, workers=workers, chunk_size=chunk_size,
-                   max_retries=2, fault_hook=hook, **SCALE)
+                   resume=True, workers=workers, max_retries=2,
+                   fault_hook=hook, **SCALE)
         assert path.read_bytes() == baseline_journal
 
-    def test_chunk_size_must_be_positive(self):
-        with pytest.raises(ValueError, match="chunk_size"):
-            run_trials(2, policies=POLICIES, workers=2, chunk_size=0,
-                       **SCALE)
+
+def test_fingerprint_digest_is_pinned():
+    # Every trial draws the paper's 100 m x 100 m floor with the default
+    # PHY; the fingerprint still records those values under their old
+    # keys, so a checkpoint written while they were settable resumes.
+    digest, params = _run_fingerprint(100, 15, 36, ("wolt", "greedy",
+                                                    "rssi"), 0, "fixed")
+    assert digest == ("78ac2358b09d79451b30f6b6477cd338"
+                      "2c946fd74c09ca33beb27253fc7cfcfd")
+    assert (params["width_m"], params["height_m"], params["phy"]) == (
+        100.0, 100.0, None)
 
 
 class TestArgumentValidation:

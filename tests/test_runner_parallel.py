@@ -77,10 +77,10 @@ class TestSubmissionOrderIndependence:
         """Chunk completion order must never leak into the results.
 
         Trial 0 sleeps while trials 1+ finish instantly, so with
-        single-trial chunks on two workers the completions *must*
-        arrive out of submission order (asserted via a journal spy) —
-        yet the returned list and the compacted journal are identical
-        to the serial run.
+        single-trial chunks (six trials on three workers) the
+        completions *must* arrive out of submission order (asserted via
+        a journal spy) — yet the returned list and the compacted
+        journal are identical to the serial run.
         """
         seen = []
         original_append = checkpoint_mod.TrialStore.append
@@ -97,7 +97,7 @@ class TestSubmissionOrderIndependence:
         seen.clear()
         skewed_path = tmp_path / "skewed.jsonl"
         skewed = run_trials(
-            N_TRIALS, policies=("rssi",), workers=2, chunk_size=1,
+            N_TRIALS, policies=("rssi",), workers=3,
             fault_hook=SleepSchedule({0: 1.5}), checkpoint=skewed_path,
             **SCALE)
         assert sorted(seen) == list(range(N_TRIALS))
@@ -108,8 +108,8 @@ class TestSubmissionOrderIndependence:
 
     def test_chunked_dispatch_preserves_order_without_checkpoint(self):
         plain = run_trials(N_TRIALS, policies=("rssi",), **SCALE)
-        skewed = run_trials(N_TRIALS, policies=("rssi",), workers=3,
-                            chunk_size=2,
+        # Six trials on two workers ship as 2-trial chunks.
+        skewed = run_trials(N_TRIALS, policies=("rssi",), workers=2,
                             fault_hook=SleepSchedule({1: 0.6}),
                             max_retries=0, **SCALE)
         _assert_trials_identical(plain, skewed)

@@ -77,7 +77,7 @@ class TestBuildScenario:
 
     def test_out_of_range_user_rescued(self):
         """A user beyond every extender's range still gets attached at
-        the lowest MCS (ensure_reachable)."""
+        the lowest MCS."""
         phy = WifiPhy()
         far = 1000.0
         assert phy.rate_at_distance(far) == 0.0
@@ -88,17 +88,6 @@ class TestBuildScenario:
         scenario = build_scenario(plan, phy=phy)
         assert scenario.wifi_rates[0, 0] == pytest.approx(
             phy.mcs_table[0][1] * phy.spatial_streams)
-
-    def test_rescue_can_be_disabled(self):
-        phy = WifiPhy()
-        far = 1000.0
-        assert phy.rate_at_distance(far) == 0.0
-        plan = FloorPlan(width_m=far * 2, height_m=far * 2,
-                         extender_xy=np.array([[0.0, 0.0]]),
-                         user_xy=np.array([[far, far]]),
-                         plc_rates=np.array([100.0]))
-        scenario = build_scenario(plan, phy=phy, ensure_reachable=False)
-        assert scenario.wifi_rates[0, 0] == 0.0
 
     def test_user_ids_assigned(self):
         scenario = build_scenario(_plan(2, 4))

@@ -1,4 +1,4 @@
-"""CLI, suppression, and baseline-ratchet tests for woltlint."""
+"""CLI and suppression tests for woltlint."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ from pathlib import Path
 import pytest
 
 from tools.woltlint import analyze_source
-from tools.woltlint.baseline import Baseline, apply_baseline
 from tools.woltlint.cli import main
-from tools.woltlint.findings import Finding
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -20,11 +18,6 @@ VIOLATION = textwrap.dedent("""
     import numpy as np
 
     rng = np.random.default_rng()
-""")
-
-#: The same file with a second, distinct violation added later.
-VIOLATION_PLUS_ONE = VIOLATION + textwrap.dedent("""
-    extra = np.random.default_rng()
 """)
 
 
@@ -107,48 +100,6 @@ class TestSuppressions:
         assert [f.rule for f in findings] == ["W001"]
 
 
-class TestBaselineRatchet:
-    def test_grandfathered_finding_stays_silent(self):
-        findings = [Finding("pkg/m.py", 3, 0, "W001", "msg")]
-        baseline = Baseline.from_findings(findings)
-        reported, grandfathered = apply_baseline(findings, baseline)
-        assert reported == []
-        assert grandfathered == 1
-
-    def test_new_violation_in_same_file_reports_whole_group(self):
-        old = [Finding("pkg/m.py", 3, 0, "W001", "msg")]
-        baseline = Baseline.from_findings(old)
-        grown = old + [Finding("pkg/m.py", 9, 0, "W001", "msg2")]
-        reported, grandfathered = apply_baseline(grown, baseline)
-        assert len(reported) == 2  # the old finding resurfaces too
-        assert grandfathered == 0
-
-    def test_other_rules_unaffected_by_grandfathering(self):
-        baseline = Baseline.from_findings(
-            [Finding("pkg/m.py", 3, 0, "W001", "msg")])
-        findings = [Finding("pkg/m.py", 3, 0, "W001", "msg"),
-                    Finding("pkg/m.py", 5, 0, "W004", "msg")]
-        reported, grandfathered = apply_baseline(findings, baseline)
-        assert [f.rule for f in reported] == ["W004"]
-        assert grandfathered == 1
-
-    def test_round_trip(self, tmp_path):
-        baseline = Baseline.from_findings(
-            [Finding("a.py", 1, 0, "W001", "m"),
-             Finding("a.py", 2, 0, "W001", "m"),
-             Finding("b.py", 1, 0, "W005", "m")])
-        path = tmp_path / "baseline.json"
-        baseline.save(str(path))
-        loaded = Baseline.load(str(path))
-        assert loaded.counts == {"a.py::W001": 2, "b.py::W005": 1}
-
-    def test_rejects_unknown_version(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "entries": {}}))
-        with pytest.raises(ValueError):
-            Baseline.load(str(path))
-
-
 class TestCli:
     def run(self, tmp_path, *argv):
         return main([str(tmp_path / "pkg"), "--root", str(tmp_path),
@@ -157,46 +108,23 @@ class TestCli:
     def test_violation_fails_without_baseline_file(self, tmp_path,
                                                    capsys):
         make_tree(tmp_path, VIOLATION)
-        bl = tmp_path / "baseline.json"
-        assert self.run(tmp_path, "--baseline", str(bl)) == 1
+        assert self.run(tmp_path) == 1
         out = capsys.readouterr().out
         assert "pkg/module.py" in out and "W001" in out
 
-    def test_update_then_grandfathered_run_is_green(self, tmp_path,
-                                                    capsys):
+    def test_baseline_flags_are_gone(self, tmp_path, capsys):
+        # An inline suppression is the only way to accept a finding.
         make_tree(tmp_path, VIOLATION)
-        bl = tmp_path / "baseline.json"
-        assert self.run(tmp_path, "--baseline", str(bl),
-                        "--update-baseline") == 0
-        assert self.run(tmp_path, "--baseline", str(bl)) == 0
-        out = capsys.readouterr().out
-        assert "grandfathered" in out
-
-    def test_new_violation_still_fails_same_file(self, tmp_path,
-                                                 capsys):
-        make_tree(tmp_path, VIOLATION)
-        bl = tmp_path / "baseline.json"
-        assert self.run(tmp_path, "--baseline", str(bl),
-                        "--update-baseline") == 0
-        make_tree(tmp_path, VIOLATION_PLUS_ONE)
-        assert self.run(tmp_path, "--baseline", str(bl)) == 1
-        out = capsys.readouterr().out
-        assert out.count("W001") >= 2  # whole group resurfaces
-
-    def test_no_baseline_reports_everything(self, tmp_path, capsys):
-        make_tree(tmp_path, VIOLATION)
-        bl = tmp_path / "baseline.json"
-        assert self.run(tmp_path, "--baseline", str(bl),
-                        "--update-baseline") == 0
-        assert self.run(tmp_path, "--baseline", str(bl),
-                        "--no-baseline") == 1
-        assert "W001" in capsys.readouterr().out
+        for flag in ("--baseline=b.json", "--no-baseline",
+                     "--update-baseline", "--allow-baseline-growth"):
+            with pytest.raises(SystemExit) as exc:
+                self.run(tmp_path, flag)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_json_output_shape(self, tmp_path, capsys):
         make_tree(tmp_path, VIOLATION)
-        bl = tmp_path / "baseline.json"
-        assert self.run(tmp_path, "--baseline", str(bl),
-                        "--format", "json") == 1
+        assert self.run(tmp_path, "--format", "json") == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["reported"] == 1
         (finding,) = payload["findings"]
@@ -214,11 +142,8 @@ class TestCli:
 
     def test_select_and_ignore(self, tmp_path, capsys):
         make_tree(tmp_path, VIOLATION)
-        bl = tmp_path / "baseline.json"
-        assert self.run(tmp_path, "--baseline", str(bl),
-                        "--ignore", "W001") == 0
-        assert self.run(tmp_path, "--baseline", str(bl),
-                        "--select", "W002") == 0
+        assert self.run(tmp_path, "--ignore", "W001") == 0
+        assert self.run(tmp_path, "--select", "W002") == 0
 
 
 #: A W012 violation the autofixer can rewrite (set iteration into an
@@ -235,7 +160,6 @@ FIXABLE = textwrap.dedent("""
 class TestCliNewFlags:
     def run(self, tmp_path, *argv):
         return main([str(tmp_path / "pkg"), "--root", str(tmp_path),
-                     "--baseline", str(tmp_path / "baseline.json"),
                      *argv])
 
     def test_sarif_format_to_stdout(self, tmp_path, capsys):
@@ -273,78 +197,8 @@ class TestCliNewFlags:
         assert "W001" in capsys.readouterr().out
 
 
-class TestBaselineRatchetEdgeCases:
-    """Satellite: the ratchet under rule-set churn and growth."""
-
-    def run(self, tmp_path, *argv):
-        return main([str(tmp_path / "pkg"), "--root", str(tmp_path),
-                     "--baseline", str(tmp_path / "baseline.json"),
-                     *argv])
-
-    def test_new_rule_with_zero_findings_keeps_green(self, tmp_path):
-        # Adding a rule that the baselined tree already satisfies must
-        # not dirty the gate or the baseline.
-        make_tree(tmp_path, VIOLATION)
-        assert self.run(tmp_path, "--update-baseline") == 0
-        assert self.run(tmp_path) == 0
-        baseline = Baseline.load(str(tmp_path / "baseline.json"))
-        assert set(baseline.counts) == {"pkg/module.py::W001"}
-
-    def test_entries_for_removed_rule_do_not_crash(self, tmp_path,
-                                                   capsys):
-        # A baseline carrying entries for a rule that no longer exists
-        # (removed or renamed) must be tolerated on read...
-        make_tree(tmp_path, VIOLATION)
-        bl = tmp_path / "baseline.json"
-        bl.write_text(json.dumps({
-            "version": 1,
-            "entries": {"pkg/module.py::W001": 1,
-                        "pkg/module.py::W099": 3},
-        }))
-        assert self.run(tmp_path) == 0
-
-    def test_update_prunes_stale_entries_without_growth_refusal(
-            self, tmp_path):
-        # ...and --update-baseline prunes the stale keys; shrinkage is
-        # never "growth", so no refusal and no flag needed.
-        make_tree(tmp_path, VIOLATION)
-        bl = tmp_path / "baseline.json"
-        bl.write_text(json.dumps({
-            "version": 1,
-            "entries": {"pkg/module.py::W001": 1,
-                        "pkg/module.py::W099": 3},
-        }))
-        assert self.run(tmp_path, "--update-baseline") == 0
-        rewritten = Baseline.load(str(bl))
-        assert rewritten.counts == {"pkg/module.py::W001": 1}
-
-    def test_update_refuses_to_mask_new_findings(self, tmp_path,
-                                                 capsys):
-        make_tree(tmp_path, VIOLATION)
-        assert self.run(tmp_path, "--update-baseline") == 0
-        make_tree(tmp_path, VIOLATION_PLUS_ONE)
-        assert self.run(tmp_path, "--update-baseline") == 2
-        captured = capsys.readouterr()
-        err = captured.out + captured.err
-        assert "refusing" in err
-        assert "pkg/module.py::W001" in err
-        # The baseline on disk is untouched by the refused update.
-        baseline = Baseline.load(str(tmp_path / "baseline.json"))
-        assert baseline.counts == {"pkg/module.py::W001": 1}
-
-    def test_explicit_growth_flag_overrides_refusal(self, tmp_path):
-        make_tree(tmp_path, VIOLATION)
-        assert self.run(tmp_path, "--update-baseline") == 0
-        make_tree(tmp_path, VIOLATION_PLUS_ONE)
-        assert self.run(tmp_path, "--update-baseline",
-                        "--allow-baseline-growth") == 0
-        baseline = Baseline.load(str(tmp_path / "baseline.json"))
-        assert baseline.counts == {"pkg/module.py::W001": 2}
-        assert self.run(tmp_path) == 0
-
-
 class TestRealTree:
-    """The PR gate: the shipped tree is clean under the shipped baseline."""
+    """The PR gate: the shipped tree is clean."""
 
     def test_whole_tree_is_clean(self, capsys):
         argv = [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests"),
@@ -352,8 +206,3 @@ class TestRealTree:
                 str(REPO_ROOT / "benchmarks"),
                 "--root", str(REPO_ROOT)]
         assert main(argv) == 0
-
-    def test_checked_in_baseline_is_empty(self):
-        baseline = Baseline.load(
-            str(REPO_ROOT / "tools" / "woltlint" / "baseline.json"))
-        assert baseline.is_empty()

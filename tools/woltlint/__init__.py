@@ -25,13 +25,12 @@ Run it with::
     python -m tools.woltlint src tests tools benchmarks
 
 See ``docs/STATIC_ANALYSIS.md`` for the rule catalogue, the suppression
-syntax (``# woltlint: disable=W001``), the baseline ratchet, and how to
-add a rule.
+syntax (``# woltlint: disable=W001``, the only way to accept a
+finding), and how to add a rule.
 """
 
 from .analyzer import (Finding, analyze_file, analyze_paths,
                        analyze_source, analyze_sources)
-from .baseline import Baseline, apply_baseline
 from .rules import RULES, ProjectRule, Rule, all_rule_codes, register
 
 __all__ = [
@@ -40,8 +39,6 @@ __all__ = [
     "analyze_paths",
     "analyze_source",
     "analyze_sources",
-    "Baseline",
-    "apply_baseline",
     "RULES",
     "Rule",
     "ProjectRule",

@@ -8,7 +8,7 @@ Analysis runs in two passes:
    :class:`~.projectmodel.ProjectModel` and the
    :class:`~.rules.ProjectRule` subclasses (W010+) run once over the
    whole set.  Their findings land on concrete file/line locations, so
-   suppressions and baselines apply unchanged.
+   suppressions apply unchanged.
 
 Suppression syntax (mirrors the familiar ``noqa`` shape):
 

@@ -1,8 +1,8 @@
 """Command-line front end: ``python -m tools.woltlint src tests``.
 
-Exit status: 0 — clean (after inline suppressions and the baseline);
-1 — findings reported; 2 — usage or I/O error, or a refused
-``--update-baseline`` that would have masked new findings.
+Exit status: 0 — clean (after inline suppressions); 1 — findings
+reported; 2 — usage or I/O error.  An inline ``# woltlint: disable=``
+with a justification is the only way to accept a finding.
 """
 
 from __future__ import annotations
@@ -11,23 +11,17 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import __version__
 from .analyzer import analyze_paths
-from .baseline import Baseline, apply_baseline
 from .cache import DEFAULT_CACHE_FILE, LintCache, tool_salt
 from .findings import Finding
 from .fixers import fix_files, fixable
 from .rules import RULES
 from .sarif import to_sarif
 
-__all__ = ["main", "build_parser", "DEFAULT_BASELINE"]
-
-#: The checked-in baseline shipping next to the tool.
-DEFAULT_BASELINE = os.path.join(os.path.dirname(__file__),
-                                "baseline.json")
+__all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,29 +34,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: src tests)")
     parser.add_argument("--root", default=".",
                         help="directory finding paths are reported "
-                             "relative to (default: cwd; run from the "
-                             "repo root so baseline paths match)")
+                             "relative to (default: cwd)")
     parser.add_argument("--format", choices=("human", "json", "sarif"),
                         default="human", help="output format")
     parser.add_argument("--output", metavar="FILE",
                         help="write the report to FILE instead of "
                              "stdout")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        help="baseline file (default: the checked-in "
-                             "tools/woltlint/baseline.json)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline and report every "
-                             "finding")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from the current "
-                             "findings and exit 0; refuses to GROW any "
-                             "(path, rule) count unless "
-                             "--allow-baseline-growth is also given")
-    parser.add_argument("--allow-baseline-growth", action="store_true",
-                        help="let --update-baseline record more "
-                             "findings than the previous baseline "
-                             "allowed (normally refused: growing the "
-                             "baseline masks new violations)")
     parser.add_argument("--fix", action="store_true",
                         help="apply mechanical fixes (sorted() wraps) "
                              "for reported findings, then re-analyze")
@@ -92,24 +69,18 @@ def _list_rules() -> str:
     return "\n".join(lines)
 
 
-def _emit_human(reported: List[Finding], grandfathered: int,
-                stream) -> None:
+def _emit_human(reported: List[Finding], stream) -> None:
     for finding in reported:
         print(finding.render(), file=stream)
-    summary = (f"woltlint: {len(reported)} finding(s)"
-               if reported else "woltlint: clean")
-    if grandfathered:
-        summary += f" ({grandfathered} grandfathered by baseline)"
-    print(summary, file=stream)
+    print(f"woltlint: {len(reported)} finding(s)"
+          if reported else "woltlint: clean", file=stream)
 
 
-def _emit_json(reported: List[Finding], grandfathered: int,
-               stream) -> None:
+def _emit_json(reported: List[Finding], stream) -> None:
     payload = {
         "version": 1,
         "findings": [f.to_json() for f in reported],
-        "summary": {"reported": len(reported),
-                    "grandfathered": grandfathered},
+        "summary": {"reported": len(reported)},
     }
     json.dump(payload, stream, indent=2)
     stream.write("\n")
@@ -119,19 +90,6 @@ def _emit_sarif(reported: List[Finding], stream) -> None:
     json.dump(to_sarif(reported, tool_version=__version__), stream,
               indent=2)
     stream.write("\n")
-
-
-def _baseline_growth(old: Baseline,
-                     findings: Sequence[Finding]) -> Dict[str, int]:
-    """``path::rule`` keys whose count would grow, with the increase."""
-    new_counts = Counter(f"{path}::{rule}"
-                         for path, rule in (f.key for f in findings))
-    growth: Dict[str, int] = {}
-    for key, count in sorted(new_counts.items()):
-        allowed = old.counts.get(key, 0)
-        if count > allowed:
-            growth[key] = count - allowed
-    return growth
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -172,47 +130,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print("woltlint: no fixes applied (stale coordinates?)",
                   file=sys.stderr)
 
-    if args.update_baseline:
-        # The growth ratchet only guards an *existing* baseline:
-        # bootstrapping one from scratch is the documented first step
-        # of adopting the gate, so it needs no override flag.
-        previous = None
-        if os.path.exists(args.baseline):
-            try:
-                previous = Baseline.load(args.baseline)
-            except (ValueError, OSError, json.JSONDecodeError) as exc:
-                print(f"woltlint: cannot read baseline: {exc}",
-                      file=sys.stderr)
-                return 2
-        growth = {} if previous is None \
-            else _baseline_growth(previous, findings)
-        if growth and not args.allow_baseline_growth:
-            print("woltlint: refusing to grow the baseline — the "
-                  "following (path, rule) counts would increase, "
-                  "masking new findings:", file=sys.stderr)
-            for key, increase in sorted(growth.items()):
-                print(f"  {key}: +{increase}", file=sys.stderr)
-            print("woltlint: fix the findings, suppress them inline "
-                  "with a justification, or pass "
-                  "--allow-baseline-growth to grandfather them "
-                  "deliberately.", file=sys.stderr)
-            return 2
-        Baseline.from_findings(findings).save(args.baseline)
-        print(f"woltlint: baseline updated with {len(findings)} "
-              f"finding(s) -> {args.baseline}")
-        return 0
-
-    grandfathered = 0
-    reported = findings
-    if not args.no_baseline and os.path.exists(args.baseline):
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (ValueError, OSError, json.JSONDecodeError) as exc:
-            print(f"woltlint: cannot read baseline: {exc}",
-                  file=sys.stderr)
-            return 2
-        reported, grandfathered = apply_baseline(findings, baseline)
-
     stream = sys.stdout
     close_stream = False
     if args.output:
@@ -228,12 +145,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         close_stream = True
     try:
         if args.format == "json":
-            _emit_json(reported, grandfathered, stream)
+            _emit_json(findings, stream)
         elif args.format == "sarif":
-            _emit_sarif(reported, stream)
+            _emit_sarif(findings, stream)
         else:
-            _emit_human(reported, grandfathered, stream)
+            _emit_human(findings, stream)
     finally:
         if close_stream:
             stream.close()
-    return 1 if reported else 0
+    return 1 if findings else 0

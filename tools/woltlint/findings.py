@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,6 @@ class Finding:
     rule: str
     message: str
     fix: Optional[WrapFix] = field(default=None, compare=False)
-
-    @property
-    def key(self) -> Tuple[str, str]:
-        """Baseline grouping key: findings ratchet per (path, rule)."""
-        return (self.path, self.rule)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"

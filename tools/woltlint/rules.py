@@ -66,7 +66,7 @@ class ProjectRule(Rule):
     Project rules see every analyzed file at once — the module graph,
     call graph, and per-function dataflow — instead of a single tree.
     Their findings still land on concrete file/line locations, so the
-    per-line suppression and baseline machinery applies unchanged.
+    per-line suppression machinery applies unchanged.
     """
 
     def check(self, tree: ast.AST, path: str) -> Iterator[Finding]:
